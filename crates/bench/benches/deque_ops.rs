@@ -5,7 +5,7 @@
 //! one-element owner/thief arbitration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nowa_deque::{Abp, Cl, DequeAlgo, Locked, Steal, StealerOps, The, WorkerOps};
+use nowa_deque::{Cl, DequeAlgo, Steal, StealerOps, The, WorkerOps};
 use std::hint::black_box;
 
 fn bench_owner_ops<A: DequeAlgo>(c: &mut Criterion) {
@@ -57,12 +57,8 @@ fn bench_batch<A: DequeAlgo>(c: &mut Criterion) {
 fn benches(c: &mut Criterion) {
     bench_owner_ops::<Cl>(c);
     bench_owner_ops::<The>(c);
-    bench_owner_ops::<Abp>(c);
-    bench_owner_ops::<Locked>(c);
     bench_steal_ops::<Cl>(c);
     bench_steal_ops::<The>(c);
-    bench_steal_ops::<Abp>(c);
-    bench_steal_ops::<Locked>(c);
     bench_batch::<Cl>(c);
     bench_batch::<The>(c);
 }

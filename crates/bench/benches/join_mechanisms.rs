@@ -1,13 +1,8 @@
 //! Join-coordination mechanisms under contention: Nowa's flat wait-free
-//! counter (one `fetch_sub` per join, §IV-B), a mutex-guarded count
-//! (Fibril, Listing 2), and a SNZI tree (Acar et al., §II-D related work).
-//!
-//! Single-site traffic favours the flat counter (that is the paper's
-//! argument for keeping the state inline in the frame); the SNZI's
-//! distributed leaves pay extra CASes per operation.
+//! counter (one `fetch_sub` per join, §IV-B) against a mutex-guarded count
+//! (Fibril, Listing 2).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nowa_runtime::Snzi;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -15,16 +10,16 @@ use std::sync::{Arc, Barrier};
 const OPS: usize = 20_000;
 const THREADS: usize = 4;
 
-fn contend<F: Fn(usize) + Sync + Send + 'static>(f: Arc<F>) {
+fn contend<F: Fn() + Sync + Send + 'static>(f: Arc<F>) {
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
+        .map(|_| {
             let f = f.clone();
             let barrier = barrier.clone();
             std::thread::spawn(move || {
                 barrier.wait();
                 for _ in 0..OPS / THREADS {
-                    f(t);
+                    f();
                 }
             })
         })
@@ -40,19 +35,11 @@ fn benches(c: &mut Criterion) {
         b.iter(|| black_box(counter.fetch_sub(1, Ordering::AcqRel)))
     });
 
-    c.bench_function("join_mech/snzi/uncontended", |b| {
-        let snzi = Snzi::new(8);
-        b.iter(|| {
-            snzi.arrive(black_box(0));
-            snzi.depart(0);
-        })
-    });
-
     c.bench_function("join_mech/flat_counter/contended", |b| {
         b.iter(|| {
             let counter = Arc::new(AtomicI64::new(i64::MAX));
             let c2 = counter.clone();
-            contend(Arc::new(move |_| {
+            contend(Arc::new(move || {
                 black_box(c2.fetch_sub(1, Ordering::AcqRel));
             }));
         })
@@ -62,19 +49,8 @@ fn benches(c: &mut Criterion) {
         b.iter(|| {
             let counter = Arc::new(std::sync::Mutex::new(0i64));
             let c2 = counter.clone();
-            contend(Arc::new(move |_| {
+            contend(Arc::new(move || {
                 *c2.lock().unwrap() -= 1;
-            }));
-        })
-    });
-
-    c.bench_function("join_mech/snzi/contended_per_leaf", |b| {
-        b.iter(|| {
-            let snzi = Arc::new(Snzi::new(THREADS));
-            let s2 = snzi.clone();
-            contend(Arc::new(move |leaf| {
-                s2.arrive(leaf);
-                s2.depart(leaf);
             }));
         })
     });

@@ -27,12 +27,7 @@ fn benches(c: &mut Criterion) {
         b.iter(|| black_box(fib_serial(black_box(16))))
     });
 
-    for flavor in [
-        Flavor::NOWA,
-        Flavor::NOWA_THE,
-        Flavor::NOWA_ABP,
-        Flavor::FIBRIL,
-    ] {
+    for flavor in Flavor::ALL {
         // One worker: every continuation is popped back — pure fast path.
         let rt = Runtime::new(Config::with_workers(1).flavor(flavor)).unwrap();
         c.bench_function(&format!("spawn/{}/fib16_1worker", flavor.name()), |b| {

@@ -253,19 +253,11 @@ impl<T: Token> StealerOps<T> for ClStealer<T> {
         let word = NonZeroU64::new(word).expect("claimed CL slot holds an item");
         Steal::Success(T::from_word(word))
     }
-}
 
-impl<T: Token> ClStealer<T> {
-    /// A racy snapshot of the number of enqueued items.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         let b = self.inner.bottom.load(Ordering::Relaxed);
         let t = self.inner.top.load(Ordering::Relaxed);
         (b - t).max(0) as usize
-    }
-
-    /// True if the snapshot observed no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

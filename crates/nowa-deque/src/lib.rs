@@ -1,8 +1,9 @@
 //! Work-stealing deques for the Nowa concurrency platform.
 //!
-//! This crate provides the four double-ended work-stealing queues discussed in
-//! the paper *“Nowa: A Wait-Free Continuation-Stealing Concurrency Platform”*
-//! (IPDPS 2021), §II-A and §II-D:
+//! This crate provides the two double-ended work-stealing queues the paper
+//! *“Nowa: A Wait-Free Continuation-Stealing Concurrency Platform”*
+//! (IPDPS 2021) evaluates (§II-A, §V-C), plus the split layer that wraps
+//! either of them:
 //!
 //! * [`ClDeque`] — the Chase–Lev dynamic circular deque (SPAA 2005), with the
 //!   C11 memory orderings of Lê et al. (PPoPP 2013). Fully lock-free; this is
@@ -10,11 +11,9 @@
 //! * [`TheDeque`] — the Cilk-5 THE (Tail, Head, Exception) protocol
 //!   (PLDI 1998). The owner elides the lock unless the ends conflict; thieves
 //!   serialize on a per-deque lock.
-//! * [`AbpDeque`] — the Arora–Blumofe–Plaxton non-blocking deque (SPAA 1998)
-//!   with a tagged `(top, tag)` word updated by CAS. Its effective capacity
-//!   can shrink until the reset mitigation triggers (§II-D).
-//! * [`LockedDeque`] — a fully mutex-protected deque, the baseline every
-//!   lock-based runtime layer degenerates to.
+//! * [`SplitDeque`] — a private/public split layer over either queue: the
+//!   owner's newest items live in an unsynchronised private ring and are
+//!   promoted to the wrapped (public) deque lazily.
 //!
 //! # Ownership discipline
 //!
@@ -45,19 +44,15 @@
 
 #![warn(missing_docs)]
 
-mod abp;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 mod cl;
-mod locked;
 mod split;
 mod sync;
 mod the;
 mod token;
 
-pub use abp::{AbpDeque, AbpStealer, AbpWorker};
 pub use cl::{ClDeque, ClStealer, ClWorker};
-pub use locked::{LockedDeque, LockedStealer, LockedWorker};
 pub use split::{SplitConfig, SplitDeque, SplitPush, SplitStealer, SplitWorker};
 pub use the::{TheDeque, TheStealer, TheWorker};
 pub use token::{Ptr, Token};
@@ -87,11 +82,6 @@ impl<T> Steal<T> {
     pub fn is_empty(&self) -> bool {
         matches!(self, Steal::Empty)
     }
-
-    /// True if the attempt should be retried.
-    pub fn is_retry(&self) -> bool {
-        matches!(self, Steal::Retry)
-    }
 }
 
 /// Error returned when a bounded deque cannot accept another item.
@@ -105,9 +95,8 @@ pub struct Full<T>(pub T);
 pub trait WorkerOps<T: Token> {
     /// Pushes an item on the bottom end.
     ///
-    /// Bounded algorithms ([`TheDeque`], [`AbpDeque`]) return [`Full`] when
-    /// out of space; [`ClDeque`] grows and never fails; [`LockedDeque`]
-    /// never fails.
+    /// The bounded [`TheDeque`] returns [`Full`] when out of space;
+    /// [`ClDeque`] grows and never fails.
     fn push(&self, item: T) -> Result<(), Full<T>>;
 
     /// Pops an item from the bottom end (LIFO relative to `push`).
@@ -127,6 +116,15 @@ pub trait WorkerOps<T: Token> {
 pub trait StealerOps<T: Token>: Clone + Send + Sync {
     /// Attempts to steal the item at the top end (FIFO relative to `push`).
     fn steal(&self) -> Steal<T>;
+
+    /// A snapshot of the number of items visible to thieves. Racy; for
+    /// heuristics (the idle engine's park validation) and statistics only.
+    fn len(&self) -> usize;
+
+    /// True if `len() == 0` at the time of the snapshot.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 
     /// Retries [`steal`](Self::steal) until it returns something other than
     /// [`Steal::Retry`].
@@ -160,10 +158,6 @@ pub trait DequeAlgo: 'static {
 pub struct Cl;
 /// Marker type selecting the Cilk-5 THE queue.
 pub struct The;
-/// Marker type selecting the Arora–Blumofe–Plaxton queue.
-pub struct Abp;
-/// Marker type selecting the fully-locked queue.
-pub struct Locked;
 
 impl DequeAlgo for Cl {
     type Worker<T: Token> = ClWorker<T>;
@@ -180,23 +174,5 @@ impl DequeAlgo for The {
     const NAME: &'static str = "the";
     fn create<T: Token>(capacity: usize) -> (Self::Worker<T>, Self::Stealer<T>) {
         TheDeque::new(capacity)
-    }
-}
-
-impl DequeAlgo for Abp {
-    type Worker<T: Token> = AbpWorker<T>;
-    type Stealer<T: Token> = AbpStealer<T>;
-    const NAME: &'static str = "abp";
-    fn create<T: Token>(capacity: usize) -> (Self::Worker<T>, Self::Stealer<T>) {
-        AbpDeque::new(capacity)
-    }
-}
-
-impl DequeAlgo for Locked {
-    type Worker<T: Token> = LockedWorker<T>;
-    type Stealer<T: Token> = LockedStealer<T>;
-    const NAME: &'static str = "locked";
-    fn create<T: Token>(capacity: usize) -> (Self::Worker<T>, Self::Stealer<T>) {
-        LockedDeque::new(capacity)
     }
 }

@@ -10,7 +10,7 @@
 //! * a **private segment** — an unsynchronized ring of token words touched
 //!   only by the owner (plain [`Cell`]s, no atomics, no fences), holding
 //!   the *newest* continuations; and
-//! * the **public deque** — the wrapped flavor (CL/THE/ABP/locked),
+//! * the **public deque** — the wrapped flavor (CL or THE),
 //!   holding the *oldest* continuations, visible to thieves as before.
 //!
 //! The owner pushes and pops at the private tail; thieves steal from the
@@ -345,16 +345,6 @@ impl<W: WorkerOps<T>, T: Token> SplitWorker<W, T> {
         self.last_private.get()
     }
 
-    /// The layer's configuration.
-    pub fn config(&self) -> &SplitConfig {
-        &self.cfg
-    }
-
-    /// The wrapped flavor's worker handle.
-    pub fn inner(&self) -> &W {
-        &self.inner
-    }
-
     /// Racy snapshot of the hunger flag (diagnostics/tests).
     pub fn hungry_flag(&self) -> bool {
         self.shared.hungry.load(Ordering::Relaxed) != 0
@@ -400,25 +390,10 @@ impl<T: Token, W: WorkerOps<T>> WorkerOps<T> for SplitWorker<W, T> {
 
 /// Thief-side handle of a split deque: the wrapped flavor's stealer end
 /// plus the hunger signal.
+#[derive(Clone)]
 pub struct SplitStealer<S> {
     inner: S,
     shared: Arc<SplitShared>,
-}
-
-impl<S: Clone> Clone for SplitStealer<S> {
-    fn clone(&self) -> SplitStealer<S> {
-        SplitStealer {
-            inner: self.inner.clone(),
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<S> SplitStealer<S> {
-    /// The wrapped flavor's stealer handle.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<T: Token, S: StealerOps<T>> StealerOps<T> for SplitStealer<S> {
@@ -436,6 +411,12 @@ impl<T: Token, S: StealerOps<T>> StealerOps<T> for SplitStealer<S> {
             }
             other => other,
         }
+    }
+
+    /// Thief-visible items only: the private segment is invisible here by
+    /// design (the hunger signal covers it).
+    fn len(&self) -> usize {
+        self.inner.len()
     }
 }
 
@@ -466,7 +447,7 @@ mod tests {
         }
         assert_eq!(w.private_len(), 3);
         assert_eq!(w.public_len(), 0);
-        assert_eq!(s.inner().len(), 0, "nothing visible to thieves yet");
+        assert_eq!(s.len(), 0, "nothing visible to thieves yet");
         // 4th push is the batch boundary: promote all but one.
         assert_eq!(w.push_spawn(4).unwrap().promoted, 3);
         assert_eq!(w.private_len(), 1);

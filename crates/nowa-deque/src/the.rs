@@ -208,19 +208,11 @@ impl<T: Token> StealerOps<T> for TheStealer<T> {
         let word = NonZeroU64::new(word).expect("THE slot in live range holds an item");
         Steal::Success(T::from_word(word))
     }
-}
 
-impl<T: Token> TheStealer<T> {
-    /// A racy snapshot of the number of enqueued items.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         let t = self.inner.tail.load(Ordering::Relaxed);
         let h = self.inner.head.load(Ordering::Relaxed);
         (t - h).max(0) as usize
-    }
-
-    /// True if the snapshot observed no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

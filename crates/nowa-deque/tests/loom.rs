@@ -15,9 +15,7 @@
 
 #![cfg(loom)]
 
-use nowa_deque::{
-    AbpDeque, ClDeque, SplitConfig, SplitDeque, Steal, StealerOps, TheDeque, WorkerOps,
-};
+use nowa_deque::{ClDeque, SplitConfig, SplitDeque, Steal, StealerOps, TheDeque, WorkerOps};
 
 /// Owner pushes then pops while one thief steals: every item claimed
 /// exactly once, none lost, none duplicated.
@@ -133,47 +131,6 @@ fn the_single_item_owner_thief_race() {
             (Some(7), None) | (None, Some(7)) => {}
             other => panic!("last item must go to exactly one side, got {other:?}"),
         }
-    });
-}
-
-/// ABP deque: the tagged-`age` CAS keeps the last item exclusive even
-/// through the owner's index reset.
-#[test]
-fn abp_single_item_owner_thief_race() {
-    loom::model(|| {
-        let (w, s) = AbpDeque::<usize>::new(4);
-        w.push(7).unwrap();
-        let thief = loom::thread::spawn(move || s.steal().success());
-        let popped = w.pop();
-        let stolen = thief.join().unwrap();
-        match (popped, stolen) {
-            (Some(7), None) | (None, Some(7)) => {}
-            other => panic!("last item must go to exactly one side, got {other:?}"),
-        }
-    });
-}
-
-/// ABP: after steals + drain the owner resets indices; a thief holding a
-/// stale `age` must not be able to claim a slot from the new generation.
-#[test]
-fn abp_reset_blocks_stale_thief() {
-    loom::model(|| {
-        let (w, s) = AbpDeque::<usize>::new(4);
-        w.push(1).unwrap();
-        let thief = loom::thread::spawn(move || s.steal().success());
-        let first = w.pop();
-        // Reset may have happened; the next generation's item must be
-        // claimed exactly once too.
-        w.push(2).unwrap();
-        let second = w.pop();
-        let stolen = thief.join().unwrap();
-        let mut got: Vec<usize> = [first, second, stolen].into_iter().flatten().collect();
-        got.sort_unstable();
-        assert_eq!(
-            got,
-            vec![1, 2],
-            "tag generation must fence off stale thieves"
-        );
     });
 }
 

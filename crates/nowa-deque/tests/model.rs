@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 
-use nowa_deque::{Abp, Cl, DequeAlgo, Locked, Steal, StealerOps, The, WorkerOps};
+use nowa_deque::{Cl, DequeAlgo, Steal, StealerOps, The, WorkerOps};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -63,15 +63,5 @@ proptest! {
     #[test]
     fn the_matches_model(ops in ops()) {
         check_model::<The>(&ops);
-    }
-
-    #[test]
-    fn abp_matches_model(ops in ops()) {
-        check_model::<Abp>(&ops);
-    }
-
-    #[test]
-    fn locked_matches_model(ops in ops()) {
-        check_model::<Locked>(&ops);
     }
 }

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use nowa_deque::{Abp, Cl, DequeAlgo, Locked, Steal, StealerOps, The, WorkerOps};
+use nowa_deque::{Cl, DequeAlgo, Steal, StealerOps, The, WorkerOps};
 
 /// Runs `pushes` tokens through a deque with `thieves` concurrent stealers
 /// while the owner interleaves pushes and pops, then checks conservation.
@@ -101,21 +101,6 @@ fn the_conservation_four_thieves() {
     conservation::<The>(50_000, 4, 1024);
 }
 
-#[test]
-fn abp_conservation_two_thieves() {
-    conservation::<Abp>(100_000, 2, 1024);
-}
-
-#[test]
-fn abp_conservation_four_thieves() {
-    conservation::<Abp>(50_000, 4, 1024);
-}
-
-#[test]
-fn locked_conservation_two_thieves() {
-    conservation::<Locked>(100_000, 2, 16);
-}
-
 /// The owner's pop and a single thief race for the final element; exactly
 /// one of them must receive it, every time.
 fn last_element_race<A: DequeAlgo>(rounds: usize) {
@@ -140,16 +125,6 @@ fn cl_last_element_race() {
 #[test]
 fn the_last_element_race() {
     last_element_race::<The>(2_000);
-}
-
-#[test]
-fn abp_last_element_race() {
-    last_element_race::<Abp>(2_000);
-}
-
-#[test]
-fn locked_last_element_race() {
-    last_element_race::<Locked>(2_000);
 }
 
 /// Thieves racing each other must never duplicate an element.
@@ -195,14 +170,4 @@ fn cl_thief_vs_thief() {
 #[test]
 fn the_thief_vs_thief() {
     thief_vs_thief::<The>();
-}
-
-#[test]
-fn abp_thief_vs_thief() {
-    thief_vs_thief::<Abp>();
-}
-
-#[test]
-fn locked_thief_vs_thief() {
-    thief_vs_thief::<Locked>();
 }

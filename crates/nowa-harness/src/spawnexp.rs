@@ -35,14 +35,6 @@ use crate::stats::Table;
 /// Gate: split-on fast-path ns/spawn ≤ split-off × this factor.
 pub const GATE_SLACK: f64 = 1.15;
 
-const FLAVORS: [Flavor; 5] = [
-    Flavor::NOWA,
-    Flavor::NOWA_THE,
-    Flavor::NOWA_ABP,
-    Flavor::NOWA_LOCKED_DEQUE,
-    Flavor::FIBRIL,
-];
-
 /// Serial-cycle timestamp: the TSC on x86-64, 0 elsewhere (the ns column
 /// is always measured; the cycles column then reads 0.0).
 fn tsc() -> u64 {
@@ -200,7 +192,7 @@ pub fn spawn_bench(quick: bool) -> bool {
     };
 
     let mut samples = Vec::new();
-    for flavor in FLAVORS {
+    for flavor in Flavor::ALL {
         // The fused Fibril deque has no split layer: measure it once, as
         // the lock-based baseline both columns compare against.
         let splits: &[bool] = if flavor == Flavor::FIBRIL {

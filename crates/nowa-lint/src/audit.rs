@@ -5,7 +5,7 @@
 //!
 //! * `### Audit table — `crate`` headings set the crate context.
 //! * Bold module headers (`**`cl.rs` (…)**`) set the file context; a
-//!   header may name several files (`**`flavor.rs` / `record.rs` (…)**`),
+//!   header may name several files (`**`nowa.rs` / `record.rs` (…)**`),
 //!   in which case rows anchor into any of them.
 //! * Each table row's Site cell *leads* with one or more backticked fn
 //!   anchors separated by `/` or `,` — `` `pop` `` or

@@ -20,13 +20,11 @@ pub mod r8;
 pub const SHIM_MODULES: &[&str] = &[
     "nowa-deque/src/cl.rs",
     "nowa-deque/src/the.rs",
-    "nowa-deque/src/abp.rs",
     "nowa-deque/src/split.rs",
     "nowa-runtime/src/idle.rs",
     "nowa-runtime/src/injector.rs",
-    "nowa-runtime/src/snzi.rs",
     "nowa-runtime/src/record.rs",
-    "nowa-runtime/src/flavor.rs",
+    "nowa-runtime/src/nowa.rs",
     "nowa-runtime/src/worker.rs",
     "nowa-runtime/src/task.rs",
     "nowa-runtime/src/reactor.rs",

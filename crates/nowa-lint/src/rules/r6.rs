@@ -11,8 +11,9 @@
 //!
 //! Conservatism: an *unresolved* call claims nothing here — the deliberate
 //! asymmetry with R8 (see `effects`). A by-design exception (the THE
-//! deque's arbitration lock, the FibrilLocked baseline arms) is a reasoned
-//! allowlist entry, exactly like R5's.
+//! deque's arbitration lock, CL's amortized growth) is a reasoned allowlist
+//! entry, exactly like R5's; code that is lock-based through and through
+//! (the Fibril protocol) simply carries no marker.
 
 use crate::diag::Diagnostic;
 use crate::effects::{self, Effects};

@@ -9,95 +9,53 @@
 //! * the **work-stealing queue** at the core — the lock-free Chase–Lev
 //!   queue versus the partially-locked THE queue (§V-C, Fig. 9).
 //!
-//! [`Flavor`] picks one point in that matrix. The scheduler dispatches on it
-//! with plain `match`es, so every flavor pays the same (negligible, uniform)
-//! dispatch cost — important for a fair comparison.
+//! [`Flavor`] names the three points of that matrix the evaluation uses;
+//! [`Protocol`] is what the scheduler is generic over. It has exactly two
+//! implementations: [`Nowa<D>`](crate::nowa::Nowa), written once over any
+//! [`nowa_deque::DequeAlgo`], and [`Fibril`](crate::fibril::Fibril), which
+//! owns its fused locked deque.
+//!
+//! **The erasure seam.** User code reaches the monomorphised scheduler
+//! bodies through the thread-local worker pointer, which cannot carry a
+//! type. `with_protocol!` is the one place it is recovered: one `match`
+//! on the worker's flavor tag per `spawn_execute`, `sync_execute` and
+//! `find_work` *entry* (plus one in `Runtime::new`), none inside them.
 
-use nowa_deque::{
-    AbpDeque, AbpStealer, AbpWorker, ClDeque, ClStealer, ClWorker, Full, LockedDeque,
-    LockedStealer, LockedWorker, Ptr, SplitConfig, SplitDeque, SplitPush, SplitStealer,
-    SplitWorker, Steal, StealerOps, TheDeque, TheStealer, TheWorker, WorkerOps,
-};
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::Arc;
+use nowa_deque::{SplitConfig, Steal};
 
-use crate::sync::Ordering;
-
-use crate::record::{AfterChild, Frame, SpawnRecord, I_MAX, SUSP_IDLE, SUSP_SUSPENDED};
+use crate::record::{AfterChild, Frame, SpawnRecord};
 
 /// A continuation token as stored in the deques.
-pub type Rec = Ptr<SpawnRecord>;
-
-/// Which work-stealing queue runs at the core of the runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DequeKind {
-    /// Chase–Lev (lock-free, ring-buffer) — the Nowa default.
-    Cl,
-    /// Cilk-5 THE (owner elides a lock; thieves serialize on it).
-    The,
-    /// Arora–Blumofe–Plaxton (CAS on a tagged age word).
-    Abp,
-    /// Fully mutex-protected deque.
-    Locked,
-}
-
-/// Which strand-coordination protocol the outer layer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolKind {
-    /// The wait-free Nowa protocol: counter armed at `I_max`, joiners
-    /// `fetch_sub`, the explicit sync restores `N_r` (§IV-B).
-    NowaWaitFree,
-    /// The Fibril-style protocol: a per-frame lock around the strand count,
-    /// fused with the (necessarily fully locked) deque as in Listing 2.
-    FibrilLocked,
-}
+pub type Rec = nowa_deque::Ptr<SpawnRecord>;
 
 /// A complete runtime flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flavor {
-    /// Coordination protocol of the outer layer.
-    pub protocol: ProtocolKind,
-    /// Queue algorithm at the core.
-    pub deque: DequeKind,
+pub enum Flavor {
+    /// Wait-free protocol over the Chase–Lev queue — see [`Flavor::NOWA`].
+    NowaCl,
+    /// Wait-free protocol over the THE queue — see [`Flavor::NOWA_THE`].
+    NowaThe,
+    /// Lock-based protocol over its fused queue — see [`Flavor::FIBRIL`].
+    Fibril,
 }
 
 impl Flavor {
     /// Nowa as published: wait-free protocol + CL queue (§IV-C synergy).
-    pub const NOWA: Flavor = Flavor {
-        protocol: ProtocolKind::NowaWaitFree,
-        deque: DequeKind::Cl,
-    };
+    pub const NOWA: Flavor = Flavor::NowaCl;
     /// The Fig. 9 ablation: wait-free protocol, but the THE queue.
-    pub const NOWA_THE: Flavor = Flavor {
-        protocol: ProtocolKind::NowaWaitFree,
-        deque: DequeKind::The,
-    };
-    /// Wait-free protocol over the ABP queue (additional ablation).
-    pub const NOWA_ABP: Flavor = Flavor {
-        protocol: ProtocolKind::NowaWaitFree,
-        deque: DequeKind::Abp,
-    };
-    /// Wait-free protocol over a fully locked queue (additional ablation).
-    pub const NOWA_LOCKED_DEQUE: Flavor = Flavor {
-        protocol: ProtocolKind::NowaWaitFree,
-        deque: DequeKind::Locked,
-    };
-    /// The lock-based baseline (Fibril stand-in). The protocol requires the
-    /// fused locked deque; the `deque` field is ignored.
-    pub const FIBRIL: Flavor = Flavor {
-        protocol: ProtocolKind::FibrilLocked,
-        deque: DequeKind::Locked,
-    };
+    pub const NOWA_THE: Flavor = Flavor::NowaThe;
+    /// The lock-based baseline (Fibril stand-in): Listing 2's frame lock
+    /// fused with a fully locked deque.
+    pub const FIBRIL: Flavor = Flavor::Fibril;
+    /// Every flavor, in report order (test and bench matrices loop here).
+    pub const ALL: [Flavor; 3] = [Flavor::NOWA, Flavor::NOWA_THE, Flavor::FIBRIL];
 
     /// Short name used in reports.
     pub fn name(&self) -> &'static str {
-        match (self.protocol, self.deque) {
-            (ProtocolKind::FibrilLocked, _) => "fibril-lock",
-            (ProtocolKind::NowaWaitFree, DequeKind::Cl) => "nowa-cl",
-            (ProtocolKind::NowaWaitFree, DequeKind::The) => "nowa-the",
-            (ProtocolKind::NowaWaitFree, DequeKind::Abp) => "nowa-abp",
-            (ProtocolKind::NowaWaitFree, DequeKind::Locked) => "nowa-lockq",
+        match self {
+            Flavor::NowaCl => "nowa-cl",
+            Flavor::NowaThe => "nowa-the",
+            Flavor::Fibril => "fibril-lock",
         }
     }
 
@@ -106,498 +64,118 @@ impl Flavor {
         match name {
             "nowa" | "nowa-cl" => Some(Flavor::NOWA),
             "nowa-the" => Some(Flavor::NOWA_THE),
-            "nowa-abp" => Some(Flavor::NOWA_ABP),
-            "nowa-lockq" => Some(Flavor::NOWA_LOCKED_DEQUE),
             "fibril" | "fibril-lock" => Some(Flavor::FIBRIL),
             _ => None,
         }
     }
 }
 
-/// The deque used by the Fibril-style protocol: a single mutex protects the
-/// queue, and the protocol briefly holds it together with the frame lock
-/// (Listing 2 line 10) to fuse the pop/steal with the count update.
-pub struct FusedDeque {
-    q: Mutex<VecDeque<Rec>>,
-}
-
-impl FusedDeque {
-    fn new(capacity: usize) -> Arc<FusedDeque> {
-        Arc::new(FusedDeque {
-            q: Mutex::new(VecDeque::with_capacity(capacity)),
-        })
-    }
-}
-
-/// Owner side of a flavor's deque. Every real deque algorithm is wrapped
-/// in the split private/public layer (DESIGN.md §6g) — with the split
-/// disabled in [`SplitConfig`] the wrapper is a pass-through. The fused
-/// Fibril deque stays unsplit: its lock-based protocol is the baseline
-/// being measured, not optimised.
-pub enum OwnerDeque {
-    /// Chase–Lev owner handle.
-    Cl(SplitWorker<ClWorker<Rec>, Rec>),
-    /// THE owner handle.
-    The(SplitWorker<TheWorker<Rec>, Rec>),
-    /// ABP owner handle.
-    Abp(SplitWorker<AbpWorker<Rec>, Rec>),
-    /// Locked-deque owner handle.
-    Locked(SplitWorker<LockedWorker<Rec>, Rec>),
-    /// Fibril fused deque (owner and thieves share it).
-    Fused(Arc<FusedDeque>),
-}
-
-/// Thief side of a flavor's deque.
-#[derive(Clone)]
-pub enum SharedStealer {
-    /// Chase–Lev stealer handle.
-    Cl(SplitStealer<ClStealer<Rec>>),
-    /// THE stealer handle.
-    The(SplitStealer<TheStealer<Rec>>),
-    /// ABP stealer handle.
-    Abp(SplitStealer<AbpStealer<Rec>>),
-    /// Locked-deque stealer handle.
-    Locked(SplitStealer<LockedStealer<Rec>>),
-    /// Fibril fused deque.
-    Fused(Arc<FusedDeque>),
-}
-
-/// Creates the deque pair for `flavor` with the given capacity and split
-/// configuration.
-pub fn new_deque(
-    flavor: Flavor,
-    capacity: usize,
-    split: SplitConfig,
-) -> (OwnerDeque, SharedStealer) {
-    match (flavor.protocol, flavor.deque) {
-        (ProtocolKind::FibrilLocked, _) => {
-            let fused = FusedDeque::new(capacity);
-            (
-                OwnerDeque::Fused(fused.clone()),
-                SharedStealer::Fused(fused),
-            )
+/// Evaluates `$body` with `$P` bound to the [`Protocol`] of `$flavor` — the
+/// erasure seam. `Runtime::new` builds every worker as a `FlavoredWorker<P>`
+/// through it and tags the worker with the same `$flavor`, so the type
+/// recovered from a worker's tag is its own.
+macro_rules! with_protocol {
+    ($flavor:expr, $P:ident => $body:expr) => {
+        match $flavor {
+            $crate::flavor::Flavor::NowaCl => {
+                type $P = $crate::nowa::Nowa<nowa_deque::Cl>;
+                $body
+            }
+            $crate::flavor::Flavor::NowaThe => {
+                type $P = $crate::nowa::Nowa<nowa_deque::The>;
+                $body
+            }
+            $crate::flavor::Flavor::Fibril => {
+                type $P = $crate::fibril::Fibril;
+                $body
+            }
         }
-        (_, DequeKind::Cl) => {
-            let (w, s) = ClDeque::new(capacity);
-            let (w, s) = SplitDeque::wrap(w, s, split, capacity);
-            (OwnerDeque::Cl(w), SharedStealer::Cl(s))
-        }
-        (_, DequeKind::The) => {
-            let (w, s) = TheDeque::new(capacity);
-            let (w, s) = SplitDeque::wrap(w, s, split, capacity);
-            (OwnerDeque::The(w), SharedStealer::The(s))
-        }
-        (_, DequeKind::Abp) => {
-            let (w, s) = AbpDeque::new(capacity);
-            let (w, s) = SplitDeque::wrap(w, s, split, capacity);
-            (OwnerDeque::Abp(w), SharedStealer::Abp(s))
-        }
-        (_, DequeKind::Locked) => {
-            let (w, s) = LockedDeque::new(capacity);
-            let (w, s) = SplitDeque::wrap(w, s, split, capacity);
-            (OwnerDeque::Locked(w), SharedStealer::Locked(s))
-        }
-    }
-}
-
-/// Current occupancy of the owner side of a deque, private segment
-/// included (observability only — the value is a racy snapshot for all
-/// lock-free algorithms).
-pub fn occupancy(dq: &OwnerDeque) -> usize {
-    match dq {
-        OwnerDeque::Cl(w) => w.len(),
-        OwnerDeque::The(w) => w.len(),
-        OwnerDeque::Abp(w) => w.len(),
-        OwnerDeque::Locked(w) => w.len(),
-        OwnerDeque::Fused(f) => f.q.lock().len(),
-    }
-}
-
-/// Occupancy of the *public* (thief-visible) part of the owner's deque —
-/// what the wake-threshold gate should consult: a promotion makes a wake
-/// worthwhile only if the woken thief can actually see the work.
-pub fn public_occupancy(dq: &OwnerDeque) -> usize {
-    match dq {
-        OwnerDeque::Cl(w) => w.public_len(),
-        OwnerDeque::The(w) => w.public_len(),
-        OwnerDeque::Abp(w) => w.public_len(),
-        OwnerDeque::Locked(w) => w.public_len(),
-        OwnerDeque::Fused(f) => f.q.lock().len(),
-    }
-}
-
-/// Occupancy seen through a thief-side handle (racy snapshot) — used by the
-/// idle engine's park validation re-scan: anything non-zero anywhere means
-/// "don't sleep, go steal". Private segments are invisible here by design;
-/// the hunger signal (raised by the failed steals of the sweep preceding a
-/// park) covers them.
-pub fn stealer_len(st: &SharedStealer) -> usize {
-    match st {
-        SharedStealer::Cl(s) => s.inner().len(),
-        SharedStealer::The(s) => s.inner().len(),
-        SharedStealer::Abp(s) => s.inner().len(),
-        SharedStealer::Locked(s) => s.inner().len(),
-        SharedStealer::Fused(f) => f.q.lock().len(),
-    }
-}
-
-/// Whether the most recent successful owner-side pop on this deque was
-/// served by the private segment (feeds the `private_pops` statistic).
-pub fn last_pop_was_private(dq: &OwnerDeque) -> bool {
-    match dq {
-        OwnerDeque::Cl(w) => w.last_pop_was_private(),
-        OwnerDeque::The(w) => w.last_pop_was_private(),
-        OwnerDeque::Abp(w) => w.last_pop_was_private(),
-        OwnerDeque::Locked(w) => w.last_pop_was_private(),
-        OwnerDeque::Fused(_) => false,
-    }
-}
-
-/// Promotes up to `max` private items to the public deque regardless of
-/// batch or hunger state. Used by the wake path (`promote_on_wake`) and
-/// the chaos `ForcePromote` site. Returns the number moved.
-pub fn force_promote(dq: &OwnerDeque, max: usize) -> u32 {
-    let moved = match dq {
-        OwnerDeque::Cl(w) => w.force_promote(max),
-        OwnerDeque::The(w) => w.force_promote(max),
-        OwnerDeque::Abp(w) => w.force_promote(max),
-        OwnerDeque::Locked(w) => w.force_promote(max),
-        OwnerDeque::Fused(_) => 0,
     };
-    moved as u32
 }
+pub(crate) use with_protocol;
 
-/// Outcome of offering a continuation to the deques.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushOutcome {
-    /// The continuation was enqueued (privately or publicly). `false`
-    /// means both segments of a bounded queue refused — the caller then
-    /// simply runs the child without offering the continuation (less
-    /// parallelism, same semantics).
-    pub offered: bool,
-    /// Private items promoted to the public deque as a side effect of this
-    /// push (batch boundary, hunger signal, or private-ring overflow).
-    pub promoted: u32,
-}
+/// A strand-coordination protocol together with the deque it runs over:
+/// everything the scheduler needs from a flavor, as associated functions so
+/// the spawn/sync/steal bodies monomorphise with no dispatch inside them.
+pub trait Protocol: Sized + 'static {
+    /// Owner side of the deque.
+    type Owner: Send;
+    /// Thief side of the deque.
+    type Stealer: Clone + Send + Sync + 'static;
 
-#[inline]
-fn push_outcome(res: Result<SplitPush, Full<Rec>>) -> PushOutcome {
-    match res {
-        Ok(p) => PushOutcome {
-            offered: true,
-            promoted: p.promoted,
-        },
-        Err(Full(_)) => PushOutcome {
-            offered: false,
-            promoted: 0,
-        },
+    /// Creates one worker's deque pair with the given capacity and split
+    /// configuration.
+    fn new_deque(capacity: usize, split: SplitConfig) -> (Self::Owner, Self::Stealer);
+
+    /// Offers a continuation to thieves (Fig. 5 line 2). `Some(n)`: it was
+    /// enqueued (privately or publicly), and `n` private items were
+    /// promoted to the public deque as a side effect (batch boundary,
+    /// hunger signal, or private-ring overflow). `None`: both segments of a
+    /// bounded queue refused — the caller then simply runs the child
+    /// without offering the continuation (less parallelism, same
+    /// semantics).
+    fn push(dq: &Self::Owner, rec: Rec) -> Option<u32>;
+
+    /// After the child returned: reclaim our continuation or perform the
+    /// child join (Fig. 5 lines 4–5 plus the implicit-sync bookkeeping).
+    fn pop_or_join(dq: &Self::Owner, frame: &Frame) -> AfterChild;
+
+    /// Takes the bottom-most record of the worker's *own* deque as new work
+    /// (the work-finding loop prefers local work before stealing). Includes
+    /// the fork bookkeeping of whoever takes a continuation as new work.
+    fn take_own(dq: &Self::Owner) -> Option<Rec>;
+
+    /// Steals from a victim's top end, with fork bookkeeping (Fig. 5's
+    /// `popTop()` + the `N` increment in `run()`).
+    fn steal_from(st: &Self::Stealer) -> Steal<Rec>;
+
+    /// At the explicit sync point: true if the sync condition already holds
+    /// and the main path can proceed without suspending.
+    fn sync_precheck(frame: &Frame) -> bool;
+
+    /// On the fresh stack, after the sync continuation has been captured:
+    /// publish the suspension. Returns `true` if the sync condition holds
+    /// *now* (all children joined in the meantime) — the caller then
+    /// resumes the sync continuation immediately instead of stealing.
+    fn sync_restore(frame: &Frame) -> bool;
+
+    /// Re-arms a frame after a completed sync so the same frame can host
+    /// the next spawn region (Listing 3 allows several spawn…sync regions
+    /// per spawning function).
+    fn rearm(frame: &Frame);
+
+    /// Current occupancy of the owner side, private segment included
+    /// (observability only — a racy snapshot for lock-free algorithms).
+    fn occupancy(dq: &Self::Owner) -> usize;
+
+    /// Occupancy seen through a thief-side handle (racy snapshot) — the
+    /// idle engine's park validation re-scan: anything non-zero anywhere
+    /// means "don't sleep, go steal". Private segments are invisible here
+    /// by design; the hunger signal raised by the failed steals of the
+    /// sweep preceding a park covers them.
+    fn stealer_len(st: &Self::Stealer) -> usize;
+
+    // ---- the split layer (DESIGN.md §6g); the defaults describe a deque
+    // ---- without a private segment, where every push is public at once.
+
+    /// Occupancy of the *public* (thief-visible) part of the owner's deque
+    /// — what the wake-threshold gate consults: a promotion makes a wake
+    /// worthwhile only if the woken thief can actually see the work.
+    fn public_occupancy(dq: &Self::Owner) -> usize {
+        Self::occupancy(dq)
     }
-}
 
-/// Offers a continuation to thieves (Fig. 5 line 2). With the split layer
-/// enabled the common case is a private, synchronization-free ring write;
-/// see [`PushOutcome`] for the side-channel information the scheduler
-/// consumes.
-#[inline]
-// lint: hot-path
-// lint: wait-free
-pub fn push(dq: &OwnerDeque, rec: Rec) -> PushOutcome {
-    match dq {
-        OwnerDeque::Cl(w) => push_outcome(w.push_spawn(rec)),
-        OwnerDeque::The(w) => push_outcome(w.push_spawn(rec)),
-        OwnerDeque::Abp(w) => push_outcome(w.push_spawn(rec)),
-        OwnerDeque::Locked(w) => push_outcome(w.push_spawn(rec)),
-        OwnerDeque::Fused(f) => {
-            // lint: allow(R5) — the fused baseline is lock-based by definition
-            f.q.lock().push_back(rec);
-            PushOutcome {
-                offered: true,
-                promoted: 0,
-            }
-        }
+    /// Whether the most recent successful owner-side pop was served by the
+    /// private segment (feeds the `private_pops` statistic).
+    fn last_pop_was_private(_dq: &Self::Owner) -> bool {
+        false
     }
-}
 
-/// After the child returned: reclaim our continuation or perform the child
-/// join (Fig. 5 lines 4–5 plus the implicit-sync bookkeeping).
-///
-/// For the wait-free protocol this is where the benign race lives: the pop
-/// and the counter decrement are *not* atomic together, which is safe
-/// because the counter still holds `N_r' = I_max − ω` until the explicit
-/// sync restores it (§IV-B). For the locked protocol the deque lock is held
-/// until the frame lock is acquired, exactly as in Listing 2.
-#[inline]
-// lint: hot-path
-// lint: wait-free
-pub fn pop_or_join(protocol: ProtocolKind, dq: &OwnerDeque, frame: &Frame) -> AfterChild {
-    match protocol {
-        ProtocolKind::NowaWaitFree => {
-            let popped = match dq {
-                OwnerDeque::Cl(w) => w.pop(),
-                OwnerDeque::The(w) => w.pop(),
-                OwnerDeque::Abp(w) => w.pop(),
-                OwnerDeque::Locked(w) => w.pop(),
-                OwnerDeque::Fused(_) => unreachable!("fused deque implies locked protocol"),
-            };
-            match popped {
-                Some(rec) => {
-                    debug_assert_eq!(
-                        // SAFETY: a popped record is exclusively ours; it
-                        // lives in the spawn wrapper's frame until resumed.
-                        unsafe { (*rec.as_ptr()).frame },
-                        frame as *const Frame,
-                        "LIFO invariant: popped record belongs to our frame"
-                    );
-                    AfterChild::Continue
-                }
-                None => {
-                    // Wait-free child join: one atomic RMW, no lock.
-                    let post = frame.join.counter.fetch_sub(1, Ordering::AcqRel) - 1;
-                    if post == 0 {
-                        // We crossed zero, so the main path already
-                        // restored the counter — and published its
-                        // suspension before that restore. Claim it.
-                        let retired = retire_suspension(frame);
-                        debug_assert!(retired, "zero-crossing without a parked suspension");
-                        AfterChild::ResumeSync
-                    } else {
-                        AfterChild::OutOfWork
-                    }
-                }
-            }
-        }
-        ProtocolKind::FibrilLocked => {
-            let OwnerDeque::Fused(f) = dq else {
-                unreachable!("locked protocol requires the fused deque");
-            };
-            let mut q = f.q.lock();
-            if let Some(rec) = q.pop_back() {
-                // SAFETY: popping under the deque lock grants exclusive
-                // ownership of the record.
-                debug_assert_eq!(unsafe { (*rec.as_ptr()).frame }, frame as *const Frame);
-                return AfterChild::Continue;
-            }
-            // Listing 2 discipline: acquire the frame lock before releasing
-            // the deque lock, fusing pop-failure and count update.
-            let mut j = frame.join.locked.lock();
-            drop(q);
-            j.count -= 1;
-            debug_assert!(j.count >= 0, "locked join count underflow");
-            if j.suspended && j.count == 0 {
-                j.suspended = false;
-                AfterChild::ResumeSync
-            } else {
-                AfterChild::OutOfWork
-            }
-        }
-    }
-}
-
-/// Fork bookkeeping performed by whoever takes a continuation as new work —
-/// a thief after a successful steal, or the owner popping its own deque in
-/// the work-finding loop. For Nowa this is the `α` increment `run()`
-/// performs before calling `resume()` (§III-B); it needs no synchronisation
-/// because the taker *becomes* the main path (Invariant II).
-#[inline]
-// lint: hot-path
-// lint: wait-free
-fn fork_bookkeeping(protocol: ProtocolKind, rec: Rec) {
-    // SAFETY: the caller owns `rec` (a successful steal or pop), and the
-    // frame outlives every record pointing at it.
-    let frame = unsafe { &*(*rec.as_ptr()).frame };
-    match protocol {
-        ProtocolKind::NowaWaitFree => {
-            frame.join.alpha.fetch_add(1, Ordering::Relaxed);
-        }
-        ProtocolKind::FibrilLocked => {
-            // Count update happens under the frame lock, which the fused
-            // call sites acquire; see `steal_from` / `take_own`.
-            unreachable!("fibril fork bookkeeping is fused with the deque op")
-        }
-    }
-}
-
-/// Takes the bottom-most record of the worker's *own* deque as new work
-/// (the work-finding loop prefers local work before stealing). Includes
-/// fork bookkeeping.
-#[inline]
-// lint: hot-path
-// lint: wait-free
-pub fn take_own(protocol: ProtocolKind, dq: &OwnerDeque) -> Option<Rec> {
-    match protocol {
-        ProtocolKind::NowaWaitFree => {
-            let rec = match dq {
-                OwnerDeque::Cl(w) => w.pop(),
-                OwnerDeque::The(w) => w.pop(),
-                OwnerDeque::Abp(w) => w.pop(),
-                OwnerDeque::Locked(w) => w.pop(),
-                OwnerDeque::Fused(_) => unreachable!(),
-            }?;
-            fork_bookkeeping(protocol, rec);
-            Some(rec)
-        }
-        ProtocolKind::FibrilLocked => {
-            let OwnerDeque::Fused(f) = dq else {
-                unreachable!();
-            };
-            let mut q = f.q.lock();
-            let rec = q.pop_back()?;
-            // SAFETY: popped under the deque lock — the record is ours, and
-            // its frame outlives it.
-            let frame = unsafe { &*(*rec.as_ptr()).frame };
-            let mut j = frame.join.locked.lock();
-            drop(q);
-            j.count += 1;
-            drop(j);
-            Some(rec)
-        }
-    }
-}
-
-/// Steals from a victim's top end, with fork bookkeeping (Fig. 5's
-/// `popTop()` + the `N` increment in `run()`; Listing 2 for the locked
-/// protocol).
-#[inline]
-// lint: hot-path
-// lint: wait-free
-pub fn steal_from(protocol: ProtocolKind, st: &SharedStealer) -> Steal<Rec> {
-    match protocol {
-        ProtocolKind::NowaWaitFree => {
-            let outcome = match st {
-                SharedStealer::Cl(s) => s.steal(),
-                SharedStealer::The(s) => s.steal(),
-                SharedStealer::Abp(s) => s.steal(),
-                SharedStealer::Locked(s) => s.steal(),
-                SharedStealer::Fused(_) => unreachable!(),
-            };
-            if let Steal::Success(rec) = outcome {
-                fork_bookkeeping(protocol, rec);
-            }
-            outcome
-        }
-        ProtocolKind::FibrilLocked => {
-            // The fused queue bypasses the deque-layer steal entry points,
-            // so the forced-steal injection is honoured here.
-            #[cfg(feature = "chaos")]
-            if let Some(forced) = nowa_deque::chaos::take_forced() {
-                return forced.as_steal();
-            }
-            let SharedStealer::Fused(f) = st else {
-                unreachable!();
-            };
-            let mut q = f.q.lock();
-            let Some(rec) = q.pop_front() else {
-                return Steal::Empty;
-            };
-            // SAFETY: stolen under the victim's deque lock — the record is
-            // ours, and its frame outlives it.
-            let frame = unsafe { &*(*rec.as_ptr()).frame };
-            // Listing 2 lines 10–15: frame lock acquired while still
-            // holding the victim's deque lock.
-            let mut j = frame.join.locked.lock();
-            drop(q);
-            j.count += 1;
-            drop(j);
-            Steal::Success(rec)
-        }
-    }
-}
-
-/// At the explicit sync point: true if the sync condition already holds and
-/// the main path can proceed without suspending.
-// lint: wait-free
-#[inline]
-pub fn sync_precheck(protocol: ProtocolKind, frame: &Frame) -> bool {
-    match protocol {
-        ProtocolKind::NowaWaitFree => {
-            let alpha = frame.join.alpha.load(Ordering::Relaxed) as i64;
-            // All α forked strands joined ⇔ counter == I_max − α. The
-            // Acquire pairs with the joiners' AcqRel decrements so child
-            // results are visible.
-            frame.join.counter.load(Ordering::Acquire) == I_MAX - alpha
-        }
-        ProtocolKind::FibrilLocked => frame.join.locked.lock().count == 0,
-    }
-}
-
-/// On the fresh stack, after the sync continuation has been captured:
-/// publish the suspension and restore the counter. Returns `true` if the
-/// sync condition holds *now* (all children joined in the meantime) — the
-/// caller then resumes the sync continuation immediately instead of
-/// stealing.
-///
-/// For Nowa this is Eq. 5: `N_r = N_r' − (I_max − α)`, one `fetch_sub`.
-// lint: wait-free
-#[inline]
-pub fn sync_restore(protocol: ProtocolKind, frame: &Frame) -> bool {
-    match protocol {
-        ProtocolKind::NowaWaitFree => {
-            // Publish the suspension *before* restoring the counter: the
-            // joiner whose decrement crosses zero must observe it (its
-            // AcqRel RMW on the counter synchronizes with ours below, so
-            // this Release store happens-before its `retire_suspension`).
-            frame.join.susp.store(SUSP_SUSPENDED, Ordering::Release);
-            let alpha = frame.join.alpha.load(Ordering::Relaxed) as i64;
-            let delta = I_MAX - alpha;
-            let post = frame.join.counter.fetch_sub(delta, Ordering::AcqRel) - delta;
-            debug_assert!(post >= 0, "sync counter restored below zero");
-            if post == 0 {
-                // The restore itself crossed zero: no joiner will, so we
-                // retire our own suspension and resume immediately.
-                let retired = retire_suspension(frame);
-                debug_assert!(retired, "restore zero-crossing lost its own suspension");
-            }
-            post == 0
-        }
-        ProtocolKind::FibrilLocked => {
-            let mut j = frame.join.locked.lock();
-            if j.count == 0 {
-                true
-            } else {
-                j.suspended = true;
-                false
-            }
-        }
-    }
-}
-
-/// Claims a parked suspension at a counter zero-crossing: swaps the
-/// suspension state machine back to [`SUSP_IDLE`] and reports whether this
-/// call retired it. The zero crossing is a unique event in the counter's
-/// modification order, so exactly one party retires each suspension — the
-/// "retired exactly once" half of the abortable-suspension protocol
-/// (DESIGN.md §6f); the loom cancel model asserts it.
-// lint: wait-free
-#[inline]
-pub fn retire_suspension(frame: &Frame) -> bool {
-    // AcqRel: acquire the suspender's pre-suspension writes (sync_ctx,
-    // suspended_stack) before resuming them; release our own join so the
-    // resumed continuation sees it.
-    frame.join.susp.swap(SUSP_IDLE, Ordering::AcqRel) == SUSP_SUSPENDED
-}
-
-/// Re-arms a frame after a completed sync so the same frame can host the
-/// next spawn region (Listing 3 allows several spawn…sync regions per
-/// spawning function).
-// lint: wait-free
-#[inline]
-pub fn rearm(protocol: ProtocolKind, frame: &Frame) {
-    match protocol {
-        ProtocolKind::NowaWaitFree => {
-            debug_assert_eq!(
-                frame.join.susp.load(Ordering::Relaxed),
-                SUSP_IDLE,
-                "rearm with a suspension still parked"
-            );
-            frame.join.counter.store(I_MAX, Ordering::Relaxed);
-            frame.join.alpha.store(0, Ordering::Relaxed);
-        }
-        ProtocolKind::FibrilLocked => {
-            let mut j = frame.join.locked.lock();
-            debug_assert_eq!(j.count, 0);
-            j.count = 0;
-            j.suspended = false;
-        }
+    /// Promotes up to `max` private items to the public deque regardless of
+    /// batch or hunger state (the wake path's `promote_on_wake` and the
+    /// chaos `ForcePromote` site). Returns the number moved.
+    fn force_promote(_dq: &Self::Owner, _max: usize) -> u32 {
+        0
     }
 }
 
@@ -607,237 +185,12 @@ mod tests {
 
     #[test]
     fn flavor_names_round_trip() {
-        for f in [
-            Flavor::NOWA,
-            Flavor::NOWA_THE,
-            Flavor::NOWA_ABP,
-            Flavor::NOWA_LOCKED_DEQUE,
-            Flavor::FIBRIL,
-        ] {
+        for f in Flavor::ALL {
             assert_eq!(Flavor::parse(f.name()), Some(f));
         }
         assert_eq!(Flavor::parse("nope"), None);
-    }
-
-    /// Single-threaded protocol walk-through: spawn twice, steal one,
-    /// join it, sync. Exercises the counter algebra of §IV-B.
-    #[test]
-    fn nowa_counter_algebra() {
-        let p = ProtocolKind::NowaWaitFree;
-        let frame = Frame::new();
-        let (dq, st) = new_deque(Flavor::NOWA, 8, SplitConfig::disabled());
-        let rec1 = SpawnRecord::new(&frame);
-        let rec2 = SpawnRecord::new(&frame);
-
-        // spawn #1: push, child runs, not stolen: pop succeeds.
-        assert!(push(&dq, Ptr::from_ref(&rec1)).offered);
-        assert_eq!(pop_or_join(p, &dq, &frame), AfterChild::Continue);
-
-        // spawn #2: push, continuation stolen while child runs.
-        assert!(push(&dq, Ptr::from_ref(&rec2)).offered);
-        let stolen = steal_from(p, &st).success().unwrap();
-        assert_eq!(
-            stolen.as_ptr() as *const SpawnRecord,
-            &rec2 as *const SpawnRecord
-        );
-        assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 1);
-
-        // child of spawn #2 returns, finds the deque empty, joins; the
-        // parent has not reached the sync, so the counter stays huge and
-        // the child is simply out of work (benign race!).
-        assert_eq!(pop_or_join(p, &dq, &frame), AfterChild::OutOfWork);
-        assert_eq!(frame.join.counter.load(Ordering::Relaxed), I_MAX - 1);
-
-        // main path reaches the explicit sync: everything already joined.
-        assert!(sync_precheck(p, &frame));
-        rearm(p, &frame);
-        assert_eq!(frame.join.counter.load(Ordering::Relaxed), I_MAX);
-        assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 0);
-    }
-
-    /// The suspension ordering: sync before the join → restore leaves the
-    /// counter positive; the late joiner then reports `ResumeSync`.
-    #[test]
-    fn nowa_late_joiner_resumes() {
-        let p = ProtocolKind::NowaWaitFree;
-        let frame = Frame::new();
-        let (dq, st) = new_deque(Flavor::NOWA, 8, SplitConfig::disabled());
-        let rec = SpawnRecord::new(&frame);
-
-        assert!(push(&dq, Ptr::from_ref(&rec)).offered);
-        let _stolen = steal_from(p, &st).success().unwrap();
-
-        // Main path reaches sync while the child still runs.
-        assert!(!sync_precheck(p, &frame));
-        assert!(!sync_restore(p, &frame), "one child outstanding");
-        assert_eq!(frame.join.counter.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            frame.join.susp.load(Ordering::Relaxed),
-            SUSP_SUSPENDED,
-            "restore published the parked suspension"
-        );
-
-        // Child joins: it is the last one and must resume the sync ctx,
-        // retiring the suspension exactly once on the way.
-        assert_eq!(pop_or_join(p, &dq, &frame), AfterChild::ResumeSync);
-        assert_eq!(frame.join.susp.load(Ordering::Relaxed), SUSP_IDLE);
-        assert!(
-            !retire_suspension(&frame),
-            "a second retire of the same suspension must fail"
-        );
-    }
-
-    /// A restore that itself crosses zero retires its own suspension.
-    #[test]
-    fn nowa_restore_self_resume_retires_suspension() {
-        let p = ProtocolKind::NowaWaitFree;
-        let frame = Frame::new();
-        let (dq, st) = new_deque(Flavor::NOWA, 8, SplitConfig::disabled());
-        let rec = SpawnRecord::new(&frame);
-
-        assert!(push(&dq, Ptr::from_ref(&rec)).offered);
-        let _stolen = steal_from(p, &st).success().unwrap();
-        // Child joins *before* the main path syncs.
-        assert_eq!(pop_or_join(p, &dq, &frame), AfterChild::OutOfWork);
-        // Restore crosses zero itself: immediate resume, suspension retired.
-        assert!(sync_restore(p, &frame));
-        assert_eq!(frame.join.susp.load(Ordering::Relaxed), SUSP_IDLE);
-    }
-
-    #[test]
-    fn fibril_locked_walkthrough() {
-        let p = ProtocolKind::FibrilLocked;
-        let frame = Frame::new();
-        let (dq, st) = new_deque(Flavor::FIBRIL, 8, SplitConfig::disabled());
-        let rec = SpawnRecord::new(&frame);
-
-        assert!(push(&dq, Ptr::from_ref(&rec)).offered);
-        let _stolen = steal_from(p, &st).success().unwrap();
-        assert_eq!(frame.join.locked.lock().count, 1);
-
-        assert!(!sync_precheck(p, &frame));
-        assert!(!sync_restore(p, &frame));
-        assert!(frame.join.locked.lock().suspended);
-
-        assert_eq!(pop_or_join(p, &dq, &frame), AfterChild::ResumeSync);
-        assert!(!frame.join.locked.lock().suspended);
-        assert_eq!(frame.join.locked.lock().count, 0);
-        rearm(p, &frame);
-    }
-
-    #[test]
-    fn take_own_does_fork_bookkeeping() {
-        let p = ProtocolKind::NowaWaitFree;
-        let frame = Frame::new();
-        let (dq, _st) = new_deque(Flavor::NOWA, 8, SplitConfig::disabled());
-        let rec = SpawnRecord::new(&frame);
-        assert!(push(&dq, Ptr::from_ref(&rec)).offered);
-        let taken = take_own(p, &dq).unwrap();
-        assert_eq!(
-            taken.as_ptr() as *const SpawnRecord,
-            &rec as *const SpawnRecord
-        );
-        assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 1);
-        assert!(take_own(p, &dq).is_none());
-    }
-
-    #[test]
-    fn fibril_take_own_counts() {
-        let p = ProtocolKind::FibrilLocked;
-        let frame = Frame::new();
-        let (dq, _st) = new_deque(Flavor::FIBRIL, 8, SplitConfig::disabled());
-        let rec = SpawnRecord::new(&frame);
-        assert!(push(&dq, Ptr::from_ref(&rec)).offered);
-        let _ = take_own(p, &dq).unwrap();
-        assert_eq!(frame.join.locked.lock().count, 1);
-    }
-
-    /// With the split enabled, a fresh spawn stays private; a thief's
-    /// failed steal raises hunger; the next push promotes everything and
-    /// the thief gets the globally oldest record, with fork bookkeeping.
-    #[test]
-    fn split_promotion_feeds_hungry_thief() {
-        let p = ProtocolKind::NowaWaitFree;
-        let frame = Frame::new();
-        let (dq, st) = new_deque(Flavor::NOWA, 8, SplitConfig::default());
-        let rec1 = SpawnRecord::new(&frame);
-        let rec2 = SpawnRecord::new(&frame);
-
-        let first = push(&dq, Ptr::from_ref(&rec1));
-        assert!(first.offered);
-        assert_eq!(first.promoted, 0, "fresh spawn stays private");
-        assert_eq!(public_occupancy(&dq), 0);
-        assert_eq!(occupancy(&dq), 1, "private item counts in occupancy");
-
-        // A thief sweeps: the public deque is empty, hunger is raised.
-        assert!(steal_from(p, &st).is_empty());
-        // The next push promotes both records for the hungry thief.
-        let second = push(&dq, Ptr::from_ref(&rec2));
-        assert_eq!(second.promoted, 2);
-        assert_eq!(public_occupancy(&dq), 2);
-
-        let stolen = steal_from(p, &st).success().unwrap();
-        assert_eq!(
-            stolen.as_ptr() as *const SpawnRecord,
-            &rec1 as *const SpawnRecord,
-            "thief receives the globally oldest spawn"
-        );
-        assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 1);
-    }
-
-    /// The owner's pop reports which segment served it, and a forced
-    /// promotion publishes private work without a push.
-    #[test]
-    fn split_private_pop_and_force_promote() {
-        let p = ProtocolKind::NowaWaitFree;
-        let frame = Frame::new();
-        let (dq, st) = new_deque(Flavor::NOWA, 8, SplitConfig::default());
-        let rec1 = SpawnRecord::new(&frame);
-        let rec2 = SpawnRecord::new(&frame);
-
-        assert!(push(&dq, Ptr::from_ref(&rec1)).offered);
-        assert_eq!(pop_or_join(p, &dq, &frame), AfterChild::Continue);
-        assert!(last_pop_was_private(&dq));
-
-        assert!(push(&dq, Ptr::from_ref(&rec2)).offered);
-        assert_eq!(force_promote(&dq, usize::MAX), 1);
-        assert_eq!(public_occupancy(&dq), 1);
-        let _stolen = steal_from(p, &st).success().unwrap();
-        assert_eq!(pop_or_join(p, &dq, &frame), AfterChild::OutOfWork);
-        assert!(
-            !last_pop_was_private(&dq),
-            "that join popped nothing private"
-        );
-    }
-
-    /// The fused Fibril deque ignores the split layer entirely.
-    #[test]
-    fn fused_deque_has_no_private_segment() {
-        let frame = Frame::new();
-        let (dq, _st) = new_deque(Flavor::FIBRIL, 8, SplitConfig::default());
-        let rec = SpawnRecord::new(&frame);
-        let out = push(&dq, Ptr::from_ref(&rec));
-        assert!(out.offered);
-        assert_eq!(out.promoted, 0);
-        assert_eq!(public_occupancy(&dq), 1, "fused pushes are public at once");
-        assert_eq!(force_promote(&dq, usize::MAX), 0);
-        assert!(!last_pop_was_private(&dq));
-    }
-
-    /// Two spawn…sync regions on one frame after `rearm`.
-    #[test]
-    fn frame_reuse_across_regions() {
-        let p = ProtocolKind::NowaWaitFree;
-        let frame = Frame::new();
-        let (dq, st) = new_deque(Flavor::NOWA, 8, SplitConfig::disabled());
-
-        for _region in 0..3 {
-            let rec = SpawnRecord::new(&frame);
-            assert!(push(&dq, Ptr::from_ref(&rec)).offered);
-            let _ = steal_from(p, &st).success().unwrap();
-            assert_eq!(pop_or_join(p, &dq, &frame), AfterChild::OutOfWork);
-            assert!(sync_precheck(p, &frame));
-            rearm(p, &frame);
-        }
+        // The retired ablation flavors no longer parse.
+        assert_eq!(Flavor::parse("nowa-abp"), None);
+        assert_eq!(Flavor::parse("nowa-lockq"), None);
     }
 }

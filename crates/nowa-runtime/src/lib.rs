@@ -33,8 +33,8 @@
 //! ## Flavors
 //!
 //! The evaluation compares runtime systems; [`Flavor`] reproduces the axis:
-//! wait-free Nowa protocol vs. Fibril-style locking, over CL / THE / ABP /
-//! locked deques. See [`flavor`].
+//! the wait-free Nowa protocol over the CL or THE deque, and Fibril-style
+//! locking. See [`flavor`].
 //!
 //! ## Caveats (inherent to continuation stealing)
 //!
@@ -50,6 +50,7 @@ pub mod api;
 pub mod cancel;
 pub mod chaos;
 pub mod config;
+pub mod fibril;
 pub mod flavor;
 pub mod foreign;
 pub mod frame;
@@ -57,13 +58,13 @@ pub mod idle;
 pub mod injector;
 #[cfg(all(test, not(loom)))]
 mod layout;
+pub mod nowa;
 mod obs;
 pub mod reactor;
 pub mod record;
 pub mod runtime;
 pub mod scheduler;
 pub mod slice;
-pub mod snzi;
 pub mod stats;
 mod sync;
 pub mod task;
@@ -76,12 +77,11 @@ pub use api::{
 };
 pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use config::{ChaosConfig, Config, IdleConfig, SplitConfig};
-pub use flavor::{DequeKind, Flavor, ProtocolKind};
+pub use flavor::Flavor;
 pub use foreign::ForeignForkJoin;
 pub use nowa_context::{MadvisePolicy, StackError};
 pub use reactor::AsyncFd;
 pub use runtime::{Runtime, RuntimeError, ShutdownError};
-pub use snzi::Snzi;
 pub use stats::StatsSnapshot;
 pub use task::{block_on, JoinHandle};
 pub use time::{sleep, timeout, Elapsed};

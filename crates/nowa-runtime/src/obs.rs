@@ -27,7 +27,6 @@
 mod imp {
     use nowa_trace::{frame_id, EventKind, FlightRing, TraceBuffer};
 
-    use crate::flavor;
     use crate::record::Frame;
     use crate::worker::Worker;
 
@@ -55,22 +54,22 @@ mod imp {
         }
     }
 
-    /// A continuation of `frame` was offered to thieves (`offered`), or
-    /// the flavor elided the offer. Only offered spawns create a deque
-    /// record, so only they emit a causal [`EventKind::Spawn`] — an event
-    /// for an elided spawn would be a phantom record in DAG replay.
-    /// Occupancy sampling rides the offered path for the same reason:
-    /// elided spawns never touch the deque.
+    /// A continuation of `frame` was offered to thieves. Called for
+    /// offered spawns only: only they create a deque record, and a causal
+    /// [`EventKind::Spawn`] for an elided offer would be a phantom record
+    /// in DAG replay. `occupancy` is the caller's protocol-typed probe of
+    /// its own deque, run only on sampled spawns.
     // lint: hot-path
     #[inline]
-    pub(crate) unsafe fn on_spawn(worker: *mut Worker, frame: *const Frame, offered: bool) {
+    pub(crate) unsafe fn on_spawn(
+        worker: *mut Worker,
+        frame: *const Frame,
+        occupancy: impl FnOnce() -> u64,
+    ) {
         unsafe {
-            if !offered {
-                return;
-            }
             let id = frame_id(frame as *const ());
             if let Some(b) = buf(worker) {
-                b.spawn(id, || flavor::occupancy(&(*worker).deque) as u64);
+                b.spawn(id, occupancy);
             }
             if let Some(f) = flight(worker) {
                 f.record_now(EventKind::Spawn, id);
@@ -395,7 +394,7 @@ mod imp {
     use crate::worker::Worker;
 
     #[inline(always)]
-    pub(crate) unsafe fn on_spawn(_: *mut Worker, _: *const Frame, _: bool) {}
+    pub(crate) unsafe fn on_spawn(_: *mut Worker, _: *const Frame, _: impl FnOnce() -> u64) {}
     #[inline(always)]
     pub(crate) unsafe fn on_steal_empty(_: *mut Worker, _: usize) {}
     #[inline(always)]

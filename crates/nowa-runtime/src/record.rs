@@ -35,8 +35,8 @@ pub struct LockedJoin {
 /// A frame lives for the duration of one spawning-function instance; keeping
 /// both protocols' fields (24 bytes of atomics + a word-sized mutex) costs
 /// nothing measurable and lets every runtime flavor share one frame layout,
-/// so records, deques and the scheduler need no per-protocol
-/// monomorphisation.
+/// so frames, records and the public API stay non-generic — only the
+/// scheduler bodies are monomorphised over the protocol.
 ///
 /// # Layout
 ///

@@ -11,11 +11,11 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::cancel::{CancelCell, CancelReason, DeadlineQueue};
 use crate::config::Config;
-use crate::flavor::{self, Flavor};
+use crate::flavor::{with_protocol, Flavor, Protocol};
 use crate::idle::IdleState;
 use crate::injector::Injector;
 use crate::stats::StatsSnapshot;
-use crate::worker::{current_worker, worker_main, RootTask, Shared, Worker};
+use crate::worker::{current_worker, worker_main, FlavoredWorker, RootTask, Shared, Worker};
 
 /// The shared state the guard-page crash hook dumps trace data from. A
 /// plain `fn()` hook cannot capture, so the most recent tracing-enabled
@@ -151,6 +151,46 @@ struct Completion<R> {
     cv: Condvar,
 }
 
+/// Creates the deques of a runtime running protocol `P` and starts its
+/// worker threads.
+fn spawn_workers<P: Protocol>(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
+    let config = &shared.config;
+    let (owners, stealers): (Vec<_>, Vec<_>) = (0..config.workers)
+        .map(|_| P::new_deque(config.deque_capacity, config.split))
+        .unzip();
+    let stealers: Arc<[P::Stealer]> = stealers.into();
+    owners
+        .into_iter()
+        .enumerate()
+        .map(|(index, deque)| {
+            let worker = Box::new(FlavoredWorker::<P> {
+                base: Worker {
+                    flavor: config.flavor,
+                    index,
+                    shared: shared.clone(),
+                    cache: WorkerStackCache::new(shared.pool.clone(), config.stack_cache),
+                    current_stack: None,
+                    incoming_stack: None,
+                    pending_recycle: None,
+                    exit_ctx: RawContext::null(),
+                    rng: 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(index as u64 + 1) | 1,
+                    last_victim: usize::MAX,
+                    cancel_scope: &shared.cancel_root,
+                },
+                deque,
+                stealers: stealers.clone(),
+            });
+            std::thread::Builder::new()
+                .name(format!("nowa-worker-{index}"))
+                // Workers barely use their OS stack (all task execution
+                // happens on fiber stacks), but unwinding diagnostics do.
+                .stack_size(256 * 1024)
+                .spawn(move || worker_main(worker))
+                .expect("spawning worker thread")
+        })
+        .collect()
+}
+
 impl Runtime {
     /// Builds a runtime and starts its workers.
     ///
@@ -184,18 +224,9 @@ impl Runtime {
         pool.prefill(config.pool_prefill)
             .map_err(RuntimeError::StackPrefill)?;
 
-        let mut owners = Vec::with_capacity(config.workers);
-        let mut stealers = Vec::with_capacity(config.workers);
-        for _ in 0..config.workers {
-            let (w, s) = flavor::new_deque(config.flavor, config.deque_capacity, config.split);
-            owners.push(w);
-            stealers.push(s);
-        }
         let stats = (0..config.workers).map(|_| Default::default()).collect();
 
         let shared = Arc::new(Shared {
-            flavor: config.flavor,
-            stealers: stealers.into_boxed_slice(),
             stats,
             injector: Injector::new(),
             idle: IdleState::new(config.workers),
@@ -240,32 +271,9 @@ impl Runtime {
         // deadline condvar when it has nothing to do.
         let watchdog = Some(crate::watchdog::spawn(shared.clone()));
 
-        let threads = owners
-            .into_iter()
-            .enumerate()
-            .map(|(index, deque)| {
-                let worker = Box::new(Worker {
-                    index,
-                    deque,
-                    shared: shared.clone(),
-                    cache: WorkerStackCache::new(pool.clone(), config.stack_cache),
-                    current_stack: None,
-                    incoming_stack: None,
-                    pending_recycle: None,
-                    exit_ctx: RawContext::null(),
-                    rng: 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(index as u64 + 1) | 1,
-                    last_victim: usize::MAX,
-                    cancel_scope: &shared.cancel_root,
-                });
-                std::thread::Builder::new()
-                    .name(format!("nowa-worker-{index}"))
-                    // Workers barely use their OS stack (all task execution
-                    // happens on fiber stacks), but unwinding diagnostics do.
-                    .stack_size(256 * 1024)
-                    .spawn(move || worker_main(worker))
-                    .expect("spawning worker thread")
-            })
-            .collect();
+        // The flavor is resolved here, once: every worker is built as a
+        // `FlavoredWorker<P>` and tagged with the flavor `P` came from.
+        let threads = with_protocol!(config.flavor, P => spawn_workers::<P>(&shared));
 
         Ok(Runtime {
             shared,
@@ -282,7 +290,7 @@ impl Runtime {
 
     /// The flavor this runtime was built with.
     pub fn flavor(&self) -> Flavor {
-        self.shared.flavor
+        self.shared.config.flavor
     }
 
     /// The number of worker threads.
@@ -381,7 +389,7 @@ impl Runtime {
         reg.gauge_with(
             "nowa_build_info",
             "Runtime build information (value is always 1).",
-            &[("flavor", format!("{:?}", self.flavor()))],
+            &[("flavor", self.flavor().name().to_string())],
             1.0,
         );
         reg.gauge(

@@ -26,19 +26,30 @@
 //! (now blocked) stack into the frame, applies the madvise policy below the
 //! suspended stack pointer (§V-B), restores the counter (Eq. 5) and dives
 //! into the work-finding loop on a fresh stack.
+//!
+//! # Flavors
+//!
+//! `spawn_execute` and `sync_execute` are the erased entries the API calls:
+//! each recovers the runtime's [`Protocol`] from the worker's tag once
+//! (`with_protocol!`, the erasure seam — see [`crate::flavor`]) and runs
+//! a body monomorphised over it; nothing past the entry sees the flavor.
 
 use core::ffi::c_void;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use nowa_context::capture_and_run_on;
+use nowa_context::context::Body;
+use nowa_context::Stack;
 
 use crate::cancel::{self, Cancelled};
 use crate::chaos;
-use crate::flavor;
+use crate::flavor::{with_protocol, Protocol};
 use crate::obs;
 use crate::record::{Frame, SpawnRecord};
 use crate::stats::WorkerStats;
-use crate::worker::{current_worker, find_work, resume_record, resume_sync, AbortOnUnwind, Worker};
+use crate::worker::{
+    current_worker, find_work_in, resume_record, resume_sync, AbortOnUnwind, FlavoredWorker, Worker,
+};
 
 /// Arguments shipped from `spawn_execute` to `spawn_body` (read and moved
 /// out *before* the continuation is published).
@@ -72,6 +83,11 @@ where
     let worker = current_worker();
     debug_assert!(!worker.is_null(), "spawn_execute requires a worker thread");
     unsafe {
+        // The erasure seam: everything protocol-dependent about a spawn
+        // happens on the child stack, so the seam just picks the body
+        // monomorphised for this worker's own tag.
+        let body: Body = with_protocol!((*worker).flavor, P => spawn_body::<P, F>);
+
         // Stage the child stack before capturing.
         chaos::on_stack_get(worker);
         let child_stack = (*worker).cache.get();
@@ -91,42 +107,46 @@ where
         let payload = capture_and_run_on(
             &mut record.ctx,
             child_top,
-            spawn_body::<F>,
+            body,
             &mut args as *mut SpawnArgs<F> as *mut c_void,
         );
 
         // ---- the continuation: resumed by this worker (fast path), a
         // thief, or a work-finding self-pop; possibly on another thread.
-        finish_resume(payload, &mut record);
-    }
-}
-
-/// Re-establishes the `current_stack` invariant at a resume site and
-/// recycles the stack the resumer abandoned.
-///
-/// # Safety
-/// `payload` must be the `*mut Worker` the resumer delivered (every resume
-/// site in this runtime passes the resuming worker), valid for the whole
-/// call and not aliased by another thread.
-unsafe fn finish_resume(payload: *mut c_void, record: &mut SpawnRecord) {
-    let worker = payload as *mut Worker;
-    unsafe {
-        debug_assert!((*worker).current_stack.is_none());
-        (*worker).current_stack = record.stack.take();
-        debug_assert!((*worker).current_stack.is_some());
-        if let Some(stack) = (*worker).pending_recycle.take() {
-            (*worker).cache.put(stack);
-        }
+        let worker = finish_resume(payload, record.stack.take());
         // Steal-to-first-poll: if this resume consumed a steal, the stolen
         // continuation is now runnable — stop the clock.
         obs::on_resume_finished(worker);
     }
 }
 
+/// Re-establishes the `current_stack` invariant at a resume site — `stack`
+/// is the one the resumed control flow lives on — and recycles the stack
+/// the resumer abandoned. Returns the resuming worker.
+///
+/// # Safety
+/// `payload` must be the `*mut Worker` the resumer delivered (every resume
+/// site in this runtime passes the resuming worker), valid for the whole
+/// call and not aliased by another thread.
+#[inline]
+pub(crate) unsafe fn finish_resume(payload: *mut c_void, stack: Option<Stack>) -> *mut Worker {
+    let worker = payload as *mut Worker;
+    unsafe {
+        debug_assert!((*worker).current_stack.is_none());
+        debug_assert!(stack.is_some());
+        (*worker).current_stack = stack;
+        if let Some(stack) = (*worker).pending_recycle.take() {
+            (*worker).cache.put(stack);
+        }
+    }
+    worker
+}
+
 // SAFETY: callers: invoked only via `capture_and_run_on` with `arg` pointing
 // at the `SpawnArgs<F>` staged in `spawn_execute`'s frame, which stays alive
-// until the closure has been moved out and the continuation published.
-unsafe extern "C" fn spawn_body<F: FnOnce() + Send>(arg: *mut c_void) -> ! {
+// until the closure has been moved out and the continuation published; the
+// worker in it belongs to a runtime running `P`.
+unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_void) -> ! {
     // Armed for the whole body: runtime-internal panics must abort rather
     // than unwind into the fiber base frame (never dropped on the normal
     // path — the body diverges).
@@ -143,54 +163,35 @@ unsafe extern "C" fn spawn_body<F: FnOnce() + Send>(arg: *mut c_void) -> ! {
             .take()
             .expect("closure staged by spawn_execute");
         (*worker).current_stack = (*worker).incoming_stack.take();
-
-        let protocol = {
-            // Short-lived shared borrow; the worker is valid and only this
-            // thread touches it.
+        let deque = &(*FlavoredWorker::<P>::of(worker)).deque;
+        let split = {
             let w: &Worker = &*worker;
-            w.shared.flavor.protocol
+            w.shared.config.split
         };
+
         // Chaos: maybe yield right before the push, widening the window in
         // which thieves observe the pre-push deque state; maybe force an
         // out-of-band promotion batch (or arm a promotion failure).
         chaos::on_spawn_push(worker);
         if chaos::on_force_promote(worker) {
-            let batch = {
-                let w: &Worker = &*worker;
-                w.shared.config.split.promote_batch.max(1)
-            };
-            let moved = flavor::force_promote(&(*worker).deque, batch);
+            let moved = P::force_promote(deque, split.promote_batch.max(1));
             crate::worker::note_promotion(worker, moved);
         }
-        let out = flavor::push(&(*worker).deque, nowa_deque::Ptr::from_ref(&*record));
-        let offered = out.offered;
-        if offered {
+        let pushed = P::push(deque, nowa_deque::Ptr::from_ref(&*record));
+        let offered = pushed.is_some();
+        if let Some(promoted) = pushed {
             WorkerStats::bump(&(*worker).stats().spawns);
-            crate::worker::note_promotion(worker, out.promoted);
+            crate::worker::note_promotion(worker, promoted);
+            obs::on_spawn(worker, frame, || P::occupancy(deque) as u64);
+            // Idle engine: wake a thief only for work it can see. With the
+            // split layer on, a push that promoted nothing is private —
+            // invisible to thieves — so wakes ride promotions (which a
+            // hungry sweep guarantees before any thief parks).
+            if !split.enabled || promoted > 0 {
+                crate::worker::wake_after_spawn::<P>(worker);
+            }
         } else {
             WorkerStats::bump(&(*worker).stats().unoffered);
-        }
-        obs::on_spawn(worker, frame, offered);
-        let split_enabled = {
-            let w: &Worker = &*worker;
-            w.shared.config.split.enabled
-        };
-        if offered {
-            if split_enabled {
-                // Split fast path: a push that promoted nothing is private
-                // — invisible to thieves, so a wake would find nothing.
-                // Wakes ride promotions (which a hungry sweep guarantees
-                // before any thief parks).
-                if out.promoted > 0 {
-                    crate::worker::wake_after_promotion(worker);
-                }
-            } else {
-                // Idle engine: a relaxed sleeper-count load on the common
-                // path; a targeted wake only when parked workers exist and
-                // our deque is deep enough that we won't immediately
-                // reclaim this work.
-                crate::worker::maybe_wake_after_spawn(worker);
-            }
         }
 
         // The child, called directly (no further runtime involvement). An
@@ -222,16 +223,17 @@ unsafe extern "C" fn spawn_body<F: FnOnce() + Send>(arg: *mut c_void) -> ! {
         // The child may have migrated OS threads internally (nested sync
         // suspended, resumed elsewhere): re-derive the worker.
         let worker = current_worker();
+        let deque = &(*FlavoredWorker::<P>::of(worker)).deque;
 
         if !offered {
             // The continuation was never stealable; we still own it.
             resume_record(worker, nowa_deque::Ptr::from_ref(&*record))
         }
 
-        match flavor::pop_or_join(protocol, &(*worker).deque, &*frame) {
+        match P::pop_or_join(deque, &*frame) {
             crate::record::AfterChild::Continue => {
                 WorkerStats::bump(&(*worker).stats().fast_pops);
-                if flavor::last_pop_was_private(&(*worker).deque) {
+                if P::last_pop_was_private(deque) {
                     WorkerStats::bump(&(*worker).stats().private_pops);
                 }
                 obs::on_fast_pop(worker, frame);
@@ -245,7 +247,7 @@ unsafe extern "C" fn spawn_body<F: FnOnce() + Send>(arg: *mut c_void) -> ! {
             crate::record::AfterChild::OutOfWork => {
                 WorkerStats::bump(&(*worker).stats().joins);
                 obs::on_join(worker, frame);
-                find_work()
+                find_work_in::<P>()
             }
         }
     }
@@ -271,13 +273,18 @@ struct SyncArgs {
 pub unsafe fn sync_execute(frame: &Frame) {
     let worker = current_worker();
     debug_assert!(!worker.is_null(), "sync_execute requires a worker thread");
+    // SAFETY: `P` is recovered from the worker's own tag.
+    with_protocol!(unsafe { (*worker).flavor }, P => unsafe { sync_in::<P>(worker, frame) })
+}
+
+/// [`sync_execute`], monomorphised over the runtime's protocol.
+///
+/// # Safety
+/// As [`sync_execute`]; `worker` must be the calling thread's live worker,
+/// of a runtime running `P`.
+#[inline(always)]
+unsafe fn sync_in<P: Protocol>(worker: *mut Worker, frame: &Frame) {
     unsafe {
-        let protocol = {
-            // Short-lived shared borrow; the worker is valid and only this
-            // thread touches it.
-            let w: &Worker = &*worker;
-            w.shared.flavor.protocol
-        };
         // Chaos: a forced cancellation at the sync boundary latches the
         // enclosing region (if any) right where suspension decisions race
         // with joins.
@@ -292,12 +299,12 @@ pub unsafe fn sync_execute(frame: &Frame) {
         // Chaos: a forced suspension vetoes the fast path, driving the
         // capture/restore machinery even when all children already joined.
         let forced_suspend = chaos::on_sync(worker);
-        if !forced_suspend && flavor::sync_precheck(protocol, frame) {
+        if !forced_suspend && P::sync_precheck(frame) {
             // All children joined: proceed without suspending (Invariant
             // III makes α stable here, so the check is exact).
             WorkerStats::bump(&(*worker).stats().syncs_inline);
             obs::on_sync_inline(worker, frame);
-            flavor::rearm(protocol, frame);
+            P::rearm(frame);
             return;
         }
 
@@ -312,26 +319,21 @@ pub unsafe fn sync_execute(frame: &Frame) {
         let payload = capture_and_run_on(
             frame.core.sync_ctx.get(),
             fresh_top,
-            sync_body,
+            sync_body::<P>,
             &mut args as *mut SyncArgs as *mut c_void,
         );
 
         // ---- resumed: the sync condition holds.
-        let worker = payload as *mut Worker;
-        debug_assert!((*worker).current_stack.is_none());
-        (*worker).current_stack = (*frame.core.suspended_stack.get()).take();
-        debug_assert!((*worker).current_stack.is_some());
-        if let Some(stack) = (*worker).pending_recycle.take() {
-            (*worker).cache.put(stack);
-        }
-        flavor::rearm(protocol, frame);
+        finish_resume(payload, (*frame.core.suspended_stack.get()).take());
+        P::rearm(frame);
     }
 }
 
 // SAFETY: callers: invoked only via `capture_and_run_on` with `arg` pointing
 // at the `SyncArgs` staged in the suspending frame, which remains alive until
-// the last child resumes the sync continuation.
-unsafe extern "C" fn sync_body(arg: *mut c_void) -> ! {
+// the last child resumes the sync continuation; the worker in it belongs to
+// a runtime running `P`.
+unsafe extern "C" fn sync_body<P: Protocol>(arg: *mut c_void) -> ! {
     let _guard = AbortOnUnwind;
     unsafe {
         let args = &mut *(arg as *mut SyncArgs);
@@ -370,15 +372,9 @@ unsafe extern "C" fn sync_body(arg: *mut c_void) -> ! {
 
         // Restore N_r (Eq. 5). If every child joined in the meantime, the
         // sync condition holds right away and we resume ourselves.
-        let protocol = {
-            // Short-lived shared borrow; the worker is valid and only this
-            // thread touches it.
-            let w: &Worker = &*worker;
-            w.shared.flavor.protocol
-        };
-        if flavor::sync_restore(protocol, &*frame) {
+        if P::sync_restore(&*frame) {
             resume_sync(worker, frame)
         }
-        find_work()
+        find_work_in::<P>()
     }
 }

@@ -425,13 +425,7 @@ unsafe fn park_on(worker: *mut Worker, cell: &AsyncCell) {
         );
 
         // ---- resumed: a wake was claimed for us.
-        let worker = payload as *mut Worker;
-        debug_assert!((*worker).current_stack.is_none());
-        (*worker).current_stack = (*cell.stack.get()).take();
-        debug_assert!((*worker).current_stack.is_some());
-        if let Some(stack) = (*worker).pending_recycle.take() {
-            (*worker).cache.put(stack);
-        }
+        crate::scheduler::finish_resume(payload, (*cell.stack.get()).take());
     }
 }
 

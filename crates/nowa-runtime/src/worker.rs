@@ -5,7 +5,8 @@
 //! cache. The work-finding loop implements the scheduling discipline of
 //! §III-B: prefer local work (bottom of the own deque), then randomised
 //! stealing; every continuation taken is a fork (the `α`/count bookkeeping
-//! happens in [`crate::flavor`]).
+//! happens behind [`Protocol`], over which the loop, parking and the wake
+//! hook are monomorphised; [`find_work`] is the erased entry).
 //!
 //! # The `current_stack` invariant
 //!
@@ -28,7 +29,7 @@ use nowa_deque::Steal;
 use crate::cancel::{self, CancelCell, DeadlineQueue};
 use crate::chaos;
 use crate::config::Config;
-use crate::flavor::{self, Flavor, OwnerDeque, Rec, SharedStealer};
+use crate::flavor::{with_protocol, Flavor, Protocol, Rec};
 use crate::idle::IdleState;
 use crate::injector::Injector;
 use crate::obs;
@@ -45,10 +46,6 @@ pub struct RootTask {
 
 /// State shared by all workers of one runtime instance.
 pub struct Shared {
-    /// The runtime flavor (protocol × deque).
-    pub flavor: Flavor,
-    /// Thief-side handles, indexed by worker.
-    pub stealers: Box<[SharedStealer]>,
     /// Per-worker statistics.
     pub stats: Box<[WorkerStats]>,
     /// Root-task submission queue (lock-free MPMC segment queue).
@@ -107,12 +104,15 @@ impl Shared {
     }
 }
 
-/// One worker: an OS thread plus its scheduling state.
+/// One worker: an OS thread plus its flavor-independent scheduling state —
+/// the header of a [`FlavoredWorker`], and all that non-generic code sees.
 pub struct Worker {
-    /// Index into `Shared::stealers` / `Shared::stats`.
+    /// The runtime's flavor: the tag the erasure seam (`with_protocol!`)
+    /// recovers this worker's protocol type from. A copy of
+    /// `shared.config.flavor`, so the seam costs one load, not two.
+    pub flavor: Flavor,
+    /// Index into `FlavoredWorker::stealers` / `Shared::stats`.
     pub index: usize,
-    /// Owner side of this worker's deque.
-    pub deque: OwnerDeque,
     /// Shared runtime state.
     pub shared: Arc<Shared>,
     /// Private stack cache over the global pool.
@@ -143,6 +143,35 @@ pub struct Worker {
 // `current_worker` (the raw context/stack fields are what inhibit the auto
 // impl).
 unsafe impl Send for Worker {}
+
+/// A worker of a runtime running protocol `P`: the [`Worker`] header plus
+/// the deque handles whose types depend on `P`. `repr(C)` with `base`
+/// first, so a `*mut FlavoredWorker<P>` is also a valid `*mut Worker` —
+/// which is what [`current_worker`] and every resume payload carry. The
+/// way back is `FlavoredWorker::of`.
+#[repr(C)]
+pub struct FlavoredWorker<P: Protocol> {
+    /// The flavor-independent state. Must stay the first field.
+    pub base: Worker,
+    /// Owner side of this worker's deque.
+    pub deque: P::Owner,
+    /// Thief-side handles of the whole runtime, indexed by worker.
+    pub stealers: Arc<[P::Stealer]>,
+}
+
+impl<P: Protocol> FlavoredWorker<P> {
+    /// The flavored worker that `worker` heads. Dereferencing the result is
+    /// sound iff `worker` heads a live `FlavoredWorker<P>` of the calling
+    /// thread — true of any `current_worker()` inside the protocol-generic
+    /// functions: they are entered only from `worker_main::<P>` or through
+    /// `with_protocol!` on the worker's own tag, and all workers of a
+    /// runtime share one `P`. Project single fields (`&(*p).deque`): a
+    /// reference to the whole worker would alias writes to the header.
+    #[inline(always)]
+    pub(crate) fn of(worker: *mut Worker) -> *const FlavoredWorker<P> {
+        worker.cast()
+    }
+}
 
 impl Worker {
     /// This worker's stat block.
@@ -269,6 +298,17 @@ pub unsafe fn resume_sync(worker: *mut Worker, frame: *const crate::record::Fram
 /// # Safety
 /// Must run on a worker thread whose `current_stack` invariant holds.
 pub unsafe fn find_work() -> ! {
+    let worker = current_worker();
+    debug_assert!(!worker.is_null());
+    // SAFETY: `P` is recovered from the worker's own tag.
+    with_protocol!(unsafe { (*worker).flavor }, P => unsafe { find_work_in::<P>() })
+}
+
+/// [`find_work`], monomorphised over the runtime's protocol.
+///
+/// # Safety
+/// As [`find_work`], on a worker of a runtime running `P`.
+pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
     let mut failed_sweeps: u32 = 0;
     loop {
         // Re-derive the worker every iteration: running a root task may
@@ -276,7 +316,7 @@ pub unsafe fn find_work() -> ! {
         let worker = current_worker();
         debug_assert!(!worker.is_null());
         let shared: &Shared = unsafe { &*Arc::as_ptr(&(*worker).shared) };
-        let protocol = shared.flavor.protocol;
+        let deque = unsafe { &(*FlavoredWorker::<P>::of(worker)).deque };
 
         // Liveness heartbeat for the stall watchdog: even a fully idle
         // worker ticks this every backoff period.
@@ -292,10 +332,10 @@ pub unsafe fn find_work() -> ! {
 
         // Local work first: the bottom of our own deque holds the deepest
         // ancestor continuation (cheapest to resume, busy-leaves style).
-        if let Some(rec) = flavor::take_own(protocol, unsafe { &(*worker).deque }) {
+        if let Some(rec) = P::take_own(deque) {
             unsafe {
                 WorkerStats::bump(&(*worker).stats().own_takes);
-                if flavor::last_pop_was_private(&(*worker).deque) {
+                if P::last_pop_was_private(deque) {
                     WorkerStats::bump(&(*worker).stats().private_pops);
                 }
                 obs::on_own_take(worker, (*rec.as_ptr()).frame);
@@ -338,7 +378,8 @@ pub unsafe fn find_work() -> ! {
         // Steal sweep: the last successful victim first (work tends to
         // cluster — the victim that fed us last is the best bet), then a
         // full walk from an unbiased random start.
-        let n = shared.stealers.len();
+        let stealers: &[P::Stealer] = unsafe { &(*FlavoredWorker::<P>::of(worker)).stealers };
+        let n = stealers.len();
         if n > 1 {
             let me = unsafe { (*worker).index };
             let lv = unsafe { (*worker).last_victim };
@@ -366,7 +407,7 @@ pub unsafe fn find_work() -> ! {
                 let mut attempt: u32 = 0;
                 loop {
                     unsafe { chaos::on_steal_attempt(worker) };
-                    match flavor::steal_from(protocol, &shared.stealers[victim]) {
+                    match P::steal_from(&stealers[victim]) {
                         Steal::Success(rec) => unsafe {
                             (*worker).last_victim = victim;
                             WorkerStats::bump(&(*worker).stats().steals);
@@ -415,7 +456,7 @@ pub unsafe fn find_work() -> ! {
         let idle_cfg = &shared.config.idle;
         let force_park = unsafe { chaos::on_idle_backoff(worker) };
         if force_park || failed_sweeps > idle_cfg.spin_sweeps + idle_cfg.yield_sweeps {
-            unsafe { park_worker(worker, shared) };
+            unsafe { park_worker::<P>(worker, shared, stealers) };
         } else if failed_sweeps <= idle_cfg.spin_sweeps {
             // Short exponential spin: cheapest, keeps steal latency minimal
             // while work is likely to reappear immediately.
@@ -436,9 +477,22 @@ pub unsafe fn find_work() -> ! {
 /// it is seen by the re-scan (and aborts the park).
 ///
 /// # Safety
-/// `worker` must be the calling thread's live worker; `shared` its runtime.
-unsafe fn park_worker(worker: *mut Worker, shared: &Shared) {
+/// `worker` must be the calling thread's live worker; `shared` its runtime
+/// and `stealers` its thief-side handles.
+unsafe fn park_worker<P: Protocol>(worker: *mut Worker, shared: &Shared, stealers: &[P::Stealer]) {
     let index = unsafe { (*worker).index };
+    // The validation re-scan: anything runnable anywhere? (Our own deque
+    // can't have grown — only this worker pushes to it — so scan the
+    // others.)
+    let runnable = || {
+        shared.shutdown.load(Ordering::Acquire)
+            || !shared.injector.is_empty()
+            || !shared.ready.is_empty()
+            || stealers
+                .iter()
+                .enumerate()
+                .any(|(i, s)| i != index && P::stealer_len(s) > 0)
+    };
 
     // Reactor-poller branch: the first idle worker to claim the poller
     // slot sleeps in `epoll_wait` instead of on a futex, so I/O readiness
@@ -450,15 +504,7 @@ unsafe fn park_worker(worker: *mut Worker, shared: &Shared) {
     if shared.reactor.try_claim(index) {
         // Same validation re-scan as the futex path: anything runnable
         // aborts the poll before it blocks.
-        let runnable = shared.shutdown.load(Ordering::Acquire)
-            || !shared.injector.is_empty()
-            || !shared.ready.is_empty()
-            || shared
-                .stealers
-                .iter()
-                .enumerate()
-                .any(|(i, s)| i != index && flavor::stealer_len(s) > 0);
-        if !runnable {
+        if !runnable() {
             let max_ms = (shared
                 .config
                 .idle
@@ -478,26 +524,11 @@ unsafe fn park_worker(worker: *mut Worker, shared: &Shared) {
 
     let epoch = shared.idle.announce(index);
 
-    // Validation re-scan: anything runnable anywhere? (Our own deque can't
-    // have grown — only this worker pushes to it — so scan the others.)
-    let runnable = shared.shutdown.load(Ordering::Acquire)
-        || !shared.injector.is_empty()
-        || !shared.ready.is_empty()
-        || shared
-            .stealers
-            .iter()
-            .enumerate()
-            .any(|(i, s)| i != index && flavor::stealer_len(s) > 0);
-    if runnable {
+    if runnable() {
         if shared.idle.cancel(index) {
             // A targeted wake raced onto us while we were cancelling; pass
             // it on so the work that triggered it still gets a thief.
-            if let Some(target) = shared.idle.wake_one() {
-                unsafe {
-                    WorkerStats::bump(&(*worker).stats().wakes_issued);
-                    obs::on_wake(worker, target);
-                }
-            }
+            unsafe { wake_one_from(worker, shared) };
         }
         return;
     }
@@ -532,28 +563,12 @@ pub(crate) fn wake_for_ready(shared: &Shared) {
     }
 }
 
-/// The spawn-path wake hook: one relaxed load of the sleeper count on the
-/// common path; only when sleepers exist *and* this worker's deque has
-/// crossed the configured depth does a targeted single-worker wake go out.
-/// (Depth gating keeps a lone spawn-pop-spawn-pop loop from paying wake
-/// overhead for work it is about to reclaim itself.)
+/// One targeted wake from a worker, with its bookkeeping.
 ///
 /// # Safety
-/// `worker` must be the calling thread's live worker.
+/// `worker` must be the calling thread's live worker; `shared` its runtime.
 #[inline]
-pub(crate) unsafe fn maybe_wake_after_spawn(worker: *mut Worker) {
-    let shared: &Shared = unsafe { &*Arc::as_ptr(&(*worker).shared) };
-    if shared.idle.sleepers() == 0 {
-        // No futex sleeper — but the claimed reactor poller (invisible to
-        // the idle engine) may be napping. Kicks are eventfd-coalesced, so
-        // a spawn storm pays at most one write per poll cycle.
-        shared.reactor.kick_if_claimed();
-        return;
-    }
-    let threshold = shared.config.idle.wake_threshold;
-    if threshold > 0 && flavor::public_occupancy(unsafe { &(*worker).deque }) < threshold {
-        return;
-    }
+unsafe fn wake_one_from(worker: *mut Worker, shared: &Shared) {
     if let Some(target) = shared.idle.wake_one() {
         unsafe {
             WorkerStats::bump(&(*worker).stats().wakes_issued);
@@ -578,55 +593,59 @@ pub(crate) unsafe fn note_promotion(worker: *mut Worker, moved: u32) {
     }
 }
 
-/// The split-deque wake hook, called when a spawn push promoted items:
-/// if sleepers exist, optionally promote another batch (`promote_on_wake`,
-/// so the woken thief finds more than a single stealable item) and issue
-/// one targeted wake, gated on the *public* depth — a wake is only useful
-/// if the woken thief can actually see the work.
+/// The spawn-path wake hook, called when a spawn made work thief-visible
+/// (an unsplit push, or a split push that promoted). One relaxed load of
+/// the sleeper count on the common path; when sleepers exist, optionally
+/// promote another batch (`promote_on_wake`, so the woken thief finds more
+/// than a single stealable item — a no-op on unsplit deques) and issue one
+/// targeted wake, gated on the *public* depth: a wake is only useful if
+/// the woken thief can see the work, and depth gating keeps a lone
+/// spawn-pop-spawn-pop loop from paying for work it is about to reclaim.
 ///
 /// # Safety
-/// `worker` must be the calling thread's live worker.
+/// `worker` must be the calling thread's live worker, of a runtime running
+/// `P`.
 #[inline]
-pub(crate) unsafe fn wake_after_promotion(worker: *mut Worker) {
+pub(crate) unsafe fn wake_after_spawn<P: Protocol>(worker: *mut Worker) {
     let shared: &Shared = unsafe { &*Arc::as_ptr(&(*worker).shared) };
     if shared.idle.sleepers() == 0 {
-        // See `maybe_wake_after_spawn`: the poller doesn't announce.
+        // No futex sleeper — but the claimed reactor poller (invisible to
+        // the idle engine) may be napping. Kicks are eventfd-coalesced, so
+        // a spawn storm pays at most one write per poll cycle.
         shared.reactor.kick_if_claimed();
         return;
     }
     let split = &shared.config.split;
+    let deque = unsafe { &(*FlavoredWorker::<P>::of(worker)).deque };
     if split.promote_on_wake {
-        let moved = flavor::force_promote(unsafe { &(*worker).deque }, split.promote_batch.max(1));
+        let moved = P::force_promote(deque, split.promote_batch.max(1));
         unsafe { note_promotion(worker, moved) };
     }
     let threshold = shared.config.idle.wake_threshold;
-    if threshold > 0 && flavor::public_occupancy(unsafe { &(*worker).deque }) < threshold {
+    if threshold > 0 && P::public_occupancy(deque) < threshold {
         return;
     }
-    if let Some(target) = shared.idle.wake_one() {
-        unsafe {
-            WorkerStats::bump(&(*worker).stats().wakes_issued);
-            obs::on_wake(worker, target);
-        }
-    }
+    unsafe { wake_one_from(worker, shared) };
 }
 
-// SAFETY: callers: invoked only via `capture_and_run_on` from `worker_main`
-// with `arg` pointing at this thread's boxed, pinned `Worker`.
-unsafe extern "C" fn worker_body(arg: *mut c_void) -> ! {
+// SAFETY: callers: invoked only via `capture_and_run_on` from
+// `worker_main::<P>` with `arg` pointing at this thread's boxed, pinned
+// `FlavoredWorker<P>` (equivalently: at its `Worker` header).
+unsafe extern "C" fn worker_body<P: Protocol>(arg: *mut c_void) -> ! {
     // Armed for the whole body: an unwinding panic would otherwise reach
     // the fiber base frame (undefined behaviour).
     let _guard = AbortOnUnwind;
     unsafe {
         let worker = arg as *mut Worker;
         (*worker).current_stack = (*worker).incoming_stack.take();
-        find_work()
+        find_work_in::<P>()
     }
 }
 
 /// OS-thread entry of a worker. Returns when the runtime shuts down.
 #[allow(clippy::boxed_local)] // the Box pins the Worker's address for TLS/raw pointers
-pub fn worker_main(mut worker: Box<Worker>) {
+pub fn worker_main<P: Protocol>(mut flavored: Box<FlavoredWorker<P>>) {
+    let worker = &flavored.base;
     if worker.shared.config.pin_workers {
         let _ = nowa_context::sys::pin_current_thread_to(worker.index);
     }
@@ -640,7 +659,9 @@ pub fn worker_main(mut worker: Box<Worker>) {
     } else {
         None
     };
-    let wptr: *mut Worker = &mut *worker;
+    // Derived from the whole flavored worker, so the header pointer may be
+    // cast back by `FlavoredWorker::of`.
+    let wptr = (&mut *flavored as *mut FlavoredWorker<P>).cast::<Worker>();
     set_current_worker(wptr);
     // SAFETY: `wptr` points at the boxed worker pinned for this whole
     // function; `worker_body` diverges into the scheduler and resumes
@@ -649,8 +670,12 @@ pub fn worker_main(mut worker: Box<Worker>) {
         let first = (*wptr).cache.get();
         let top = first.top();
         (*wptr).incoming_stack = Some(first);
-        let payload =
-            capture_and_run_on(&mut (*wptr).exit_ctx, top, worker_body, wptr as *mut c_void);
+        let payload = capture_and_run_on(
+            &mut (*wptr).exit_ctx,
+            top,
+            worker_body::<P>,
+            wptr as *mut c_void,
+        );
         // ---- shutdown: back on the OS thread stack ----
         let worker_now = payload as *mut Worker;
         debug_assert_eq!(worker_now, wptr, "exit context resumed by its owner");
@@ -659,5 +684,5 @@ pub fn worker_main(mut worker: Box<Worker>) {
         }
     }
     set_current_worker(core::ptr::null_mut());
-    // `worker` drops here; its cache drains into the shared pool.
+    // `flavored` drops here; its cache drains into the shared pool.
 }

@@ -13,14 +13,6 @@ use std::time::{Duration, Instant};
 
 use nowa_runtime::{api, Config, Flavor, IdleConfig, Runtime};
 
-const ALL_FLAVORS: [Flavor; 5] = [
-    Flavor::NOWA,
-    Flavor::NOWA_THE,
-    Flavor::NOWA_ABP,
-    Flavor::NOWA_LOCKED_DEQUE,
-    Flavor::FIBRIL,
-];
-
 /// An idle config that parks as eagerly as possible (no spin, no yield
 /// phase) with a `max_park` long enough that a lost wakeup is glaring.
 fn eager_park() -> IdleConfig {
@@ -74,14 +66,14 @@ fn burst_round_trip(flavor: Flavor, workers: usize) {
 
 #[test]
 fn burst_races_parking_two_workers_all_flavors() {
-    for flavor in ALL_FLAVORS {
+    for flavor in Flavor::ALL {
         burst_round_trip(flavor, 2);
     }
 }
 
 #[test]
 fn burst_races_parking_eight_workers_all_flavors() {
-    for flavor in ALL_FLAVORS {
+    for flavor in Flavor::ALL {
         burst_round_trip(flavor, 8);
     }
 }
@@ -121,7 +113,7 @@ fn starved_thieves_feed_via_promotion_all_flavors() {
     use nowa_runtime::SplitConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    for flavor in ALL_FLAVORS {
+    for flavor in Flavor::ALL {
         let rt = Runtime::new(
             Config::with_workers(4)
                 .flavor(flavor)
@@ -211,7 +203,7 @@ fn watchdog_classifies_parked_workers_healthy() {
 fn burst_survives_chaos_forced_parks_and_spurious_wakes() {
     use nowa_runtime::ChaosConfig;
 
-    for flavor in ALL_FLAVORS {
+    for flavor in Flavor::ALL {
         for workers in [2usize, 8] {
             for replay in 0..2 {
                 let mut chaos = ChaosConfig::with_seed(0xC0FF_EE00 + workers as u64);

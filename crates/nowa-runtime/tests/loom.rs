@@ -6,28 +6,27 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p nowa-runtime --test loom --release
 //! ```
 //!
-//! Seven protocols are modeled, each against the *real* implementation (the
+//! Six protocols are modeled, each against the *real* implementation (the
 //! `crate::sync` shim swaps `core::sync::atomic` for loom's atomics under
 //! `--cfg loom`, so the code under test is byte-for-byte the shipping
 //! protocol logic):
 //!
 //! 1. the wait-free `I_max` sync counter (Fig. 6's hazardous race, §IV-B),
-//!    driven through `flavor::pop_or_join` / `sync_restore` over a real
-//!    Chase–Lev deque;
+//!    driven through `Nowa<Cl>`'s `pop_or_join` / `sync_restore` (the
+//!    `Protocol` trait API the scheduler uses) over a real Chase–Lev deque;
 //! 2. the eventcount idle engine (`IdleState`) — the announce/validate/park
 //!    vs. publish/wake handshake whose failure mode is a lost wakeup;
 //! 3. the MPMC segment injector (`Injector`), with loom-shrunk segments so
 //!    the boundary paths are in reach;
-//! 4. the SNZI tree's ½-state arrival handshake;
-//! 5. the abortable-suspension handoff of the cancellation layer — a
+//! 4. the abortable-suspension handoff of the cancellation layer — a
 //!    suspended sync raced by its last joiner and a canceller latching
 //!    the region's (all-Relaxed) cancel flag; the suspension must be
 //!    retired exactly once and never resumed with torn context;
-//! 6. the async wake-state handoff (§6h) — a parking `block_on` strand
+//! 5. the async wake-state handoff (§6h) — a parking `block_on` strand
 //!    raced by concurrent wakers; the continuation must be resumed
 //!    exactly once, a wake arriving before the park must not be lost,
 //!    and whoever resumes must see the parker's staged context;
-//! 7. the reactor poller claim (§6h) — at most one worker may sit in
+//! 6. the reactor poller claim (§6h) — at most one worker may sit in
 //!    `epoll_wait`, and a release must publish the outgoing poller's
 //!    duty-state writes to the next claimant.
 //!
@@ -39,15 +38,18 @@
 #![cfg(loom)]
 
 use loom::sync::Arc;
-use nowa_runtime::flavor::{self, new_deque, Flavor, ProtocolKind, Rec};
+use nowa_runtime::flavor::{Protocol, Rec};
 use nowa_runtime::idle::IdleState;
 use nowa_runtime::injector::Injector;
+use nowa_runtime::nowa::{retire_suspension, Nowa};
 use nowa_runtime::reactor::PollerSlot;
 use nowa_runtime::record::{AfterChild, Frame, SpawnRecord, I_MAX, SUSP_IDLE};
 use nowa_runtime::task::{WakeClaim, WakeState};
 use nowa_runtime::worker::RootTask;
-use nowa_runtime::Snzi;
 use nowa_runtime::SplitConfig;
+
+/// The protocol under test: the wait-free arm over the default deque.
+type P = Nowa<nowa_deque::Cl>;
 
 // ---------------------------------------------------------------------------
 // 1. The wait-free sync counter (Fig. 6 / §IV-B)
@@ -65,27 +67,26 @@ use nowa_runtime::SplitConfig;
 #[test]
 fn sync_counter_exactly_one_resumes() {
     loom::model(|| {
-        let p = ProtocolKind::NowaWaitFree;
         let frame = Arc::new(Frame::new());
-        let (dq, st) = new_deque(Flavor::NOWA, 4, SplitConfig::disabled());
+        let (dq, st) = P::new_deque(4, SplitConfig::disabled());
         // The record outlives both threads' use: the thief is joined
         // before it drops.
         let rec = SpawnRecord::new(&*frame);
-        assert!(flavor::push(&dq, Rec::from_ref(&rec)).offered);
+        assert!(P::push(&dq, Rec::from_ref(&rec)).is_some());
 
         // Thief: on a successful steal (which does the α fork
         // bookkeeping), run the stolen continuation to the explicit sync.
         let thief = {
             let frame = frame.clone();
             loom::thread::spawn(move || {
-                flavor::steal_from(p, &st)
+                P::steal_from(&st)
                     .success()
-                    .map(|_| flavor::sync_precheck(p, &frame) || flavor::sync_restore(p, &frame))
+                    .map(|_| P::sync_precheck(&frame) || P::sync_restore(&frame))
             })
         };
 
         // Owner: the child returned; reclaim the continuation or join.
-        let after = flavor::pop_or_join(p, &dq, &frame);
+        let after = P::pop_or_join(&dq, &frame);
         let thief_resumed = thief.join().unwrap();
 
         match (after, thief_resumed) {
@@ -118,14 +119,13 @@ fn sync_counter_exactly_one_resumes() {
 #[test]
 fn sync_counter_exactly_one_resumes_with_promotion() {
     loom::model(|| {
-        let p = ProtocolKind::NowaWaitFree;
         let frame = Arc::new(Frame::new());
         let split = SplitConfig {
             enabled: true,
             promote_batch: 1024, // no boundary promotion: hunger or force only
             promote_on_wake: true,
         };
-        let (dq, st) = new_deque(Flavor::NOWA, 4, split);
+        let (dq, st) = P::new_deque(4, split);
         // The record outlives both threads' use: the thief is joined
         // before it drops.
         let rec = SpawnRecord::new(&*frame);
@@ -133,19 +133,18 @@ fn sync_counter_exactly_one_resumes_with_promotion() {
         let thief = {
             let frame = frame.clone();
             loom::thread::spawn(move || {
-                flavor::steal_from(p, &st)
+                P::steal_from(&st)
                     .success()
-                    .map(|_| flavor::sync_precheck(p, &frame) || flavor::sync_restore(p, &frame))
+                    .map(|_| P::sync_precheck(&frame) || P::sync_restore(&frame))
             })
         };
 
         // Owner: spawn (private unless the thief's hunger landed first),
         // then the wake path's promotion, then the child returns.
-        let out = flavor::push(&dq, Rec::from_ref(&rec));
-        assert!(out.offered);
-        let moved = out.promoted + flavor::force_promote(&dq, 1);
+        let promoted = P::push(&dq, Rec::from_ref(&rec)).expect("offered");
+        let moved = promoted + P::force_promote(&dq, 1);
         assert_eq!(moved, 1, "the lone record is promoted exactly once");
-        let after = flavor::pop_or_join(p, &dq, &frame);
+        let after = P::pop_or_join(&dq, &frame);
         let thief_resumed = thief.join().unwrap();
 
         match (after, thief_resumed) {
@@ -177,7 +176,7 @@ fn sync_counter_suspension_handoff() {
         let joiner = {
             let frame = frame.clone();
             loom::thread::spawn(move || {
-                // Child join: one wait-free RMW (flavor.rs pop-miss path).
+                // Child join: one wait-free RMW (nowa.rs pop-miss path).
                 let post = frame
                     .join
                     .counter
@@ -188,10 +187,10 @@ fn sync_counter_suspension_handoff() {
         };
 
         // Main flow at the explicit sync.
-        let main_resumes = if flavor::sync_precheck(ProtocolKind::NowaWaitFree, &frame) {
+        let main_resumes = if P::sync_precheck(&frame) {
             true // no suspension needed
         } else {
-            flavor::sync_restore(ProtocolKind::NowaWaitFree, &frame)
+            P::sync_restore(&frame)
         };
         let child_resumes = joiner.join().unwrap();
 
@@ -231,8 +230,7 @@ fn sync_counter_join_publishes_child_result() {
             })
         };
 
-        let main_resumes = flavor::sync_precheck(ProtocolKind::NowaWaitFree, &frame)
-            || flavor::sync_restore(ProtocolKind::NowaWaitFree, &frame);
+        let main_resumes = P::sync_precheck(&frame) || P::sync_restore(&frame);
         let child_resumes = joiner.join().unwrap();
         if main_resumes {
             assert!(!child_resumes);
@@ -581,115 +579,7 @@ fn injector_relaxed_publish_canary_fails() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. The SNZI tree
-// ---------------------------------------------------------------------------
-
-/// Concurrent first-arrivals through distinct leaves: the ½-state
-/// handshake must leave the root indicator set while any surplus is held
-/// and clear once balanced. `Snzi::new(2)` gives a 3-node tree (two
-/// leaves, one internal) over the root counter — deep enough to exercise
-/// `parent_arrive` propagation and the undo loop.
-#[test]
-fn snzi_concurrent_arrivals_exact_indicator() {
-    loom::model(|| {
-        let s = Arc::new(Snzi::new(2));
-        let other = {
-            let s = s.clone();
-            loom::thread::spawn(move || {
-                s.arrive(1);
-                assert!(s.query(), "own surplus outstanding");
-                s.depart(1);
-            })
-        };
-        s.arrive(0);
-        assert!(s.query(), "own surplus outstanding");
-        s.depart(0);
-        other.join().unwrap();
-        assert!(!s.query(), "balanced traffic ends at zero");
-    });
-}
-
-/// Same-leaf contention: two threads arriving at one leaf race the ½→1
-/// promotion; the helper path and the undo loop must keep the parent's
-/// count exact.
-#[test]
-fn snzi_same_leaf_half_state_race() {
-    loom::model(|| {
-        let s = Arc::new(Snzi::new(2));
-        let other = {
-            let s = s.clone();
-            loom::thread::spawn(move || {
-                s.arrive(0);
-                s.depart(0);
-            })
-        };
-        s.arrive(0);
-        assert!(s.query());
-        s.depart(0);
-        other.join().unwrap();
-        assert!(!s.query());
-    });
-}
-
-/// Cross-thread handoff: an arrival on one thread departed by another
-/// (after a release/acquire handshake) — the query must stay exact.
-#[test]
-fn snzi_handoff_preserves_indicator() {
-    loom::model(|| {
-        use loom::sync::atomic::{AtomicU32, Ordering};
-        let s = Arc::new(Snzi::new(2));
-        let ready = Arc::new(AtomicU32::new(0));
-
-        let departer = {
-            let s = s.clone();
-            let ready = ready.clone();
-            loom::thread::spawn(move || {
-                while ready.load(Ordering::Acquire) == 0 {
-                    loom::thread::yield_now();
-                }
-                assert!(s.query(), "handed-off surplus is visible");
-                s.depart(0);
-                assert!(!s.query());
-            })
-        };
-        s.arrive(0);
-        ready.store(1, Ordering::Release);
-        departer.join().unwrap();
-    });
-}
-
-/// CANARY: a bare (non-SNZI) root counter with the arrival's increment
-/// weakened to Relaxed: the indicator can be observed set while the
-/// arriving strand's payload write is still unordered — the exact
-/// visibility bug the root counter's AcqRel traffic prevents.
-#[test]
-#[should_panic(expected = "surplus payload lost")]
-fn snzi_relaxed_arrive_canary_fails() {
-    loom::model(|| {
-        use loom::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-        let root = Arc::new(AtomicI64::new(0));
-        let payload = Arc::new(AtomicU64::new(0));
-
-        let arriver = {
-            let root = root.clone();
-            let payload = payload.clone();
-            loom::thread::spawn(move || {
-                payload.store(1, Ordering::Relaxed);
-                // BUG: Relaxed arrive — the payload write is not released
-                // to a querier that acquires the indicator.
-                root.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-
-        if root.load(Ordering::Acquire) != 0 {
-            assert_eq!(payload.load(Ordering::Relaxed), 1, "surplus payload lost");
-        }
-        arriver.join().unwrap();
-    });
-}
-
-// ---------------------------------------------------------------------------
-// 5. The abortable-suspension handoff (cancellation layer)
+// 4. The abortable-suspension handoff (cancellation layer)
 // ---------------------------------------------------------------------------
 
 /// A suspended sync raced by its last joiner and a canceller. The main
@@ -713,7 +603,6 @@ fn snzi_relaxed_arrive_canary_fails() {
 fn cancel_abort_retires_suspension_exactly_once() {
     loom::model(|| {
         use loom::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-        let p = ProtocolKind::NowaWaitFree;
         let frame = Arc::new(Frame::new());
         // Continuation already stolen: α = 1, one child outstanding.
         frame.join.alpha.store(1, Ordering::Relaxed);
@@ -733,13 +622,13 @@ fn cancel_abort_retires_suspension_exactly_once() {
             let ctx = ctx.clone();
             let cancel = cancel.clone();
             loom::thread::spawn(move || {
-                // Last child join: the wait-free decrement (flavor.rs
+                // Last child join: the wait-free decrement (nowa.rs
                 // pop-miss path), then the abort classification the
                 // scheduler's `resume_sync` performs.
                 let post = frame.join.counter.fetch_sub(1, Ordering::AcqRel) - 1;
                 if post == 0 {
                     assert!(
-                        flavor::retire_suspension(&frame),
+                        retire_suspension(&frame),
                         "zero-crossing found no parked suspension"
                     );
                     assert_eq!(
@@ -758,7 +647,7 @@ fn cancel_abort_retires_suspension_exactly_once() {
 
         // Main flow: context writes, then the sync (precheck or suspend).
         ctx.store(42, Ordering::Relaxed);
-        let main_resumes = flavor::sync_precheck(p, &frame) || flavor::sync_restore(p, &frame);
+        let main_resumes = P::sync_precheck(&frame) || P::sync_restore(&frame);
         let joiner_resumed = joiner.join().unwrap();
         canceller.join().unwrap();
 
@@ -819,7 +708,7 @@ fn cancel_abort_relaxed_publish_canary_fails() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. The async wake-state handoff (§6h)
+// 5. The async wake-state handoff (§6h)
 // ---------------------------------------------------------------------------
 
 /// Exactly-once resume under waker races: one parking strand, two
@@ -993,7 +882,7 @@ fn wake_state_relaxed_publish_canary_fails() {
 }
 
 // ---------------------------------------------------------------------------
-// 7. The reactor poller claim (§6h)
+// 6. The reactor poller claim (§6h)
 // ---------------------------------------------------------------------------
 
 /// Mutual exclusion of the poller slot: two workers descend idle and race

@@ -18,14 +18,6 @@ fn fib_serial(n: u64) -> u64 {
     }
 }
 
-const ALL_FLAVORS: [Flavor; 5] = [
-    Flavor::NOWA,
-    Flavor::NOWA_THE,
-    Flavor::NOWA_ABP,
-    Flavor::NOWA_LOCKED_DEQUE,
-    Flavor::FIBRIL,
-];
-
 #[test]
 fn fib_single_worker() {
     let rt = Runtime::with_workers(1).unwrap();
@@ -34,7 +26,7 @@ fn fib_single_worker() {
 
 #[test]
 fn fib_four_workers_all_flavors() {
-    for flavor in ALL_FLAVORS {
+    for flavor in Flavor::ALL {
         let rt = Runtime::new(Config::with_workers(4).flavor(flavor)).unwrap();
         assert_eq!(
             rt.run(|| fib(22)),
@@ -260,7 +252,7 @@ fn zero_workers_rejected() {
 
 #[test]
 fn heavy_mixed_load_all_flavors() {
-    for flavor in ALL_FLAVORS {
+    for flavor in Flavor::ALL {
         let rt = Runtime::new(Config::with_workers(4).flavor(flavor)).unwrap();
         let total = rt.run(|| {
             api::map_reduce(

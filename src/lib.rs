@@ -9,7 +9,8 @@
 //!   fibers with genuine continuation stealing, the wait-free join
 //!   protocol of §IV, selectable work-stealing deques, and the practical
 //!   cactus-stack implementation with the §V-B `madvise` knob.
-//! * [`deque`] — Chase–Lev, THE, ABP and locked work-stealing deques.
+//! * [`deque`] — the Chase–Lev and THE work-stealing deques, and the
+//!   split private/public layer over either.
 //! * [`context`] — machine contexts, guarded stacks, stack pools.
 //! * [`kernels`] — the twelve Table I benchmarks (parallel + serial
 //!   elision).

@@ -27,7 +27,7 @@ fn kernels_agree_across_all_real_runtimes() {
         .map(|&b| (b, b.run(Size::Tiny)))
         .collect();
 
-    for flavor in [Flavor::NOWA, Flavor::NOWA_THE, Flavor::FIBRIL] {
+    for flavor in Flavor::ALL {
         let rt = Runtime::new(Config::with_workers(3).flavor(flavor)).unwrap();
         for (bench, want) in &expected {
             let got = rt.run(|| bench.run(Size::Tiny));
@@ -55,13 +55,7 @@ fn continuation_conservation_holds_on_every_flavor() {
         let (a, b) = join2(|| fib(n - 1), || fib(n - 2));
         a + b
     }
-    for flavor in [
-        Flavor::NOWA,
-        Flavor::NOWA_THE,
-        Flavor::NOWA_ABP,
-        Flavor::NOWA_LOCKED_DEQUE,
-        Flavor::FIBRIL,
-    ] {
+    for flavor in Flavor::ALL {
         let rt = Runtime::new(Config::with_workers(4).flavor(flavor)).unwrap();
         assert_eq!(rt.run(|| fib(20)), 6765, "under {}", flavor.name());
         let stats = rt.stats();

@@ -34,12 +34,7 @@ fn tiny_stacks_with_madvise() {
 
 #[test]
 fn tiny_deque_capacity_all_flavors() {
-    for flavor in [
-        Flavor::NOWA,
-        Flavor::NOWA_THE,
-        Flavor::NOWA_ABP,
-        Flavor::FIBRIL,
-    ] {
+    for flavor in Flavor::ALL {
         let mut config = Config::with_workers(4).flavor(flavor);
         config.deque_capacity = 2;
         let rt = Runtime::new(config).unwrap();
@@ -170,13 +165,7 @@ fn region_stress_many_linear_spawns() {
 #[test]
 fn thief_starvation_tiny_promote_batch_all_flavors() {
     use std::sync::atomic::{AtomicU64, Ordering};
-    for flavor in [
-        Flavor::NOWA,
-        Flavor::NOWA_THE,
-        Flavor::NOWA_ABP,
-        Flavor::NOWA_LOCKED_DEQUE,
-        Flavor::FIBRIL,
-    ] {
+    for flavor in Flavor::ALL {
         let config = Config::with_workers(4).flavor(flavor).split(SplitConfig {
             enabled: true,
             promote_batch: 1,
