@@ -329,6 +329,15 @@ impl<W: WorkerOps<T>, T: Token> SplitWorker<W, T> {
         moved
     }
 
+    /// Whether the private segment is in use ([`SplitConfig::enabled`]);
+    /// when not, every push goes straight to the public deque.
+    // lint: hot-path private
+    // lint: wait-free
+    #[inline]
+    pub fn is_split(&self) -> bool {
+        self.cfg.enabled
+    }
+
     /// Items visible to thieves (the wrapped deque only).
     pub fn public_len(&self) -> usize {
         self.inner.len()

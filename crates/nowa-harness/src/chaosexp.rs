@@ -76,7 +76,7 @@ pub fn chaos_stress(seed: u64, iters: usize, workers: usize) -> Vec<Table> {
                 );
                 checked += 1;
             }
-            let snap = rt.chaos_stats().expect("chaos configured");
+            let snap = rt.snapshot().chaos.expect("chaos configured");
             for (total, fired) in total_injected.iter_mut().zip(snap.injected) {
                 *total += fired;
             }
@@ -238,7 +238,7 @@ fn cancel_determinism_check(seed: u64) -> String {
                 p.downcast_ref::<Cancelled>().map(|c| c.reason)
             ),
         };
-        (kind, rt.chaos_stats().expect("chaos configured"))
+        (kind, rt.snapshot().chaos.expect("chaos configured"))
     };
     let first = run();
     let second = run();
@@ -293,7 +293,7 @@ fn determinism_check(seed: u64) -> String {
     let run = || {
         let rt = chaos_runtime(Flavor::NOWA, ChaosConfig::aggressive(seed), 1);
         let _ = rt.run(|| BenchId::Fib.run(Size::Tiny));
-        rt.chaos_stats().expect("chaos configured")
+        rt.snapshot().chaos.expect("chaos configured")
     };
     let first = run();
     let second = run();

@@ -75,20 +75,11 @@ pub fn profile(kernel: &str, size: Size, workers: usize, out: &str) -> Vec<Table
     body.insert("profile".to_string(), profile.to_json());
     // The scheduler's own relaxed counters, for cross-checking the
     // event-derived numbers above.
-    let mut sched = BTreeMap::new();
-    for (key, v) in [
-        ("spawns", stats.spawns),
-        ("steals", stats.steals),
-        ("fast_pops", stats.fast_pops),
-        ("own_takes", stats.own_takes),
-        ("joins", stats.joins),
-        ("suspensions", stats.suspensions),
-        ("parks", stats.parks),
-        ("wakes_issued", stats.wakes_issued),
-        ("wakes_spurious", stats.wakes_spurious),
-    ] {
-        sched.insert(key.to_string(), Json::Num(v as f64));
-    }
+    let sched = stats
+        .fields()
+        .into_iter()
+        .map(|(name, _, v)| (name.to_string(), Json::Num(v as f64)))
+        .collect();
     body.insert("scheduler_stats".to_string(), Json::Obj(sched));
     artifact::write(out, &artifact::envelope("nowa-bench-profile", body));
 

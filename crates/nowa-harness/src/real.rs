@@ -115,50 +115,17 @@ pub fn measure_detailed(
     Measurement { times, stats }
 }
 
-/// Renders aggregated scheduler counters, one row per Nowa system.
-fn scheduler_stats_table(title: String, rows: &[(String, StatsSnapshot)]) -> Table {
-    let mut table = Table::new(
+/// Renders aggregated scheduler counters: one line per counter and ratio
+/// of the runtime's event table, one column per Nowa system.
+fn scheduler_stats_table(title: String, systems: &[(String, StatsSnapshot)]) -> Table {
+    let mut header = vec!["counter".to_string()];
+    header.extend(systems.iter().map(|(name, _)| name.clone()));
+    let columns: Vec<StatsSnapshot> = systems.iter().map(|(_, s)| *s).collect();
+    Table {
         title,
-        &[
-            "system",
-            "spawns",
-            "consumed",
-            "fast-path",
-            "steals",
-            "attempts",
-            "steal-success",
-            "suspensions",
-            "parks",
-            "wakes",
-            "spurious",
-            "targeted-wake",
-            "promotions",
-            "promoted",
-            "priv-pops",
-            "promo-rate",
-        ],
-    );
-    for (name, s) in rows {
-        table.row(vec![
-            name.clone(),
-            s.spawns.to_string(),
-            s.continuations_consumed().to_string(),
-            format!("{:.3}", s.fast_path_ratio()),
-            s.steals.to_string(),
-            s.steal_attempts().to_string(),
-            format!("{:.3}", s.steal_success_ratio()),
-            s.suspensions.to_string(),
-            s.parks.to_string(),
-            s.wakes_issued.to_string(),
-            s.wakes_spurious.to_string(),
-            format!("{:.3}", s.targeted_wake_ratio()),
-            s.promotions.to_string(),
-            s.promoted_items.to_string(),
-            s.private_pops.to_string(),
-            format!("{:.3}", s.promotion_ratio()),
-        ]);
+        header,
+        rows: StatsSnapshot::table_rows(&columns),
     }
-    table
 }
 
 /// Wall-clock comparison of the real runtime systems on this host. With
@@ -480,49 +447,39 @@ mod tests {
     }
 
     #[test]
-    fn stats_table_formats_idle_counters() {
+    fn stats_table_has_one_column_per_system() {
         let s = StatsSnapshot {
-            spawns: 10,
-            fast_pops: 8,
-            steals: 2,
-            parks: 4,
-            wakes_issued: 3,
-            wakes_spurious: 1,
+            parks: 10,
+            wakes_issued: 7,
+            wakes_spurious: 3,
+            spawns: 100,
+            promoted_items: 25,
             ..Default::default()
         };
-        let t = scheduler_stats_table("t".to_string(), &[("nowa".to_string(), s)]);
-        for col in ["parks", "wakes", "spurious", "targeted-wake"] {
-            assert!(t.header.iter().any(|h| h == col), "missing column {col}");
+        let systems = [("nowa".to_string(), s), ("fibril".to_string(), s)];
+        let text = scheduler_stats_table("t".to_string(), &systems).render();
+        for line in [
+            "parks",
+            "wakes_issued",
+            "targeted_wake_ratio",
+            "promotion_ratio",
+        ] {
+            assert_eq!(
+                text.lines()
+                    .filter(|l| l.trim_start().starts_with(line))
+                    .count(),
+                1,
+                "{line} missing or repeated:\n{text}"
+            );
         }
-        let rendered = t.render();
-        assert!(rendered.contains('4'), "parks value rendered:\n{rendered}");
-        assert!(rendered.contains('3'), "wakes value rendered:\n{rendered}");
-        // targeted_wake_ratio = (parks − spurious) / parks = 3/4.
-        assert!(rendered.contains("0.750"), "{rendered}");
-    }
-
-    #[test]
-    fn stats_table_formats_promotion_counters() {
-        let s = StatsSnapshot {
-            spawns: 16,
-            fast_pops: 12,
-            steals: 4,
-            promotions: 5,
-            promoted_items: 4,
-            private_pops: 11,
-            ..Default::default()
-        };
-        let t = scheduler_stats_table("t".to_string(), &[("nowa".to_string(), s)]);
-        for col in ["promotions", "promoted", "priv-pops", "promo-rate"] {
-            assert!(t.header.iter().any(|h| h == col), "missing column {col}");
-        }
-        let rendered = t.render();
         assert!(
-            rendered.contains("11"),
-            "private pops rendered:\n{rendered}"
+            text.contains("0.7000  0.7000"),
+            "wake ratio per system:\n{text}"
         );
-        // promotion_ratio = promoted_items / spawns = 4/16.
-        assert!(rendered.contains("0.250"), "{rendered}");
+        assert!(
+            text.contains("0.2500  0.2500"),
+            "promotion ratio per system:\n{text}"
+        );
     }
 
     #[test]

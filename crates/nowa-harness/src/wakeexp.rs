@@ -62,7 +62,7 @@ fn one_sample(rt: &Runtime, workers: usize) -> Option<u64> {
     // Start from a fully-parked runtime so every sample exercises the
     // wake path (rather than racing a thief that is still mid-descent).
     let prime_deadline = Instant::now() + Duration::from_millis(50);
-    while rt.idle_workers() < workers {
+    while rt.snapshot().idle_workers < workers {
         if Instant::now() > prime_deadline {
             break;
         }

@@ -910,6 +910,25 @@ impl FileModel {
         let mut i = 0usize;
         while i < nc.len() {
             let t = nc[i];
+            // An attribute (`#[cfg(not(feature = "x"))]` on a statement) is
+            // not code: skip to its closing bracket, or `cfg(`/`not(` read
+            // as unresolvable bare calls.
+            if t.text == "#" && text(i + 1) == "[" {
+                let mut depth = 0i32;
+                i += 1;
+                while i < nc.len() {
+                    match text(i) {
+                        "[" => depth += 1,
+                        "]" => depth -= 1,
+                        _ => {}
+                    }
+                    i += 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                continue;
+            }
             if t.kind != TokenKind::Ident {
                 i += 1;
                 continue;

@@ -32,7 +32,6 @@ pub const SHIM_MODULES: &[&str] = &[
 
 /// R3: cfg-twinned files whose arms must export the same public surface.
 pub const TWIN_FILES: &[&str] = &[
-    "nowa-runtime/src/obs.rs",
     "nowa-runtime/src/chaos.rs",
     "nowa-runtime/src/sync.rs",
     "nowa-deque/src/sync.rs",

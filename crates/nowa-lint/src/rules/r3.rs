@@ -10,7 +10,7 @@
 //!   signatures match (parameter names may differ, types may not).
 //!
 //! Two shapes are understood uniformly: mod-twins (`#[cfg(X)] mod imp`
-//! next to `#[cfg(not(X))] mod imp`, as in `obs.rs`/`chaos.rs` — items
+//! next to `#[cfg(not(X))] mod imp`, as in `chaos.rs` — items
 //! inherit their mod's cfg) and direct item twins (cfg on the items
 //! themselves, as in the `sync.rs` shims). One asymmetry is sanctioned:
 //! a cfg-gated `pub use imp::{…}` that elevates *extra* API out of a twin

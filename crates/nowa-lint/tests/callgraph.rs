@@ -189,6 +189,22 @@ fn closure_parameter_invocation_is_not_unknown() {
 }
 
 #[test]
+fn statement_attributes_are_not_calls() {
+    // `cfg(`/`not(` inside an in-body attribute must not read as unknown
+    // bare calls — R8 would then reject every async fn reaching a
+    // feature-gated statement.
+    let ws = workspace(&[(
+        "crates/nowa-runtime/src/a.rs",
+        "pub fn emit(n: u64) {\n    #[cfg(not(feature = \"trace\"))]\n    let _ = n;\n}\n\
+         pub async fn serve() { emit(1) }\n",
+    )]);
+    let fx = effects::compute(&ws, callgraph::build(&ws));
+    assert_eq!(fx.of(fn_id(&ws, "emit")) & UNKNOWN_CALL, 0);
+    let diags = run_lint(&ws, &Allowlist::default());
+    assert!(!diags.iter().any(|d| d.rule == "R8"), "{diags:?}");
+}
+
+#[test]
 fn suspension_flows_through_resolved_edges() {
     let ws = workspace(&[(
         "crates/nowa-runtime/src/a.rs",

@@ -113,7 +113,7 @@ fn r2_ignores_the_same_import_outside_shim_modules() {
 fn r3_pass_fixture_is_clean() {
     let ws = workspace(
         &[(
-            "crates/nowa-runtime/src/obs.rs",
+            "crates/nowa-runtime/src/chaos.rs",
             include_str!("fixtures/r3_pass.rs"),
         )],
         AUDIT,
@@ -125,7 +125,7 @@ fn r3_pass_fixture_is_clean() {
 fn r3_fires_on_one_sided_twin_item() {
     let ws = workspace(
         &[(
-            "crates/nowa-runtime/src/obs.rs",
+            "crates/nowa-runtime/src/chaos.rs",
             include_str!("fixtures/r3_fail.rs"),
         )],
         AUDIT,

@@ -27,10 +27,9 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::{self, CancelCell, CancelReason, CancelToken, ScopeHandle};
 use crate::foreign::{foreign_executor, foreign_join2};
-use crate::obs;
 use crate::record::Frame;
 use crate::scheduler::{spawn_execute, sync_execute};
-use crate::stats::WorkerStats;
+use crate::stats::{self, Counter};
 use crate::worker::{current_worker, Worker};
 
 /// True when the calling thread is a runtime worker executing a task.
@@ -92,9 +91,9 @@ fn propagate(frame: &Frame) {
     }
 }
 
-/// Attributes and raises a cancellation unwind: bumps the cancel counter,
-/// ticks the watchdog heartbeat (cooperative unwinding is forward
-/// progress, not a stall) and emits the `Cancel` trace event.
+/// Attributes and raises a cancellation unwind: one `cancels` event — a
+/// watchdog progress row (cooperative unwinding is forward progress, not a
+/// stall) that also emits the `Cancel` trace event.
 #[cold]
 #[inline(never)]
 pub(crate) fn raise_cancelled(frame: *const Frame, reason: CancelReason) -> ! {
@@ -102,9 +101,7 @@ pub(crate) fn raise_cancelled(frame: *const Frame, reason: CancelReason) -> ! {
     if !worker.is_null() {
         // SAFETY: non-null means the calling thread's live worker.
         unsafe {
-            WorkerStats::bump(&(*worker).stats().cancels);
-            WorkerStats::bump(&(*worker).stats().loop_ticks);
-            obs::on_cancel(worker, frame);
+            stats::bump(worker, Counter::cancels, stats::frame_id(frame));
         }
     }
     cancel::raise(reason)

@@ -1,9 +1,9 @@
 //! Fault injection: deterministic, seeded chaos at every scheduler
 //! decision — the runtime's only coupling to the injection machinery.
 //!
-//! Mirrors the `obs` twin pattern: with the `chaos` cargo feature
-//! **off**, every hook below is an `#[inline(always)]` empty body and the
-//! scheduler compiles exactly as before. With the feature **on**, hooks are
+//! A cfg twin: with the `chaos` cargo feature **off**, every hook below is
+//! an `#[inline(always)]` empty body and the scheduler compiles exactly as
+//! before. With the feature **on**, hooks are
 //! still no-ops unless the runtime was built with a
 //! [`ChaosConfig`](crate::config::ChaosConfig) whose rates are non-zero.
 //!
@@ -222,15 +222,21 @@ mod imp {
         pub fn injected_at(&self, site: ChaosSite) -> u64 {
             self.injected[site as usize]
         }
+
+        /// Every site as `(name, injected, visits)` — what the snapshot
+        /// renderers walk.
+        pub fn sites(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
+            (0..SITES).map(|i| (SITE_NAMES[i], self.injected[i], self.ticks[i]))
+        }
     }
 
     impl core::fmt::Display for ChaosSnapshot {
         fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-            for (i, name) in SITE_NAMES.iter().enumerate() {
+            for (i, (name, injected, visits)) in self.sites().enumerate() {
                 if i > 0 {
                     write!(f, " ")?;
                 }
-                write!(f, "{}={}/{}", name, self.injected[i], self.ticks[i])?;
+                write!(f, "{name}={injected}/{visits}")?;
             }
             Ok(())
         }

@@ -158,6 +158,13 @@ pub trait Protocol: Sized + 'static {
     // ---- the split layer (DESIGN.md §6g); the defaults describe a deque
     // ---- without a private segment, where every push is public at once.
 
+    /// Whether a push can stay worker-private. `false` means every
+    /// successful [`Protocol::push`] is thief-visible at once, so it — not
+    /// only a promotion — warrants the spawn-path wake.
+    fn has_private_segment(_dq: &Self::Owner) -> bool {
+        false
+    }
+
     /// Occupancy of the *public* (thief-visible) part of the owner's deque
     /// — what the wake-threshold gate consults: a promotion makes a wake
     /// worthwhile only if the woken thief can actually see the work.

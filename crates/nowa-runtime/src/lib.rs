@@ -59,12 +59,14 @@ pub mod injector;
 #[cfg(all(test, not(loom)))]
 mod layout;
 pub mod nowa;
+#[cfg(feature = "trace")]
 mod obs;
 pub mod reactor;
 pub mod record;
 pub mod runtime;
 pub mod scheduler;
 pub mod slice;
+pub mod snapshot;
 pub mod stats;
 mod sync;
 pub mod task;
@@ -82,6 +84,7 @@ pub use foreign::ForeignForkJoin;
 pub use nowa_context::{MadvisePolicy, StackError};
 pub use reactor::AsyncFd;
 pub use runtime::{Runtime, RuntimeError, ShutdownError};
+pub use snapshot::Snapshot;
 pub use stats::StatsSnapshot;
 pub use task::{block_on, JoinHandle};
 pub use time::{sleep, timeout, Elapsed};

@@ -176,6 +176,13 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
         dq.len()
     }
 
+    // lint: hot-path
+    // lint: wait-free
+    #[inline]
+    fn has_private_segment(dq: &Self::Owner) -> bool {
+        dq.is_split()
+    }
+
     // lint: wait-free
     fn public_occupancy(dq: &Self::Owner) -> usize {
         dq.public_len()

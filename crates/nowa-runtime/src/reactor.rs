@@ -34,8 +34,7 @@ use std::time::Instant;
 use nowa_context::sys::{self, epoll, EpollEvent, EpollWait};
 
 use crate::chaos;
-use crate::obs;
-use crate::stats::WorkerStats;
+use crate::stats::{self, Counter};
 use crate::sync::{AtomicU32, Ordering};
 use crate::time::TimerWheel;
 use crate::worker::{current_worker, Shared, Worker};
@@ -471,15 +470,15 @@ impl Reactor {
         // SAFETY: `worker` is the calling thread's live worker (caller
         // contract), so dereferencing it for stats and trace hooks is sound.
         unsafe {
-            WorkerStats::bump(&(*worker).stats().reactor_polls);
-            if dispatched > 0 {
-                WorkerStats::add(&(*worker).stats().reactor_events, dispatched as u64);
-            }
+            stats::bump(worker, Counter::reactor_polls, 0);
+            // Zero counts stay out of the trace: an idle serving runtime
+            // polls every `max_park` and would flood the ring.
             if timer_count > 0 {
-                WorkerStats::add(&(*worker).stats().timer_fires, timer_count as u64);
-                obs::on_timer_fire(worker, timer_count as u64);
+                stats::add(worker, Counter::timer_fires, timer_count as u64);
             }
-            obs::on_reactor_poll(worker, dispatched as u64);
+            if dispatched > 0 {
+                stats::add(worker, Counter::reactor_events, dispatched as u64);
+            }
         }
         dispatched + timer_count
     }

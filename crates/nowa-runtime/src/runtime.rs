@@ -14,6 +14,7 @@ use crate::config::Config;
 use crate::flavor::{with_protocol, Flavor, Protocol};
 use crate::idle::IdleState;
 use crate::injector::Injector;
+use crate::snapshot::Snapshot;
 use crate::stats::StatsSnapshot;
 use crate::worker::{current_worker, worker_main, FlavoredWorker, RootTask, Shared, Worker};
 
@@ -298,47 +299,38 @@ impl Runtime {
         self.shared.config.workers
     }
 
-    /// Aggregated scheduler statistics since startup.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats_snapshot()
+    /// Everything the runtime can report about itself, read at one
+    /// instant: per-worker and aggregate scheduler counters, stack-pool
+    /// activity, idle workers, watchdog reports and (when compiled and
+    /// configured) fault-injection counters. Pull-based — each call
+    /// re-reads the relaxed counters; there is no background thread and no
+    /// hot-path cost. Render it with [`Snapshot::render_table`],
+    /// [`render_prometheus`](Snapshot::render_prometheus) or
+    /// [`render_json`](Snapshot::render_json).
+    pub fn snapshot(&self) -> Snapshot {
+        self.shared.snapshot()
     }
 
-    /// Stack-pool statistics `(global gets, global puts, mmaps)`.
+    /// Aggregated scheduler statistics since startup: the `scheduler`
+    /// part of [`Runtime::snapshot`], without building the rest.
+    pub fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot::aggregate(&self.shared.stats)
+    }
+
+    /// Stack-pool statistics `(global gets, global puts, mmaps)`: the
+    /// `pool` part of [`Runtime::snapshot`].
     pub fn pool_stats(&self) -> (u64, u64, u64) {
         self.shared.pool.stats().snapshot()
     }
 
-    /// Stack-map attempts that failed so far (real `ENOMEM` or injected via
-    /// the `chaos` feature) and were absorbed by the bounded-retry path.
-    pub fn stack_map_failures(&self) -> u64 {
-        self.shared.pool.stats().map_failures()
+    /// The live snapshot in Prometheus text exposition format.
+    pub fn metrics_text(&self) -> String {
+        self.snapshot().render_prometheus()
     }
 
-    /// Workers currently announced to the idle engine (parked in a futex
-    /// or in the final validation step before parking). Racy snapshot —
-    /// useful for observability and for benchmarks that want to start
-    /// from a fully-parked runtime.
-    pub fn idle_workers(&self) -> usize {
-        self.shared.idle.sleepers() as usize
-    }
-
-    /// Stall reports emitted by the watchdog since startup (0 when the
-    /// watchdog is disabled or every worker kept making progress).
-    pub fn watchdog_reports(&self) -> u64 {
-        self.shared
-            .watchdog_reports
-            .load(crate::sync::Ordering::Relaxed)
-    }
-
-    /// Fault-injection counters (site visits and injections fired),
-    /// aggregated over workers. `None` unless the runtime was configured
-    /// with [`Config::chaos`].
-    #[cfg(feature = "chaos")]
-    pub fn chaos_stats(&self) -> Option<crate::chaos::ChaosSnapshot> {
-        self.shared
-            .chaos
-            .as_deref()
-            .map(crate::chaos::ChaosSnapshot::aggregate)
+    /// The live snapshot as JSON.
+    pub fn metrics_json(&self) -> String {
+        self.snapshot().render_json()
     }
 
     /// Drains the per-worker trace rings and merges everything recorded so
@@ -366,246 +358,6 @@ impl Runtime {
     #[cfg(feature = "trace")]
     pub fn flight_dump(&self) -> Option<String> {
         self.shared.flight.as_deref().map(nowa_trace::flight::dump)
-    }
-
-    /// Builds a fresh metrics registry from the runtime's live counters:
-    /// per-worker scheduler statistics (also aggregated process-wide),
-    /// idle-engine counters, stack-pool activity, and watchdog reports.
-    ///
-    /// Pull-based: each call re-reads the relaxed counters — no background
-    /// thread, no hot-path cost. Encode with
-    /// [`nowa_trace::MetricsRegistry::render_prometheus`] /
-    /// [`render_json`](nowa_trace::MetricsRegistry::render_json), or use
-    /// the [`Runtime::metrics_text`] / [`Runtime::metrics_json`] shortcuts.
-    #[cfg(feature = "trace")]
-    pub fn metrics_registry(&self) -> nowa_trace::MetricsRegistry {
-        use crate::stats::StatsSnapshot;
-        let mut reg = nowa_trace::MetricsRegistry::new();
-        reg.gauge(
-            "nowa_workers",
-            "Worker threads in this runtime.",
-            self.workers() as f64,
-        );
-        reg.gauge_with(
-            "nowa_build_info",
-            "Runtime build information (value is always 1).",
-            &[("flavor", self.flavor().name().to_string())],
-            1.0,
-        );
-        reg.gauge(
-            "nowa_idle_workers",
-            "Workers currently announced to the idle engine.",
-            self.idle_workers() as f64,
-        );
-        reg.counter(
-            "nowa_watchdog_reports_total",
-            "Stall reports emitted by the watchdog.",
-            self.watchdog_reports() as f64,
-        );
-        let (gets, puts, mmaps) = self.pool_stats();
-        reg.counter(
-            "nowa_stack_pool_gets_total",
-            "Global stack-pool gets.",
-            gets as f64,
-        );
-        reg.counter(
-            "nowa_stack_pool_puts_total",
-            "Global stack-pool puts.",
-            puts as f64,
-        );
-        reg.counter(
-            "nowa_stack_mmaps_total",
-            "Stacks mapped from the OS.",
-            mmaps as f64,
-        );
-        reg.counter(
-            "nowa_stack_map_failures_total",
-            "Stack-map attempts absorbed by the bounded-retry path.",
-            self.stack_map_failures() as f64,
-        );
-
-        let s = self.stats();
-        let totals: [(&str, &str, u64); 26] = [
-            (
-                "nowa_spawns_total",
-                "Continuations offered to thieves.",
-                s.spawns,
-            ),
-            (
-                "nowa_unoffered_total",
-                "Spawns elided (deque full).",
-                s.unoffered,
-            ),
-            (
-                "nowa_fast_pops_total",
-                "Fast-path continuation pops.",
-                s.fast_pops,
-            ),
-            ("nowa_steals_total", "Successful steals.", s.steals),
-            (
-                "nowa_steal_empty_total",
-                "Steal attempts on empty deques.",
-                s.steal_empty,
-            ),
-            (
-                "nowa_steal_retry_total",
-                "Steal attempts that lost a race.",
-                s.steal_retry,
-            ),
-            (
-                "nowa_own_takes_total",
-                "Local takes by the work-finding loop.",
-                s.own_takes,
-            ),
-            ("nowa_joins_total", "Child joins.", s.joins),
-            (
-                "nowa_syncs_inline_total",
-                "Syncs satisfied without suspending.",
-                s.syncs_inline,
-            ),
-            (
-                "nowa_suspensions_total",
-                "Syncs that suspended the frame.",
-                s.suspensions,
-            ),
-            (
-                "nowa_sync_resumes_total",
-                "Suspended syncs resumed by joiners.",
-                s.sync_resumes,
-            ),
-            (
-                "nowa_cancels_total",
-                "Cooperative checkpoints that raised cancellation.",
-                s.cancels,
-            ),
-            (
-                "nowa_aborts_total",
-                "Suspended syncs resumed into a cancelled scope.",
-                s.aborts,
-            ),
-            ("nowa_roots_total", "Root tasks executed.", s.roots),
-            (
-                "nowa_parks_total",
-                "Futex parks entered by the idle engine.",
-                s.parks,
-            ),
-            (
-                "nowa_wakes_issued_total",
-                "Targeted wakes issued.",
-                s.wakes_issued,
-            ),
-            (
-                "nowa_wakes_spurious_total",
-                "Parks ended without a targeted wake.",
-                s.wakes_spurious,
-            ),
-            (
-                "nowa_parked_ns_total",
-                "Nanoseconds spent parked.",
-                s.parked_ns,
-            ),
-            (
-                "nowa_promotions_total",
-                "Private-to-public promotion batches (split deque).",
-                s.promotions,
-            ),
-            (
-                "nowa_promoted_items_total",
-                "Items moved public by promotion batches.",
-                s.promoted_items,
-            ),
-            (
-                "nowa_private_pops_total",
-                "Fast-path pops served by the private segment.",
-                s.private_pops,
-            ),
-            (
-                "nowa_async_parks_total",
-                "block_on continuations parked behind a waker.",
-                s.async_parks,
-            ),
-            (
-                "nowa_async_resumes_total",
-                "Parked async continuations resumed.",
-                s.async_resumes,
-            ),
-            (
-                "nowa_reactor_polls_total",
-                "Reactor polls (epoll_wait + dispatch).",
-                s.reactor_polls,
-            ),
-            (
-                "nowa_reactor_events_total",
-                "I/O readiness events dispatched.",
-                s.reactor_events,
-            ),
-            (
-                "nowa_timer_fires_total",
-                "Timer-wheel entries fired.",
-                s.timer_fires,
-            ),
-        ];
-        for (name, help, value) in totals {
-            reg.counter(name, help, value as f64);
-        }
-        reg.gauge(
-            "nowa_fast_path_ratio",
-            "Fraction of consumed continuations reclaimed on the fast path.",
-            s.fast_path_ratio(),
-        );
-        reg.gauge(
-            "nowa_steal_success_ratio",
-            "Fraction of steal attempts that succeeded.",
-            s.steal_success_ratio(),
-        );
-        reg.gauge(
-            "nowa_targeted_wake_ratio",
-            "Fraction of parks ended by a targeted wake.",
-            s.targeted_wake_ratio(),
-        );
-        reg.gauge(
-            "nowa_promotion_ratio",
-            "Fraction of spawned continuations that ever became public.",
-            s.promotion_ratio(),
-        );
-
-        for (i, w) in self.shared.stats.iter().enumerate() {
-            let one = std::slice::from_ref(w);
-            let per = StatsSnapshot::aggregate(one);
-            let labels = [("worker", i.to_string())];
-            reg.counter_with(
-                "nowa_worker_spawns_total",
-                "Continuations offered, per worker.",
-                &labels,
-                per.spawns as f64,
-            );
-            reg.counter_with(
-                "nowa_worker_steals_total",
-                "Successful steals, per worker.",
-                &labels,
-                per.steals as f64,
-            );
-            reg.counter_with(
-                "nowa_worker_parks_total",
-                "Futex parks, per worker.",
-                &labels,
-                per.parks as f64,
-            );
-        }
-        reg
-    }
-
-    /// The live metrics in Prometheus text exposition format. See
-    /// [`Runtime::metrics_registry`] for what is exported.
-    #[cfg(feature = "trace")]
-    pub fn metrics_text(&self) -> String {
-        self.metrics_registry().render_prometheus()
-    }
-
-    /// The live metrics as JSON. See [`Runtime::metrics_registry`].
-    #[cfg(feature = "trace")]
-    pub fn metrics_json(&self) -> String {
-        self.metrics_registry().render_json()
     }
 
     /// Runs `f` as a root task on the runtime and blocks until it finishes,

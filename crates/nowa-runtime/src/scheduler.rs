@@ -44,9 +44,8 @@ use nowa_context::Stack;
 use crate::cancel::{self, Cancelled};
 use crate::chaos;
 use crate::flavor::{with_protocol, Protocol};
-use crate::obs;
 use crate::record::{Frame, SpawnRecord};
-use crate::stats::WorkerStats;
+use crate::stats::{self, frame_id, Counter};
 use crate::worker::{
     current_worker, find_work_in, resume_record, resume_sync, AbortOnUnwind, FlavoredWorker, Worker,
 };
@@ -113,23 +112,20 @@ where
 
         // ---- the continuation: resumed by this worker (fast path), a
         // thief, or a work-finding self-pop; possibly on another thread.
-        let worker = finish_resume(payload, record.stack.take());
-        // Steal-to-first-poll: if this resume consumed a steal, the stolen
-        // continuation is now runnable — stop the clock.
-        obs::on_resume_finished(worker);
+        finish_resume(payload, record.stack.take());
     }
 }
 
 /// Re-establishes the `current_stack` invariant at a resume site — `stack`
 /// is the one the resumed control flow lives on — and recycles the stack
-/// the resumer abandoned. Returns the resuming worker.
+/// the resumer abandoned.
 ///
 /// # Safety
 /// `payload` must be the `*mut Worker` the resumer delivered (every resume
 /// site in this runtime passes the resuming worker), valid for the whole
 /// call and not aliased by another thread.
 #[inline]
-pub(crate) unsafe fn finish_resume(payload: *mut c_void, stack: Option<Stack>) -> *mut Worker {
+pub(crate) unsafe fn finish_resume(payload: *mut c_void, stack: Option<Stack>) {
     let worker = payload as *mut Worker;
     unsafe {
         debug_assert!((*worker).current_stack.is_none());
@@ -138,8 +134,11 @@ pub(crate) unsafe fn finish_resume(payload: *mut c_void, stack: Option<Stack>) -
         if let Some(stack) = (*worker).pending_recycle.take() {
             (*worker).cache.put(stack);
         }
+        // Steal-to-first-poll: if this resume consumed a steal, the stolen
+        // continuation is now runnable — stop the clock.
+        #[cfg(feature = "trace")]
+        crate::obs::resume_finished(worker);
     }
-    worker
 }
 
 // SAFETY: callers: invoked only via `capture_and_run_on` with `arg` pointing
@@ -164,34 +163,29 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
             .expect("closure staged by spawn_execute");
         (*worker).current_stack = (*worker).incoming_stack.take();
         let deque = &(*FlavoredWorker::<P>::of(worker)).deque;
-        let split = {
-            let w: &Worker = &*worker;
-            w.shared.config.split
-        };
 
         // Chaos: maybe yield right before the push, widening the window in
         // which thieves observe the pre-push deque state; maybe force an
         // out-of-band promotion batch (or arm a promotion failure).
         chaos::on_spawn_push(worker);
         if chaos::on_force_promote(worker) {
-            let moved = P::force_promote(deque, split.promote_batch.max(1));
-            crate::worker::note_promotion(worker, moved);
+            crate::worker::promote_batch::<P>(worker);
         }
         let pushed = P::push(deque, nowa_deque::Ptr::from_ref(&*record));
         let offered = pushed.is_some();
         if let Some(promoted) = pushed {
-            WorkerStats::bump(&(*worker).stats().spawns);
+            stats::bump_spawn(worker, frame, || P::occupancy(deque) as u64);
             crate::worker::note_promotion(worker, promoted);
-            obs::on_spawn(worker, frame, || P::occupancy(deque) as u64);
-            // Idle engine: wake a thief only for work it can see. With the
-            // split layer on, a push that promoted nothing is private —
-            // invisible to thieves — so wakes ride promotions (which a
-            // hungry sweep guarantees before any thief parks).
-            if !split.enabled || promoted > 0 {
+            // Idle engine: wake a thief only for work it can see. A push
+            // into a private segment that promoted nothing is invisible to
+            // thieves, so there wakes ride promotions (which a hungry
+            // sweep guarantees before any thief parks); a deque without a
+            // private segment publishes every push.
+            if promoted > 0 || !P::has_private_segment(deque) {
                 crate::worker::wake_after_spawn::<P>(worker);
             }
         } else {
-            WorkerStats::bump(&(*worker).stats().unoffered);
+            stats::bump(worker, Counter::unoffered, 0);
         }
 
         // The child, called directly (no further runtime involvement). An
@@ -232,21 +226,18 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
 
         match P::pop_or_join(deque, &*frame) {
             crate::record::AfterChild::Continue => {
-                WorkerStats::bump(&(*worker).stats().fast_pops);
+                stats::bump(worker, Counter::fast_pops, frame_id(frame));
                 if P::last_pop_was_private(deque) {
-                    WorkerStats::bump(&(*worker).stats().private_pops);
+                    stats::bump(worker, Counter::private_pops, 0);
                 }
-                obs::on_fast_pop(worker, frame);
                 resume_record(worker, nowa_deque::Ptr::from_ref(&*record))
             }
             crate::record::AfterChild::ResumeSync => {
-                WorkerStats::bump(&(*worker).stats().joins);
-                obs::on_join(worker, frame);
+                stats::bump(worker, Counter::joins, frame_id(frame));
                 resume_sync(worker, frame)
             }
             crate::record::AfterChild::OutOfWork => {
-                WorkerStats::bump(&(*worker).stats().joins);
-                obs::on_join(worker, frame);
+                stats::bump(worker, Counter::joins, frame_id(frame));
                 find_work_in::<P>()
             }
         }
@@ -302,8 +293,7 @@ unsafe fn sync_in<P: Protocol>(worker: *mut Worker, frame: &Frame) {
         if !forced_suspend && P::sync_precheck(frame) {
             // All children joined: proceed without suspending (Invariant
             // III makes α stable here, so the check is exact).
-            WorkerStats::bump(&(*worker).stats().syncs_inline);
-            obs::on_sync_inline(worker, frame);
+            stats::bump(worker, Counter::syncs_inline, frame_id(frame));
             P::rearm(frame);
             return;
         }
@@ -339,8 +329,7 @@ unsafe extern "C" fn sync_body<P: Protocol>(arg: *mut c_void) -> ! {
         let args = &mut *(arg as *mut SyncArgs);
         let worker = args.worker;
         let frame = args.frame;
-        WorkerStats::bump(&(*worker).stats().suspensions);
-        obs::on_sync_suspend(worker, frame);
+        stats::bump(worker, Counter::suspensions, frame_id(frame));
         // Chaos: a forced cancellation at the suspend boundary drives the
         // cancel-during-suspended-sync path (children unwind, the last
         // joiner retires the suspension, the resume becomes an abort).

@@ -1,237 +1,284 @@
-//! Scheduler statistics, kept per worker to avoid false sharing.
+//! The event table: every scheduler event the runtime counts — its field
+//! name, its help text, whether it is watchdog progress, and the trace
+//! event it emits — defined once, in `event_table!` below.
+//!
+//! Everything else about a counter is generated from its row: the
+//! per-worker cell in [`WorkerStats`], the public [`StatsSnapshot`] field,
+//! `aggregate`/`merge`/`progress`, the `(name, help, value)` iterator all
+//! renderers walk ([`crate::snapshot`]), and — with the `trace` cargo
+//! feature — the route into the trace buffer and flight ring
+//! (`obs.rs`). **Adding a counter is a one-row diff here** plus the
+//! `bump`/`add` call where the event happens.
+//!
+//! **Single-writer invariant.** A worker's counters are written only by
+//! the thread currently running *as* that worker: every emission goes
+//! through the calling thread's own `(*worker).stats()`. A bump is
+//! therefore a `Relaxed` load plus a `Relaxed` store — no `lock`-prefixed
+//! read-modify-write on the spawn path. Readers (snapshots, the watchdog)
+//! may observe a counter slightly stale, never torn and never decreasing.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-worker event counters. Each instance is cache-line padded; all
-/// increments are `Relaxed` (statistics only, never synchronisation).
+use crate::record::Frame;
+use crate::worker::Worker;
+
+/// Declares the table; see the module docs for what each column generates.
+/// `trace` is an expression of type `obs::Trace`, resolved only when the
+/// `trace` feature compiles `obs.rs` in.
+macro_rules! event_table {
+    ($( $name:ident: progress $progress:literal, trace $trace:expr, $help:literal; )*) => {
+        /// A row of the event table: names the counter an emission bumps.
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $( #[doc = $help] $name, )*
+        }
+
+        impl Counter {
+            /// Number of rows.
+            pub const COUNT: usize = [$( Counter::$name ),*].len();
+
+            /// How this row reaches the trace buffer and flight ring.
+            #[cfg(feature = "trace")]
+            #[inline(always)]
+            pub(crate) const fn trace(self) -> crate::obs::Trace {
+                use crate::obs::Trace::*;
+                use nowa_trace::EventKind as K;
+                match self {
+                    $( Counter::$name => $trace, )*
+                }
+            }
+        }
+
+        /// Scheduler counters: one worker's, or a sum over workers
+        /// ([`StatsSnapshot::aggregate`]) or runs ([`StatsSnapshot::merge`]).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $( #[doc = $help] pub $name: u64, )*
+        }
+
+        impl StatsSnapshot {
+            /// Every counter as `(name, help, value)`, in table order — the
+            /// one iterator the text, Prometheus and JSON renderers walk.
+            pub fn fields(&self) -> [(&'static str, &'static str, u64); Counter::COUNT] {
+                [$( (stringify!($name), $help, self.$name), )*]
+            }
+
+            /// Adds another snapshot's counters into this one (e.g. to
+            /// aggregate over several runtimes or benchmark runs).
+            pub fn merge(&mut self, other: &StatsSnapshot) {
+                $( self.$name += other.$name; )*
+            }
+        }
+
+        impl WorkerStats {
+            /// This worker's counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot { $( $name: self.get(Counter::$name), )* }
+            }
+
+            /// A monotonically increasing progress measure for the stall
+            /// watchdog: the sum of every row marked `progress`.
+            pub fn progress(&self) -> u64 {
+                let mut sum = 0u64;
+                $( if $progress { sum = sum.wrapping_add(self.get(Counter::$name)); } )*
+                sum
+            }
+        }
+    };
+}
+
+// Progress rows are the events that show a strand moved: scheduling
+// events, async parking/resumption (the strand moved, it didn't wedge),
+// cancellation work (a worker cooperatively unwinding a cancelled subtree
+// must not read as stalled), and the idle heartbeat.
+event_table! {
+    spawns: progress true, trace Spawn,
+        "Continuations offered to thieves (spawns).";
+    unoffered: progress false, trace Off,
+        "Spawns whose continuation could not be offered (bounded deque full).";
+    fast_pops: progress true, trace Hot(K::FastPop),
+        "Fast-path pops: the continuation was not stolen.";
+    steals: progress true, trace Steal,
+        "Successful steals from other workers.";
+    steal_empty: progress false, trace Sweep { kind: K::StealEmpty, while_idle: false },
+        "Steal attempts that found the victim's deque empty.";
+    steal_retry: progress false, trace Sweep { kind: K::StealRetry, while_idle: true },
+        "Steal attempts that lost a race and had to retry.";
+    own_takes: progress true, trace Work(K::OwnTake),
+        "Local continuations taken by the work-finding loop.";
+    joins: progress true, trace Hot(K::Join),
+        "Child joins (continuation found stolen after the child returned).";
+    syncs_inline: progress true, trace Hot(K::SyncInline),
+        "Explicit syncs satisfied inline (no suspension).";
+    suspensions: progress true, trace Rare(K::SyncSuspend),
+        "Explicit syncs that suspended the frame.";
+    sync_resumes: progress true, trace Work(K::SyncResume),
+        "Suspended sync continuations resumed by a last joiner.";
+    cancels: progress true, trace Rare(K::Cancel),
+        "Cooperative checkpoints that raised cancellation (each strand raises at most once).";
+    aborts: progress true, trace Work(K::Abort),
+        "Suspended syncs resumed into a cancelled scope (the CQS-style abort path).";
+    roots: progress true, trace Work(K::Root),
+        "Root tasks executed.";
+    idle_sweeps: progress true, trace Idle,
+        "Work-finding sweeps that found nothing (the liveness heartbeat of an idle worker).";
+    parks: progress false, trace Park,
+        "Futex parks entered by the idle engine (announce survived the validation re-scan).";
+    wakes_issued: progress false, trace Rare(K::Wake),
+        "Targeted wakes issued by this worker's spawn/submit path.";
+    wakes_spurious: progress false, trace Off,
+        "Parks that ended without a targeted wake (timeout, stale epoch, injected spurious return).";
+    parked_ns: progress false, trace Unpark,
+        "Nanoseconds spent inside futex parks.";
+    promotions: progress false, trace Off,
+        "Private-to-public promotion batches (split deque).";
+    promoted_items: progress false, trace Off,
+        "Items moved public by promotion batches.";
+    private_pops: progress false, trace Off,
+        "Owner pops served by the private segment (zero shared atomics touched).";
+    async_parks: progress true, trace Rare(K::AsyncPark),
+        "block_on continuations parked behind a waker.";
+    async_resumes: progress true, trace Work(K::AsyncWake),
+        "Parked async continuations resumed (by a claimer, or in place after a lost publish race).";
+    reactor_polls: progress false, trace Off,
+        "Reactor polls performed (epoll_wait + dispatch).";
+    reactor_events: progress false, trace Rare(K::ReactorPoll),
+        "I/O readiness events dispatched by reactor polls.";
+    timer_fires: progress false, trace Rare(K::TimerFire),
+        "Timer-wheel entries fired by reactor polls.";
+}
+
+/// Per-worker event counters, cache-line padded so two workers' counters
+/// never share a line. Written only by their owner (see the module docs).
 #[repr(align(128))]
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct WorkerStats {
-    /// Continuations offered to thieves (spawns).
-    pub spawns: AtomicU64,
-    /// Spawns whose continuation could not be offered (bounded deque full).
-    pub unoffered: AtomicU64,
-    /// Fast-path pops: the continuation was not stolen.
-    pub fast_pops: AtomicU64,
-    /// Successful steals from other workers.
-    pub steals: AtomicU64,
-    /// Steal attempts that found the victim's deque empty.
-    pub steal_empty: AtomicU64,
-    /// Steal attempts that lost a race and had to retry.
-    pub steal_retry: AtomicU64,
-    /// Local continuations taken by the work-finding loop.
-    pub own_takes: AtomicU64,
-    /// Child joins (continuation found stolen after child returned).
-    pub joins: AtomicU64,
-    /// Explicit syncs satisfied inline (no suspension).
-    pub syncs_inline: AtomicU64,
-    /// Explicit syncs that suspended the frame.
-    pub suspensions: AtomicU64,
-    /// Suspended sync continuations resumed by a last joiner.
-    pub sync_resumes: AtomicU64,
-    /// Cooperative checkpoints that raised cancellation (the strand
-    /// started unwinding with a `Cancelled` payload).
-    pub cancels: AtomicU64,
-    /// Suspended syncs whose last joiner resumed them into a cancelled
-    /// scope — the CQS-style abort path: the suspension was retired and
-    /// the continuation woken specifically to unwind.
-    pub aborts: AtomicU64,
-    /// Root tasks executed.
-    pub roots: AtomicU64,
-    /// Futex parks entered by the idle engine (announce survived the
-    /// validation re-scan and the worker actually waited).
-    pub parks: AtomicU64,
-    /// Targeted wakes issued by this worker's spawn/submit path.
-    pub wakes_issued: AtomicU64,
-    /// Parks that ended without a targeted wake (timeout, stale epoch, or
-    /// an injected spurious return).
-    pub wakes_spurious: AtomicU64,
-    /// Nanoseconds spent inside futex parks.
-    pub parked_ns: AtomicU64,
-    /// Private→public promotion batches (split deque, §6g).
-    pub promotions: AtomicU64,
-    /// Items moved public by those batches.
-    pub promoted_items: AtomicU64,
-    /// Fast-path pops served entirely by the private segment — the pops
-    /// that touched zero shared atomics.
-    pub private_pops: AtomicU64,
-    /// `block_on` continuations parked behind a waker (async surface).
-    pub async_parks: AtomicU64,
-    /// Parked async continuations resumed (by a claimer or in place after
-    /// a lost publish race).
-    pub async_resumes: AtomicU64,
-    /// Reactor polls performed by this worker (epoll_wait + dispatch).
-    pub reactor_polls: AtomicU64,
-    /// I/O events dispatched by those polls.
-    pub reactor_events: AtomicU64,
-    /// Timer-wheel entries fired by this worker's reactor polls.
-    pub timer_fires: AtomicU64,
-    /// Work-finding loop iterations. Not part of [`StatsSnapshot`] (it's a
-    /// liveness heartbeat, not a scheduling event): an idle worker still
-    /// ticks every backoff period, so the stall watchdog can tell "parked
-    /// and healthy" from "wedged".
-    pub loop_ticks: AtomicU64,
+    counters: [AtomicU64; Counter::COUNT],
+}
+
+impl Default for WorkerStats {
+    fn default() -> WorkerStats {
+        WorkerStats {
+            counters: core::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
 }
 
 impl WorkerStats {
+    /// Current value of one counter.
     #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
-    /// Adds `n` to a counter — the batch form of [`WorkerStats::bump`],
-    /// used by the promotion bookkeeping.
-    #[inline]
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A monotonically increasing progress measure for the stall watchdog:
-    /// any scheduling event or work-finding iteration advances it.
-    pub fn progress(&self) -> u64 {
-        self.loop_ticks
-            .load(Ordering::Relaxed)
-            .wrapping_add(self.spawns.load(Ordering::Relaxed))
-            .wrapping_add(self.fast_pops.load(Ordering::Relaxed))
-            .wrapping_add(self.joins.load(Ordering::Relaxed))
-            .wrapping_add(self.syncs_inline.load(Ordering::Relaxed))
-            .wrapping_add(self.suspensions.load(Ordering::Relaxed))
-            .wrapping_add(self.sync_resumes.load(Ordering::Relaxed))
-            // Async parking and resumption are progress for the same
-            // reason suspensions are: the strand moved, it didn't wedge.
-            .wrapping_add(self.async_parks.load(Ordering::Relaxed))
-            .wrapping_add(self.async_resumes.load(Ordering::Relaxed))
-            // Cancellation work is progress: a worker cooperatively
-            // unwinding a cancelled subtree must not read as stalled.
-            .wrapping_add(self.cancels.load(Ordering::Relaxed))
-            .wrapping_add(self.aborts.load(Ordering::Relaxed))
-            .wrapping_add(self.roots.load(Ordering::Relaxed))
-            .wrapping_add(self.own_takes.load(Ordering::Relaxed))
-            .wrapping_add(self.steals.load(Ordering::Relaxed))
+    /// Adds `n` to a counter. Owner-only: the load/store pair is not an
+    /// atomic increment, and need not be (single-writer invariant).
+    #[inline(always)]
+    fn add(&self, counter: Counter, n: u64) {
+        let cell = &self.counters[counter as usize];
+        cell.store(
+            cell.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
     }
 }
 
-/// An aggregated snapshot over all workers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Continuations offered to thieves (spawns).
-    pub spawns: u64,
-    /// Spawns that could not be offered (bounded deque full).
-    pub unoffered: u64,
-    /// Fast-path pops.
-    pub fast_pops: u64,
-    /// Successful steals.
-    pub steals: u64,
-    /// Steal attempts that found an empty deque.
-    pub steal_empty: u64,
-    /// Steal attempts that lost a race and retried.
-    pub steal_retry: u64,
-    /// Local takes by the work-finding loop.
-    pub own_takes: u64,
-    /// Child joins.
-    pub joins: u64,
-    /// Inline syncs.
-    pub syncs_inline: u64,
-    /// Suspending syncs.
-    pub suspensions: u64,
-    /// Sync resumptions by last joiners.
-    pub sync_resumes: u64,
-    /// Cooperative checkpoints that raised cancellation.
-    pub cancels: u64,
-    /// Suspended syncs resumed into a cancelled scope (abort path).
-    pub aborts: u64,
-    /// Root tasks executed.
-    pub roots: u64,
-    /// Futex parks entered by the idle engine.
-    pub parks: u64,
-    /// Targeted wakes issued by spawn/submit paths.
-    pub wakes_issued: u64,
-    /// Parks that ended without a targeted wake.
-    pub wakes_spurious: u64,
-    /// Nanoseconds spent parked.
-    pub parked_ns: u64,
-    /// Private→public promotion batches (split deque).
-    pub promotions: u64,
-    /// Items moved public by promotion batches.
-    pub promoted_items: u64,
-    /// Fast-path pops served by the private segment.
-    pub private_pops: u64,
-    /// `block_on` continuations parked behind a waker.
-    pub async_parks: u64,
-    /// Parked async continuations resumed.
-    pub async_resumes: u64,
-    /// Reactor polls (epoll_wait + dispatch).
-    pub reactor_polls: u64,
-    /// I/O events dispatched by reactor polls.
-    pub reactor_events: u64,
-    /// Timer-wheel entries fired.
-    pub timer_fires: u64,
+/// The single emission point: adds `n` to the calling worker's `counter`
+/// and, with the `trace` feature, routes the event per its table row.
+///
+/// # Safety
+/// `worker` must be the calling thread's live worker.
+#[inline(always)]
+unsafe fn emit(
+    worker: *mut Worker,
+    counter: Counter,
+    n: u64,
+    arg: u64,
+    occupancy: impl FnOnce() -> u64,
+) {
+    // SAFETY: live worker per the function contract; `stats` only reads
+    // the header's `shared`/`index`.
+    unsafe { (*worker).stats() }.add(counter, n);
+    // SAFETY: same contract, forwarded.
+    #[cfg(feature = "trace")]
+    unsafe {
+        crate::obs::record(worker, counter.trace(), arg, occupancy)
+    };
+    #[cfg(not(feature = "trace"))]
+    let _ = (arg, occupancy);
+}
+
+/// One occurrence of the scheduler event `counter`. `arg` is its trace
+/// argument — a [`frame_id`], a victim/target index, an async cell id;
+/// unused (and compiled out) without the `trace` feature.
+///
+/// # Safety
+/// `worker` must be the calling thread's live worker.
+// lint: hot-path
+#[inline(always)]
+pub(crate) unsafe fn bump(worker: *mut Worker, counter: Counter, arg: u64) {
+    // SAFETY: contract forwarded.
+    unsafe { emit(worker, counter, 1, arg, || 0) }
+}
+
+/// The batch form of [`bump`]: `n` occurrences at once (promoted items,
+/// dispatched I/O events, parked nanoseconds); `n` is also the trace
+/// argument.
+///
+/// # Safety
+/// `worker` must be the calling thread's live worker.
+#[inline(always)]
+pub(crate) unsafe fn add(worker: *mut Worker, counter: Counter, n: u64) {
+    // SAFETY: contract forwarded.
+    unsafe { emit(worker, counter, n, n, || 0) }
+}
+
+/// An offered spawn of `frame`. Only offered spawns are events: only they
+/// create a deque record, and a causal `Spawn` for an elided offer would
+/// be a phantom record in DAG replay. `occupancy` is the caller's
+/// protocol-typed probe of its own deque, run only on sampled spawns of a
+/// tracing runtime.
+///
+/// # Safety
+/// `worker` must be the calling thread's live worker.
+// lint: hot-path
+#[inline(always)]
+pub(crate) unsafe fn bump_spawn(
+    worker: *mut Worker,
+    frame: *const Frame,
+    occupancy: impl FnOnce() -> u64,
+) {
+    // SAFETY: contract forwarded.
+    unsafe { emit(worker, Counter::spawns, 1, frame_id(frame), occupancy) }
+}
+
+/// A compact trace id for a frame, derived from its address (frames are
+/// ≥ 16-byte aligned; the dead bits are dropped). Null maps to 0 — an
+/// ambient cancellation checkpoint outside any join frame. Collisions
+/// merely mis-pair events in a report; soundness is unaffected.
+#[inline(always)]
+pub(crate) fn frame_id(frame: *const Frame) -> u64 {
+    (frame as usize as u64) >> 4
+}
+
+/// Safe ratio: 0 when the denominator is 0.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
 }
 
 impl StatsSnapshot {
-    /// Aggregates per-worker counters.
+    /// Sums per-worker counters.
     pub fn aggregate(stats: &[WorkerStats]) -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
+        let mut sum = StatsSnapshot::default();
         for w in stats {
-            s.spawns += w.spawns.load(Ordering::Relaxed);
-            s.unoffered += w.unoffered.load(Ordering::Relaxed);
-            s.fast_pops += w.fast_pops.load(Ordering::Relaxed);
-            s.steals += w.steals.load(Ordering::Relaxed);
-            s.steal_empty += w.steal_empty.load(Ordering::Relaxed);
-            s.steal_retry += w.steal_retry.load(Ordering::Relaxed);
-            s.own_takes += w.own_takes.load(Ordering::Relaxed);
-            s.joins += w.joins.load(Ordering::Relaxed);
-            s.syncs_inline += w.syncs_inline.load(Ordering::Relaxed);
-            s.suspensions += w.suspensions.load(Ordering::Relaxed);
-            s.sync_resumes += w.sync_resumes.load(Ordering::Relaxed);
-            s.cancels += w.cancels.load(Ordering::Relaxed);
-            s.aborts += w.aborts.load(Ordering::Relaxed);
-            s.roots += w.roots.load(Ordering::Relaxed);
-            s.parks += w.parks.load(Ordering::Relaxed);
-            s.wakes_issued += w.wakes_issued.load(Ordering::Relaxed);
-            s.wakes_spurious += w.wakes_spurious.load(Ordering::Relaxed);
-            s.parked_ns += w.parked_ns.load(Ordering::Relaxed);
-            s.promotions += w.promotions.load(Ordering::Relaxed);
-            s.promoted_items += w.promoted_items.load(Ordering::Relaxed);
-            s.private_pops += w.private_pops.load(Ordering::Relaxed);
-            s.async_parks += w.async_parks.load(Ordering::Relaxed);
-            s.async_resumes += w.async_resumes.load(Ordering::Relaxed);
-            s.reactor_polls += w.reactor_polls.load(Ordering::Relaxed);
-            s.reactor_events += w.reactor_events.load(Ordering::Relaxed);
-            s.timer_fires += w.timer_fires.load(Ordering::Relaxed);
+            sum.merge(&w.snapshot());
         }
-        s
-    }
-
-    /// Adds another snapshot's counters into this one (e.g. to aggregate
-    /// over several runtimes or benchmark runs).
-    pub fn merge(&mut self, other: &StatsSnapshot) {
-        self.spawns += other.spawns;
-        self.unoffered += other.unoffered;
-        self.fast_pops += other.fast_pops;
-        self.steals += other.steals;
-        self.steal_empty += other.steal_empty;
-        self.steal_retry += other.steal_retry;
-        self.own_takes += other.own_takes;
-        self.joins += other.joins;
-        self.syncs_inline += other.syncs_inline;
-        self.suspensions += other.suspensions;
-        self.sync_resumes += other.sync_resumes;
-        self.cancels += other.cancels;
-        self.aborts += other.aborts;
-        self.roots += other.roots;
-        self.parks += other.parks;
-        self.wakes_issued += other.wakes_issued;
-        self.wakes_spurious += other.wakes_spurious;
-        self.parked_ns += other.parked_ns;
-        self.promotions += other.promotions;
-        self.promoted_items += other.promoted_items;
-        self.private_pops += other.private_pops;
-        self.async_parks += other.async_parks;
-        self.async_resumes += other.async_resumes;
-        self.reactor_polls += other.reactor_polls;
-        self.reactor_events += other.reactor_events;
-        self.timer_fires += other.timer_fires;
+        sum
     }
 
     /// Total steal attempts, successful or not.
@@ -240,55 +287,86 @@ impl StatsSnapshot {
     }
 
     /// Conservation invariant: every consumed continuation was either
-    /// popped back by its pusher, stolen, or taken locally.
+    /// popped back by its pusher, stolen, or taken locally — at quiescence
+    /// this equals `spawns`.
     pub fn continuations_consumed(&self) -> u64 {
         self.fast_pops + self.steals + self.own_takes
     }
 
     /// Fraction of steal attempts that succeeded (0 when none were made).
     pub fn steal_success_ratio(&self) -> f64 {
-        let attempts = self.steal_attempts();
-        if attempts == 0 {
-            0.0
-        } else {
-            self.steals as f64 / attempts as f64
-        }
+        ratio(self.steals, self.steal_attempts())
     }
 
     /// Fraction of consumed continuations reclaimed on the fast path —
-    /// popped back by their own spawner without any scheduling (0 when
-    /// nothing was consumed). High values mean the paper's "work-first"
-    /// discipline is holding: stealing stays the exception.
+    /// popped back by their own spawner without any scheduling. High
+    /// values mean the paper's "work-first" discipline is holding:
+    /// stealing stays the exception.
     pub fn fast_path_ratio(&self) -> f64 {
-        let consumed = self.continuations_consumed();
-        if consumed == 0 {
-            0.0
-        } else {
-            self.fast_pops as f64 / consumed as f64
-        }
+        ratio(self.fast_pops, self.continuations_consumed())
     }
 
-    /// Fraction of spawns whose continuation ever became publicly visible
-    /// (0 when nothing was spawned). Low values mean the split layer is
-    /// doing its job: most continuations lived and died in the private
-    /// segment without a single shared-atomic store.
+    /// Fraction of spawns whose continuation ever became publicly visible.
+    /// Low values mean the split layer is doing its job: most
+    /// continuations lived and died in the private segment without a
+    /// single shared-atomic store.
     pub fn promotion_ratio(&self) -> f64 {
-        if self.spawns == 0 {
-            0.0
-        } else {
-            self.promoted_items as f64 / self.spawns as f64
-        }
+        ratio(self.promoted_items, self.spawns)
     }
 
     /// Fraction of parks that ended by a targeted wake rather than a
-    /// timeout/stale epoch (0 when no parks happened). High values mean
-    /// the wake hook, not the `max_park` safety net, is doing the waking.
+    /// timeout/stale epoch. High values mean the wake hook, not the
+    /// `max_park` safety net, is doing the waking.
     pub fn targeted_wake_ratio(&self) -> f64 {
-        if self.parks == 0 {
-            0.0
-        } else {
-            (self.parks - self.wakes_spurious.min(self.parks)) as f64 / self.parks as f64
+        ratio(self.parks - self.wakes_spurious.min(self.parks), self.parks)
+    }
+
+    /// The derived ratios as `(name, help, value)` — rendered after the
+    /// counters of [`StatsSnapshot::fields`] by every renderer.
+    pub fn ratios(&self) -> [(&'static str, &'static str, f64); 4] {
+        [
+            (
+                "fast_path_ratio",
+                "Fraction of consumed continuations reclaimed on the fast path.",
+                self.fast_path_ratio(),
+            ),
+            (
+                "steal_success_ratio",
+                "Fraction of steal attempts that succeeded.",
+                self.steal_success_ratio(),
+            ),
+            (
+                "targeted_wake_ratio",
+                "Fraction of parks ended by a targeted wake.",
+                self.targeted_wake_ratio(),
+            ),
+            (
+                "promotion_ratio",
+                "Fraction of spawned continuations that ever became public.",
+                self.promotion_ratio(),
+            ),
+        ]
+    }
+
+    /// The body of the text table: one line per counter and ratio, a name
+    /// cell followed by one value cell per snapshot in `columns` (workers
+    /// of one runtime, or systems of one benchmark).
+    pub fn table_rows(columns: &[StatsSnapshot]) -> Vec<Vec<String>> {
+        let names = StatsSnapshot::default();
+        let counter_names = names.fields().into_iter().map(|(name, ..)| name);
+        let ratio_names = names.ratios().into_iter().map(|(name, ..)| name);
+        let mut rows: Vec<Vec<String>> = counter_names
+            .chain(ratio_names)
+            .map(|name| vec![name.to_string()])
+            .collect();
+        for column in columns {
+            let counters = column.fields().into_iter().map(|(.., v)| v.to_string());
+            let ratios = column.ratios().into_iter().map(|(.., r)| format!("{r:.4}"));
+            for (row, cell) in rows.iter_mut().zip(counters.chain(ratios)) {
+                row.push(cell);
+            }
         }
+        rows
     }
 }
 
@@ -296,96 +374,70 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn aggregate_sums_workers() {
-        let a = WorkerStats::default();
-        let b = WorkerStats::default();
-        a.spawns.store(3, Ordering::Relaxed);
-        b.spawns.store(4, Ordering::Relaxed);
-        a.steals.store(1, Ordering::Relaxed);
-        a.steal_empty.store(5, Ordering::Relaxed);
-        b.steal_retry.store(2, Ordering::Relaxed);
-        let stats = [a, b];
-        let s = StatsSnapshot::aggregate(&stats);
-        assert_eq!(s.spawns, 7);
-        assert_eq!(s.steals, 1);
-        assert_eq!(s.steal_empty, 5);
-        assert_eq!(s.steal_retry, 2);
-        assert_eq!(s.steal_attempts(), 8);
-    }
-
-    /// Watchdog regression: a worker that only cancels/aborts (cooperative
-    /// unwinding of a cancelled subtree) must still read as progressing.
-    #[test]
-    fn cancellation_counts_as_progress() {
+    /// Test-side write access: the owner-only `add` on a detached block.
+    fn stats_with(values: &[(Counter, u64)]) -> WorkerStats {
         let w = WorkerStats::default();
-        let before = w.progress();
-        w.cancels.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            w.progress() > before,
-            "cancel raise not counted as progress"
-        );
-        let before = w.progress();
-        w.aborts.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            w.progress() > before,
-            "abort resume not counted as progress"
-        );
+        for &(c, n) in values {
+            w.add(c, n);
+        }
+        w
     }
 
     #[test]
-    fn padding_prevents_false_sharing() {
-        assert!(core::mem::align_of::<WorkerStats>() >= 128);
-    }
-
-    #[test]
-    fn merge_sums_counters() {
-        let mut a = StatsSnapshot {
-            spawns: 3,
-            steals: 1,
-            ..Default::default()
-        };
-        let b = StatsSnapshot {
-            spawns: 4,
-            steal_empty: 2,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.spawns, 7);
-        assert_eq!(a.steals, 1);
-        assert_eq!(a.steal_empty, 2);
-    }
-
-    #[test]
-    fn idle_counters_aggregate_and_merge() {
-        let w = WorkerStats::default();
-        w.parks.store(4, Ordering::Relaxed);
-        w.wakes_issued.store(3, Ordering::Relaxed);
-        w.wakes_spurious.store(1, Ordering::Relaxed);
-        w.parked_ns.store(12_345, Ordering::Relaxed);
-        let stats = [w];
-        let mut s = StatsSnapshot::aggregate(&stats);
-        assert_eq!(s.parks, 4);
-        assert_eq!(s.wakes_issued, 3);
-        assert_eq!(s.wakes_spurious, 1);
-        assert_eq!(s.parked_ns, 12_345);
-        assert!((s.targeted_wake_ratio() - 0.75).abs() < 1e-12);
+    fn aggregate_and_merge_sum_every_row() {
+        let a = stats_with(&[
+            (Counter::spawns, 3),
+            (Counter::steals, 1),
+            (Counter::parked_ns, 12_345),
+        ]);
+        let b = stats_with(&[
+            (Counter::spawns, 4),
+            (Counter::steal_retry, 2),
+            (Counter::timer_fires, 9),
+        ]);
+        let mut s = StatsSnapshot::aggregate(&[a, b]);
+        assert_eq!((s.spawns, s.steals, s.steal_retry), (7, 1, 2));
+        assert_eq!((s.parked_ns, s.timer_fires), (12_345, 9));
+        assert_eq!(s.steal_attempts(), 3);
         let other = StatsSnapshot {
-            parks: 1,
-            parked_ns: 5,
+            spawns: 1,
+            timer_fires: 1,
             ..Default::default()
         };
         s.merge(&other);
-        assert_eq!(s.parks, 5);
-        assert_eq!(s.parked_ns, 12_350);
-        assert_eq!(StatsSnapshot::default().targeted_wake_ratio(), 0.0);
+        assert_eq!((s.spawns, s.timer_fires), (8, 10));
+        // Generated code covers the table end to end: merging a snapshot
+        // of all-ones raises every field by exactly one.
+        let mut ones = StatsSnapshot::default();
+        let w = WorkerStats::default();
+        for i in 0..Counter::COUNT {
+            w.counters[i].store(1, Ordering::Relaxed);
+        }
+        ones.merge(&w.snapshot());
+        assert!(ones.fields().iter().all(|&(_, _, v)| v == 1));
+    }
+
+    /// Watchdog regression: a worker that only cancels/aborts (cooperative
+    /// unwinding of a cancelled subtree) or only ticks the idle heartbeat
+    /// must still read as progressing; pure bookkeeping must not.
+    #[test]
+    fn progress_follows_the_table_column() {
+        let w = WorkerStats::default();
+        for c in [Counter::cancels, Counter::aborts, Counter::idle_sweeps] {
+            let before = w.progress();
+            w.add(c, 1);
+            assert!(w.progress() > before, "{c:?} not counted as progress");
+        }
+        let before = w.progress();
+        w.add(Counter::steal_empty, 1);
+        w.add(Counter::parked_ns, 1_000);
+        assert_eq!(w.progress(), before, "bookkeeping rows are not progress");
     }
 
     #[test]
     fn ratios() {
         let mut s = StatsSnapshot::default();
-        assert_eq!(s.steal_success_ratio(), 0.0);
-        assert_eq!(s.fast_path_ratio(), 0.0);
+        assert!(s.ratios().iter().all(|&(_, _, r)| r == 0.0));
         s.steals = 1;
         s.steal_empty = 2;
         s.steal_retry = 1;
@@ -394,31 +446,57 @@ mod tests {
         assert!((s.steal_success_ratio() - 0.25).abs() < 1e-12);
         // consumed = 6 + 1 + 1 = 8; fast-path share 6/8.
         assert!((s.fast_path_ratio() - 0.75).abs() < 1e-12);
+        s.parks = 4;
+        s.wakes_spurious = 1;
+        assert!((s.targeted_wake_ratio() - 0.75).abs() < 1e-12);
+        s.spawns = 10;
+        s.promoted_items = 5;
+        assert!((s.promotion_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn promotion_counters_aggregate_and_merge() {
-        let w = WorkerStats::default();
-        WorkerStats::add(&w.promotions, 2);
-        WorkerStats::add(&w.promoted_items, 5);
-        WorkerStats::bump(&w.private_pops);
-        w.spawns.store(10, Ordering::Relaxed);
-        let stats = [w];
-        let mut s = StatsSnapshot::aggregate(&stats);
-        assert_eq!(s.promotions, 2);
-        assert_eq!(s.promoted_items, 5);
-        assert_eq!(s.private_pops, 1);
-        assert!((s.promotion_ratio() - 0.5).abs() < 1e-12);
-        let other = StatsSnapshot {
-            promotions: 1,
-            promoted_items: 3,
-            private_pops: 4,
+    fn table_rows_cover_every_field_once() {
+        let s = StatsSnapshot {
+            parks: 10,
+            wakes_spurious: 3,
             ..Default::default()
         };
-        s.merge(&other);
-        assert_eq!(s.promotions, 3);
-        assert_eq!(s.promoted_items, 8);
-        assert_eq!(s.private_pops, 5);
-        assert_eq!(StatsSnapshot::default().promotion_ratio(), 0.0);
+        let rows = StatsSnapshot::table_rows(&[s, StatsSnapshot::default()]);
+        assert_eq!(rows.len(), Counter::COUNT + 4);
+        assert!(rows.iter().all(|r| r.len() == 3));
+        let find = |name: &str| rows.iter().find(|r| r[0] == name).expect(name);
+        assert_eq!(find("parks")[1..], ["10", "0"]);
+        assert_eq!(find("targeted_wake_ratio")[1..], ["0.7000", "0.0000"]);
+    }
+
+    /// The single-writer bump under concurrent readers: every value read
+    /// is one the writer actually stored (both halves of the 64-bit word
+    /// agree — never torn), reads never go backwards, and no increment is
+    /// lost.
+    #[test]
+    fn single_writer_bump_is_monotone_untorn_and_exact() {
+        const STEP: u64 = (1 << 32) | 1;
+        const BUMPS: u64 = 200_000;
+        let stats = [WorkerStats::default()];
+        let started = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    started.wait();
+                    let mut last = 0;
+                    while last < BUMPS * STEP {
+                        let now = StatsSnapshot::aggregate(&stats).joins;
+                        assert_eq!(now >> 32, now & 0xFFFF_FFFF, "torn read {now:#x}");
+                        assert!(now >= last, "counter went backwards");
+                        last = now;
+                    }
+                });
+            }
+            started.wait();
+            for _ in 0..BUMPS {
+                stats[0].add(Counter::joins, STEP);
+            }
+        });
+        assert_eq!(stats[0].get(Counter::joins), BUMPS * STEP);
     }
 }

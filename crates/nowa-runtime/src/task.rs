@@ -52,8 +52,7 @@ use nowa_context::{capture_and_run_on, resume, RawContext, Stack};
 
 use crate::cancel::{self, CancelCell};
 use crate::chaos;
-use crate::obs;
-use crate::stats::WorkerStats;
+use crate::stats::{self, Counter};
 use crate::worker::{current_worker, find_work, AbortOnUnwind, Shared, Worker};
 
 /// The strand is executing (initial state, and while polling).
@@ -235,7 +234,7 @@ impl AsyncCell {
     }
 }
 
-/// Trace identity of a cell: address-derived, like `nowa_trace::frame_id`.
+/// Trace identity of a cell: address-derived, like [`stats::frame_id`].
 #[inline]
 fn cell_id(cell: *const AsyncCell) -> u64 {
     cell as usize as u64
@@ -438,8 +437,7 @@ unsafe extern "C" fn park_body(arg: *mut c_void) -> ! {
         let args = &mut *(arg as *mut ParkArgs);
         let worker = args.worker;
         let cell = args.cell;
-        WorkerStats::bump(&(*worker).stats().async_parks);
-        obs::on_async_park(worker, cell_id(cell));
+        stats::bump(worker, Counter::async_parks, cell_id(cell));
 
         // Move the blocked stack into the cell and release the unused
         // space below the captured stack pointer (§V-B, as for sync).
@@ -475,8 +473,7 @@ unsafe extern "C" fn park_body(arg: *mut c_void) -> ! {
 /// there), or it is the parker itself after a failed `park_publish`.
 pub(crate) unsafe fn resume_ready(worker: *mut Worker, cell: *const AsyncCell) -> ! {
     unsafe {
-        WorkerStats::bump(&(*worker).stats().async_resumes);
-        obs::on_async_resume(worker, cell_id(cell));
+        stats::bump(worker, Counter::async_resumes, cell_id(cell));
         // The strand's governing scope becomes this worker's ambient, so
         // frames created after the resume inherit it.
         (*worker).cancel_scope = (*cell).scope.get();

@@ -12,10 +12,11 @@
 //! * **Stall monitoring** — only when `Config::watchdog` is `Some`: samples
 //!   per-worker progress counters and reports workers that stop moving.
 //!
-//! Progress is [`WorkerStats::progress`] — any scheduling event,
-//! work-finding iteration, or cancellation checkpoint advances it (a
-//! worker cooperatively unwinding a cancelled subtree bumps `cancels` and
-//! `loop_ticks`, so an unwind in progress never reads as a stall). A
+//! Progress is [`WorkerStats::progress`](crate::stats::WorkerStats::progress)
+//! — the event-table rows marked `progress`: any scheduling event, idle
+//! sweep, or cancellation checkpoint advances it (a worker cooperatively
+//! unwinding a cancelled subtree bumps `cancels`, so an unwind in progress
+//! never reads as a stall). A
 //! deep-idle worker may be futex-parked for long stretches with a frozen
 //! counter; the monitor asks the idle engine
 //! ([`crate::idle::IdleState::is_parked`]) and classifies parked workers
@@ -23,10 +24,11 @@
 //! genuine stall (a task stuck in a syscall, a deadlocked lock inside user
 //! code, a scheduler bug) leaves the counter frozen; after `threshold`
 //! without movement the watchdog prints one report per stall episode to
-//! stderr — worker index, seconds stalled, last progress value — plus the
-//! flight-recorder dump (when the flight recorder is on) and the merged
+//! stderr — worker index, seconds stalled, last progress value, and the
+//! [`Snapshot`](crate::Snapshot) table of every counter per worker — plus
+//! the flight-recorder dump (when the flight recorder is on) and the merged
 //! trace report (when tracing is enabled). Reports are counted in
-//! `Shared::watchdog_reports` so tests and harnesses can assert on them.
+//! `Snapshot::watchdog_reports` so tests and harnesses can assert on them.
 //!
 //! With stall monitoring on, the thread wakes four times per threshold (at
 //! least every 5 ms), so detection latency is at most ~1.25 × threshold;
@@ -126,12 +128,13 @@ fn report(shared: &Shared, worker: usize, stalled_for: Duration, progress: u64) 
     eprintln!(
         "nowa-watchdog: worker {worker} made no progress for {:.3}s \
          (progress counter stuck at {progress}); it may be blocked in user \
-         code or wedged",
-        stalled_for.as_secs_f64()
+         code or wedged\n{}",
+        stalled_for.as_secs_f64(),
+        shared.snapshot().render_table()
     );
-    // The flight recorder first: the last per-worker scheduler events
-    // usually show *where* the wedged worker stopped, which the summary
-    // table cannot.
+    // The flight recorder next: the last per-worker scheduler events
+    // usually show *where* the wedged worker stopped, which counters and
+    // the summary table cannot.
     #[cfg(feature = "trace")]
     if let Some(rings) = shared.flight.as_deref() {
         eprintln!(
@@ -147,6 +150,4 @@ fn report(shared: &Shared, worker: usize, stalled_for: Duration, progress: u64) 
             report.summary_table()
         );
     }
-    #[cfg(not(feature = "trace"))]
-    let _ = shared;
 }

@@ -32,9 +32,8 @@ use crate::config::Config;
 use crate::flavor::{with_protocol, Flavor, Protocol, Rec};
 use crate::idle::IdleState;
 use crate::injector::Injector;
-use crate::obs;
 use crate::reactor::Reactor;
-use crate::stats::{StatsSnapshot, WorkerStats};
+use crate::stats::{self, frame_id, Counter, WorkerStats};
 use crate::task::{resume_ready, AsyncWaiters, ReadyCell};
 
 /// A submitted root task (type-erased; completion signalling is baked into
@@ -95,13 +94,6 @@ pub struct Shared {
     pub chaos: Option<Box<[chaos::ChaosWorkerState]>>,
     /// Stall reports emitted by the watchdog since startup.
     pub watchdog_reports: AtomicU64,
-}
-
-impl Shared {
-    /// Aggregated scheduler statistics.
-    pub fn stats_snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot::aggregate(&self.stats)
-    }
 }
 
 /// One worker: an OS thread plus its flavor-independent scheduling state —
@@ -270,11 +262,9 @@ pub unsafe fn resume_sync(worker: *mut Worker, frame: *const crate::record::Fram
             // Resuming a suspension whose scope is cancelled *is* the
             // abort: the continuation proceeds straight into the sync
             // checkpoint and unwinds. Attribute it as such.
-            WorkerStats::bump(&(*worker).stats().aborts);
-            obs::on_abort(worker, frame);
+            stats::bump(worker, Counter::aborts, frame_id(frame));
         } else {
-            WorkerStats::bump(&(*worker).stats().sync_resumes);
-            obs::on_sync_resume(worker, frame);
+            stats::bump(worker, Counter::sync_resumes, frame_id(frame));
         }
         (*worker).cancel_scope = scope;
         debug_assert!((*worker).pending_recycle.is_none());
@@ -318,10 +308,6 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
         let shared: &Shared = unsafe { &*Arc::as_ptr(&(*worker).shared) };
         let deque = unsafe { &(*FlavoredWorker::<P>::of(worker)).deque };
 
-        // Liveness heartbeat for the stall watchdog: even a fully idle
-        // worker ticks this every backoff period.
-        unsafe { WorkerStats::bump(&(*worker).stats().loop_ticks) };
-
         if shared.shutdown.load(Ordering::Acquire) {
             unsafe {
                 (*worker).pending_recycle = (*worker).current_stack.take();
@@ -334,11 +320,10 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
         // ancestor continuation (cheapest to resume, busy-leaves style).
         if let Some(rec) = P::take_own(deque) {
             unsafe {
-                WorkerStats::bump(&(*worker).stats().own_takes);
+                stats::bump(worker, Counter::own_takes, frame_id((*rec.as_ptr()).frame));
                 if P::last_pop_was_private(deque) {
-                    WorkerStats::bump(&(*worker).stats().private_pops);
+                    stats::bump(worker, Counter::private_pops, 0);
                 }
-                obs::on_own_take(worker, (*rec.as_ptr()).frame);
                 resume_record(worker, rec)
             }
         }
@@ -362,8 +347,7 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
         // N workers polling no longer serialize on an injector lock.
         if let Some(task) = shared.injector.pop() {
             unsafe {
-                WorkerStats::bump(&(*worker).stats().roots);
-                obs::on_root(worker);
+                stats::bump(worker, Counter::roots, 0);
                 // A root tree starts unscoped: governed by the runtime
                 // root cell only.
                 (*worker).cancel_scope = &shared.cancel_root;
@@ -410,8 +394,7 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
                     match P::steal_from(&stealers[victim]) {
                         Steal::Success(rec) => unsafe {
                             (*worker).last_victim = victim;
-                            WorkerStats::bump(&(*worker).stats().steals);
-                            obs::on_steal_success(worker, victim, (*rec.as_ptr()).frame);
+                            stats::bump(worker, Counter::steals, frame_id((*rec.as_ptr()).frame));
                             // Chaos: forced cancellation at the steal
                             // boundary — the stolen continuation resumes
                             // straight into a cancelled checkpoint.
@@ -425,10 +408,7 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
                             resume_record(worker, rec)
                         },
                         Steal::Retry => {
-                            unsafe {
-                                WorkerStats::bump(&(*worker).stats().steal_retry);
-                                obs::on_steal_retry(worker, victim);
-                            }
+                            unsafe { stats::bump(worker, Counter::steal_retry, victim as u64) };
                             attempt += 1;
                             if attempt > retry_budget {
                                 break;
@@ -438,10 +418,7 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
                             }
                         }
                         Steal::Empty => {
-                            unsafe {
-                                WorkerStats::bump(&(*worker).stats().steal_empty);
-                                obs::on_steal_empty(worker, victim);
-                            }
+                            unsafe { stats::bump(worker, Counter::steal_empty, victim as u64) };
                             break;
                         }
                     }
@@ -450,9 +427,12 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
         }
 
         // Nothing anywhere: descend the idle ladder. `failed_sweeps` resets
-        // only on actual work (the resume/continue paths above).
+        // only on actual work (the resume/continue paths above). The count
+        // doubles as the stall watchdog's liveness heartbeat: every way out
+        // of an iteration above is itself a progress event, and even a
+        // fully idle worker ticks this every backoff period.
         failed_sweeps = failed_sweeps.saturating_add(1);
-        unsafe { obs::on_idle(worker) };
+        unsafe { stats::bump(worker, Counter::idle_sweeps, 0) };
         let idle_cfg = &shared.config.idle;
         let force_park = unsafe { chaos::on_idle_backoff(worker) };
         if force_park || failed_sweeps > idle_cfg.spin_sweeps + idle_cfg.yield_sweeps {
@@ -534,22 +514,15 @@ unsafe fn park_worker<P: Protocol>(worker: *mut Worker, shared: &Shared, stealer
     }
 
     let skip_wait = unsafe { chaos::on_park_wait(worker) };
-    unsafe {
-        WorkerStats::bump(&(*worker).stats().parks);
-        obs::on_park(worker);
-    }
+    unsafe { stats::bump(worker, Counter::parks, 0) };
     let t0 = std::time::Instant::now();
     let timeout_ns = shared.config.idle.max_park.as_nanos().min(u64::MAX as u128) as u64;
     let woken = shared.idle.park(index, epoch, timeout_ns.max(1), skip_wait);
     unsafe {
-        let stats = (*worker).stats();
-        stats
-            .parked_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        stats::add(worker, Counter::parked_ns, t0.elapsed().as_nanos() as u64);
         if !woken {
-            WorkerStats::bump(&stats.wakes_spurious);
+            stats::bump(worker, Counter::wakes_spurious, 0);
         }
-        obs::on_unpark(worker);
     }
 }
 
@@ -570,10 +543,7 @@ pub(crate) fn wake_for_ready(shared: &Shared) {
 #[inline]
 unsafe fn wake_one_from(worker: *mut Worker, shared: &Shared) {
     if let Some(target) = shared.idle.wake_one() {
-        unsafe {
-            WorkerStats::bump(&(*worker).stats().wakes_issued);
-            obs::on_wake(worker, target);
-        }
+        unsafe { stats::bump(worker, Counter::wakes_issued, target as u64) };
     }
 }
 
@@ -586,10 +556,25 @@ unsafe fn wake_one_from(worker: *mut Worker, shared: &Shared) {
 pub(crate) unsafe fn note_promotion(worker: *mut Worker, moved: u32) {
     if moved > 0 {
         unsafe {
-            let stats = (*worker).stats();
-            WorkerStats::bump(&stats.promotions);
-            WorkerStats::add(&stats.promoted_items, u64::from(moved));
+            stats::bump(worker, Counter::promotions, 0);
+            stats::add(worker, Counter::promoted_items, u64::from(moved));
         }
+    }
+}
+
+/// Promotes one configured batch out of band (the wake path's
+/// `promote_on_wake` and the chaos `ForcePromote` site) — a no-op on a
+/// deque without a private segment.
+///
+/// # Safety
+/// `worker` must be the calling thread's live worker, of a runtime running
+/// `P`.
+pub(crate) unsafe fn promote_batch<P: Protocol>(worker: *mut Worker) {
+    unsafe {
+        let w: &Worker = &*worker;
+        let batch = w.shared.config.split.promote_batch.max(1);
+        let moved = P::force_promote(&(*FlavoredWorker::<P>::of(worker)).deque, batch);
+        note_promotion(worker, moved);
     }
 }
 
@@ -615,11 +600,9 @@ pub(crate) unsafe fn wake_after_spawn<P: Protocol>(worker: *mut Worker) {
         shared.reactor.kick_if_claimed();
         return;
     }
-    let split = &shared.config.split;
     let deque = unsafe { &(*FlavoredWorker::<P>::of(worker)).deque };
-    if split.promote_on_wake {
-        let moved = P::force_promote(deque, split.promote_batch.max(1));
-        unsafe { note_promotion(worker, moved) };
+    if shared.config.split.promote_on_wake {
+        unsafe { promote_batch::<P>(worker) };
     }
     let threshold = shared.config.idle.wake_threshold;
     if threshold > 0 && P::public_occupancy(deque) < threshold {

@@ -294,7 +294,7 @@ fn serving_survives_reactor_chaos() {
              ({:?})",
             t0.elapsed()
         );
-        let snap = rt.chaos_stats().expect("chaos configured");
+        let snap = rt.snapshot().chaos.expect("chaos configured");
         assert!(
             snap.ticks.iter().sum::<u64>() > 0,
             "replay {replay}: chaos sites never visited"

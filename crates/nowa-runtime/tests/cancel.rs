@@ -422,7 +422,7 @@ fn forced_cancellation_replays_deterministically() {
             Ok(n) => Ok(n),
             Err(payload) => Err(reason_of(&*payload)),
         };
-        (outcome, rt.chaos_stats().expect("chaos configured"))
+        (outcome, rt.snapshot().chaos.expect("chaos configured"))
     };
     let mut cancelled_somewhere = false;
     for seed in 0..6u64 {
@@ -462,7 +462,7 @@ fn watchdog_quiet_while_unwinding_cancellations() {
     });
     assert!(rt.stats().cancels > 0, "the loop never raised");
     assert_eq!(
-        rt.watchdog_reports(),
+        rt.snapshot().watchdog_reports,
         0,
         "watchdog flagged a worker that was unwinding cancellations"
     );

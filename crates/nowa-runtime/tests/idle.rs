@@ -186,7 +186,7 @@ fn watchdog_classifies_parked_workers_healthy() {
     // thresholds to (wrongly) trip on their frozen progress counters.
     std::thread::sleep(Duration::from_millis(400));
     assert_eq!(
-        rt.watchdog_reports(),
+        rt.snapshot().watchdog_reports,
         0,
         "watchdog reported a stall for a healthily parked worker"
     );
@@ -232,10 +232,65 @@ fn burst_survives_chaos_forced_parks_and_spurious_wakes() {
                      faults caused a stall",
                     flavor.name()
                 );
-                let snap = rt.chaos_stats().expect("chaos configured");
+                let snap = rt.snapshot().chaos.expect("chaos configured");
                 assert!(
                     snap.ticks.iter().sum::<u64>() > 0,
                     "chaos sites never visited"
+                );
+            }
+        }
+    }
+}
+
+/// Regression (PR 13): the spawn path must wake thieves for work it made
+/// thief-visible on *every* flavor. FIBRIL's fused deque has no private
+/// segment — every push is public at once — yet the wake used to be gated
+/// on the split layer's promotion count, which FIBRIL always reports as 0,
+/// so parked thieves sat out `max_park`. The child here waits for its own
+/// continuation to be stolen; with a 30 s `max_park` only a spawn-path wake
+/// can get a thief there inside the 2 s bound. With two workers the lone
+/// idle worker is the reactor poller (woken by an eventfd kick); the third
+/// worker is futex-parked and needs a targeted wake.
+#[test]
+fn spawn_wakes_parked_thieves_on_every_flavor() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    for flavor in Flavor::ALL {
+        for workers in [2, 3] {
+            let what = format!("flavor {} with {workers} workers", flavor.name());
+            let idle = IdleConfig {
+                max_park: Duration::from_secs(30),
+                ..eager_park()
+            };
+            let rt = Runtime::new(Config::with_workers(workers).flavor(flavor).idle(idle)).unwrap();
+            // Everyone asleep: one worker in `epoll_wait`, the rest on the
+            // futex (the root submission below wakes one of those).
+            let parked = Instant::now();
+            while rt.snapshot().idle_workers < workers - 1 {
+                assert!(
+                    parked.elapsed() < Duration::from_secs(5),
+                    "{what}: never parked"
+                );
+                std::thread::yield_now();
+            }
+            let stolen = AtomicBool::new(false);
+            let saw_steal = rt.run(|| {
+                let child = || {
+                    let t0 = Instant::now();
+                    while !stolen.load(Ordering::Acquire) && t0.elapsed() < Duration::from_secs(2) {
+                        std::thread::yield_now();
+                    }
+                    stolen.load(Ordering::Acquire)
+                };
+                api::join2(child, || stolen.store(true, Ordering::Release)).0
+            });
+            let stats = rt.stats();
+            assert!(saw_steal, "{what}: no thief woke for the spawn: {stats:?}");
+            assert!(stats.steals >= 1, "{what}: {stats:?}");
+            if workers == 3 {
+                assert!(
+                    stats.wakes_issued >= 1,
+                    "{what}: no targeted wake: {stats:?}"
                 );
             }
         }

@@ -196,7 +196,7 @@ fn watchdog_reports_stalled_worker() {
     let rt = Runtime::new(Config::with_workers(2).watchdog(Duration::from_millis(40))).unwrap();
     rt.run(|| std::thread::sleep(Duration::from_millis(250)));
     assert!(
-        rt.watchdog_reports() >= 1,
+        rt.snapshot().watchdog_reports >= 1,
         "watchdog missed a 250ms stall with a 40ms threshold"
     );
 }
@@ -214,5 +214,9 @@ fn watchdog_quiet_on_healthy_run() {
     assert_eq!(rt.run(|| fib(20)), 6765);
     // Idle workers tick their search loop, busy workers bump real
     // counters; nobody should look stalled.
-    assert_eq!(rt.watchdog_reports(), 0, "false-positive stall report");
+    assert_eq!(
+        rt.snapshot().watchdog_reports,
+        0,
+        "false-positive stall report"
+    );
 }

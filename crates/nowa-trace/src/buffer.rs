@@ -215,20 +215,6 @@ impl TraceBuffer {
             self.ring.push(Event::new(since, EventKind::Unpark, dur));
         }
     }
-
-    /// Records a targeted wake of worker `target` issued by this worker.
-    #[inline]
-    pub fn wake(&self, target: usize) {
-        self.event(EventKind::Wake, target as u64);
-    }
-}
-
-/// A compact id for a sync frame, derived from its address. Collisions
-/// merely mis-pair a suspend/resume in the report; soundness is unaffected.
-#[inline]
-pub fn frame_id(ptr: *const ()) -> u64 {
-    // Frames are ≥ 16-byte aligned; drop the dead bits.
-    (ptr as usize as u64) >> 4
 }
 
 #[cfg(test)]
@@ -289,7 +275,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         buf.park_end();
         buf.park_end(); // must not double-record
-        buf.wake(3);
+        buf.event(EventKind::Wake, 3);
         let s = buf.parked.snapshot();
         assert_eq!(s.count, 1);
         assert!(s.max >= 1_000_000, "parked ≥ 1ms, recorded {}", s.max);

@@ -14,7 +14,7 @@ pub const STEAL_FRAME_BITS: u32 = 48;
 
 /// Packs a steal argument: victim index in the low 8 bits, the low
 /// [`STEAL_FRAME_BITS`] bits of the stolen record's frame id above them.
-/// Frame ids are address-derived ([`crate::frame_id`]), so truncation only
+/// Frame ids are address-derived (the runtime's `frame_id`), so truncation only
 /// risks a (harmless) collision in post-run pairing.
 #[inline]
 pub fn pack_steal_arg(victim: usize, frame: u64) -> u64 {

@@ -221,12 +221,21 @@ mod tests {
                 i
             })
         };
-        for _ in 0..1000 {
+        // Keep snapshotting until the producer was actually observed: on a
+        // busy host a fixed number of snapshots can finish before the
+        // producer thread's first `record`, proving nothing.
+        let (mut snapshots, mut observed) = (0, false);
+        while snapshots < 1000 || !observed {
             for ev in ring.snapshot() {
+                observed = true;
                 // Retained events are never torn: ts always equals arg.
                 assert_eq!(ev.ts_ns & crate::ARG_MASK, ev.arg);
                 assert_eq!(ev.kind, EventKind::Wake);
             }
+            if !observed {
+                std::thread::yield_now();
+            }
+            snapshots += 1;
         }
         stop.store(true, Ordering::Relaxed);
         let produced = producer.join().unwrap();

@@ -23,8 +23,6 @@
 //! * [`FlightRing`] — a bounded overwrite-oldest ring (no exporter
 //!   needed) holding the last moments of scheduler history for
 //!   post-mortem dumps on panic, stall, or guard-page fault.
-//! * [`MetricsRegistry`] — a pull-based metrics surface with Prometheus
-//!   text and JSON encoders, fed from the runtime's stats counters.
 //!
 //! The runtime integrates this behind its `trace` cargo feature; with the
 //! feature off nothing here is compiled into the hot path.
@@ -39,11 +37,10 @@ mod event;
 pub mod flight;
 mod hist;
 pub mod json;
-mod metrics;
 mod report;
 mod ring;
 
-pub use buffer::{frame_id, TraceBuffer, OCCUPANCY_SHIFT};
+pub use buffer::{TraceBuffer, OCCUPANCY_SHIFT};
 pub use clock::now_ns;
 pub use critical::{CausalProfile, CriticalPath, StealEdge};
 pub use event::{
@@ -51,7 +48,6 @@ pub use event::{
 };
 pub use flight::FlightRing;
 pub use hist::{Hist64, HistSnapshot};
-pub use metrics::{Metric, MetricKind, MetricsRegistry};
 pub use report::{TraceReport, WorkerTrace};
 pub use ring::EventRing;
 

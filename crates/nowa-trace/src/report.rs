@@ -354,11 +354,10 @@ fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::frame_id;
 
     fn sample_buffers() -> Vec<TraceBuffer> {
         let bufs = vec![TraceBuffer::new(256), TraceBuffer::new(256)];
-        let frame = frame_id(0x1000 as *const ());
+        let frame = 0x100;
         // Worker 0: spawns + a suspend.
         bufs[0].spawn(frame, || 2);
         bufs[0].event(EventKind::FastPop, frame);
@@ -366,13 +365,13 @@ mod tests {
         // Worker 1: steals and resumes the suspended frame.
         bufs[1].steal_success(0, frame);
         bufs[1].resume_finished();
-        bufs[1].event(EventKind::SyncResume, frame_id(0x1000 as *const ()));
+        bufs[1].event(EventKind::SyncResume, frame);
         bufs[1].idle_enter();
         bufs[1].idle_exit();
         // Worker 1 parks once and is woken by worker 0.
         bufs[1].park_begin();
         bufs[1].park_end();
-        bufs[0].wake(1);
+        bufs[0].event(EventKind::Wake, 1);
         bufs
     }
 

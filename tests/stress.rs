@@ -262,7 +262,7 @@ mod chaos {
                         flavor.name()
                     );
                 }
-                let snap = rt.chaos_stats().unwrap();
+                let snap = rt.snapshot().chaos.unwrap();
                 for (total, fired) in injected.iter_mut().zip(snap.injected) {
                     *total += fired;
                 }
@@ -293,7 +293,7 @@ mod chaos {
         let run = |seed| {
             let rt = chaos_runtime(Flavor::NOWA, ChaosConfig::aggressive(seed), 1);
             assert_eq!(rt.run(|| fib(12)), 144);
-            rt.chaos_stats().unwrap()
+            rt.snapshot().chaos.unwrap()
         };
         // Single worker: the schedule is deterministic, so the replay must
         // visit and fire every site the exact same number of times.
@@ -339,7 +339,7 @@ mod chaos {
                     "flavor {} replay {replay} diverged",
                     flavor.name()
                 );
-                let snap = rt.chaos_stats().unwrap();
+                let snap = rt.snapshot().chaos.unwrap();
                 assert!(
                     snap.injected[ChaosSite::ForcePromote as usize] > 0,
                     "ForcePromote never fired, flavor {} replay {replay}",
