@@ -1,4 +1,5 @@
-//! Split private/public deque with lazy promotion (DESIGN.md §6g).
+//! Split private/public deque: the oldest continuation stays stealable
+//! (DESIGN.md §6g).
 //!
 //! Work-stealing pays for thief-safety on every owner operation: even the
 //! Chase–Lev `push` issues a release store, and its `pop` a full fence plus
@@ -16,79 +17,58 @@
 //! The owner pushes and pops at the private tail; thieves steal from the
 //! public top. Global order is preserved: the public top is the globally
 //! oldest item (FIFO for thieves), the private tail the globally newest
-//! (LIFO for the owner). Items cross from private to public by **lazy
-//! promotion**, triggered two ways:
+//! (LIFO for the owner). Items cross from private to public under one
+//! rule:
 //!
-//! * **batch boundary** — every `promote_batch` pushes the owner promotes
-//!   its surplus (all but the item it is about to pop back), bounding how
-//!   much work can hide from thieves; and
-//! * **hunger** — a thief that observes the public deque empty sets a
-//!   shared `hungry` flag; the owner probes it on each push (one read-only
-//!   `Relaxed` load of a line that is written at most once per failed
-//!   sweep) and, when set, promotes immediately.
+//! > **After every successful push the public deque is non-empty.**
 //!
-//! The hunger flag is purely advisory: promoted items become visible
-//! through the public deque's own release/acquire protocol, so all flag
-//! accesses are `Relaxed` (audited in DESIGN.md §7b). A promotion that
-//! finds the public deque full puts the in-flight item back at the private
-//! front — order intact, nothing dropped — so the steal-conservation
-//! invariant (`spawns == fast_pops + steals + own_takes`) survives
-//! overflow. The fast path itself — the private ring's `push_back` /
-//! `pop_back` — contains no shared atomic at all, which nowa-lint R5
-//! enforces via the `// lint: hot-path private` marker.
+//! After the private ring write the owner looks at its own public deque
+//! (two `Relaxed` loads — `top` is written only by a successful steal, so
+//! the line stays in the owner's cache while nobody steals). If it is
+//! empty, the owner promotes the oldest private items: all but the newest
+//! when it holds several, the single item when that is all it holds.
+//! Otherwise the push stays private. So a linear spawn loop (the paper's
+//! Fig. 4) publishes every continuation, while a recursion publishes only
+//! along its all-continuation spine and keeps every other push/pop pair in
+//! the ring. Thieves never signal: a failed steal writes nothing.
+//!
+//! The emptiness probe is advisory: promoted items become visible through
+//! the public deque's own release/acquire protocol, and a probe that reads
+//! a stale "non-empty" (a thief just took the last public item) only
+//! defers publication to the next push (audited in DESIGN.md §7b). A
+//! promotion that finds the public deque full puts the in-flight item back
+//! at the private front — order intact, nothing dropped — so the
+//! steal-conservation invariant (`spawns == fast_pops + steals +
+//! own_takes`) survives overflow. The fast path itself — the private
+//! ring's `push_back` / `pop_back` — contains no shared atomic at all,
+//! which nowa-lint R5 enforces via the `// lint: hot-path private` marker.
 
 use core::cell::Cell;
 use core::marker::PhantomData;
 use core::num::NonZeroU64;
-use std::sync::Arc;
 
-use crate::sync::{AtomicU64, Ordering};
 use crate::{Full, Steal, StealerOps, Token, WorkerOps};
 
-/// Tuning knobs of the split layer.
+/// The split layer's one switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitConfig {
     /// When `false`, the layer is a pass-through to the wrapped deque:
     /// every push goes straight to the public end (the pre-split
     /// behaviour, kept for the `nowa-bench spawn` ablation).
     pub enabled: bool,
-    /// Batch-boundary period: every `promote_batch` private pushes the
-    /// owner promotes its surplus even without a hunger signal, bounding
-    /// how long work can stay invisible to thieves.
-    pub promote_batch: usize,
-    /// When issuing a targeted wake after a promotion, promote up to a
-    /// full extra batch first so the woken thief finds ample public work
-    /// instead of immediately re-signalling hunger.
-    pub promote_on_wake: bool,
 }
 
 impl Default for SplitConfig {
     fn default() -> SplitConfig {
-        SplitConfig {
-            enabled: true,
-            promote_batch: 8,
-            promote_on_wake: true,
-        }
+        SplitConfig { enabled: true }
     }
 }
 
 impl SplitConfig {
     /// The pass-through configuration (split layer off).
     pub fn disabled() -> SplitConfig {
-        SplitConfig {
-            enabled: false,
-            ..SplitConfig::default()
-        }
+        SplitConfig { enabled: false }
     }
-}
-
-/// Owner/thief shared state: one cache line holding the hunger flag.
-#[repr(align(128))]
-struct SplitShared {
-    /// Set (`Relaxed`) by a thief that found the public deque empty;
-    /// cleared (`Relaxed`) by the owner when it promotes. Advisory only —
-    /// see the module docs and DESIGN.md §7b.
-    hungry: AtomicU64,
 }
 
 /// The owner-private unsynchronized segment: a power-of-two ring of raw
@@ -193,23 +173,15 @@ impl SplitDeque {
         cfg: SplitConfig,
         capacity: usize,
     ) -> (SplitWorker<W, T>, SplitStealer<S>) {
-        let shared = Arc::new(SplitShared {
-            hungry: AtomicU64::new(0),
-        });
         (
             SplitWorker {
                 inner: worker,
                 ring: PrivateRing::new(capacity),
-                since: Cell::new(0),
                 last_private: Cell::new(false),
                 cfg,
-                shared: Arc::clone(&shared),
                 _items: PhantomData,
             },
-            SplitStealer {
-                inner: stealer,
-                shared,
-            },
+            SplitStealer { inner: stealer },
         )
     }
 }
@@ -220,25 +192,22 @@ impl SplitDeque {
 pub struct SplitWorker<W, T> {
     inner: W,
     ring: PrivateRing,
-    /// Private pushes since the last promotion (batch-boundary counter).
-    since: Cell<usize>,
     /// Whether the most recent successful `pop` came from the private
     /// segment (feeds the `private_pops` statistic).
     last_private: Cell<bool>,
     cfg: SplitConfig,
-    shared: Arc<SplitShared>,
     _items: PhantomData<T>,
 }
 
 impl<W: WorkerOps<T>, T: Token> SplitWorker<W, T> {
     /// Pushes a spawned continuation, reporting promotion side effects.
     ///
-    /// The common case writes one private ring slot and probes the hunger
-    /// flag with a single read-only `Relaxed` load — zero shared stores,
-    /// RMWs or fences. On a batch boundary the owner promotes its surplus
-    /// (keeping the item it is about to pop back, so a tight spawn→pop
-    /// loop promotes nothing); on a hunger signal it promotes immediately
-    /// and keeps nothing back. `Err(Full)` means both segments are full —
+    /// The common case writes one private ring slot and probes the public
+    /// deque's emptiness with two read-only `Relaxed` loads — zero shared
+    /// stores, RMWs or fences. When the public deque is empty the owner
+    /// publishes its oldest private items (all but the newest; the single
+    /// item when that is all it holds), so a successful push always leaves
+    /// something for thieves. `Err(Full)` means both segments are full —
     /// the caller runs the child inline, exactly as for an unsplit full
     /// deque.
     // lint: hot-path
@@ -251,51 +220,35 @@ impl<W: WorkerOps<T>, T: Token> SplitWorker<W, T> {
             return self.inner.push(item).map(|()| SplitPush { promoted: 0 });
         }
         let word = item.into_word().get();
-        if !self.ring.push_back(word) {
-            // Private segment full: drain a batch into the public deque to
-            // make room. If the public side is full too, report Full.
-            let promoted = self.promote(self.cfg.promote_batch.max(1));
+        let promoted = if !self.ring.push_back(word) {
+            // Private segment full: drain its older half into the public
+            // deque to make room. If the public side is full too, report
+            // Full.
+            let promoted = self.promote(self.ring.len() / 2);
             if promoted == 0 || !self.ring.push_back(word) {
                 return Err(Full(item));
             }
-            self.since.set(0);
-            return Ok(SplitPush {
-                promoted: promoted as u32,
-            });
-        }
-        let since = self.since.get() + 1;
-        let hungry = self.shared.hungry.load(Ordering::Relaxed) != 0;
-        if !hungry && since < self.cfg.promote_batch.max(1) {
-            self.since.set(since);
-            return Ok(SplitPush { promoted: 0 });
-        }
-        self.since.set(0);
-        if hungry {
-            self.shared.hungry.store(0, Ordering::Relaxed);
-        }
-        let keep = usize::from(!hungry);
-        let avail = self.ring.len().saturating_sub(keep);
-        let promoted = if avail == 0 {
-            0
+            promoted
+        } else if self.inner.is_empty() {
+            // Nothing stealable: publish everything older than this item
+            // (about to be popped back), or the item itself if it is alone.
+            self.promote((self.ring.len() - 1).max(1))
         } else {
-            self.promote(avail.min(self.cfg.promote_batch.max(1)))
+            0
         };
         Ok(SplitPush {
             promoted: promoted as u32,
         })
     }
 
-    /// Promotes up to `max` private items regardless of hunger or batch
-    /// state, clearing the hunger flag. Returns the number moved. Used by
-    /// the wake path ([`SplitConfig::promote_on_wake`]) and the chaos
-    /// `ForcePromote` site.
-    pub fn force_promote(&self, max: usize) -> usize {
+    /// Promotes every private item whatever the public deque holds.
+    /// Returns the number moved. Used by the chaos `ForcePromote` site to
+    /// reach states the push rule alone rarely produces.
+    pub fn force_promote(&self) -> usize {
         if !self.cfg.enabled {
             return 0;
         }
-        self.shared.hungry.store(0, Ordering::Relaxed);
-        self.since.set(0);
-        self.promote(max)
+        self.promote(self.ring.len())
     }
 
     /// Moves up to `max` of the *oldest* private items into the public
@@ -353,11 +306,6 @@ impl<W: WorkerOps<T>, T: Token> SplitWorker<W, T> {
     pub fn last_pop_was_private(&self) -> bool {
         self.last_private.get()
     }
-
-    /// Racy snapshot of the hunger flag (diagnostics/tests).
-    pub fn hungry_flag(&self) -> bool {
-        self.shared.hungry.load(Ordering::Relaxed) != 0
-    }
 }
 
 /// Words in the ring were produced by [`Token::into_word`], hence nonzero.
@@ -397,33 +345,25 @@ impl<T: Token, W: WorkerOps<T>> WorkerOps<T> for SplitWorker<W, T> {
     }
 }
 
-/// Thief-side handle of a split deque: the wrapped flavor's stealer end
-/// plus the hunger signal.
+/// Thief-side handle of a split deque: the wrapped flavor's stealer end.
+/// Thieves are oblivious to the split — the newtype only keeps the
+/// private segment out of their reach.
 #[derive(Clone)]
 pub struct SplitStealer<S> {
     inner: S,
-    shared: Arc<SplitShared>,
 }
 
 impl<T: Token, S: StealerOps<T>> StealerOps<T> for SplitStealer<S> {
-    /// Steals from the public deque. Observing it empty raises the hunger
-    /// flag so the owner's next push promotes instead of letting the
-    /// thief starve against a full private segment.
+    /// Steals from the public deque.
     // lint: hot-path
     // lint: wait-free
     #[inline]
     fn steal(&self) -> Steal<T> {
-        match self.inner.steal() {
-            Steal::Empty => {
-                self.shared.hungry.store(1, Ordering::Relaxed);
-                Steal::Empty
-            }
-            other => other,
-        }
+        self.inner.steal()
     }
 
     /// Thief-visible items only: the private segment is invisible here by
-    /// design (the hunger signal covers it).
+    /// design (when this reads 0 the owner's next push publishes).
     fn len(&self) -> usize {
         self.inner.len()
     }
@@ -445,70 +385,63 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_stays_private_until_batch_boundary() {
-        let cfg = SplitConfig {
-            promote_batch: 4,
-            ..SplitConfig::default()
-        };
-        let (w, s) = cl_split(cfg);
-        for i in 1..=3 {
+    fn push_onto_empty_public_deque_is_stealable_at_once() {
+        let (w, s) = cl_split(SplitConfig::default());
+        // No failed sweep beforehand: the push itself publishes.
+        assert_eq!(w.push_spawn(1).unwrap().promoted, 1);
+        assert_eq!((w.private_len(), w.public_len()), (0, 1));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.steal(), Steal::Success(1));
+    }
+
+    #[test]
+    fn push_onto_non_empty_public_deque_stays_private() {
+        let (w, s) = cl_split(SplitConfig::default());
+        w.push_spawn(1).unwrap();
+        for i in 2..=4 {
             assert_eq!(w.push_spawn(i).unwrap().promoted, 0);
         }
-        assert_eq!(w.private_len(), 3);
-        assert_eq!(w.public_len(), 0);
-        assert_eq!(s.len(), 0, "nothing visible to thieves yet");
-        // 4th push is the batch boundary: promote all but one.
-        assert_eq!(w.push_spawn(4).unwrap().promoted, 3);
-        assert_eq!(w.private_len(), 1);
-        assert_eq!(w.public_len(), 3);
+        assert_eq!((w.private_len(), w.public_len()), (3, 1));
+        assert_eq!(s.len(), 1, "thieves see the oldest item only");
+        assert_eq!(w.pop(), Some(4));
+        assert!(w.last_pop_was_private());
+    }
+
+    #[test]
+    fn push_after_the_public_item_was_stolen_republishes_the_oldest() {
+        let (w, s) = cl_split(SplitConfig::default());
+        for i in 1..=3 {
+            w.push_spawn(i).unwrap();
+        }
+        assert_eq!(s.steal(), Steal::Success(1));
+        assert_eq!(s.steal(), Steal::Empty, "2 and 3 are private");
+        // The very next push publishes all but the newest.
+        assert_eq!(w.push_spawn(4).unwrap().promoted, 2);
+        assert_eq!((w.private_len(), w.public_len()), (1, 2));
+        assert_eq!(s.steal(), Steal::Success(2));
     }
 
     #[test]
     fn order_is_globally_fifo_for_thieves_lifo_for_owner() {
-        let cfg = SplitConfig {
-            promote_batch: 2,
-            ..SplitConfig::default()
-        };
-        let (w, s) = cl_split(cfg);
+        let (w, s) = cl_split(SplitConfig::default());
         for i in 1..=5 {
             w.push_spawn(i).unwrap();
         }
+        assert_eq!(s.steal(), Steal::Success(1));
+        assert_eq!(w.push_spawn(6).unwrap().promoted, 4, "republishes 2..=5");
         // Thieves drain oldest-first from the public deque.
-        assert_eq!(s.steal(), Steal::Success(1));
         assert_eq!(s.steal(), Steal::Success(2));
+        assert_eq!(s.steal(), Steal::Success(3));
         // Owner drains newest-first across both segments.
-        let mut owner: Vec<usize> = core::iter::from_fn(|| w.pop()).collect();
-        assert_eq!(owner.remove(0), 5, "private tail is globally newest");
-        assert_eq!(owner, vec![4, 3]);
-    }
-
-    #[test]
-    fn hunger_promotes_on_next_push() {
-        let cfg = SplitConfig {
-            promote_batch: 1024,
-            ..SplitConfig::default()
-        };
-        let (w, s) = cl_split(cfg);
-        w.push_spawn(1).unwrap();
-        assert_eq!(s.steal(), Steal::Empty, "item still private");
-        assert!(w.hungry_flag(), "empty observation raised hunger");
-        // The very next push promotes everything, far from any boundary.
-        let r = w.push_spawn(2).unwrap();
-        assert_eq!(r.promoted, 2, "hungry promotion keeps nothing back");
-        assert!(!w.hungry_flag());
-        assert_eq!(s.steal(), Steal::Success(1));
-        assert_eq!(s.steal(), Steal::Success(2));
+        let owner: Vec<usize> = core::iter::from_fn(|| w.pop()).collect();
+        assert_eq!(owner, vec![6, 5, 4], "private tail is globally newest");
     }
 
     #[test]
     fn pop_reports_private_vs_public_origin() {
-        let cfg = SplitConfig {
-            promote_batch: 2,
-            ..SplitConfig::default()
-        };
-        let (w, _s) = cl_split(cfg);
-        w.push_spawn(1).unwrap();
-        w.push_spawn(2).unwrap(); // boundary: promotes item 1
+        let (w, _s) = cl_split(SplitConfig::default());
+        w.push_spawn(1).unwrap(); // public
+        w.push_spawn(2).unwrap(); // private
         assert_eq!(w.pop(), Some(2));
         assert!(w.last_pop_was_private());
         assert_eq!(w.pop(), Some(1));
@@ -519,46 +452,50 @@ mod tests {
     fn public_overflow_puts_item_back_and_preserves_order() {
         // THE deque with capacity 2: promotion hits Full quickly.
         let (w, s) = TheDeque::<usize>::new(2);
-        let cfg = SplitConfig {
-            promote_batch: 8,
-            ..SplitConfig::default()
-        };
-        let (w, s) = SplitDeque::wrap(w, s, cfg, 8);
+        let (w, s) = SplitDeque::wrap(w, s, SplitConfig::default(), 8);
         for i in 1..=7 {
             w.push_spawn(i).unwrap();
         }
-        assert!(
-            w.force_promote(usize::MAX) <= 2,
-            "public capacity caps the batch"
-        );
-        let total = w.private_len() + w.public_len();
-        assert_eq!(total, 7, "overflow promotion dropped nothing");
+        assert_eq!(w.force_promote(), 1, "public capacity caps the batch");
+        assert_eq!((w.private_len(), w.public_len()), (5, 2));
         // Thieves still see the globally oldest first.
         assert_eq!(s.steal(), Steal::Success(1));
-        // Everything drains exactly once across both ends.
-        let mut got: Vec<usize> = core::iter::from_fn(|| w.pop()).collect();
-        while let Steal::Success(v) = s.steal() {
-            got.push(v);
+        assert_eq!(s.steal(), Steal::Success(2));
+        // The put-back kept the private order: everything drains exactly
+        // once, newest first.
+        let owner: Vec<usize> = core::iter::from_fn(|| w.pop()).collect();
+        assert_eq!(owner, vec![7, 6, 5, 4, 3]);
+    }
+
+    #[test]
+    fn both_segments_full_reports_full_and_loses_nothing() {
+        let (w, s) = TheDeque::<usize>::new(2);
+        let (w, s) = SplitDeque::wrap(w, s, SplitConfig::default(), 2);
+        for i in 1..=3 {
+            w.push_spawn(i).unwrap(); // 1 public, 2 and 3 private
         }
-        // force_promote may interleave leftovers; compare as sets.
-        got.sort_unstable();
-        assert_eq!(got, vec![2, 3, 4, 5, 6, 7]);
+        // Ring full → promotes 2 (public now full too) → room for 4.
+        assert_eq!(w.push_spawn(4).unwrap().promoted, 1);
+        assert_eq!(w.push_spawn(5), Err(Full(5)));
+        assert_eq!(s.steal(), Steal::Success(1));
+        let owner: Vec<usize> = core::iter::from_fn(|| w.pop()).collect();
+        assert_eq!(owner, vec![4, 3, 2]);
     }
 
     #[test]
     fn private_ring_overflow_promotes_to_make_room() {
         let (w, s) = ClDeque::<usize>::new(8);
-        let cfg = SplitConfig {
-            promote_batch: 1 << 20, // no boundary promotion in this test
-            ..SplitConfig::default()
-        };
-        let (w, _s) = SplitDeque::wrap(w, s, cfg, 2);
-        w.push_spawn(1).unwrap();
-        w.push_spawn(2).unwrap();
-        // Ring (capacity 2) is full: the next push drains it publicly.
-        let r = w.push_spawn(3).unwrap();
-        assert!(r.promoted > 0, "overflow forced a promotion");
-        assert_eq!(w.private_len() + w.public_len(), 3);
+        let (w, s) = SplitDeque::wrap(w, s, SplitConfig::default(), 4);
+        for i in 1..=5 {
+            w.push_spawn(i).unwrap(); // 1 public, 2..=5 fill the ring
+        }
+        // Ring (capacity 4) is full although the public deque is not
+        // empty: the next push drains the older half of the ring.
+        assert_eq!(w.push_spawn(6).unwrap().promoted, 2);
+        assert_eq!((w.private_len(), w.public_len()), (3, 3));
+        assert_eq!(s.steal(), Steal::Success(1));
+        let owner: Vec<usize> = core::iter::from_fn(|| w.pop()).collect();
+        assert_eq!(owner, vec![6, 5, 4, 3, 2]);
     }
 
     #[test]
@@ -572,23 +509,24 @@ mod tests {
         assert_eq!(s.steal(), Steal::Success(1));
         assert_eq!(w.pop(), Some(10));
         assert!(!w.last_pop_was_private());
-        assert_eq!(w.force_promote(usize::MAX), 0);
+        assert_eq!(w.force_promote(), 0);
     }
 
     #[test]
     fn ring_indices_survive_wraparound() {
-        let cfg = SplitConfig {
-            promote_batch: 1 << 20,
-            ..SplitConfig::default()
-        };
         let (w, s) = ClDeque::<usize>::new(8);
-        let (w, _s) = SplitDeque::wrap(w, s, cfg, 4);
+        let (w, _s) = SplitDeque::wrap(w, s, SplitConfig::default(), 4);
         for round in 0..1000usize {
             let base = round * 3 + 1;
-            w.push_spawn(base).unwrap();
-            w.push_spawn(base + 1).unwrap();
-            assert_eq!(w.pop(), Some(base + 1));
-            assert_eq!(w.pop(), Some(base));
+            // base goes public through the ring (push_back + pop_front),
+            // the other two stay in it.
+            for i in 0..3 {
+                w.push_spawn(base + i).unwrap();
+            }
+            assert_eq!(w.private_len(), 2);
+            for i in (0..3).rev() {
+                assert_eq!(w.pop(), Some(base + i));
+            }
             assert_eq!(w.pop(), None);
         }
         assert_eq!(w.private_len(), 0);
@@ -596,23 +534,17 @@ mod tests {
 
     #[cfg(feature = "chaos")]
     #[test]
-    fn forced_promotion_failure_keeps_items_private() {
-        let cfg = SplitConfig {
-            promote_batch: 4,
-            ..SplitConfig::default()
-        };
-        let (w, s) = cl_split(cfg);
-        for i in 1..=3 {
-            w.push_spawn(i).unwrap();
-        }
+    fn forced_promotion_failure_defers_publication_to_the_next_push() {
+        let (w, s) = cl_split(SplitConfig::default());
         crate::chaos::force_promotion_failure();
-        // Boundary push: the armed failure stops the batch before moving
-        // anything; all four items stay private.
-        assert_eq!(w.push_spawn(4).unwrap().promoted, 0);
-        assert_eq!(w.private_len(), 4);
-        assert_eq!(w.public_len(), 0);
-        // The force is consumed: a manual promotion now succeeds.
-        assert_eq!(w.force_promote(2), 2);
+        // The armed failure stops the promotion before it moves anything:
+        // the item goes back to the private front.
+        assert_eq!(w.push_spawn(1).unwrap().promoted, 0);
+        assert_eq!((w.private_len(), w.public_len()), (1, 0));
+        // The force is consumed: the next push finds the public deque
+        // still empty and publishes the older item.
+        assert_eq!(w.push_spawn(2).unwrap().promoted, 1);
         assert_eq!(s.steal(), Steal::Success(1));
+        assert_eq!(w.pop(), Some(2));
     }
 }

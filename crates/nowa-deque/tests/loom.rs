@@ -135,96 +135,61 @@ fn the_single_item_owner_thief_race() {
 }
 
 // ---------------------------------------------------------------------------
-// Split layer (§6g): lazy promotion from the owner-private segment into the
-// public deque, raced against thieves. The promotion itself publishes items
-// through the wrapped deque's own release/acquire push, and the hunger flag
-// is advisory `Relaxed` — these models check that conservation holds across
-// every interleaving of that protocol.
+// Split layer (§6g): the owner keeps its public deque non-empty by probing
+// it (`Relaxed`) after each private push and promoting when it reads empty.
+// Promotion publishes through the wrapped deque's own release/acquire push;
+// the probe is advisory. The model checks conservation and the "never
+// private-only after a push" invariant across that race.
 // ---------------------------------------------------------------------------
 
-/// Owner promotes (batch boundary, `promote_batch = 1`) while a thief
-/// steals: every item is claimed by exactly one of {owner pop, thief
-/// steal}, and a promoted item never surfaces twice — once from the
-/// private ring and once from the public deque.
+/// The owner's emptiness probe + promotion against a thief stealing the
+/// last public item (and then trying for the next one, so a promotion in
+/// flight is raced too).
 ///
-/// Covers the §7b rows for `push_spawn`'s hunger probe/clear: the thief's
-/// `Relaxed` hunger store races the owner's load, flipping the owner
-/// between keep-one (boundary) and keep-zero (hungry) promotion — both
-/// must conserve.
+/// * Every item is claimed by exactly one of {owner pop, thief steal}.
+/// * A probe that read "non-empty" — correctly or stale, the thief's `top`
+///   CAS not yet visible — left item 2 private: nothing but item 1 was
+///   ever stealable, and publication is only deferred to the next push.
+/// * Once the thief is joined, a further push always leaves something
+///   stealable.
 #[test]
-fn split_promote_visible_exactly_once() {
+fn split_empty_probe_vs_last_steal() {
     loom::model(|| {
         let (w, s) = ClDeque::<usize>::new(4);
-        let cfg = SplitConfig {
-            enabled: true,
-            promote_batch: 1,
-            promote_on_wake: true,
-        };
-        let (w, s) = SplitDeque::wrap(w, s, cfg, 4);
+        let (w, s) = SplitDeque::wrap(w, s, SplitConfig::default(), 4);
+        assert_eq!(w.push_spawn(1).unwrap().promoted, 1, "empty → public");
+        let s2 = s.clone();
         let thief = loom::thread::spawn(move || {
             let mut got = Vec::new();
             for _ in 0..2 {
-                if let Steal::Success(v) = s.steal() {
+                if let Steal::Success(v) = s2.steal() {
                     got.push(v);
                 }
             }
             got
         });
-        w.push_spawn(1).unwrap();
-        w.push_spawn(2).unwrap(); // boundary: promotes the oldest item
-        let mut got = Vec::new();
-        while let Some(v) = w.pop() {
-            got.push(v);
+        let raced = w.push_spawn(2).unwrap(); // probe races the steal of 1
+        let mut got = thief.join().unwrap();
+        assert_eq!(got.first(), Some(&1), "item 1 was public throughout");
+        if raced.promoted == 0 {
+            assert_eq!(got, vec![1], "item 2 stayed private");
         }
-        got.extend(thief.join().unwrap());
-        got.sort_unstable();
+        // The join made the thief's steals visible to the probe.
+        let deferred = usize::from(raced.promoted == 0);
+        let republish = usize::from(got.len() == 2);
         assert_eq!(
-            got,
-            vec![1, 2],
-            "every item claimed exactly once across promotion"
+            w.push_spawn(3).unwrap().promoted as usize,
+            deferred + republish,
+            "publishes exactly when the public deque is empty"
         );
-    });
-}
-
-/// The hunger signal: a thief's failed sweep (`Relaxed` store) races the
-/// owner's per-push probe (`Relaxed` load). Whichever way the race lands,
-/// no item is lost or duplicated; and when the owner provably missed the
-/// signal (`promoted == 0`), the post-join flag must be visible and the
-/// next push must promote everything despite the distant batch boundary.
-#[test]
-fn split_hungry_promotion() {
-    loom::model(|| {
-        let (w, s) = ClDeque::<usize>::new(8);
-        let cfg = SplitConfig {
-            enabled: true,
-            promote_batch: 1024, // only hunger can trigger promotion here
-            promote_on_wake: true,
-        };
-        let (w, s) = SplitDeque::wrap(w, s, cfg, 8);
-        w.push_spawn(1).unwrap(); // stays private: the boundary is far away
-        let s2 = s.clone();
-        let thief = loom::thread::spawn(move || s2.steal().success());
-        let r = w.push_spawn(2).unwrap(); // races the thief's hunger store
-        let stolen = thief.join().unwrap();
-        if r.promoted == 0 {
-            // The owner's probe read 0, so nothing was ever public: the
-            // sweep can only have failed, and its hunger store is now
-            // visible (join edge). The very next push promotes all.
-            assert!(stolen.is_none(), "nothing was public to steal");
-            assert!(w.hungry_flag(), "failed sweep raised hunger");
-            assert_eq!(w.push_spawn(3).unwrap().promoted, 3);
-        } else {
-            w.push_spawn(3).unwrap();
-        }
-        let mut got: Vec<usize> = stolen.into_iter().collect();
+        assert!(w.public_len() >= 1, "never private-only after a push");
+        got.extend(s.steal().success());
+        assert_eq!(got.len(), 2 + republish, "that push was stealable");
         while let Some(v) = w.pop() {
             got.push(v);
         }
-        while let Steal::Success(v) = s.steal() {
-            got.push(v);
-        }
         got.sort_unstable();
-        assert_eq!(got, vec![1, 2, 3], "conservation across the hunger race");
+        assert_eq!(got, vec![1, 2, 3], "every item claimed exactly once");
     });
 }
 
@@ -399,8 +364,8 @@ mod mini_split {
     //! A one-slot promotion mailbox: the essence of the split layer's
     //! private→public handoff, reduced to "store the payload, then publish
     //! the ready flag". In the real layer the publish edge is the wrapped
-    //! deque's release push (the hunger flag is advisory and carries no
-    //! data) — this mini model isolates exactly that edge so the canary
+    //! deque's release push (the emptiness probe is advisory and carries
+    //! no data) — this mini model isolates exactly that edge so the canary
     //! can break it.
 
     use loom::sync::atomic::{AtomicU64, Ordering};

@@ -7,11 +7,13 @@
 //! the split layer on and off:
 //!
 //! 1. **Fast path** — one worker (no thief can exist), a tight `join2`
-//!    loop. Every iteration is exactly one spawn, one owner pop of the
-//!    just-pushed continuation, and one trivially-satisfied sync: the
-//!    purest spawn/sync round trip the runtime has. Reported as
-//!    nanoseconds and TSC cycles per iteration, best-of-`reps` (minimum —
-//!    the run least disturbed by the host).
+//!    loop run as the child of one outer spawn. The outer continuation is
+//!    the deque's one public item, so the loop is where every spawn of a
+//!    recursion below its outermost spine is: each iteration is exactly
+//!    one spawn, one owner pop of the just-pushed continuation, and one
+//!    trivially-satisfied sync. Reported as nanoseconds and TSC cycles
+//!    per iteration, best-of-`reps` (minimum — the run least disturbed by
+//!    the host).
 //! 2. **Steal path** — two workers running `fib`, where a fraction of
 //!    continuations is stolen and must cross the promotion path. Reported
 //!    per spawn over the whole run, plus the steal/promotion counters that
@@ -56,15 +58,20 @@ fn fib(n: u64) -> u64 {
     a + b
 }
 
-/// The measured inner loop: one spawn + one fast-path pop + one sync per
-/// iteration.
+/// The measured loop: one spawn + one fast-path pop + one sync per
+/// iteration, below an outer spawn that holds the public slot (§6g: a push
+/// onto an empty public deque is published, and that is not the path
+/// measured here).
 fn join_loop(iters: u64) -> u64 {
-    let mut acc = 0u64;
-    for _ in 0..iters {
-        let (a, b) = api::join2(|| 1u64, || 0u64);
-        acc += a + b;
-    }
-    acc
+    let inner = || {
+        let mut acc = 0u64;
+        for _ in 0..iters {
+            let (a, b) = api::join2(|| 1u64, || 0u64);
+            acc += a + b;
+        }
+        acc
+    };
+    api::join2(inner, || ()).0
 }
 
 fn split_config(enabled: bool) -> SplitConfig {

@@ -191,7 +191,7 @@ pub struct Config {
     pub flavor: Flavor,
     /// Per-worker deque capacity (bounded algorithms; CL grows beyond it).
     pub deque_capacity: usize,
-    /// Split-deque layer: private spawn segment + lazy promotion
+    /// Split-deque layer: private spawn segment, oldest item kept public
     /// (DESIGN.md §6g). Enabled by default; [`SplitConfig::disabled`]
     /// restores the every-spawn-public behaviour of the unsplit deques.
     pub split: SplitConfig,

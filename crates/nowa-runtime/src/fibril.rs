@@ -148,7 +148,7 @@ mod tests {
 
         assert_eq!(Fibril::push(&dq, Ptr::from_ref(&rec)), Some(0));
         assert_eq!(Fibril::public_occupancy(&dq), 1, "public at once");
-        assert_eq!(Fibril::force_promote(&dq, usize::MAX), 0);
+        assert_eq!(Fibril::force_promote(&dq), 0);
         let _stolen = Fibril::steal_from(&st).success().unwrap();
         assert_eq!(frame.join.locked.lock().count, 1);
 

@@ -109,8 +109,8 @@ pub trait Protocol: Sized + 'static {
 
     /// Offers a continuation to thieves (Fig. 5 line 2). `Some(n)`: it was
     /// enqueued (privately or publicly), and `n` private items were
-    /// promoted to the public deque as a side effect (batch boundary,
-    /// hunger signal, or private-ring overflow). `None`: both segments of a
+    /// promoted to the public deque as a side effect (the public deque
+    /// was empty, or the private ring overflowed). `None`: both segments of a
     /// bounded queue refused — the caller then simply runs the child
     /// without offering the continuation (less parallelism, same
     /// semantics).
@@ -151,8 +151,9 @@ pub trait Protocol: Sized + 'static {
     /// Occupancy seen through a thief-side handle (racy snapshot) — the
     /// idle engine's park validation re-scan: anything non-zero anywhere
     /// means "don't sleep, go steal". Private segments are invisible here
-    /// by design; the hunger signal raised by the failed steals of the
-    /// sweep preceding a park covers them.
+    /// by design: a split deque is never private-only after a push (§6g),
+    /// so an owner whose public deque reads empty here publishes — and
+    /// takes the wake path — on its next push.
     fn stealer_len(st: &Self::Stealer) -> usize;
 
     // ---- the split layer (DESIGN.md §6g); the defaults describe a deque
@@ -178,10 +179,9 @@ pub trait Protocol: Sized + 'static {
         false
     }
 
-    /// Promotes up to `max` private items to the public deque regardless of
-    /// batch or hunger state (the wake path's `promote_on_wake` and the
-    /// chaos `ForcePromote` site). Returns the number moved.
-    fn force_promote(_dq: &Self::Owner, _max: usize) -> u32 {
+    /// Promotes every private item to the public deque whatever it holds
+    /// (the chaos `ForcePromote` site). Returns the number moved.
+    fn force_promote(_dq: &Self::Owner) -> u32 {
         0
     }
 }

@@ -63,7 +63,8 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
     }
 
     /// With the split layer enabled the common case is a private,
-    /// synchronization-free ring write.
+    /// synchronization-free ring write; a push that finds the public deque
+    /// empty publishes (`Some(n > 0)`).
     // lint: hot-path
     // lint: wait-free
     #[inline]
@@ -199,8 +200,8 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
     }
 
     // lint: wait-free
-    fn force_promote(dq: &Self::Owner, max: usize) -> u32 {
-        dq.force_promote(max) as u32
+    fn force_promote(dq: &Self::Owner) -> u32 {
+        dq.force_promote() as u32
     }
 }
 
@@ -305,59 +306,76 @@ mod tests {
         assert!(P::take_own(&dq).is_none());
     }
 
-    /// With the split enabled, a fresh spawn stays private; a thief's
-    /// failed steal raises hunger; the next push promotes everything and
-    /// the thief gets the globally oldest record, with fork bookkeeping.
-    fn split_promotion_feeds_hungry_thief<P: Protocol>() {
+    /// With the split enabled, one push onto an empty deque is stealable
+    /// at once — no failed sweep has to ask for it — and the thief gets it
+    /// with fork bookkeeping done.
+    fn split_first_push_is_stealable_at_once<P: Protocol>() {
         let frame = Frame::new();
         let (dq, st) = P::new_deque(8, SplitConfig::default());
-        let rec1 = SpawnRecord::new(&frame);
-        let rec2 = SpawnRecord::new(&frame);
+        let rec = SpawnRecord::new(&frame);
 
-        let first = P::push(&dq, Ptr::from_ref(&rec1));
-        assert_eq!(first, Some(0), "fresh spawn stays private");
-        assert_eq!(P::public_occupancy(&dq), 0);
-        assert_eq!(P::occupancy(&dq), 1, "private item counts in occupancy");
-        assert_eq!(P::stealer_len(&st), 0, "…but thieves cannot see it");
-
-        // A thief sweeps: the public deque is empty, hunger is raised.
-        assert!(P::steal_from(&st).is_empty());
-        // The next push promotes both records for the hungry thief.
-        let second = P::push(&dq, Ptr::from_ref(&rec2));
-        assert_eq!(second, Some(2));
-        assert_eq!(P::public_occupancy(&dq), 2);
-        assert_eq!(P::stealer_len(&st), 2);
+        assert_eq!(P::push(&dq, Ptr::from_ref(&rec)), Some(1));
+        assert_eq!(P::public_occupancy(&dq), 1);
+        assert_eq!(P::stealer_len(&st), 1, "what park validation reads");
 
         let stolen = P::steal_from(&st).success().unwrap();
         assert_eq!(
             stolen.as_ptr() as *const SpawnRecord,
-            &rec1 as *const SpawnRecord,
-            "thief receives the globally oldest spawn"
+            &rec as *const SpawnRecord
         );
         assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 1);
+        assert_eq!(P::pop_or_join(&dq, &frame), AfterChild::OutOfWork);
     }
 
-    /// The owner's pop reports which segment served it, and a forced
-    /// promotion publishes private work without a push.
-    fn split_private_pop_and_force_promote<P: Protocol>() {
+    /// A push onto a non-empty public deque stays private and is popped
+    /// back privately; once the public record is stolen, the very next
+    /// push republishes the oldest private record.
+    fn split_republishes_after_public_steal<P: Protocol>() {
+        let frame = Frame::new();
+        let (dq, st) = P::new_deque(8, SplitConfig::default());
+        let recs: [SpawnRecord; 3] = core::array::from_fn(|_| SpawnRecord::new(&frame));
+        let addr = |r: Rec| r.as_ptr() as *const SpawnRecord;
+
+        assert_eq!(P::push(&dq, Ptr::from_ref(&recs[0])), Some(1));
+        assert_eq!(P::push(&dq, Ptr::from_ref(&recs[1])), Some(0));
+        assert_eq!(P::occupancy(&dq), 2, "private item counts in occupancy");
+        assert_eq!(P::stealer_len(&st), 1, "…but thieves cannot see it");
+        assert_eq!(P::pop_or_join(&dq, &frame), AfterChild::Continue);
+        assert!(P::last_pop_was_private(&dq));
+
+        assert_eq!(P::push(&dq, Ptr::from_ref(&recs[1])), Some(0));
+        assert_eq!(
+            addr(P::steal_from(&st).success().unwrap()),
+            &recs[0] as *const _
+        );
+        assert!(P::steal_from(&st).is_empty(), "rec 1 is private");
+        // Public deque empty again: this push publishes all but itself.
+        assert_eq!(P::push(&dq, Ptr::from_ref(&recs[2])), Some(1));
+        assert_eq!(P::stealer_len(&st), 1);
+        assert_eq!(
+            addr(P::steal_from(&st).success().unwrap()),
+            &recs[1] as *const _,
+            "thief receives the globally oldest spawn"
+        );
+        assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 2);
+    }
+
+    /// A forced promotion publishes private work without a push, and the
+    /// owner's pop reports that it then came from the public deque.
+    fn split_force_promote_publishes_private_work<P: Protocol>() {
         let frame = Frame::new();
         let (dq, st) = P::new_deque(8, SplitConfig::default());
         let rec1 = SpawnRecord::new(&frame);
         let rec2 = SpawnRecord::new(&frame);
 
         assert!(P::push(&dq, Ptr::from_ref(&rec1)).is_some());
+        assert_eq!(P::push(&dq, Ptr::from_ref(&rec2)), Some(0));
+        assert_eq!(P::force_promote(&dq), 1);
+        assert_eq!(P::public_occupancy(&dq), 2);
         assert_eq!(P::pop_or_join(&dq, &frame), AfterChild::Continue);
-        assert!(P::last_pop_was_private(&dq));
-
-        assert!(P::push(&dq, Ptr::from_ref(&rec2)).is_some());
-        assert_eq!(P::force_promote(&dq, usize::MAX), 1);
-        assert_eq!(P::public_occupancy(&dq), 1);
+        assert!(!P::last_pop_was_private(&dq), "rec 2 had gone public");
         let _stolen = P::steal_from(&st).success().unwrap();
         assert_eq!(P::pop_or_join(&dq, &frame), AfterChild::OutOfWork);
-        assert!(
-            !P::last_pop_was_private(&dq),
-            "that join popped nothing private"
-        );
     }
 
     /// Two spawn…sync regions on one frame after `rearm`.
@@ -390,8 +408,9 @@ mod tests {
         nowa_late_joiner_resumes,
         nowa_restore_self_resume_retires_suspension,
         take_own_does_fork_bookkeeping,
-        split_promotion_feeds_hungry_thief,
-        split_private_pop_and_force_promote,
+        split_first_push_is_stealable_at_once,
+        split_republishes_after_public_steal,
+        split_force_promote_publishes_private_work,
         frame_reuse_across_regions,
     );
 }

@@ -169,7 +169,7 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
         // out-of-band promotion batch (or arm a promotion failure).
         chaos::on_spawn_push(worker);
         if chaos::on_force_promote(worker) {
-            crate::worker::promote_batch::<P>(worker);
+            crate::worker::note_promotion(worker, P::force_promote(deque));
         }
         let pushed = P::push(deque, nowa_deque::Ptr::from_ref(&*record));
         let offered = pushed.is_some();
@@ -178,9 +178,10 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
             crate::worker::note_promotion(worker, promoted);
             // Idle engine: wake a thief only for work it can see. A push
             // into a private segment that promoted nothing is invisible to
-            // thieves, so there wakes ride promotions (which a hungry
-            // sweep guarantees before any thief parks); a deque without a
-            // private segment publishes every push.
+            // thieves, so there wakes ride promotions; a thief parks only
+            // after reading this public deque empty, and the first push
+            // onto an empty public deque always promotes. A deque without
+            // a private segment publishes every push.
             if promoted > 0 || !P::has_private_segment(deque) {
                 crate::worker::wake_after_spawn::<P>(worker);
             }

@@ -463,7 +463,9 @@ unsafe fn park_worker<P: Protocol>(worker: *mut Worker, shared: &Shared, stealer
     let index = unsafe { (*worker).index };
     // The validation re-scan: anything runnable anywhere? (Our own deque
     // can't have grown — only this worker pushes to it — so scan the
-    // others.)
+    // others.) Private segments don't show in `stealer_len`; they needn't:
+    // a victim whose public deque reads empty here promotes, and so takes
+    // the wake path, on its very next push (§6g).
     let runnable = || {
         shared.shutdown.load(Ordering::Acquire)
             || !shared.injector.is_empty()
@@ -562,27 +564,9 @@ pub(crate) unsafe fn note_promotion(worker: *mut Worker, moved: u32) {
     }
 }
 
-/// Promotes one configured batch out of band (the wake path's
-/// `promote_on_wake` and the chaos `ForcePromote` site) — a no-op on a
-/// deque without a private segment.
-///
-/// # Safety
-/// `worker` must be the calling thread's live worker, of a runtime running
-/// `P`.
-pub(crate) unsafe fn promote_batch<P: Protocol>(worker: *mut Worker) {
-    unsafe {
-        let w: &Worker = &*worker;
-        let batch = w.shared.config.split.promote_batch.max(1);
-        let moved = P::force_promote(&(*FlavoredWorker::<P>::of(worker)).deque, batch);
-        note_promotion(worker, moved);
-    }
-}
-
 /// The spawn-path wake hook, called when a spawn made work thief-visible
 /// (an unsplit push, or a split push that promoted). One relaxed load of
-/// the sleeper count on the common path; when sleepers exist, optionally
-/// promote another batch (`promote_on_wake`, so the woken thief finds more
-/// than a single stealable item — a no-op on unsplit deques) and issue one
+/// the sleeper count on the common path; when sleepers exist, issue one
 /// targeted wake, gated on the *public* depth: a wake is only useful if
 /// the woken thief can see the work, and depth gating keeps a lone
 /// spawn-pop-spawn-pop loop from paying for work it is about to reclaim.
@@ -601,9 +585,6 @@ pub(crate) unsafe fn wake_after_spawn<P: Protocol>(worker: *mut Worker) {
         return;
     }
     let deque = unsafe { &(*FlavoredWorker::<P>::of(worker)).deque };
-    if shared.config.split.promote_on_wake {
-        unsafe { promote_batch::<P>(worker) };
-    }
     let threshold = shared.config.idle.wake_threshold;
     if threshold > 0 && P::public_occupancy(deque) < threshold {
         return;

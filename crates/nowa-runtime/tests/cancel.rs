@@ -148,19 +148,10 @@ fn cancel_during_suspended_sync_aborts() {
     for flavor in BOTH_FLAVORS {
         // The suspension needs the continuation stolen before the child
         // finishes; retry a few times in case a loaded machine delays the
-        // thief. The §6g split layer is disabled so the lone push is
-        // public immediately — under lazy promotion a single spawn whose
-        // child blocks stays private unless a thief signalled hunger
-        // first, and this test is about the cancel/abort handoff, not
-        // promotion policy.
+        // thief.
         let mut aborted = false;
         for _ in 0..5 {
-            let rt = Runtime::new(
-                Config::with_workers(2)
-                    .flavor(flavor)
-                    .split(nowa_runtime::SplitConfig::disabled()),
-            )
-            .unwrap();
+            let rt = Runtime::new(Config::with_workers(2).flavor(flavor)).unwrap();
             let (tx, rx) = mpsc::channel();
             let canceller = std::thread::spawn(move || {
                 let token: nowa_runtime::CancelToken = rx.recv().unwrap();

@@ -103,43 +103,32 @@ fn sustained_spawns_wake_parked_thieves() {
     }
 }
 
-/// One producer against eagerly parking hungry thieves with the smallest
-/// promotion batch (§6g): work becomes public only when a thief's failed
-/// sweep raises hunger or the post-promotion wake path promotes. A missed
-/// hunger signal or a lost post-promotion wake turns the handoff into a
-/// `max_park` nap and blows the wall-clock bound.
+/// One producer against eagerly parking thieves (§6g): a thief parks only
+/// after reading the producer's public deque empty, and the first push
+/// after that finds it empty too, promotes, and takes the wake path. A
+/// lost post-promotion wake turns the handoff into a `max_park` nap and
+/// blows the wall-clock bound.
 #[test]
 fn starved_thieves_feed_via_promotion_all_flavors() {
-    use nowa_runtime::SplitConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
     for flavor in Flavor::ALL {
-        let rt = Runtime::new(
-            Config::with_workers(4)
-                .flavor(flavor)
-                .idle(eager_park())
-                .split(SplitConfig {
-                    enabled: true,
-                    promote_batch: 1,
-                    promote_on_wake: true,
-                }),
-        )
-        .unwrap();
+        let rt = Runtime::new(Config::with_workers(4).flavor(flavor).idle(eager_park())).unwrap();
         let t0 = Instant::now();
         let total = AtomicU64::new(0);
         rt.run(|| {
             let region = api::Region::new();
             let total = &total;
             for i in 0..2_000u64 {
-                // Cede the CPU so the eagerly parking thieves actually get
-                // to sweep (and starve, and signal) on a small host.
-                if i % 32 == 0 {
-                    std::thread::yield_now();
-                }
                 // SAFETY: the atomic is Send and outlives the region; the
                 // region syncs before drop.
                 unsafe {
                     region.spawn(move || {
+                        // ~5 µs of leaf, so the run outlasts a futex wake.
+                        for _ in 0..2_500 {
+                            std::hint::black_box(i);
+                        }
                         total.fetch_add(1, Ordering::Relaxed);
                     })
                 };
@@ -163,8 +152,15 @@ fn starved_thieves_feed_via_promotion_all_flavors() {
         if flavor != Flavor::FIBRIL {
             assert!(
                 stats.promotions > 0,
-                "hungry parked thieves never triggered a promotion, \
+                "pushes onto an empty public deque never promoted, \
                  flavor {}",
+                flavor.name()
+            );
+        }
+        if parallel {
+            assert!(
+                stats.steals > 0,
+                "parked thieves starved beside a spawn loop, flavor {}",
                 flavor.name()
             );
         }

@@ -66,13 +66,27 @@ type P = Nowa<nowa_deque::Cl>;
 /// conclude "sync condition holds" and resume the continuation.
 #[test]
 fn sync_counter_exactly_one_resumes() {
-    loom::model(|| {
+    exactly_one_resumes(SplitConfig::disabled());
+}
+
+/// The same hazardous race with the split layer *enabled* (§6g): the push
+/// finds the public deque empty, so the record crosses the private ring
+/// and is promoted before the thief can see it. The `I_max` arming must
+/// not care which path made the record public.
+#[test]
+fn sync_counter_exactly_one_resumes_with_promotion() {
+    exactly_one_resumes(SplitConfig::default());
+}
+
+fn exactly_one_resumes(split: SplitConfig) {
+    loom::model(move || {
         let frame = Arc::new(Frame::new());
-        let (dq, st) = P::new_deque(4, SplitConfig::disabled());
+        let (dq, st) = P::new_deque(4, split);
         // The record outlives both threads' use: the thief is joined
         // before it drops.
         let rec = SpawnRecord::new(&*frame);
-        assert!(P::push(&dq, Rec::from_ref(&rec)).is_some());
+        let promoted = P::push(&dq, Rec::from_ref(&rec)).expect("offered");
+        assert_eq!(promoted, u32::from(split.enabled), "public either way");
 
         // Thief: on a successful steal (which does the α fork
         // bookkeeping), run the stolen continuation to the explicit sync.
@@ -97,58 +111,6 @@ fn sync_counter_exactly_one_resumes() {
             // restored counter at zero (owner resumes the suspended sync)
             // or the thief's precheck/restore found all children joined
             // (thief proceeds past the sync) — never both, never neither.
-            (AfterChild::OutOfWork, Some(true)) => {}
-            (AfterChild::ResumeSync, Some(false)) => {}
-            other => panic!(
-                "sync condition must be claimed exactly once, got \
-                 (owner, thief) = {other:?}"
-            ),
-        }
-    });
-}
-
-/// The same hazardous race with the split layer *enabled* (§6g): the spawn
-/// lands in the owner-private segment, invisible to the thief, and the
-/// wake path's promotion (`force_promote`, the scheduler's
-/// `promote_on_wake` step) races the thief's sweep. Whether the thief's
-/// hunger store lands before the push (hungry promotion) or the explicit
-/// promotion moves the record, the continuation must still be claimed by
-/// exactly one of {owner pop, thief steal} and the sync condition by
-/// exactly one side — the `I_max` arming must not care which path made
-/// the record public.
-#[test]
-fn sync_counter_exactly_one_resumes_with_promotion() {
-    loom::model(|| {
-        let frame = Arc::new(Frame::new());
-        let split = SplitConfig {
-            enabled: true,
-            promote_batch: 1024, // no boundary promotion: hunger or force only
-            promote_on_wake: true,
-        };
-        let (dq, st) = P::new_deque(4, split);
-        // The record outlives both threads' use: the thief is joined
-        // before it drops.
-        let rec = SpawnRecord::new(&*frame);
-
-        let thief = {
-            let frame = frame.clone();
-            loom::thread::spawn(move || {
-                P::steal_from(&st)
-                    .success()
-                    .map(|_| P::sync_precheck(&frame) || P::sync_restore(&frame))
-            })
-        };
-
-        // Owner: spawn (private unless the thief's hunger landed first),
-        // then the wake path's promotion, then the child returns.
-        let promoted = P::push(&dq, Rec::from_ref(&rec)).expect("offered");
-        let moved = promoted + P::force_promote(&dq, 1);
-        assert_eq!(moved, 1, "the lone record is promoted exactly once");
-        let after = P::pop_or_join(&dq, &frame);
-        let thief_resumed = thief.join().unwrap();
-
-        match (after, thief_resumed) {
-            (AfterChild::Continue, None) => {}
             (AfterChild::OutOfWork, Some(true)) => {}
             (AfterChild::ResumeSync, Some(false)) => {}
             other => panic!(

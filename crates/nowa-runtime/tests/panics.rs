@@ -149,14 +149,6 @@ fn panic_crosses_suspended_sync() {
         let before = DROPS.load(Ordering::SeqCst);
         let result = catch_unwind(AssertUnwindSafe(|| {
             rt.run(|| {
-                // Let the thief finish starting up and sweep our (empty)
-                // deque first: with split deques the sweep raises the
-                // hunger flag, so the spawn's push below promotes the
-                // continuation where a thief can actually reach it. Without
-                // the grace period the push can race ahead of the thief's
-                // first sweep on small hosts and the continuation stays
-                // private for the whole window.
-                std::thread::sleep(Duration::from_millis(10));
                 api::join2(
                     || {
                         std::thread::sleep(Duration::from_millis(50));

@@ -21,17 +21,13 @@ fn fib(n: u64) -> u64 {
 
 /// A root whose first continuation is certainly stolen (the child waits
 /// for it), followed by enough fine-grained work to move every
-/// spawn-path counter. The waiting child keeps spawning: a split deque
-/// publishes private work only on a push that sees a thief's hunger
-/// signal, so a child that merely waited could hide its continuation
-/// forever.
+/// spawn-path counter.
 fn stealing_workload(rt: &Runtime) {
     let stolen = AtomicBool::new(false);
     let saw_steal = rt.run(|| {
         let child = || {
             let t0 = Instant::now();
             while !stolen.load(Ordering::Acquire) && t0.elapsed() < Duration::from_secs(10) {
-                assert_eq!(fib(2), 1);
                 std::thread::yield_now();
             }
             stolen.load(Ordering::Acquire)

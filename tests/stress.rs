@@ -2,7 +2,7 @@
 //! deep suspension chains, concurrent external submitters.
 
 use nowa::kernels::{BenchId, Size};
-use nowa::{join2, Config, Flavor, MadvisePolicy, Runtime, SplitConfig};
+use nowa::{join2, Config, Flavor, MadvisePolicy, Runtime};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -156,38 +156,32 @@ fn region_stress_many_linear_spawns() {
 }
 
 /// Thief starvation (§6g): one producer strand spawning a long linear run
-/// of tiny children against hungry thieves, with the smallest possible
-/// promotion batch. With linear spawns the owner's deque never holds more
-/// than one continuation, so batch-boundary promotion (which keeps one
-/// item back) moves nothing — every continuation a thief gets must have
-/// crossed the hunger-signal path. Steal conservation must survive, and
-/// the thieves must actually eat.
+/// of small children. With linear spawns the owner's deque never holds
+/// more than one continuation, so every continuation a thief gets was
+/// published by the push that found the public deque empty — nothing asks
+/// for it. Steal conservation must survive, and where there is a second
+/// CPU to run them the thieves must actually eat, without the producer
+/// ever ceding its own.
 #[test]
-fn thief_starvation_tiny_promote_batch_all_flavors() {
+fn thief_starvation_linear_spawns_all_flavors() {
     use std::sync::atomic::{AtomicU64, Ordering};
+    let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
     for flavor in Flavor::ALL {
-        let config = Config::with_workers(4).flavor(flavor).split(SplitConfig {
-            enabled: true,
-            promote_batch: 1,
-            promote_on_wake: true,
-        });
-        let rt = Runtime::new(config).unwrap();
+        let rt = Runtime::new(Config::with_workers(4).flavor(flavor)).unwrap();
         let total = AtomicU64::new(0);
         rt.run(|| {
             let region = nowa::Region::new();
             let total = &total;
             for i in 0..20_000u64 {
-                // Give the thieves CPU time: on a small host the producer
-                // can otherwise finish before a thief ever sweeps (and a
-                // thief that never runs never raises hunger).
-                if i % 64 == 0 {
-                    std::thread::yield_now();
-                }
                 // SAFETY: as in `region_stress_many_linear_spawns` — the
                 // child captures `i` by value and the region syncs before
                 // drop.
                 unsafe {
                     region.spawn(move || {
+                        // ~1 µs of leaf, so the run outlasts a thief's wake.
+                        for _ in 0..500 {
+                            std::hint::black_box(i);
+                        }
                         total.fetch_add(i, Ordering::Relaxed);
                     })
                 };
@@ -218,7 +212,14 @@ fn thief_starvation_tiny_promote_batch_all_flavors() {
         } else {
             assert!(
                 stats.promotions > 0,
-                "hungry thieves never triggered a promotion, flavor {}",
+                "pushes onto an empty public deque never promoted, flavor {}",
+                flavor.name()
+            );
+        }
+        if parallel {
+            assert!(
+                stats.steals > 0,
+                "thieves starved beside a spawn loop, flavor {}",
                 flavor.name()
             );
         }
@@ -314,23 +315,17 @@ mod chaos {
 
     #[test]
     fn starved_thieves_survive_forced_promotions() {
-        use nowa::SplitConfig;
-
         // The ForcePromote site (armed in `aggressive`) alternates between
-        // forcing an extra promotion batch and arming a promotion failure
-        // (put-back path). Under a tiny promote batch both must leave the
-        // results bit-identical across replays and conserve continuations.
+        // forcing an extra promotion and arming a promotion failure
+        // (put-back path, which leaves the public deque empty until the
+        // next push). Both must leave the results bit-identical across
+        // replays and conserve continuations.
         for flavor in [Flavor::NOWA, Flavor::NOWA_THE] {
             for replay in 0..2 {
                 let mut config = Config::with_workers(4)
                     .flavor(flavor)
                     .stack_size(256 * 1024)
-                    .chaos(ChaosConfig::aggressive(0xBEE5))
-                    .split(SplitConfig {
-                        enabled: true,
-                        promote_batch: 1,
-                        promote_on_wake: true,
-                    });
+                    .chaos(ChaosConfig::aggressive(0xBEE5));
                 config.stack_cache = 0;
                 let rt = Runtime::new(config).unwrap();
                 assert_eq!(
