@@ -131,16 +131,6 @@ pub fn unregister_stack(base: usize) {
     }
 }
 
-/// Number of currently registered stacks (racy; tests and introspection).
-pub fn registered_stacks() -> usize {
-    (0..MAX_STACKS)
-        .filter(|&i| {
-            let b = STACK_BASES[i].load(Ordering::Relaxed);
-            b != 0 && b != CLAIMED
-        })
-        .count()
-}
-
 // ------------------------------------------------------- labels and hooks
 
 std::thread_local! {
@@ -510,13 +500,22 @@ mod tests {
 
     #[test]
     fn registry_round_trip() {
-        let before = registered_stacks();
-        register_stack(0x1000_0000, 8 * PAGE_SIZE);
-        assert_eq!(registered_stacks(), before + 1);
-        unregister_stack(0x1000_0000);
-        assert_eq!(registered_stacks(), before);
+        // The registry is process-global and sibling tests map and unmap
+        // stacks while this runs: follow this test's own (never mapped)
+        // address, not the population count.
+        const BASE: usize = 0x1000_0000;
+        let present = || {
+            STACK_BASES
+                .iter()
+                .any(|slot| slot.load(Ordering::Acquire) == BASE)
+        };
+        register_stack(BASE, 8 * PAGE_SIZE);
+        assert!(present());
         // Unregistering something never registered is a no-op.
         unregister_stack(0xDEAD_0000);
+        assert!(present());
+        unregister_stack(BASE);
+        assert!(!present());
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::{Full, Steal, StealerOps, Token, WorkerOps};
 pub struct SplitConfig {
     /// When `false`, the layer is a pass-through to the wrapped deque:
     /// every push goes straight to the public end (the pre-split
-    /// behaviour, kept for the `nowa-bench spawn` ablation).
+    /// behaviour; the `nosplit` arm of `benchmark/` measures against it).
     pub enabled: bool,
 }
 

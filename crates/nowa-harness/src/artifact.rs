@@ -4,7 +4,7 @@
 //! header so downstream tooling (CI gates, plotting scripts) can check what
 //! it is reading before trusting the numbers:
 //!
-//! * `schema` — the artifact kind (`nowa-bench-wakeup`, `nowa-bench-profile`);
+//! * `schema` — the artifact kind (`nowa-bench-profile`);
 //! * `schema_version` — bumped on breaking layout changes;
 //! * `timestamp_unix_s` — when the run finished;
 //! * `host` — the machine that produced it (numbers are host-relative).

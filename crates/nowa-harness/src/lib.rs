@@ -17,7 +17,6 @@
 //! nowa-bench overhead [--size quick] [--stats]   # real 1-worker overhead
 //! nowa-bench trace measured [--size tiny] [--trace-out t.json]  # traced re-run
 //! nowa-bench profile fib [--size quick] [--out BENCH_profile.json]  # causal profile
-//! nowa-bench trace-overhead [--size quick]       # CI gate: tracing cost ≤ 10%
 //! nowa-bench all   [--quick]   # everything above
 //! ```
 //!
@@ -25,22 +24,14 @@
 //! to the `measured` and `overhead` reports. `trace` re-runs a real experiment
 //! with per-worker event rings and latency histograms enabled ([`traceexp`]);
 //! `--trace-out FILE` exports a Chrome `trace_event` JSON for Perfetto.
-//! `wakeup` ([`wakeexp`]) measures spawn-to-steal wakeup latency and idle
-//! CPU burn of the idle engine against a pre-engine emulation, writing
-//! `BENCH_wakeup.json`. `spawn` ([`spawnexp`]) measures the per-spawn
-//! fast-path cost (ns and TSC cycles) with the §6g split layer on and
-//! off, per flavor, writing `BENCH_spawn.json`; it doubles as the CI gate
-//! keeping the split-on fast path within budget. `serve` ([`serveexp`])
-//! drives the §6h async serving surface with open-loop Poisson arrivals
-//! over local socket pairs — one `spawn_async` handler per connection, a
-//! fork/join DAG per request — sweeping offered load and reporting
-//! p50/p99/p999 latency, writing `BENCH_serve.json`; it doubles as the CI
-//! smoke gate for the reactor path. `profile` ([`profileexp`]) reconstructs the
-//! fork/join DAG from causal trace events and reports work T1, span T∞,
-//! parallelism, steal-edge statistics, and per-phase critical-path
-//! attribution, writing `BENCH_profile.json`; `trace-overhead` is the CI
-//! gate keeping tracing within its overhead budget. All `BENCH_*.json`
-//! artifacts carry the versioned [`artifact`] envelope.
+//! `profile` ([`profileexp`]) reconstructs the fork/join DAG from causal
+//! trace events and reports work T1, span T∞, parallelism, steal-edge
+//! statistics, and per-phase critical-path attribution, writing
+//! `BENCH_profile.json` in the versioned [`artifact`] envelope.
+//!
+//! Performance numbers (spawn cost, wake latency, serving latency, tracing
+//! cost) are not measured here: the one ruler is the standalone
+//! `benchmark/` package (see its README).
 
 #![warn(missing_docs)]
 
@@ -49,12 +40,9 @@ pub mod artifact;
 pub mod chaosexp;
 pub mod profileexp;
 pub mod real;
-pub mod serveexp;
 pub mod simexp;
-pub mod spawnexp;
 pub mod stats;
 pub mod traceexp;
-pub mod wakeexp;
 
 pub use stats::Table;
 

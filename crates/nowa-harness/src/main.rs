@@ -31,9 +31,6 @@ experiments:
                                  reconstruction, work T1 / span T∞ /
                                  parallelism, steal edges, critical-path
                                  attribution; writes BENCH_profile.json
-  trace-overhead [--size S] [--workers N] [--reps R]
-                                 CI gate: fib with tracing on vs off, exits
-                                 non-zero when tracing costs > 10%
   chaos  [--seed N] [--iters K] [--workers N]
                                  seeded fault-injection stress over the real
                                  kernels (requires the `chaos` cargo feature)
@@ -43,24 +40,6 @@ experiments:
                                  complete or unwind with a typed Cancelled
                                  payload and shut down cleanly (requires the
                                  `chaos` cargo feature)
-  wakeup [--iters K|small] [--workers N]
-                                 idle-engine wakeup latency + idle CPU burn
-                                 vs a pre-engine emulation; writes
-                                 BENCH_wakeup.json
-  spawn  [--quick]               spawn fast-path microbenchmark: per-spawn
-                                 ns/cycles with the split deque layer on vs
-                                 off, per flavor; writes BENCH_spawn.json
-                                 and exits non-zero when the split-on fast
-                                 path blows its budget (CI gate)
-  serve  [--quick] [--workers N] [--conns K]
-                                 open-loop request/response serving over
-                                 local socket pairs: Poisson arrivals, one
-                                 async handler per connection, a fork/join
-                                 DAG per request; sweeps offered load and
-                                 reports p50/p99/p999 latency; writes
-                                 BENCH_serve.json and exits non-zero when
-                                 responses are lost or the low-load median
-                                 blows the sanity bound (CI gate)
   all    [--quick]               everything
 
 flags:
@@ -73,10 +52,8 @@ flags:
   --trace-out F  write a Chrome trace_event JSON (one track per worker) to F;
                  open in Perfetto or chrome://tracing (trace mode only)
   --out F        artifact path for profile mode (default BENCH_profile.json)
-  --conns K      serving connections (default 4; serve mode only)
   --seed N       chaos injection seed (default 1; chaos mode only)
-  --iters K      chaos iterations per flavor (default 3; chaos mode only) or
-                 wakeup latency samples per config (default 200; `small` = 50)"
+  --iters K      chaos iterations per flavor (default 3; chaos mode only)"
     );
     std::process::exit(2);
 }
@@ -92,7 +69,6 @@ struct Args {
     out: Option<String>,
     seed: u64,
     iters: Option<usize>,
-    conns: usize,
 }
 
 fn parse_flags(rest: &[String]) -> Args {
@@ -107,7 +83,6 @@ fn parse_flags(rest: &[String]) -> Args {
         out: None,
         seed: 1,
         iters: None,
-        conns: 4,
     };
     let mut i = 0;
     while i < rest.len() {
@@ -139,13 +114,6 @@ fn parse_flags(rest: &[String]) -> Args {
                     .unwrap_or_else(|| usage());
             }
             "--stats" => args.stats = true,
-            "--conns" => {
-                i += 1;
-                args.conns = rest
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
             "--seed" => {
                 i += 1;
                 args.seed = rest
@@ -155,11 +123,11 @@ fn parse_flags(rest: &[String]) -> Args {
             }
             "--iters" => {
                 i += 1;
-                args.iters = match rest.get(i).map(String::as_str) {
-                    Some("small") => Some(50),
-                    Some(s) => Some(s.parse().unwrap_or_else(|_| usage())),
-                    None => usage(),
-                };
+                args.iters = Some(
+                    rest.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage()),
+                );
             }
             "--trace-out" => {
                 i += 1;
@@ -259,20 +227,6 @@ fn main() {
             );
             std::process::exit(2);
         }
-        "wakeup" => print_tables(&nowa_harness::wakeexp::wakeup(
-            args.workers,
-            args.iters.unwrap_or(200),
-        )),
-        "spawn" => {
-            if !nowa_harness::spawnexp::spawn_bench(args.quick) {
-                std::process::exit(1);
-            }
-        }
-        "serve" => {
-            if !nowa_harness::serveexp::serve(args.workers, args.conns, args.quick) {
-                std::process::exit(1);
-            }
-        }
         "table1" => print_tables(&real::table1()),
         "fig1" => print_tables(&simexp::fig1(args.quick)),
         "fig7" => print_tables(&simexp::fig7(sim_bench, args.quick)),
@@ -288,11 +242,6 @@ fn main() {
             args.stats,
         )),
         "overhead" => print_tables(&real::overhead_table(args.size, args.reps, args.stats)),
-        "trace-overhead" => {
-            if !profileexp::trace_overhead(args.size, args.workers, args.reps) {
-                std::process::exit(1);
-            }
-        }
         "ablation-pool" => print_tables(&real::pool_ablation(args.size, args.workers, args.reps)),
         "knapsack-order" => print_tables(&real::knapsack_order(args.workers, args.reps)),
         "all" => {

@@ -1,5 +1,4 @@
-//! `nowa-bench profile <kernel>` — causal profile of one real run, and
-//! `nowa-bench trace-overhead` — the CI gate on the cost of tracing.
+//! `nowa-bench profile <kernel>` — causal profile of one real run.
 //!
 //! `profile` runs one kernel under scheduler tracing with a ring sized to
 //! hold the whole run, reconstructs the fork/join DAG from the causal
@@ -8,10 +7,6 @@
 //! of the critical path. The profile is also written as a versioned JSON
 //! artifact (default `BENCH_profile.json`, `--out` to override) wrapped in
 //! the [`crate::artifact`] envelope.
-//!
-//! `trace-overhead` measures the same kernel with tracing off and on and
-//! fails (non-zero exit) if tracing costs more than the budget — the
-//! "observability is near-free" claim, enforced.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -30,10 +25,6 @@ use crate::stats::Table;
 /// a profiling-session price, never paid by plain tracing (which keeps
 /// the [`nowa_runtime::Config::trace_ring`] default).
 const PROFILE_RING: usize = 1 << 20;
-
-/// Fraction of extra wall-clock time tracing is allowed to cost before
-/// `trace-overhead` fails CI.
-const OVERHEAD_BUDGET: f64 = 0.10;
 
 /// Runs `kernel` once under tracing and returns the reconstructed
 /// profile tables; writes the enveloped JSON artifact to `out`.
@@ -196,62 +187,6 @@ fn steal_table(p: &CausalProfile) -> Table {
     table
 }
 
-/// Measures `fib` with tracing off and on and returns `false` (CI
-/// failure) when tracing costs more than `OVERHEAD_BUDGET` (10%). Uses
-/// min-of-reps per configuration: the minimum is the least noisy
-/// estimator of the true cost on a shared CI host.
-pub fn trace_overhead(size: Size, workers: usize, reps: usize) -> bool {
-    let bench = BenchId::Fib;
-    let reps = reps.max(3);
-    let time = |tracing: bool| -> f64 {
-        let mut config = Config::with_workers(workers);
-        if tracing {
-            config = config.tracing(true);
-        }
-        let rt = Runtime::new(config).expect("runtime");
-        let _ = rt.run(|| bench.run(size)); // warm-up
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let checksum = rt.run(|| bench.run(size));
-            best = best.min(start.elapsed().as_secs_f64());
-            assert!(checksum.is_finite());
-        }
-        best
-    };
-    // Interleave the configurations so slow drift on the host hits both.
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    for _ in 0..2 {
-        off = off.min(time(false));
-        on = on.min(time(true));
-    }
-    let overhead = on / off - 1.0;
-    let ok = overhead <= OVERHEAD_BUDGET;
-    let mut table = Table::new(
-        format!(
-            "Tracing overhead on fib (size {size:?}, {workers} workers, min of {reps} reps ×2)"
-        ),
-        &["config", "best [s]", "overhead", "budget", "verdict"],
-    );
-    table.row(vec![
-        "trace off".into(),
-        format!("{off:.4}"),
-        "—".into(),
-        "—".into(),
-        "—".into(),
-    ]);
-    table.row(vec![
-        "trace on".into(),
-        format!("{on:.4}"),
-        format!("{:+.1}%", overhead * 100.0),
-        format!("{:.0}%", OVERHEAD_BUDGET * 100.0),
-        if ok { "PASS" } else { "FAIL" }.into(),
-    ]);
-    println!("{}", table.render());
-    ok
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,12 +224,5 @@ mod tests {
             .and_then(|c| c.get("phases_ns"))
             .is_some());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn trace_overhead_runs_and_reports() {
-        // Tiny size: this asserts the machinery works, not the CI budget
-        // (which the `overhead` CI job enforces at a meaningful size).
-        let _ = trace_overhead(Size::Tiny, 2, 3);
     }
 }

@@ -140,12 +140,6 @@ pub struct IdleConfig {
     /// Bounded same-victim retries on `Steal::Retry` (lost races) within
     /// one sweep, with exponential backoff between attempts.
     pub steal_retries: u32,
-    /// Minimum own-deque depth for the spawn path to issue a targeted wake
-    /// (checked only after the free relaxed sleeper-count load said someone
-    /// is parked). `usize::MAX` disables spawn-path wakes entirely —
-    /// that re-creates the seed's blind-self-wake behaviour and exists for
-    /// the `nowa-bench wakeup` baseline.
-    pub wake_threshold: usize,
     /// Upper bound on one futex park. Bounds the worst case of the
     /// store-buffering race the relaxed producer-side load admits; with
     /// targeted wakes working this timeout is essentially never the path
@@ -159,7 +153,6 @@ impl Default for IdleConfig {
             spin_sweeps: 6,
             yield_sweeps: 10,
             steal_retries: 4,
-            wake_threshold: 1,
             max_park: Duration::from_millis(1),
         }
     }
@@ -415,10 +408,10 @@ mod tests {
             "no blind-nap cliff"
         );
         let c = Config::default().idle(IdleConfig {
-            wake_threshold: usize::MAX,
+            yield_sweeps: 0,
             ..IdleConfig::default()
         });
-        assert_eq!(c.idle.wake_threshold, usize::MAX);
+        assert_eq!(c.idle.yield_sweeps, 0);
         assert_eq!(c.idle.spin_sweeps, d.spin_sweeps);
     }
 }

@@ -147,7 +147,7 @@ mod tests {
         let rec = SpawnRecord::new(&frame);
 
         assert_eq!(Fibril::push(&dq, Ptr::from_ref(&rec)), Some(0));
-        assert_eq!(Fibril::public_occupancy(&dq), 1, "public at once");
+        assert_eq!(Fibril::stealer_len(&st), 1, "public at once");
         assert_eq!(Fibril::force_promote(&dq), 0);
         let _stolen = Fibril::steal_from(&st).success().unwrap();
         assert_eq!(frame.join.locked.lock().count, 1);

@@ -166,13 +166,6 @@ pub trait Protocol: Sized + 'static {
         false
     }
 
-    /// Occupancy of the *public* (thief-visible) part of the owner's deque
-    /// — what the wake-threshold gate consults: a promotion makes a wake
-    /// worthwhile only if the woken thief can actually see the work.
-    fn public_occupancy(dq: &Self::Owner) -> usize {
-        Self::occupancy(dq)
-    }
-
     /// Whether the most recent successful owner-side pop was served by the
     /// private segment (feeds the `private_pops` statistic).
     fn last_pop_was_private(_dq: &Self::Owner) -> bool {

@@ -185,11 +185,6 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
     }
 
     // lint: wait-free
-    fn public_occupancy(dq: &Self::Owner) -> usize {
-        dq.public_len()
-    }
-
-    // lint: wait-free
     fn stealer_len(st: &Self::Stealer) -> usize {
         st.len()
     }
@@ -315,7 +310,6 @@ mod tests {
         let rec = SpawnRecord::new(&frame);
 
         assert_eq!(P::push(&dq, Ptr::from_ref(&rec)), Some(1));
-        assert_eq!(P::public_occupancy(&dq), 1);
         assert_eq!(P::stealer_len(&st), 1, "what park validation reads");
 
         let stolen = P::steal_from(&st).success().unwrap();
@@ -371,7 +365,7 @@ mod tests {
         assert!(P::push(&dq, Ptr::from_ref(&rec1)).is_some());
         assert_eq!(P::push(&dq, Ptr::from_ref(&rec2)), Some(0));
         assert_eq!(P::force_promote(&dq), 1);
-        assert_eq!(P::public_occupancy(&dq), 2);
+        assert_eq!(P::stealer_len(&st), 2);
         assert_eq!(P::pop_or_join(&dq, &frame), AfterChild::Continue);
         assert!(!P::last_pop_was_private(&dq), "rec 2 had gone public");
         let _stolen = P::steal_from(&st).success().unwrap();

@@ -406,14 +406,7 @@ impl Runtime {
                 self.shared.active_roots.fetch_sub(1, Ordering::AcqRel);
                 panic!("runtime is shut down");
             }
-            // Root submission always wakes one worker: there is no spawner
-            // on a worker thread to pick this up, so the eventcount is the
-            // only thing standing between the task and a full `max_park`.
-            if self.shared.idle.wake_one().is_none() {
-                // Every sleeper may be the claimed reactor poller, which
-                // the eventcount cannot see; kick it out of `epoll_wait`.
-                self.shared.reactor.kick_if_claimed();
-            }
+            crate::worker::wake_from_outside(&self.shared);
         }
 
         let mut guard = completion.result.lock();

@@ -183,7 +183,7 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
             // onto an empty public deque always promotes. A deque without
             // a private segment publishes every push.
             if promoted > 0 || !P::has_private_segment(deque) {
-                crate::worker::wake_after_spawn::<P>(worker);
+                crate::worker::wake_after_spawn(worker);
             }
         } else {
             stats::bump(worker, Counter::unoffered, 0);

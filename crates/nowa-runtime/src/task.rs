@@ -253,7 +253,7 @@ pub(crate) fn wake_cell(cell: &Arc<AsyncCell>) {
                 // shutdown; the parked continuation is then unreachable by
                 // design (shutdown cancel-broadcast already unwound it).
                 if shared.ready.push(ReadyCell(cell.clone())) {
-                    crate::worker::wake_for_ready(&shared);
+                    crate::worker::wake_from_outside(&shared);
                 }
             }
             // Runtime gone: every worker has exited, so the continuation

@@ -528,11 +528,14 @@ unsafe fn park_worker<P: Protocol>(worker: *mut Worker, shared: &Shared, stealer
     }
 }
 
-/// The wake hook of the async ready queue, callable from ANY thread (a
-/// `Waker` may fire from a non-worker thread): one targeted futex wake if
-/// a sleeper exists, otherwise a reactor kick — the only parked worker may
-/// be the claimed poller, which the idle engine cannot see.
-pub(crate) fn wake_for_ready(shared: &Shared) {
+/// The wake rule for work queued from OUTSIDE the worker pool — a root
+/// task on the injector, a claimed continuation on the ready queue (a
+/// `Waker` may fire on any thread): one targeted futex wake if a sleeper
+/// exists, otherwise a reactor kick. No spawner on a worker thread will
+/// pick this work up, so the wake is unconditional; and the only idle
+/// worker may be the claimed poller napping in `epoll_wait`, which the
+/// eventcount cannot see, so a wake that found no sleeper kicks it.
+pub(crate) fn wake_from_outside(shared: &Shared) {
     if shared.idle.wake_one().is_none() {
         shared.reactor.kick_if_claimed();
     }
@@ -567,26 +570,19 @@ pub(crate) unsafe fn note_promotion(worker: *mut Worker, moved: u32) {
 /// The spawn-path wake hook, called when a spawn made work thief-visible
 /// (an unsplit push, or a split push that promoted). One relaxed load of
 /// the sleeper count on the common path; when sleepers exist, issue one
-/// targeted wake, gated on the *public* depth: a wake is only useful if
-/// the woken thief can see the work, and depth gating keeps a lone
-/// spawn-pop-spawn-pop loop from paying for work it is about to reclaim.
+/// targeted wake. The caller just pushed onto the public deque, so the
+/// woken thief has work to see unless an (awake) thief already took it.
 ///
 /// # Safety
-/// `worker` must be the calling thread's live worker, of a runtime running
-/// `P`.
+/// `worker` must be the calling thread's live worker.
 #[inline]
-pub(crate) unsafe fn wake_after_spawn<P: Protocol>(worker: *mut Worker) {
+pub(crate) unsafe fn wake_after_spawn(worker: *mut Worker) {
     let shared: &Shared = unsafe { &*Arc::as_ptr(&(*worker).shared) };
     if shared.idle.sleepers() == 0 {
         // No futex sleeper — but the claimed reactor poller (invisible to
         // the idle engine) may be napping. Kicks are eventfd-coalesced, so
         // a spawn storm pays at most one write per poll cycle.
         shared.reactor.kick_if_claimed();
-        return;
-    }
-    let deque = unsafe { &(*FlavoredWorker::<P>::of(worker)).deque };
-    let threshold = shared.config.idle.wake_threshold;
-    if threshold > 0 && P::public_occupancy(deque) < threshold {
         return;
     }
     unsafe { wake_one_from(worker, shared) };

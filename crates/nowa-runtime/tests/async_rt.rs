@@ -43,9 +43,20 @@ fn eager_park() -> IdleConfig {
         spin_sweeps: 0,
         yield_sweeps: 0,
         steal_retries: 2,
-        wake_threshold: 1,
         max_park: Duration::from_secs(5),
     }
+}
+
+/// Once every strand of a run has completed, each park has had its resume
+/// (and the run did park: the tests that call this wait on something).
+fn assert_every_park_resumed(rt: &Runtime) {
+    let stats = rt.stats();
+    assert!(
+        stats.async_parks > 0 && stats.async_parks == stats.async_resumes,
+        "{} strand parks but {} resumes after the run completed",
+        stats.async_parks,
+        stats.async_resumes
+    );
 }
 
 /// A future completed by an external thread through its stored waker.
@@ -112,6 +123,7 @@ fn external_waker_reaches_fully_parked_runtime() {
             t0.elapsed()
         );
         opener.join().unwrap();
+        assert_every_park_resumed(&rt);
     }
 }
 
@@ -146,6 +158,7 @@ fn timer_fires_during_suspended_sync() {
          worker — the idle worker napped through the due wheel slot \
          ({woke_after:?})"
     );
+    assert_every_park_resumed(&rt);
 }
 
 /// `timeout` must bound a future that never resolves, and must not clip

@@ -89,6 +89,28 @@ fn single_worker_run_has_no_steal_edges() {
     assert_eq!(profile.critical.steal_edges, 0);
 }
 
+/// What tracing *does* per spawn is bounded (how long that takes on a
+/// shared host is not gated anywhere). On one worker a `join2` records
+/// `Spawn`, `FastPop` and `SyncInline`, plus an `Occupancy` sample every
+/// 64th spawn; the root and the idle descent after the run add a handful.
+/// So 4 events per spawn holds with room to spare and breaks as soon as
+/// the spawn path emits one more — and a ring that holds the run drops
+/// nothing.
+#[test]
+fn tracing_records_a_bounded_number_of_events_per_spawn() {
+    let rt = Runtime::new(Config::with_workers(1).tracing(true).trace_ring(1 << 18)).unwrap();
+    assert_eq!(rt.run(|| fib(20)), 6765);
+    let spawns = rt.stats().spawns;
+    let report = rt.trace_report().expect("tracing configured");
+    let events: u64 = report.counts.iter().sum();
+    assert_eq!(report.dropped_total, 0, "ring sized to hold the full run");
+    assert!(
+        events <= 4 * spawns,
+        "{events} events for {spawns} spawns: {:?}",
+        report.counts
+    );
+}
+
 /// Forced steal failures (chaos) perturb *which* steals succeed, not the
 /// conservation law: every successful steal still pairs with exactly one
 /// spawn edge in the reconstruction.

@@ -20,7 +20,6 @@ fn eager_park() -> IdleConfig {
         spin_sweeps: 0,
         yield_sweeps: 0,
         steal_retries: 2,
-        wake_threshold: 1,
         max_park: Duration::from_secs(5),
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end runtime tests across all flavors.
 
-use nowa_runtime::{api, Config, Flavor, Runtime};
+use nowa_runtime::{api, Config, Flavor, Runtime, SplitConfig};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -18,10 +18,21 @@ fn fib_serial(n: u64) -> u64 {
     }
 }
 
+/// One worker has no thief: nothing is ever stolen, and the split layer
+/// alone decides whether the owner's pops come from its private segment.
 #[test]
 fn fib_single_worker() {
-    let rt = Runtime::with_workers(1).unwrap();
-    assert_eq!(rt.run(|| fib(20)), fib_serial(20));
+    for split in [SplitConfig::default(), SplitConfig::disabled()] {
+        let rt = Runtime::new(Config::with_workers(1).split(split)).unwrap();
+        assert_eq!(rt.run(|| fib(20)), fib_serial(20));
+        let stats = rt.stats();
+        assert_eq!(stats.steals, 0, "{split:?}: {stats:?}");
+        assert_eq!(
+            stats.private_pops > 0,
+            split.enabled,
+            "{split:?}: {stats:?}"
+        );
+    }
 }
 
 #[test]

@@ -14,13 +14,14 @@ pub const OCCUPANCY_SHIFT: u32 = 6;
 /// `2^STAMP_SHIFT`-th hot event reads the monotonic clock; the ones in
 /// between reuse the last reading. A clock read costs tens of
 /// nanoseconds — more than a fine-grained spawn itself — so stamping
-/// every event would double the runtime of spawn-bound kernels (the
-/// `trace-overhead` CI gate enforces the budget). Staleness is bounded
-/// by `2^STAMP_SHIFT` *hot* events: rare-path events (steals, syncs,
-/// idle/park transitions) always stamp precisely and refresh the shared
-/// reading, so timestamps stay monotonic per worker and dense event
-/// bursts — the only periods that reuse stamps — are exactly the periods
-/// with no scheduling gaps to mis-measure.
+/// every event would double the runtime of spawn-bound kernels
+/// (`benchmark/` reports the traced ÷ untraced ratio; what a test asserts
+/// is the event count per spawn, in nowa-runtime's `tests/causal.rs`).
+/// Staleness is bounded by `2^STAMP_SHIFT` *hot* events: rare-path
+/// events (steals, syncs, idle/park transitions) always stamp precisely
+/// and refresh the shared reading, so timestamps stay monotonic per
+/// worker and dense event bursts — the only periods that reuse stamps —
+/// are exactly the periods with no scheduling gaps to mis-measure.
 pub const STAMP_SHIFT: u32 = 6;
 
 /// Everything one worker records: its event ring, its latency histograms,
