@@ -24,7 +24,6 @@ mod nr {
     pub const MADVISE: usize = 28;
     pub const SIGALTSTACK: usize = 131;
     pub const FUTEX: usize = 202;
-    pub const SCHED_SETAFFINITY: usize = 203;
     pub const EPOLL_CTL: usize = 233;
     pub const EPOLL_PWAIT: usize = 281;
     pub const EVENTFD2: usize = 290;
@@ -43,7 +42,6 @@ mod nr {
     pub const MADVISE: usize = 233;
     pub const SIGALTSTACK: usize = 132;
     pub const FUTEX: usize = 98;
-    pub const SCHED_SETAFFINITY: usize = 122;
     pub const EPOLL_CTL: usize = 21;
     pub const EPOLL_PWAIT: usize = 22;
     pub const EVENTFD2: usize = 19;
@@ -302,27 +300,6 @@ pub fn futex_wake(addr: &core::sync::atomic::AtomicU32, count: u32) -> usize {
     check(ret).unwrap_or(0)
 }
 
-/// Pins the calling thread to the single CPU `cpu`.
-pub fn pin_current_thread_to(cpu: usize) -> Result<(), SysError> {
-    let mut mask = [0u64; 16]; // up to 1024 CPUs
-    mask[cpu / 64] = 1u64 << (cpu % 64);
-    // pid 0 = calling thread.
-    // SAFETY: the kernel reads `size_of_val(&mask)` bytes from the live
-    // stack-allocated mask.
-    let ret = unsafe {
-        syscall6(
-            nr::SCHED_SETAFFINITY,
-            0,
-            core::mem::size_of_val(&mask),
-            mask.as_ptr() as usize,
-            0,
-            0,
-            0,
-        )
-    };
-    check(ret).map(|_| ())
-}
-
 /// `EPOLL_CTL_*` op codes and `EPOLL*` event bits for [`epoll_ctl`].
 pub mod epoll {
     /// Register a new fd with the epoll instance.
@@ -558,11 +535,6 @@ mod tests {
         // mapping, and address 1 maps nothing anyway.
         let err = unsafe { munmap(core::ptr::without_provenance_mut(1), PAGE_SIZE) }.unwrap_err();
         assert_eq!(err.0, 22);
-    }
-
-    #[test]
-    fn pin_to_cpu0_succeeds() {
-        pin_current_thread_to(0).expect("cpu 0 always exists");
     }
 
     #[test]

@@ -192,10 +192,6 @@ pub struct Config {
     pub stack_cache: usize,
     /// Stripes of the global stack pool (1 = the paper's single pool).
     pub pool_stripes: usize,
-    /// Stacks pre-mapped into the global pool at startup.
-    pub pool_prefill: usize,
-    /// Pin worker `i` to CPU `i`.
-    pub pin_workers: bool,
     /// Record scheduler traces (per-worker event rings + latency
     /// histograms). Takes effect only when the runtime is built with the
     /// `trace` cargo feature; without the feature the flag is accepted but
@@ -244,8 +240,6 @@ impl Default for Config {
             split: SplitConfig::default(),
             stack_cache: 8,
             pool_stripes: 1,
-            pool_prefill: 0,
-            pin_workers: false,
             tracing: false,
             trace_ring: DEFAULT_TRACE_RING,
             flight: None,

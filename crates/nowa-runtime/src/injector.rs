@@ -1,252 +1,112 @@
-//! Lock-free MPMC segment queue for root-task submission.
+//! The outside-work queue: everything that enters the worker pool from a
+//! thread that is not running one of its strands.
 //!
-//! The old injector was a `Mutex<VecDeque>` — every work-finding iteration
-//! of every worker took the lock just to find it empty, so root submission
-//! from foreign threads serialized against N pollers. This queue makes the
-//! empty poll three loads on read-mostly cache lines and the transfer path
-//! lock-free:
-//!
-//! * **Producers** claim a slot index with one `fetch_add` on the tail
-//!   segment, then publish the task pointer into the slot.
-//! * **Consumers** check the committed range *before* claiming (an empty
-//!   poll performs no RMW and burns no index), then claim an index with a
-//!   CAS and spin the short producer-publish window out of the slot.
-//! * Segments are linked by `next` and never unlinked; a drained segment
-//!   is simply walked past. Memory is reclaimed in `Drop`, which sidesteps
-//!   hazard-pointer/epoch reclamation entirely — the queue only carries
-//!   root submissions (a handful per run), not per-spawn traffic, so a
-//!   few hundred bytes per 64 submissions until runtime drop is a fine
-//!   trade for a reclamation-free lock-free path.
-//!
-//! FIFO per producer, MPMC-safe, and unbounded (a full segment grows the
-//! chain with one allocation per `SEG_CAP` submissions).
+//! Two kinds of work arrive this way — a root task submitted by
+//! [`Runtime::run`](crate::runtime::Runtime::run), and a parked `block_on`
+//! continuation claimed by its waker (a `Waker` may fire on any thread;
+//! DESIGN.md §6h). Neither is on the spawn/steal/join path, so the queue is
+//! a locked FIFO: a `Mutex<VecDeque>` that allocates nothing per push and
+//! frees every item it pops. What *is* polled on a hot path is emptiness —
+//! every work-finding iteration and every park validation re-scan asks —
+//! so the length is mirrored in an atomic and an empty poll is one load
+//! that never touches the lock.
 
-use crate::sync::{busy_spin, AtomicPtr, AtomicU32, Ordering};
-use crate::worker::RootTask;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
-/// Slots per segment. The loom build shrinks segments to capacity 2 so the
-/// bounded models can reach the segment-boundary paths (`advance_enq`, the
-/// drained-segment walk in `pop`) within the preemption budget.
-#[cfg(not(loom))]
-const SEG_CAP: usize = 64;
-#[cfg(loom)]
-const SEG_CAP: usize = 2;
+use crate::sync::{AtomicUsize, Ordering};
+use crate::task::AsyncCell;
 
-struct Segment<T> {
-    /// Next producer slot; claims `>= SEG_CAP` mean "segment full, move on".
-    enq: AtomicU32,
-    /// Next consumer slot; never claimed past the committed range.
-    deq: AtomicU32,
-    /// Following segment in the chain (null until a producer grows it).
-    next: AtomicPtr<Segment<T>>,
-    /// Published item pointers; null = not yet published / consumed.
-    slots: [AtomicPtr<T>; SEG_CAP],
+/// One unit of work queued from outside the pool.
+pub(crate) enum Outside {
+    /// A root task (type-erased; completion signalling is baked into the
+    /// closure by [`Runtime::run`](crate::runtime::Runtime::run)). Must
+    /// not unwind.
+    Root(Box<dyn FnOnce() + Send>),
+    /// A parked async continuation whose wake was claimed: the popping
+    /// worker owns the continuation and resumes it.
+    Ready(Arc<AsyncCell>),
 }
 
-impl<T> Segment<T> {
-    fn boxed() -> Box<Segment<T>> {
-        Box::new(Segment {
-            enq: AtomicU32::new(0),
-            deq: AtomicU32::new(0),
-            next: AtomicPtr::new(core::ptr::null_mut()),
-            slots: [const { AtomicPtr::new(core::ptr::null_mut()) }; SEG_CAP],
-        })
-    }
+struct State {
+    items: VecDeque<Outside>,
+    /// Root admission latch, set once by [`Injector::close`]. Read and
+    /// written only under the lock, so a root is either queued before the
+    /// close or refused — never both.
+    closed: bool,
 }
 
-/// The queue. See the module docs for the algorithm.
-///
-/// Generic over the carried item: the runtime instantiates it twice, as
-/// the root-task injector (`Injector<RootTask>`, the default) and as the
-/// async ready queue (`Injector<ReadyCell>` — parked `block_on`
-/// continuations claimed by their wakers, §6h). Both instances share this
-/// one loom-modeled protocol.
-pub struct Injector<T = RootTask> {
-    /// Producers' segment (tail of the chain, possibly stale — producers
-    /// re-advance it themselves).
-    enq_seg: AtomicPtr<Segment<T>>,
-    /// Consumers' segment (trails the tail; advanced past drained
-    /// segments).
-    deq_seg: AtomicPtr<Segment<T>>,
-    /// Closed latch: once set by [`close`](Injector::close), `push`
-    /// rejects new submissions. Monotonic — never reset.
-    closed: AtomicU32,
-    /// Head of the whole chain, for `Drop` reclamation only.
-    chain: *mut Segment<T>,
+/// The queue. See the module docs.
+pub(crate) struct Injector {
+    state: parking_lot::Mutex<State>,
+    /// `items.len()`, stored under the lock after every change.
+    len: AtomicUsize,
 }
 
-// SAFETY: all shared mutation goes through atomics; the raw pointers are
-// only dereferenced while the chain is alive (segments are never freed
-// before `Drop`), and the carried item is `Send`.
-unsafe impl<T: Send> Send for Injector<T> {}
-// SAFETY: as for `Send`.
-unsafe impl<T: Send> Sync for Injector<T> {}
-
-impl<T> Default for Injector<T> {
-    fn default() -> Injector<T> {
-        Injector::new()
-    }
-}
-
-impl<T> Injector<T> {
-    /// An empty injector with one pre-allocated segment.
-    pub fn new() -> Injector<T> {
-        let first = Box::into_raw(Segment::boxed());
+impl Injector {
+    pub(crate) fn new() -> Injector {
         Injector {
-            enq_seg: AtomicPtr::new(first),
-            deq_seg: AtomicPtr::new(first),
-            closed: AtomicU32::new(0),
-            chain: first,
+            state: parking_lot::Mutex::new(State {
+                items: VecDeque::new(),
+                closed: false,
+            }),
+            len: AtomicUsize::new(0),
         }
     }
 
-    /// Closes the queue: later `push` calls are rejected. A push that
-    /// passed its closed check concurrently with this call may still land;
-    /// shutdown tolerates that by draining *after* closing.
-    pub fn close(&self) {
-        // ordering: Relaxed — a monotonic admission latch; no data is
-        // published through it (tasks synchronize via the slot Release/
-        // Acquire pair), and the close/push race is benign by design.
-        self.closed.store(1, Ordering::Relaxed);
+    /// Refuses root tasks from now on. `Ready` continuations are still
+    /// accepted and drained: the shutdown drain resumes them so their
+    /// `block_on` frames can unwind through their cancellation checkpoints.
+    pub(crate) fn close(&self) {
+        self.state.lock().closed = true;
     }
 
-    /// Enqueues an item (any thread). Returns `false` — dropping `task`
-    /// unrun — if the queue has been closed.
+    /// Enqueues a root task. Returns `false` — dropping `task` unrun — if
+    /// the queue has been closed.
     #[must_use]
-    pub fn push(&self, task: T) -> bool {
-        // ordering: Relaxed — see `close`.
-        if self.closed.load(Ordering::Relaxed) != 0 {
+    pub(crate) fn push_root(&self, task: Box<dyn FnOnce() + Send>) -> bool {
+        let mut state = self.state.lock();
+        if state.closed {
             return false;
         }
-        let ptr = Box::into_raw(Box::new(task));
-        loop {
-            // Acquire pairs with `advance_enq`'s Release CAS: a segment
-            // read here is fully initialised.
-            let seg = self.enq_seg.load(Ordering::Acquire);
-            // SAFETY: segments live until Drop; `seg` came from the chain.
-            let seg_ref = unsafe { &*seg };
-            // RMW atomicity hands each producer a unique slot index.
-            let i = seg_ref.enq.fetch_add(1, Ordering::AcqRel) as usize;
-            if i < SEG_CAP {
-                // Release publishes the boxed task; pairs with the
-                // consumer's Acquire spin on this slot.
-                seg_ref.slots[i].store(ptr, Ordering::Release);
-                return true;
-            }
-            self.advance_enq(seg);
-        }
+        self.enqueue(&mut state, Outside::Root(task));
+        true
     }
 
-    /// Installs (or discovers) the successor of a full segment and swings
-    /// `enq_seg` forward. Losing either race is fine — someone advanced.
-    fn advance_enq(&self, seg: *mut Segment<T>) {
-        // SAFETY: segments live until Drop; `seg` came from the chain.
-        let seg_ref = unsafe { &*seg };
-        let mut next = seg_ref.next.load(Ordering::Acquire);
-        if next.is_null() {
-            let fresh = Box::into_raw(Segment::boxed());
-            // The Release side of the CAS publishes the fresh segment's
-            // zeroed fields to every later Acquire reader of `next`.
-            match seg_ref.next.compare_exchange(
-                core::ptr::null_mut(),
-                fresh,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => next = fresh,
-                Err(winner) => {
-                    // SAFETY: `fresh` was never published.
-                    drop(unsafe { Box::from_raw(fresh) });
-                    next = winner;
-                }
-            }
-        }
-        let _ = self
-            .enq_seg
-            .compare_exchange(seg, next, Ordering::AcqRel, Ordering::Acquire);
+    /// Enqueues a claimed continuation. Never refused.
+    pub(crate) fn push_ready(&self, cell: Arc<AsyncCell>) {
+        self.enqueue(&mut self.state.lock(), Outside::Ready(cell));
     }
 
-    /// Dequeues an item, or `None` when the queue is (momentarily) empty.
-    /// An empty poll performs no RMW.
-    pub fn pop(&self) -> Option<T> {
-        loop {
-            let seg = self.deq_seg.load(Ordering::Acquire);
-            // SAFETY: segments live until Drop.
-            let seg_ref = unsafe { &*seg };
-            let deq = seg_ref.deq.load(Ordering::Acquire);
-            if deq as usize >= SEG_CAP {
-                // Segment fully consumed: walk past it (it stays linked for
-                // Drop — no reclamation here).
-                let next = seg_ref.next.load(Ordering::Acquire);
-                if next.is_null() {
-                    return None;
-                }
-                let _ =
-                    self.deq_seg
-                        .compare_exchange(seg, next, Ordering::AcqRel, Ordering::Acquire);
-                continue;
-            }
-            let enq = (seg_ref.enq.load(Ordering::Acquire) as usize).min(SEG_CAP) as u32;
-            if deq >= enq {
-                return None;
-            }
-            // The CAS claims index `deq` exclusively — exactly-once
-            // delivery hangs on this RMW, not on the loads above.
-            if seg_ref
-                .deq
-                .compare_exchange_weak(deq, deq + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            // Index claimed exclusively; the producer that claimed it on
-            // the enq side may still be a store away from publishing.
-            let slot = &seg_ref.slots[deq as usize];
-            let ptr = loop {
-                let p = slot.load(Ordering::Acquire);
-                if !p.is_null() {
-                    break p;
-                }
-                busy_spin();
-            };
-            // Null marks the slot consumed so `Drop`'s sweep of the still-
-            // linked chain does not double-free the task.
-            slot.store(core::ptr::null_mut(), Ordering::Release);
-            // SAFETY: exclusive claim; the pointer came from `push`'s Box.
-            return Some(*unsafe { Box::from_raw(ptr) });
-        }
+    fn enqueue(&self, state: &mut State, work: Outside) {
+        state.items.push_back(work);
+        // Release, after the item is queued: pairs with the Acquire load in
+        // `is_empty`, so a sleeper whose validation re-scan reads the new
+        // length also finds the item behind the lock.
+        self.len.store(state.items.len(), Ordering::Release);
     }
 
-    /// Racy emptiness snapshot for the park validation re-scan: may
-    /// spuriously report non-empty (harmless — one extra sweep), and any
-    /// push ordered before the caller's announce is reliably seen.
-    pub fn is_empty(&self) -> bool {
-        let seg = self.deq_seg.load(Ordering::Acquire);
-        // SAFETY: segments live until Drop.
-        let seg_ref = unsafe { &*seg };
-        let deq = seg_ref.deq.load(Ordering::Acquire) as usize;
-        let enq = (seg_ref.enq.load(Ordering::Acquire) as usize).min(SEG_CAP);
-        deq >= enq && seg_ref.next.load(Ordering::Acquire).is_null()
-    }
-}
-
-impl<T> Drop for Injector<T> {
-    fn drop(&mut self) {
-        // Exclusive access now: free every unconsumed task, then the chain.
-        let mut seg = self.chain;
-        while !seg.is_null() {
-            // SAFETY: exclusive; chain pointers all came from Box::into_raw.
-            let boxed = unsafe { Box::from_raw(seg) };
-            for slot in &boxed.slots {
-                let p = slot.load(Ordering::Relaxed);
-                if !p.is_null() {
-                    // SAFETY: exclusive access in Drop; an unconsumed slot
-                    // still owns the box `push` leaked into it.
-                    drop(unsafe { Box::from_raw(p) });
-                }
-            }
-            seg = boxed.next.load(Ordering::Relaxed);
+    /// Dequeues the oldest item, or `None` when the queue is (momentarily)
+    /// empty. An empty poll takes no lock.
+    pub(crate) fn pop(&self) -> Option<Outside> {
+        if self.is_empty() {
+            return None;
         }
+        let mut state = self.state.lock();
+        let work = state.items.pop_front();
+        // Release like `enqueue`'s store, though a shrinking length has
+        // nothing to publish: a reader that still sees the old non-zero
+        // value pays one locked look at an empty queue.
+        self.len.store(state.items.len(), Ordering::Release);
+        work
+    }
+
+    /// Racy emptiness snapshot for the work-finding poll and the park
+    /// validation re-scan: may spuriously report non-empty (harmless — one
+    /// extra sweep), and any push ordered before the caller's announce is
+    /// reliably seen.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len.load(Ordering::Acquire) == 0
     }
 }
 
@@ -254,59 +114,56 @@ impl<T> Drop for Injector<T> {
 mod tests {
     use super::*;
     use crate::sync::AtomicU64;
-    use std::sync::Arc;
+    use std::sync::Weak;
 
-    fn task(counter: &Arc<AtomicU64>, value: u64) -> RootTask {
+    fn root(counter: &Arc<AtomicU64>, value: u64) -> Box<dyn FnOnce() + Send> {
         let counter = counter.clone();
-        RootTask {
-            run: Box::new(move || {
-                counter.fetch_add(value, Ordering::Relaxed);
-            }),
+        Box::new(move || {
+            counter.fetch_add(value, Ordering::Relaxed);
+        })
+    }
+
+    fn cell() -> Arc<AsyncCell> {
+        Arc::new(AsyncCell::new(Weak::new(), core::ptr::null()))
+    }
+
+    fn run_root(work: Outside) {
+        match work {
+            Outside::Root(run) => run(),
+            Outside::Ready(_) => panic!("expected a root task"),
         }
     }
 
     #[test]
-    fn fifo_single_thread() {
+    fn fifo_across_both_kinds() {
         let q = Injector::new();
-        let sum = Arc::new(AtomicU64::new(0));
         assert!(q.is_empty());
         assert!(q.pop().is_none());
-        for i in 1..=5 {
-            assert!(q.push(task(&sum, i)));
+        // Each root records its position; cells are identified by address.
+        let order = Arc::new(AtomicU64::new(0));
+        let cells: Vec<_> = (0..3).map(|_| cell()).collect();
+        for (i, c) in cells.iter().enumerate() {
+            let order = order.clone();
+            assert!(q.push_root(Box::new(move || {
+                assert_eq!(order.fetch_add(1, Ordering::Relaxed), i as u64);
+            })));
+            q.push_ready(c.clone());
         }
         assert!(!q.is_empty());
-        let mut seen = 0;
-        while let Some(t) = q.pop() {
-            (t.run)();
-            seen += 1;
+        for c in &cells {
+            run_root(q.pop().expect("a root before each cell"));
+            match q.pop() {
+                Some(Outside::Ready(popped)) => assert!(Arc::ptr_eq(&popped, c)),
+                _ => panic!("expected the cell pushed after the root"),
+            }
         }
-        assert_eq!(seen, 5);
-        assert_eq!(sum.load(Ordering::Relaxed), 15);
+        assert_eq!(order.load(Ordering::Relaxed), 3);
         assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 
     #[test]
-    fn crosses_segment_boundaries() {
-        let q = Injector::new();
-        let sum = Arc::new(AtomicU64::new(0));
-        let n = SEG_CAP * 3 + 7;
-        for _ in 0..n {
-            assert!(q.push(task(&sum, 1)));
-        }
-        let mut seen = 0;
-        while let Some(t) = q.pop() {
-            (t.run)();
-            seen += 1;
-        }
-        assert_eq!(seen, n);
-        assert_eq!(sum.load(Ordering::Relaxed), n as u64);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn drop_frees_unconsumed_tasks() {
-        // Leak-checked implicitly (miri/asan would flag it); here we assert
-        // the drop glue of queued closures runs.
+    fn pop_and_drop_free_every_item() {
         struct Marker(Arc<AtomicU64>);
         impl Drop for Marker {
             fn drop(&mut self) {
@@ -315,31 +172,40 @@ mod tests {
         }
         let drops = Arc::new(AtomicU64::new(0));
         let q = Injector::new();
-        for _ in 0..(SEG_CAP + 3) {
+        let c = cell();
+        for _ in 0..67 {
             let m = Marker(drops.clone());
-            assert!(q.push(RootTask {
-                run: Box::new(move || {
-                    let _keep = &m;
-                }),
-            }));
+            assert!(q.push_root(Box::new(move || {
+                let _keep = &m;
+            })));
+            q.push_ready(c.clone());
         }
+        assert_eq!(Arc::strong_count(&c), 68);
+        // A popped item is owned by the popper alone: dropping it unrun
+        // frees it, the queue keeps nothing behind.
+        drop(q.pop());
+        drop(q.pop());
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(Arc::strong_count(&c), 67);
         drop(q);
-        assert_eq!(drops.load(Ordering::Relaxed), (SEG_CAP + 3) as u64);
+        assert_eq!(drops.load(Ordering::Relaxed), 67);
+        assert_eq!(Arc::strong_count(&c), 1);
     }
 
     #[test]
-    fn close_rejects_new_pushes_but_drains_landed_ones() {
+    fn close_rejects_roots_but_accepts_and_drains_ready() {
         let q = Injector::new();
         let sum = Arc::new(AtomicU64::new(0));
-        assert!(q.push(task(&sum, 7)));
+        assert!(q.push_root(root(&sum, 7)));
         q.close();
-        assert!(!q.push(task(&sum, 100)));
-        // The pre-close submission still drains.
-        let t = q.pop().expect("landed task survives close");
-        (t.run)();
-        assert_eq!(sum.load(Ordering::Relaxed), 7);
+        assert!(!q.push_root(root(&sum, 100)));
+        let c = cell();
+        q.push_ready(c.clone());
+        // The pre-close root still drains, then the post-close cell.
+        run_root(q.pop().expect("landed root survives close"));
+        assert!(matches!(q.pop(), Some(Outside::Ready(p)) if Arc::ptr_eq(&p, &c)));
         assert!(q.pop().is_none());
-        // The rejected task was dropped unrun.
+        // The rejected root was dropped unrun.
         assert_eq!(sum.load(Ordering::Relaxed), 7);
     }
 
@@ -357,7 +223,7 @@ mod tests {
                 let sum = sum.clone();
                 std::thread::spawn(move || {
                     for i in 1..=per_producer {
-                        assert!(q.push(task(&sum, i)));
+                        assert!(q.push_root(root(&sum, i)));
                     }
                 })
             })
@@ -370,11 +236,11 @@ mod tests {
                 let popped = popped.clone();
                 std::thread::spawn(move || {
                     while popped.load(Ordering::Relaxed) < total {
-                        if let Some(t) = q.pop() {
-                            (t.run)();
+                        if let Some(work) = q.pop() {
+                            run_root(work);
                             popped.fetch_add(1, Ordering::Relaxed);
                         } else {
-                            std::hint::spin_loop();
+                            std::thread::yield_now();
                         }
                     }
                 })

@@ -55,7 +55,7 @@ pub mod flavor;
 pub mod foreign;
 pub mod frame;
 pub mod idle;
-pub mod injector;
+pub(crate) mod injector;
 #[cfg(all(test, not(loom)))]
 mod layout;
 pub mod nowa;
@@ -65,7 +65,6 @@ pub mod reactor;
 pub mod record;
 pub mod runtime;
 pub mod scheduler;
-pub mod slice;
 pub mod snapshot;
 pub mod stats;
 mod sync;
@@ -81,7 +80,7 @@ pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use config::{ChaosConfig, Config, IdleConfig, SplitConfig};
 pub use flavor::Flavor;
 pub use foreign::ForeignForkJoin;
-pub use nowa_context::{MadvisePolicy, StackError};
+pub use nowa_context::MadvisePolicy;
 pub use reactor::AsyncFd;
 pub use runtime::{Runtime, RuntimeError, ShutdownError};
 pub use snapshot::Snapshot;

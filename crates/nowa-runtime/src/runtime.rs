@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nowa_context::{RawContext, StackError, StackPool, WorkerStackCache};
+use nowa_context::{RawContext, StackPool, WorkerStackCache};
 use parking_lot::{Condvar, Mutex};
 
 use crate::cancel::{CancelCell, CancelReason, DeadlineQueue};
@@ -16,7 +16,7 @@ use crate::idle::IdleState;
 use crate::injector::Injector;
 use crate::snapshot::Snapshot;
 use crate::stats::StatsSnapshot;
-use crate::worker::{current_worker, worker_main, FlavoredWorker, RootTask, Shared, Worker};
+use crate::worker::{current_worker, worker_main, FlavoredWorker, Shared, Worker};
 
 /// The shared state the guard-page crash hook dumps trace data from. A
 /// plain `fn()` hook cannot capture, so the most recent tracing-enabled
@@ -79,9 +79,6 @@ pub struct Runtime {
 pub enum RuntimeError {
     /// `workers` was zero.
     NoWorkers,
-    /// Pre-filling the stack pool failed (e.g. out of memory). The runtime
-    /// was not constructed; nothing aborts.
-    StackPrefill(StackError),
     /// Installing the guard-page SIGSEGV handler failed.
     GuardHandler(i32),
     /// Creating the I/O reactor failed (errno from `epoll_create1`,
@@ -93,7 +90,6 @@ impl core::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             RuntimeError::NoWorkers => write!(f, "runtime needs at least one worker"),
-            RuntimeError::StackPrefill(e) => write!(f, "stack pool prefill failed: {e}"),
             RuntimeError::GuardHandler(errno) => {
                 write!(
                     f,
@@ -197,8 +193,8 @@ impl Runtime {
     ///
     /// The workers begin stealing immediately but have nothing to run
     /// until [`run`](Runtime::run) submits a root task. Construction can
-    /// fail — zero workers, stack-pool prefill failure, or a rejected
-    /// guard-page handler — and failure leaves no OS state behind.
+    /// fail — zero workers, a rejected guard-page handler, or no reactor —
+    /// and failure leaves no OS state behind.
     ///
     /// # Example
     ///
@@ -222,8 +218,6 @@ impl Runtime {
                 .map_err(|e| RuntimeError::GuardHandler(e.0))?;
         }
         let pool = StackPool::new(config.stack_size, config.madvise, config.pool_stripes);
-        pool.prefill(config.pool_prefill)
-            .map_err(RuntimeError::StackPrefill)?;
 
         let stats = (0..config.workers).map(|_| Default::default()).collect();
 
@@ -235,7 +229,6 @@ impl Runtime {
             cancel_root: CancelCell::new(core::ptr::null()),
             active_roots: AtomicU64::new(0),
             deadlines: DeadlineQueue::default(),
-            ready: Injector::new(),
             async_waiters: Default::default(),
             reactor: crate::reactor::Reactor::new().map_err(|e| RuntimeError::Reactor(e.0))?,
             pool: pool.clone(),
@@ -401,7 +394,7 @@ impl Runtime {
             // the completion slot has been consumed — the same argument as
             // `std::thread::scope`.
             let task: Box<dyn FnOnce() + Send + 'static> = unsafe { core::mem::transmute(task) };
-            if !self.shared.injector.push(RootTask { run: task }) {
+            if !self.shared.injector.push_root(task) {
                 // ordering: AcqRel — undo of the pre-push increment.
                 self.shared.active_roots.fetch_sub(1, Ordering::AcqRel);
                 panic!("runtime is shut down");
@@ -433,8 +426,9 @@ impl Runtime {
     ///
     /// The sequence: the root cancellation scope is latched with
     /// [`CancelReason::Shutdown`] (every cooperative checkpoint in every
-    /// in-flight task starts unwinding), the injector is closed (later
-    /// [`run`](Runtime::run) calls panic with "runtime is shut down"),
+    /// in-flight task starts unwinding), the outside queue is closed to
+    /// root tasks (later [`run`](Runtime::run) calls panic with "runtime is
+    /// shut down"),
     /// and the call waits for in-flight root tasks to drain before
     /// flipping the worker-exit flag and joining threads.
     ///
@@ -455,8 +449,8 @@ impl Runtime {
         let deadline = Instant::now() + timeout;
         const POLL: Duration = Duration::from_micros(200);
 
-        // Cancel before closing: a task observing the closed injector has
-        // a cancelled ambient scope to unwind with.
+        // Cancel before closing: a task observing the closed queue has a
+        // cancelled ambient scope to unwind with.
         self.shared.cancel_root.cancel(CancelReason::Shutdown);
         self.shared.injector.close();
         // Parked workers hold no tasks; waking them here just accelerates

@@ -39,7 +39,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use nowa_context::capture_and_run_on;
 use nowa_context::context::Body;
-use nowa_context::Stack;
 
 use crate::cancel::{self, Cancelled};
 use crate::chaos;
@@ -47,7 +46,8 @@ use crate::flavor::{with_protocol, Protocol};
 use crate::record::{Frame, SpawnRecord};
 use crate::stats::{self, frame_id, Counter};
 use crate::worker::{
-    current_worker, find_work_in, resume_record, resume_sync, AbortOnUnwind, FlavoredWorker, Worker,
+    current_worker, find_work_in, finish_resume, park_current_stack, resume_record, resume_sync,
+    stage_fresh_stack, AbortOnUnwind, FlavoredWorker, Worker,
 };
 
 /// Arguments shipped from `spawn_execute` to `spawn_body` (read and moved
@@ -88,11 +88,7 @@ where
         let body: Body = with_protocol!((*worker).flavor, P => spawn_body::<P, F>);
 
         // Stage the child stack before capturing.
-        chaos::on_stack_get(worker);
-        let child_stack = (*worker).cache.get();
-        let child_top = child_stack.top();
-        debug_assert!((*worker).incoming_stack.is_none());
-        (*worker).incoming_stack = Some(child_stack);
+        let child_top = stage_fresh_stack(worker);
 
         let mut record = SpawnRecord::new(frame);
         // The parent's stack travels with the continuation.
@@ -113,31 +109,6 @@ where
         // ---- the continuation: resumed by this worker (fast path), a
         // thief, or a work-finding self-pop; possibly on another thread.
         finish_resume(payload, record.stack.take());
-    }
-}
-
-/// Re-establishes the `current_stack` invariant at a resume site — `stack`
-/// is the one the resumed control flow lives on — and recycles the stack
-/// the resumer abandoned.
-///
-/// # Safety
-/// `payload` must be the `*mut Worker` the resumer delivered (every resume
-/// site in this runtime passes the resuming worker), valid for the whole
-/// call and not aliased by another thread.
-#[inline]
-pub(crate) unsafe fn finish_resume(payload: *mut c_void, stack: Option<Stack>) {
-    let worker = payload as *mut Worker;
-    unsafe {
-        debug_assert!((*worker).current_stack.is_none());
-        debug_assert!(stack.is_some());
-        (*worker).current_stack = stack;
-        if let Some(stack) = (*worker).pending_recycle.take() {
-            (*worker).cache.put(stack);
-        }
-        // Steal-to-first-poll: if this resume consumed a steal, the stolen
-        // continuation is now runnable — stop the clock.
-        #[cfg(feature = "trace")]
-        crate::obs::resume_finished(worker);
     }
 }
 
@@ -300,11 +271,7 @@ unsafe fn sync_in<P: Protocol>(worker: *mut Worker, frame: &Frame) {
         }
 
         // Suspension path: stage a fresh stack for the work-finding loop.
-        chaos::on_stack_get(worker);
-        let fresh = (*worker).cache.get();
-        let fresh_top = fresh.top();
-        debug_assert!((*worker).incoming_stack.is_none());
-        (*worker).incoming_stack = Some(fresh);
+        let fresh_top = stage_fresh_stack(worker);
         let mut args = SyncArgs { worker, frame };
 
         let payload = capture_and_run_on(
@@ -343,22 +310,13 @@ unsafe extern "C" fn sync_body<P: Protocol>(arg: *mut c_void) -> ! {
             );
         }
 
-        // The frame's stack is now blocked by the suspended frame: move it
-        // into the frame and release the unused space below the suspended
-        // stack pointer (the practical cactus-stack solution, §V-B).
-        let blocked = (*worker)
-            .current_stack
-            .take()
-            .expect("suspending control flow runs on a tracked stack");
-        let sp = (*(*frame).core.sync_ctx.get()).0;
-        debug_assert!(blocked.contains(sp));
-        let madvise = {
-            let w: &Worker = &*worker;
-            w.shared.config.madvise
-        };
-        blocked.release_below(sp, madvise);
-        *(*frame).core.suspended_stack.get() = Some(blocked);
-        (*worker).current_stack = (*worker).incoming_stack.take();
+        // The frame's stack is now blocked by the suspended frame: it moves
+        // into the frame.
+        park_current_stack(
+            worker,
+            (*(*frame).core.sync_ctx.get()).0,
+            (*frame).core.suspended_stack.get(),
+        );
 
         // Restore N_r (Eq. 5). If every child joined in the meantime, the
         // sync condition holds right away and we resume ourselves.

@@ -5,9 +5,8 @@
 //! from `nowa-context::sys` — this module compiles to nothing. Under
 //! `RUSTFLAGS="--cfg loom"` the same names resolve to the model-checked
 //! twins from the vendored `loom` crate, so the protocol modules (`idle`,
-//! `injector`, `record`, `nowa`) run unmodified inside
-//! `loom::model` and their memory orderings are explored exhaustively
-//! (see `tests/loom.rs`).
+//! `record`, `nowa`) run unmodified inside `loom::model` and their memory
+//! orderings are explored exhaustively (see `tests/loom.rs`).
 //!
 //! Modules that are *not* modeled (`worker`, `scheduler`, `stats`, …) keep
 //! using `core::sync::atomic` directly — their atomics are deliberately
@@ -18,12 +17,12 @@
 
 #[cfg(not(loom))]
 pub(crate) use core::sync::atomic::{
-    AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicU64, Ordering,
+    AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
 
 #[cfg(loom)]
 pub(crate) use loom::sync::atomic::{
-    AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicU64, Ordering,
+    AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
 
 // Exported from both arms (cfg-twin parity): only the loom arm's
@@ -54,15 +53,4 @@ pub(crate) fn futex_wait(addr: &AtomicU32, expected: u32, timeout_ns: Option<u64
 #[cfg(loom)]
 pub(crate) fn futex_wake(addr: &AtomicU32, count: u32) -> usize {
     loom::futex::futex_wake(addr, count as usize)
-}
-
-/// Spin-wait hint: a CPU pause normally, a model-scheduler yield under loom
-/// (a modeled spin must cede the interleaving or it would livelock the
-/// checker).
-#[inline(always)]
-pub(crate) fn busy_spin() {
-    #[cfg(not(loom))]
-    core::hint::spin_loop();
-    #[cfg(loom)]
-    loom::thread::yield_now();
 }

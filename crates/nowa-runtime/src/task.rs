@@ -7,9 +7,9 @@
 //! descends into the work-finding loop. The `Waker` handed to the future
 //! is a reference-counted view of that same cell — *a suspended Nowa
 //! continuation is a waker*. Waking claims the parked continuation through
-//! a three-state handoff and enqueues it on the runtime's ready queue,
-//! where any worker resumes it (the continuation migrates like any stolen
-//! continuation; DESIGN.md §6h).
+//! a three-state handoff and enqueues it on the runtime's outside-work
+//! queue, where any worker resumes it (the continuation migrates like any
+//! stolen continuation; DESIGN.md §6h).
 //!
 //! # The wake-state handoff
 //!
@@ -28,8 +28,7 @@
 //!   wake, no double resume).
 //! * Exactly one waker can claim `PARKED → NOTIFIED`; every other waker
 //!   sees `NOTIFIED` (or `RUNNING`, which it merely flags) and does
-//!   nothing. The claim is what makes enqueueing the cell on the ready
-//!   queue exactly-once.
+//!   nothing. The claim is what makes enqueueing the cell exactly-once.
 //! * The resumed strand swaps `NOTIFIED → RUNNING` before re-polling, so
 //!   a wake that lands *during* the poll is preserved for the next park
 //!   attempt.
@@ -45,15 +44,18 @@ use core::cell::{Cell, UnsafeCell};
 use core::ffi::c_void;
 use core::future::Future;
 use core::pin::Pin;
-use core::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use core::task::{Context, Poll, Waker};
 use std::sync::{Arc, Weak};
+use std::task::Wake;
 
-use nowa_context::{capture_and_run_on, resume, RawContext, Stack};
+use nowa_context::{capture_and_run_on, RawContext, Stack};
 
 use crate::cancel::{self, CancelCell};
-use crate::chaos;
 use crate::stats::{self, Counter};
-use crate::worker::{current_worker, find_work, AbortOnUnwind, Shared, Worker};
+use crate::worker::{
+    current_worker, find_work, finish_resume, park_current_stack, resume_captured,
+    stage_fresh_stack, wake_from_outside, AbortOnUnwind, Shared, Worker,
+};
 
 /// The strand is executing (initial state, and while polling).
 pub const ASYNC_RUNNING: u32 = 0;
@@ -136,10 +138,10 @@ impl WakeState {
                 ASYNC_PARKED => {
                     // AcqRel: Acquire pairs with the parker's Release
                     // publish (the claimer — or the worker it hands the
-                    // cell to via the ready queue's own Release/Acquire
-                    // edge — reads ctx/stack); Release orders the waker's
-                    // prior writes (readiness flags, received data) before
-                    // the state change the resumed strand Acquires.
+                    // cell to through the outside queue's lock — reads
+                    // ctx/stack); Release orders the waker's prior writes
+                    // (readiness flags, received data) before the state
+                    // change the resumed strand Acquires.
                     match self.state.compare_exchange(
                         ASYNC_PARKED,
                         ASYNC_NOTIFIED,
@@ -194,9 +196,9 @@ impl WakeState {
 ///
 /// Shared between the suspended strand (which owns `ctx`/`stack` while the
 /// state is not `PARKED`), the wakers cloned from its `Waker`, and the
-/// ready queue. The state machine above is what arbitrates ownership: the
-/// `UnsafeCell`s are only touched by whichever side currently owns the
-/// continuation.
+/// outside-work queue. The state machine above is what arbitrates
+/// ownership: the `UnsafeCell`s are only touched by whichever side
+/// currently owns the continuation.
 pub(crate) struct AsyncCell {
     /// The handoff word.
     pub(crate) state: WakeState,
@@ -207,7 +209,7 @@ pub(crate) struct AsyncCell {
     /// The cancellation scope governing the strand; re-established as the
     /// resuming worker's ambient scope, checked at every re-poll.
     scope: Cell<*const CancelCell>,
-    /// The runtime, for the wake path (ready queue + idle/reactor kick).
+    /// The runtime, for the wake path (outside queue + idle/reactor kick).
     /// Weak: the runtime may die while external wakers still exist.
     shared: Weak<Shared>,
     /// This cell's slot in [`AsyncWaiters`], for deregistration.
@@ -222,7 +224,7 @@ unsafe impl Send for AsyncCell {}
 unsafe impl Sync for AsyncCell {}
 
 impl AsyncCell {
-    fn new(shared: Weak<Shared>, scope: *const CancelCell) -> AsyncCell {
+    pub(crate) fn new(shared: Weak<Shared>, scope: *const CancelCell) -> AsyncCell {
         AsyncCell {
             state: WakeState::new(),
             ctx: UnsafeCell::new(RawContext::null()),
@@ -240,73 +242,25 @@ fn cell_id(cell: *const AsyncCell) -> u64 {
     cell as usize as u64
 }
 
-/// A claimed continuation travelling through the ready queue.
-pub(crate) struct ReadyCell(pub(crate) Arc<AsyncCell>);
-
-/// Delivers one consumed wake to `cell`: claims the parked continuation
-/// and schedules it, or latches the flag for a still-running strand.
-pub(crate) fn wake_cell(cell: &Arc<AsyncCell>) {
-    match cell.state.wake_claim() {
-        WakeClaim::Claimed => {
-            if let Some(shared) = cell.shared.upgrade() {
-                // `push` only fails once the injector is closed for
-                // shutdown; the parked continuation is then unreachable by
-                // design (shutdown cancel-broadcast already unwound it).
-                if shared.ready.push(ReadyCell(cell.clone())) {
-                    crate::worker::wake_from_outside(&shared);
-                }
-            }
-            // Runtime gone: every worker has exited, so the continuation
-            // is unreachable anyway (shutdown cancel-broadcasts and
-            // drains roots before the last `Shared` reference drops).
-        }
-        WakeClaim::Flagged | WakeClaim::Stale => {}
+/// *A suspended continuation is a waker*: `Waker::from(cell)`.
+impl Wake for AsyncCell {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
     }
-}
 
-// ---- RawWaker plumbing over Arc<AsyncCell> ----
-
-const CELL_VTABLE: RawWakerVTable =
-    RawWakerVTable::new(cell_clone, cell_wake, cell_wake_by_ref, cell_drop);
-
-fn cell_raw(cell: Arc<AsyncCell>) -> RawWaker {
-    RawWaker::new(Arc::into_raw(cell) as *const (), &CELL_VTABLE)
-}
-
-// SAFETY: `data` must come from `Arc::into_raw` in `cell_raw` (the vtable
-// is only ever paired with such pointers); clones by bumping the count.
-unsafe fn cell_clone(data: *const ()) -> RawWaker {
-    // SAFETY: `data` came from `Arc::into_raw` in `cell_raw`.
-    unsafe { Arc::increment_strong_count(data as *const AsyncCell) };
-    RawWaker::new(data, &CELL_VTABLE)
-}
-
-// SAFETY: `data` must come from `Arc::into_raw` in `cell_raw`; consumes
-// the reference it stands for (RawWaker `wake` contract).
-unsafe fn cell_wake(data: *const ()) {
-    // SAFETY: consumes the reference `data` stands for.
-    let cell = unsafe { Arc::from_raw(data as *const AsyncCell) };
-    wake_cell(&cell);
-}
-
-// SAFETY: `data` must come from `Arc::into_raw` in `cell_raw`; borrows
-// without consuming (ManuallyDrop keeps the count).
-unsafe fn cell_wake_by_ref(data: *const ()) {
-    // SAFETY: borrows without consuming; ManuallyDrop keeps the count.
-    let cell = core::mem::ManuallyDrop::new(unsafe { Arc::from_raw(data as *const AsyncCell) });
-    wake_cell(&cell);
-}
-
-// SAFETY: `data` must come from `Arc::into_raw` in `cell_raw`; consumes
-// the reference it stands for (RawWaker `drop` contract).
-unsafe fn cell_drop(data: *const ()) {
-    // SAFETY: consumes the reference `data` stands for.
-    drop(unsafe { Arc::from_raw(data as *const AsyncCell) });
-}
-
-fn waker_of(cell: &Arc<AsyncCell>) -> Waker {
-    // SAFETY: the vtable upholds the RawWaker contract over Arc counts.
-    unsafe { Waker::from_raw(cell_raw(cell.clone())) }
+    /// Delivers one wake: claims the parked continuation and schedules it,
+    /// or latches the flag for a still-running strand.
+    fn wake_by_ref(self: &Arc<Self>) {
+        if self.state.wake_claim() == WakeClaim::Claimed {
+            if let Some(shared) = self.shared.upgrade() {
+                shared.injector.push_ready(self.clone());
+                wake_from_outside(&shared);
+            }
+            // Runtime gone: every worker has exited, so the continuation is
+            // unreachable anyway (shutdown cancel-broadcasts and drains
+            // roots before the last `Shared` reference drops).
+        }
+    }
 }
 
 // ---- the registry used by the cancellation broadcast ----
@@ -367,7 +321,7 @@ impl AsyncWaiters {
                 .collect()
         };
         for cell in &cells {
-            wake_cell(cell);
+            cell.wake_by_ref();
         }
     }
 }
@@ -389,7 +343,7 @@ impl Drop for DeregisterOnDrop {
     }
 }
 
-// ---- the park/resume machinery (mirrors scheduler::sync_execute) ----
+// ---- the park/resume machinery ----
 
 /// Arguments shipped from `park_on` to `park_body`.
 struct ParkArgs {
@@ -407,13 +361,7 @@ struct ParkArgs {
 /// `RUNNING` or `NOTIFIED`.
 unsafe fn park_on(worker: *mut Worker, cell: &AsyncCell) {
     unsafe {
-        // Stage a fresh stack for the work-finding loop, exactly like the
-        // sync suspension path.
-        chaos::on_stack_get(worker);
-        let fresh = (*worker).cache.get();
-        let fresh_top = fresh.top();
-        debug_assert!((*worker).incoming_stack.is_none());
-        (*worker).incoming_stack = Some(fresh);
+        let fresh_top = stage_fresh_stack(worker);
         let mut args = ParkArgs { worker, cell };
 
         let payload = capture_and_run_on(
@@ -424,7 +372,7 @@ unsafe fn park_on(worker: *mut Worker, cell: &AsyncCell) {
         );
 
         // ---- resumed: a wake was claimed for us.
-        crate::scheduler::finish_resume(payload, (*cell.stack.get()).take());
+        finish_resume(payload, (*cell.stack.get()).take());
     }
 }
 
@@ -438,22 +386,7 @@ unsafe extern "C" fn park_body(arg: *mut c_void) -> ! {
         let worker = args.worker;
         let cell = args.cell;
         stats::bump(worker, Counter::async_parks, cell_id(cell));
-
-        // Move the blocked stack into the cell and release the unused
-        // space below the captured stack pointer (§V-B, as for sync).
-        let blocked = (*worker)
-            .current_stack
-            .take()
-            .expect("parking control flow runs on a tracked stack");
-        let sp = (*(*cell).ctx.get()).0;
-        debug_assert!(blocked.contains(sp));
-        let madvise = {
-            let w: &Worker = &*worker;
-            w.shared.config.madvise
-        };
-        blocked.release_below(sp, madvise);
-        *(*cell).stack.get() = Some(blocked);
-        (*worker).current_stack = (*worker).incoming_stack.take();
+        park_current_stack(worker, (*(*cell).ctx.get()).0, (*cell).stack.get());
 
         if (*cell).state.park_publish() {
             find_work()
@@ -469,19 +402,12 @@ unsafe extern "C" fn park_body(arg: *mut c_void) -> ! {
 ///
 /// # Safety
 /// The caller must own the continuation exclusively: either it popped the
-/// cell from the ready queue (a `wake_claim` → `Claimed` edge put it
+/// cell from the outside queue (a `wake_claim` → `Claimed` edge put it
 /// there), or it is the parker itself after a failed `park_publish`.
 pub(crate) unsafe fn resume_ready(worker: *mut Worker, cell: *const AsyncCell) -> ! {
     unsafe {
         stats::bump(worker, Counter::async_resumes, cell_id(cell));
-        // The strand's governing scope becomes this worker's ambient, so
-        // frames created after the resume inherit it.
-        (*worker).cancel_scope = (*cell).scope.get();
-        debug_assert!((*worker).pending_recycle.is_none());
-        (*worker).pending_recycle = (*worker).current_stack.take();
-        let ctx = *(*cell).ctx.get();
-        debug_assert!(!ctx.is_null());
-        resume(ctx, worker as *mut c_void)
+        resume_captured(worker, (*cell).scope.get(), *(*cell).ctx.get())
     }
 }
 
@@ -540,7 +466,7 @@ where
             .set(w.shared.async_waiters.register(&cell));
     }
     let _dereg = DeregisterOnDrop { cell: cell.clone() };
-    let waker = waker_of(&cell);
+    let waker = Waker::from(cell.clone());
     let mut cx = Context::from_waker(&waker);
     let mut fut = core::pin::pin!(fut);
     loop {
@@ -573,46 +499,17 @@ struct ThreadWaker {
     state: AtomicU32,
 }
 
-const THREAD_VTABLE: RawWakerVTable =
-    RawWakerVTable::new(thread_clone, thread_wake, thread_wake_by_ref, thread_drop);
+impl Wake for ThreadWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
 
-fn thread_notify(parker: &ThreadWaker) {
-    // Release pairs with the parker's Acquire CAS: the poll after the wake
-    // must see what the waker published.
-    parker.state.store(1, Ordering::Release);
-    crate::sync::futex_wake(&parker.state, 1);
-}
-
-// SAFETY: `data` must come from `Arc::into_raw` in `block_on_thread` (the
-// vtable is only ever paired with such pointers); clones by bumping the
-// count.
-unsafe fn thread_clone(data: *const ()) -> RawWaker {
-    // SAFETY: `data` came from `Arc::into_raw` below.
-    unsafe { Arc::increment_strong_count(data as *const ThreadWaker) };
-    RawWaker::new(data, &THREAD_VTABLE)
-}
-
-// SAFETY: `data` must come from `Arc::into_raw` in `block_on_thread`;
-// consumes the reference it stands for (RawWaker `wake` contract).
-unsafe fn thread_wake(data: *const ()) {
-    // SAFETY: consumes the reference `data` stands for.
-    let parker = unsafe { Arc::from_raw(data as *const ThreadWaker) };
-    thread_notify(&parker);
-}
-
-// SAFETY: `data` must come from `Arc::into_raw` in `block_on_thread`;
-// borrows without consuming (ManuallyDrop keeps the count).
-unsafe fn thread_wake_by_ref(data: *const ()) {
-    // SAFETY: borrows without consuming.
-    let parker = core::mem::ManuallyDrop::new(unsafe { Arc::from_raw(data as *const ThreadWaker) });
-    thread_notify(&parker);
-}
-
-// SAFETY: `data` must come from `Arc::into_raw` in `block_on_thread`;
-// consumes the reference it stands for (RawWaker `drop` contract).
-unsafe fn thread_drop(data: *const ()) {
-    // SAFETY: consumes the reference `data` stands for.
-    drop(unsafe { Arc::from_raw(data as *const ThreadWaker) });
+    fn wake_by_ref(self: &Arc<Self>) {
+        // Release pairs with the parker's Acquire CAS: the poll after the
+        // wake must see what the waker published.
+        self.state.store(1, Ordering::Release);
+        crate::sync::futex_wake(&self.state, 1);
+    }
 }
 
 /// Off-runtime `block_on`: the OS thread futex-parks between polls.
@@ -620,13 +517,7 @@ fn block_on_thread<F: Future>(fut: F) -> F::Output {
     let parker = Arc::new(ThreadWaker {
         state: AtomicU32::new(0),
     });
-    // SAFETY: the vtable upholds the RawWaker contract over Arc counts.
-    let waker = unsafe {
-        Waker::from_raw(RawWaker::new(
-            Arc::into_raw(parker.clone()) as *const (),
-            &THREAD_VTABLE,
-        ))
-    };
+    let waker = Waker::from(parker.clone());
     let mut cx = Context::from_waker(&waker);
     let mut fut = core::pin::pin!(fut);
     loop {

@@ -53,7 +53,8 @@ struct WheelInner {
     /// Live entries, total.
     count: usize,
     /// Minimum live deadline tick (`u64::MAX` when empty). Maintained on
-    /// insert, recomputed after a firing advance.
+    /// insert, recomputed whenever the entry holding it leaves the wheel
+    /// (a firing advance, or a remove of the earliest entry).
     earliest: u64,
     slots: Vec<Vec<TimerEntry>>,
 }
@@ -124,10 +125,16 @@ impl TimerWheel {
         let mut w = self.inner.lock();
         let entries = &mut w.slots[slot];
         if let Some(pos) = entries.iter().position(|e| e.id == id) {
-            entries.swap_remove(pos);
+            let removed = entries.swap_remove(pos);
             w.count -= 1;
-            // `earliest` may now be stale (too early); that only costs a
-            // spuriously short poll timeout, never a late fire.
+            // `earliest` must not outlive its entry: `advance` recomputes
+            // it only when something fired, so a stale tick, once passed,
+            // would read as "due now" — a zero poll timeout — forever.
+            if w.count == 0 {
+                w.earliest = u64::MAX;
+            } else if removed.deadline_tick == w.earliest {
+                w.recompute_earliest();
+            }
         }
     }
 
@@ -390,11 +397,24 @@ mod tests {
             (1..=60).contains(&hint),
             "hint {hint} tracks the 50ms deadline"
         );
+        let (_, _, earliest) = wheel.insert(t0 + Duration::from_millis(200), noop_waker());
+        assert!(!earliest, "200ms does not undercut 50ms");
         wheel.remove(slot, id);
-        assert_eq!(wheel.len(), 0);
+        assert_eq!(wheel.len(), 1);
+        let hint = wheel.next_timeout_ms(t0, 500);
         assert!(
-            wheel.advance(t0 + Duration::from_secs(1)).is_empty(),
-            "removed timer never fires"
+            (190..=210).contains(&hint),
+            "hint {hint} falls back to the 200ms deadline once the 50ms one is removed"
+        );
+        let fired = wheel.advance(t0 + Duration::from_secs(1));
+        assert_eq!(fired.len(), 1, "removed timer never fires");
+        let later = t0 + Duration::from_secs(2);
+        let (id, slot, _) = wheel.insert(later + Duration::from_millis(50), noop_waker());
+        wheel.remove(slot, id);
+        assert_eq!(
+            wheel.next_timeout_ms(later + Duration::from_secs(1), 500),
+            500,
+            "an emptied wheel imposes no deadline, however late it is asked"
         );
     }
 

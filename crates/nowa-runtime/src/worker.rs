@@ -12,11 +12,15 @@
 //!
 //! At any instant, a worker's `current_stack` field holds the handle of the
 //! very stack its control flow is executing on. Every context transfer
-//! hands stacks over through `SpawnRecord::stack`, `FrameCore::
-//! suspended_stack` and `pending_recycle` such that the invariant is
-//! restored at the resume site — including when a control flow *returns*
-//! from a call on a different OS thread than it entered (which happens
-//! whenever a nested sync suspended and was resumed elsewhere).
+//! hands stacks over through a *holder* (`SpawnRecord::stack`, `FrameCore::
+//! suspended_stack`, `AsyncCell::stack`) and `pending_recycle` such that the
+//! invariant is restored at the resume site — including when a control flow
+//! *returns* from a call on a different OS thread than it entered (which
+//! happens whenever a nested sync suspended and was resumed elsewhere).
+//! Every transfer — spawn, sync suspension, async park — is built from the
+//! same four steps, defined once below: `stage_fresh_stack` before the
+//! capture, `park_current_stack` on the far side of it, `resume_captured`
+//! to switch back, `finish_resume` on arrival.
 
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use core::cell::Cell;
@@ -31,24 +35,18 @@ use crate::chaos;
 use crate::config::Config;
 use crate::flavor::{with_protocol, Flavor, Protocol, Rec};
 use crate::idle::IdleState;
-use crate::injector::Injector;
+use crate::injector::{Injector, Outside};
 use crate::reactor::Reactor;
 use crate::stats::{self, frame_id, Counter, WorkerStats};
-use crate::task::{resume_ready, AsyncWaiters, ReadyCell};
-
-/// A submitted root task (type-erased; completion signalling is baked into
-/// the closure by [`crate::runtime::Runtime::run`]).
-pub struct RootTask {
-    /// Runs the task; must not unwind.
-    pub run: Box<dyn FnOnce() + Send + 'static>,
-}
+use crate::task::{resume_ready, AsyncWaiters};
 
 /// State shared by all workers of one runtime instance.
 pub struct Shared {
     /// Per-worker statistics.
     pub stats: Box<[WorkerStats]>,
-    /// Root-task submission queue (lock-free MPMC segment queue).
-    pub injector: Injector,
+    /// Work queued from outside the pool: root tasks and claimed async
+    /// continuations, one FIFO.
+    pub(crate) injector: Injector,
     /// The idle engine: eventcount-style parking and targeted wakes.
     pub idle: IdleState,
     /// Set once at shutdown.
@@ -63,11 +61,6 @@ pub struct Shared {
     pub active_roots: AtomicU64,
     /// Armed region deadlines, fired by the watchdog thread.
     pub(crate) deadlines: DeadlineQueue,
-    /// Async continuations claimed by a waker and awaiting a worker
-    /// (MPMC, same segment queue as the injector). Never closed: the
-    /// shutdown drain still resumes these so their `block_on` frames can
-    /// unwind through their cancellation checkpoints.
-    pub(crate) ready: Injector<ReadyCell>,
     /// Registry of parked async continuations, notified en masse when a
     /// cancellation source fires (token, deadline, sibling panic,
     /// shutdown) so `block_on` loops re-check their scope chains.
@@ -228,22 +221,112 @@ impl Drop for AbortOnUnwind {
     }
 }
 
-/// Resumes a taken continuation, handing over the current stack for
-/// recycling. Diverges into the resumed control flow.
+/// Stages a fresh stack for the control flow about to be switched onto (a
+/// child, or the work-finding loop of a suspending strand) and returns its
+/// top. The far side of the capture adopts it from `incoming_stack`.
+///
+/// # Safety
+/// `worker` must be the calling thread's live worker.
+#[inline(always)]
+pub(crate) unsafe fn stage_fresh_stack(worker: *mut Worker) -> *mut c_void {
+    unsafe {
+        chaos::on_stack_get(worker);
+        let fresh = (*worker).cache.get();
+        let top = fresh.top();
+        debug_assert!((*worker).incoming_stack.is_none());
+        (*worker).incoming_stack = Some(fresh);
+        top
+    }
+}
+
+/// The far side of a suspending capture: moves the stack the suspended
+/// control flow lives on into `holder`, releases the unused space below
+/// its captured stack pointer `sp` (the practical cactus-stack solution,
+/// §V-B) and adopts the staged stack as `current_stack`.
+///
+/// # Safety
+/// Must run on the stack [`stage_fresh_stack`] staged, right after the
+/// capture whose stack pointer is `sp`; `holder` must be the suspension's
+/// stack slot, owned by the caller until it publishes the suspension.
+#[inline(always)]
+pub(crate) unsafe fn park_current_stack(
+    worker: *mut Worker,
+    sp: *mut c_void,
+    holder: *mut Option<Stack>,
+) {
+    unsafe {
+        let blocked = (*worker)
+            .current_stack
+            .take()
+            .expect("suspending control flow runs on a tracked stack");
+        debug_assert!(blocked.contains(sp));
+        let madvise = {
+            let w: &Worker = &*worker;
+            w.shared.config.madvise
+        };
+        blocked.release_below(sp, madvise);
+        *holder = Some(blocked);
+        (*worker).current_stack = (*worker).incoming_stack.take();
+    }
+}
+
+/// Diverges into the captured continuation `ctx`, abandoning the current
+/// stack (the resumed side recycles it in [`finish_resume`]). `scope` is
+/// the cancellation scope governing the resumed control flow; it becomes
+/// this worker's ambient so frames created after the resume inherit it.
+///
+/// # Safety
+/// The caller must own the continuation exclusively, and `scope`'s chain
+/// must be live.
+#[inline(always)]
+pub(crate) unsafe fn resume_captured(
+    worker: *mut Worker,
+    scope: *const CancelCell,
+    ctx: RawContext,
+) -> ! {
+    unsafe {
+        (*worker).cancel_scope = scope;
+        debug_assert!((*worker).pending_recycle.is_none());
+        (*worker).pending_recycle = (*worker).current_stack.take();
+        debug_assert!(!ctx.is_null());
+        resume(ctx, worker as *mut c_void)
+    }
+}
+
+/// The arrival side of every resume: `stack` — taken from the holder — is
+/// the one the resumed control flow lives on and becomes `current_stack`;
+/// the stack the resumer abandoned is recycled.
+///
+/// # Safety
+/// `payload` must be the `*mut Worker` the resumer delivered (every resume
+/// site in this runtime passes the resuming worker), valid for the whole
+/// call and not aliased by another thread.
+#[inline]
+pub(crate) unsafe fn finish_resume(payload: *mut c_void, stack: Option<Stack>) {
+    let worker = payload as *mut Worker;
+    unsafe {
+        debug_assert!((*worker).current_stack.is_none());
+        debug_assert!(stack.is_some());
+        (*worker).current_stack = stack;
+        if let Some(stack) = (*worker).pending_recycle.take() {
+            (*worker).cache.put(stack);
+        }
+        // Steal-to-first-poll: if this resume consumed a steal, the stolen
+        // continuation is now runnable — stop the clock.
+        #[cfg(feature = "trace")]
+        crate::obs::resume_finished(worker);
+    }
+}
+
+/// Resumes a taken continuation. Diverges into the resumed control flow.
 ///
 /// # Safety
 /// `rec` must be a continuation record exclusively owned by this control
 /// flow (freshly popped/stolen), with a captured `ctx`.
 pub unsafe fn resume_record(worker: *mut Worker, rec: Rec) -> ! {
     unsafe {
-        debug_assert!((*worker).pending_recycle.is_none());
-        // The resumed continuation belongs to the record's frame: make its
-        // scope this worker's ambient so nested frames inherit it.
-        (*worker).cancel_scope = (*(*rec.as_ptr()).frame).core.scope.get();
-        (*worker).pending_recycle = (*worker).current_stack.take();
-        let ctx = (*rec.as_ptr()).ctx;
-        debug_assert!(!ctx.is_null());
-        resume(ctx, worker as *mut c_void)
+        let rec = rec.as_ptr();
+        resume_captured(worker, (*(*rec).frame).core.scope.get(), (*rec).ctx)
     }
 }
 
@@ -266,19 +349,14 @@ pub unsafe fn resume_sync(worker: *mut Worker, frame: *const crate::record::Fram
         } else {
             stats::bump(worker, Counter::sync_resumes, frame_id(frame));
         }
-        (*worker).cancel_scope = scope;
-        debug_assert!((*worker).pending_recycle.is_none());
-        (*worker).pending_recycle = (*worker).current_stack.take();
-        let ctx = *(*frame).core.sync_ctx.get();
-        debug_assert!(!ctx.is_null());
-        resume(ctx, worker as *mut c_void)
+        resume_captured(worker, scope, *(*frame).core.sync_ctx.get())
     }
 }
 
 /// The work-finding loop (never returns; diverges into resumed work or the
 /// worker's exit continuation).
 ///
-/// Order per iteration: shutdown check → own deque bottom → root injector →
+/// Order per iteration: shutdown check → own deque bottom → outside queue →
 /// steal sweep (last-victim affinity, then a random walk) → the idle
 /// ladder: exponential spin, OS yields, and finally the announce-validate-
 /// park descent of [`crate::idle`]. `failed_sweeps` only resets when actual
@@ -328,35 +406,33 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
             }
         }
 
-        // Claimed async continuations next: a ready cell was explicitly
-        // made runnable by a waker and its stack is already built, so it
-        // outranks starting a fresh root.
-        if let Some(cell) = shared.ready.pop() {
-            unsafe {
+        // Work queued from outside the pool, oldest first. An empty poll is
+        // one load of the queue's length — no lock.
+        match shared.injector.pop() {
+            Some(Outside::Ready(cell)) => unsafe {
                 // Drop our queue Arc *before* diverging into the resume
                 // (nothing after `resume_ready` runs). The parked
                 // `block_on` frame holds its own Arc on the suspended
                 // stack, which keeps the cell alive across the switch.
-                let ptr = Arc::as_ptr(&cell.0);
+                let ptr = Arc::as_ptr(&cell);
                 drop(cell);
                 resume_ready(worker, ptr)
+            },
+            Some(Outside::Root(run)) => {
+                unsafe {
+                    stats::bump(worker, Counter::roots, 0);
+                    // A root tree starts unscoped: governed by the runtime
+                    // root cell only.
+                    (*worker).cancel_scope = &shared.cancel_root;
+                }
+                // The task's control flow may suspend internally and
+                // complete on another worker; everything below re-derives
+                // state.
+                run();
+                failed_sweeps = 0;
+                continue;
             }
-        }
-
-        // Root tasks. An empty poll is three loads on read-mostly lines —
-        // N workers polling no longer serialize on an injector lock.
-        if let Some(task) = shared.injector.pop() {
-            unsafe {
-                stats::bump(worker, Counter::roots, 0);
-                // A root tree starts unscoped: governed by the runtime
-                // root cell only.
-                (*worker).cancel_scope = &shared.cancel_root;
-            }
-            // The task's control flow may suspend internally and complete
-            // on another worker; everything below re-derives state.
-            (task.run)();
-            failed_sweeps = 0;
-            continue;
+            None => {}
         }
 
         // Steal sweep: the last successful victim first (work tends to
@@ -469,7 +545,6 @@ unsafe fn park_worker<P: Protocol>(worker: *mut Worker, shared: &Shared, stealer
     let runnable = || {
         shared.shutdown.load(Ordering::Acquire)
             || !shared.injector.is_empty()
-            || !shared.ready.is_empty()
             || stealers
                 .iter()
                 .enumerate()
@@ -528,13 +603,13 @@ unsafe fn park_worker<P: Protocol>(worker: *mut Worker, shared: &Shared, stealer
     }
 }
 
-/// The wake rule for work queued from OUTSIDE the worker pool — a root
-/// task on the injector, a claimed continuation on the ready queue (a
-/// `Waker` may fire on any thread): one targeted futex wake if a sleeper
-/// exists, otherwise a reactor kick. No spawner on a worker thread will
-/// pick this work up, so the wake is unconditional; and the only idle
-/// worker may be the claimed poller napping in `epoll_wait`, which the
-/// eventcount cannot see, so a wake that found no sleeper kicks it.
+/// The wake rule for work pushed onto the outside queue — a root task, or
+/// a claimed async continuation (a `Waker` may fire on any thread): one
+/// targeted futex wake if a sleeper exists, otherwise a reactor kick. No
+/// spawner on a worker thread will pick this work up, so the wake is
+/// unconditional; and the only idle worker may be the claimed poller
+/// napping in `epoll_wait`, which the eventcount cannot see, so a wake
+/// that found no sleeper kicks it.
 pub(crate) fn wake_from_outside(shared: &Shared) {
     if shared.idle.wake_one().is_none() {
         shared.reactor.kick_if_claimed();
@@ -606,9 +681,6 @@ unsafe extern "C" fn worker_body<P: Protocol>(arg: *mut c_void) -> ! {
 #[allow(clippy::boxed_local)] // the Box pins the Worker's address for TLS/raw pointers
 pub fn worker_main<P: Protocol>(mut flavored: Box<FlavoredWorker<P>>) {
     let worker = &flavored.base;
-    if worker.shared.config.pin_workers {
-        let _ = nowa_context::sys::pin_current_thread_to(worker.index);
-    }
     // Label the thread for guard-page fault reports, and give the SIGSEGV
     // handler an alternate stack to run on: at the moment of a fiber stack
     // overflow this thread's sp points into the guard page, so the handler

@@ -180,6 +180,32 @@ fn timeout_bounds_forever_pending_io() {
     });
 }
 
+/// A `timeout` whose future won leaves a disarmed timer behind; the idle
+/// runtime must go back to sleeping `max_park` at a time, not treat the
+/// disarmed deadline as perpetually due. With the default 1 ms `max_park`
+/// two idle workers poll a few hundred times in 300 ms; a poller spinning
+/// in `epoll_wait(0)` polls over a million times.
+#[test]
+fn disarmed_timeout_does_not_spin_the_idle_poller() {
+    let rt = Runtime::new(Config::with_workers(2)).unwrap();
+    rt.run(|| {
+        let out = nowa_runtime::block_on(time::timeout(Duration::from_millis(50), async {
+            time::sleep(Duration::from_millis(5)).await
+        }));
+        assert_eq!(out, Ok(()), "the 5 ms sleep beats the 50 ms timeout");
+    });
+    // Let the disarmed 50 ms deadline pass, then watch an idle stretch.
+    std::thread::sleep(Duration::from_millis(100));
+    let before = rt.stats().reactor_polls;
+    std::thread::sleep(Duration::from_millis(300));
+    let polls = rt.stats().reactor_polls - before;
+    assert!(
+        polls < 1_000,
+        "idle runtime polled the reactor {polls} times in 300 ms: the \
+         wheel still reports the disarmed timer as due"
+    );
+}
+
 /// Cancelling a region whose strand is parked on I/O that never arrives:
 /// the token latch must broadcast through the async waiters, the parked
 /// `block_on` must observe its scope chain and unwind with the typed

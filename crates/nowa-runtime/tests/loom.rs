@@ -6,7 +6,7 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p nowa-runtime --test loom --release
 //! ```
 //!
-//! Six protocols are modeled, each against the *real* implementation (the
+//! Five protocols are modeled, each against the *real* implementation (the
 //! `crate::sync` shim swaps `core::sync::atomic` for loom's atomics under
 //! `--cfg loom`, so the code under test is byte-for-byte the shipping
 //! protocol logic):
@@ -15,18 +15,18 @@
 //!    driven through `Nowa<Cl>`'s `pop_or_join` / `sync_restore` (the
 //!    `Protocol` trait API the scheduler uses) over a real Chase–Lev deque;
 //! 2. the eventcount idle engine (`IdleState`) — the announce/validate/park
-//!    vs. publish/wake handshake whose failure mode is a lost wakeup;
-//! 3. the MPMC segment injector (`Injector`), with loom-shrunk segments so
-//!    the boundary paths are in reach;
-//! 4. the abortable-suspension handoff of the cancellation layer — a
+//!    vs. publish/wake handshake whose failure mode is a lost wakeup (the
+//!    models' `work` flag stands for any validated source, including the
+//!    outside-work queue's length word);
+//! 3. the abortable-suspension handoff of the cancellation layer — a
 //!    suspended sync raced by its last joiner and a canceller latching
 //!    the region's (all-Relaxed) cancel flag; the suspension must be
 //!    retired exactly once and never resumed with torn context;
-//! 5. the async wake-state handoff (§6h) — a parking `block_on` strand
+//! 4. the async wake-state handoff (§6h) — a parking `block_on` strand
 //!    raced by concurrent wakers; the continuation must be resumed
 //!    exactly once, a wake arriving before the park must not be lost,
 //!    and whoever resumes must see the parker's staged context;
-//! 6. the reactor poller claim (§6h) — at most one worker may sit in
+//! 5. the reactor poller claim (§6h) — at most one worker may sit in
 //!    `epoll_wait`, and a release must publish the outgoing poller's
 //!    duty-state writes to the next claimant.
 //!
@@ -40,12 +40,10 @@
 use loom::sync::Arc;
 use nowa_runtime::flavor::{Protocol, Rec};
 use nowa_runtime::idle::IdleState;
-use nowa_runtime::injector::Injector;
 use nowa_runtime::nowa::{retire_suspension, Nowa};
 use nowa_runtime::reactor::PollerSlot;
 use nowa_runtime::record::{AfterChild, Frame, SpawnRecord, I_MAX, SUSP_IDLE};
 use nowa_runtime::task::{WakeClaim, WakeState};
-use nowa_runtime::worker::RootTask;
 use nowa_runtime::SplitConfig;
 
 /// The protocol under test: the wait-free arm over the default deque.
@@ -415,133 +413,7 @@ fn idle_no_validation_canary_deadlocks() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. The MPMC segment injector
-// ---------------------------------------------------------------------------
-
-fn counting_task(counter: &Arc<loom::sync::atomic::AtomicU64>, value: u64) -> RootTask {
-    let counter = counter.clone();
-    RootTask {
-        run: Box::new(move || {
-            counter.fetch_add(value, loom::sync::atomic::Ordering::Relaxed);
-        }),
-    }
-}
-
-/// Two producers race slot claims (including across the loom-shrunk
-/// segment boundary: SEG_CAP = 2, so three pushes exercise `advance_enq`)
-/// while a consumer drains: every task transferred exactly once, the
-/// publish/claim handshake never yields a stale closure.
-#[test]
-fn injector_mpmc_exactly_once() {
-    loom::model(|| {
-        use loom::sync::atomic::{AtomicU64, Ordering};
-        let q = Arc::new(Injector::new());
-        let sum = Arc::new(AtomicU64::new(0));
-
-        let p1 = {
-            let q = q.clone();
-            let sum = sum.clone();
-            loom::thread::spawn(move || {
-                assert!(q.push(counting_task(&sum, 1)));
-                assert!(q.push(counting_task(&sum, 2)));
-            })
-        };
-        let p2 = {
-            let q = q.clone();
-            let sum = sum.clone();
-            loom::thread::spawn(move || {
-                assert!(q.push(counting_task(&sum, 4)));
-            })
-        };
-        p1.join().unwrap();
-        p2.join().unwrap();
-
-        // Drain (single consumer thread — the interesting races are the
-        // producer slot claims and the publish window spin in pop).
-        let mut seen = 0;
-        while let Some(t) = q.pop() {
-            (t.run)();
-            seen += 1;
-        }
-        assert_eq!(seen, 3, "every push popped exactly once");
-        assert_eq!(sum.load(Ordering::Relaxed), 7, "payloads intact");
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-    });
-}
-
-/// Producer/consumer race on the publish window: the consumer can claim a
-/// slot index before the producer's pointer store lands and must spin it
-/// out, never return a null-derived task or drop one.
-#[test]
-fn injector_concurrent_push_pop() {
-    loom::model(|| {
-        use loom::sync::atomic::{AtomicU64, Ordering};
-        let q = Arc::new(Injector::new());
-        let sum = Arc::new(AtomicU64::new(0));
-
-        let producer = {
-            let q = q.clone();
-            let sum = sum.clone();
-            loom::thread::spawn(move || {
-                assert!(q.push(counting_task(&sum, 1)));
-            })
-        };
-
-        // The consumer polls concurrently; `None` is legitimate (the push
-        // may not have happened yet), a popped task must be the real one.
-        if let Some(t) = q.pop() {
-            (t.run)();
-            assert_eq!(sum.load(Ordering::Relaxed), 1, "complete payload");
-        }
-        producer.join().unwrap();
-
-        // Post-join drain: whatever the poll missed is still there.
-        while let Some(t) = q.pop() {
-            (t.run)();
-        }
-        assert_eq!(sum.load(Ordering::Relaxed), 1, "exactly-once transfer");
-    });
-}
-
-/// CANARY: the injector's slot handshake with the producer's publishing
-/// store weakened to Relaxed. The consumer's Acquire spin then no longer
-/// orders the closure's contents, and the model's explored interleavings
-/// include one where the claimed payload is stale.
-#[test]
-#[should_panic(expected = "torn payload")]
-fn injector_relaxed_publish_canary_fails() {
-    loom::model(|| {
-        use loom::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-        // Modeled mini-slot: payload word + pointer-published cell, the
-        // injector's push/pop handshake reduced to its essence.
-        let payload = Arc::new(AtomicU64::new(0));
-        let slot = Arc::new(AtomicPtr::new(core::ptr::null_mut::<u64>()));
-
-        let producer = {
-            let payload = payload.clone();
-            let slot = slot.clone();
-            loom::thread::spawn(move || {
-                payload.store(42, Ordering::Relaxed);
-                // BUG: Relaxed instead of Release — the payload store can
-                // be reordered after the publication.
-                slot.store(Box::into_raw(Box::new(7u64)), Ordering::Relaxed);
-            })
-        };
-
-        let p = slot.load(Ordering::Acquire);
-        if !p.is_null() {
-            assert_eq!(payload.load(Ordering::Relaxed), 42, "torn payload");
-        }
-        producer.join().unwrap();
-        // Post-join the publication is ordered; reclaim it.
-        let p = slot.load(Ordering::Acquire);
-        drop(unsafe { Box::from_raw(p) });
-    });
-}
-
-// ---------------------------------------------------------------------------
-// 4. The abortable-suspension handoff (cancellation layer)
+// 3. The abortable-suspension handoff (cancellation layer)
 // ---------------------------------------------------------------------------
 
 /// A suspended sync raced by its last joiner and a canceller. The main
@@ -670,7 +542,7 @@ fn cancel_abort_relaxed_publish_canary_fails() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. The async wake-state handoff (§6h)
+// 4. The async wake-state handoff (§6h)
 // ---------------------------------------------------------------------------
 
 /// Exactly-once resume under waker races: one parking strand, two
@@ -702,7 +574,7 @@ fn wake_state_exactly_once_resume() {
                     match ws.wake_claim() {
                         WakeClaim::Claimed => {
                             // This thread now owns the continuation: the
-                            // real waker pushes a ReadyCell; the popping
+                            // real waker queues the cell; the popping
                             // worker runs `resume_begin` and walks the
                             // published context. Model both steps here.
                             assert_eq!(
@@ -844,7 +716,7 @@ fn wake_state_relaxed_publish_canary_fails() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. The reactor poller claim (§6h)
+// 5. The reactor poller claim (§6h)
 // ---------------------------------------------------------------------------
 
 /// Mutual exclusion of the poller slot: two workers descend idle and race

@@ -46,10 +46,9 @@ pub use nowa_kernels as kernels;
 pub use nowa_runtime as runtime;
 pub use nowa_sim as sim;
 
-pub use nowa_runtime::slice;
 pub use nowa_runtime::time;
 pub use nowa_runtime::{
     block_on, for_each, in_task, join2, join3, join4, map_reduce, par_for, par_map, sleep, timeout,
     AsyncFd, ChaosConfig, Config, Flavor, JoinHandle, MadvisePolicy, Region, Runtime, SplitConfig,
-    StackError, StatsSnapshot,
+    StatsSnapshot,
 };
