@@ -306,8 +306,6 @@ pub mod epoll {
     pub const CTL_ADD: i32 = 1;
     /// Deregister an fd.
     pub const CTL_DEL: i32 = 2;
-    /// Change the interest set of a registered fd.
-    pub const CTL_MOD: i32 = 3;
     /// The fd is readable.
     pub const IN: u32 = 0x001;
     /// The fd is writable.
@@ -318,6 +316,9 @@ pub mod epoll {
     pub const HUP: u32 = 0x010;
     /// Peer closed its writing half.
     pub const RDHUP: u32 = 0x2000;
+    /// Edge-triggered: report a readiness *change* once instead of the
+    /// readiness state on every wait.
+    pub const ET: u32 = 1 << 31;
 }
 
 /// One `struct epoll_event`. On x86_64 the kernel ABI packs the struct

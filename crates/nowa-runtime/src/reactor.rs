@@ -1,21 +1,30 @@
 //! The epoll reactor: I/O readiness and timers for the async surface.
 //!
 //! There is exactly ONE reactor per runtime and NO dedicated reactor
-//! thread. A worker that would otherwise futex-park (PR 3's idle engine)
-//! first tries to claim the poller slot; the claimant sleeps in
-//! `epoll_wait` instead of on a futex, with its timeout clamped to
-//! `min(IdleConfig::max_park, next timer deadline)`. Everything the idle
-//! engine documents about bounded parks applies verbatim: the claim/release
-//! handshake has a store-buffering window (a producer can miss the poller
-//! exactly as it can miss a futex sleeper), and the bounded timeout is the
+//! thread. Idle workers poll it themselves: on the spin/yield rungs of the
+//! idle ladder a worker busy-polls (`epoll_wait` with timeout 0) whenever
+//! a source is registered, and a worker that would otherwise futex-park
+//! first tries to claim the poller slot and sleeps in `epoll_wait` instead
+//! of on a futex, with its timeout clamped to `min(IdleConfig::max_park,
+//! next timer deadline)`. Everything the idle engine documents about
+//! bounded parks applies verbatim: the claim/release handshake has a
+//! store-buffering window (a producer can miss the poller exactly as it
+//! can miss a futex sleeper), and the bounded timeout is the
 //! belt-and-braces backstop for it.
 //!
-//! Readiness is level-triggered with one-shot *interest*: a direction's
-//! `IN`/`OUT` bit is armed only while a waker is parked on it and disarmed
-//! at dispatch, so a ready-but-unserviced fd does not spin the poller.
-//! `ERR`/`HUP`/`RDHUP` wake both directions — the woken task re-runs its
-//! syscall and observes the real error or EOF itself; the reactor never
-//! interprets errors on a task's behalf.
+//! Readiness is edge-triggered: a source is registered once for
+//! `IN|OUT|RDHUP` with `EPOLLET`, and every reported edge is latched in
+//! the slab's per-direction `ready` flag until a future consumes it. No
+//! `epoll_ctl` runs between registration and deregistration, and a
+//! ready-but-unserviced fd cannot spin the poller — its edge is reported
+//! once. `ERR`/`HUP`/`RDHUP` latch both directions — the woken task re-runs
+//! its syscall and observes the real error or EOF itself; the reactor
+//! never interprets errors on a task's behalf.
+//!
+//! A poll hands the wakers it collected back to its caller, which wakes
+//! them after releasing the poller slot: a wake issued while the slot is
+//! held would find it claimed and kick the eventfd of the very thread
+//! that is about to re-scan for the woken work.
 //!
 //! Cross-thread wakes reach a sleeping poller through an `eventfd` kick,
 //! coalesced by an armed flag so a storm of wakes costs one `write(2)`.
@@ -35,7 +44,7 @@ use nowa_context::sys::{self, epoll, EpollEvent, EpollWait};
 
 use crate::chaos;
 use crate::stats::{self, Counter};
-use crate::sync::{AtomicU32, Ordering};
+use crate::sync::{AtomicU32, AtomicUsize, Ordering};
 use crate::time::TimerWheel;
 use crate::worker::{current_worker, Shared, Worker};
 
@@ -43,18 +52,28 @@ use crate::worker::{current_worker, Shared, Worker};
 /// never reach this value (the slab would exhaust memory first).
 const KICK: u64 = u64::MAX;
 
-/// Events fetched per `epoll_wait`. Spillover is not lost — level-triggered
-/// epoll re-reports anything still ready on the next poll.
-const MAX_EVENTS: usize = 64;
+/// Events fetched per `epoll_wait`. Spillover is not lost — an edge stays
+/// on epoll's ready list until a wait fetches it.
+pub(crate) const MAX_EVENTS: usize = 64;
+
+/// The interest every source is registered with, once.
+const INTEREST: u32 = epoll::IN | epoll::OUT | epoll::RDHUP | epoll::ET;
 
 /// One direction (read or write) of a registered source.
 #[derive(Default)]
 struct Direction {
-    /// Readiness observed by a dispatch and not yet consumed by a poll.
+    /// An edge reported by a dispatch and not yet consumed by a poll.
     ready: bool,
-    /// The waker parked on this direction, if any. Its presence is what
-    /// arms the corresponding `IN`/`OUT` interest bit.
+    /// The waker parked on this direction, if any; the next edge takes it.
     waker: Option<Waker>,
+}
+
+impl Direction {
+    /// Latches an edge and hands over the parked waker, if any.
+    fn latch(&mut self, woken: &mut Vec<Waker>) {
+        self.ready = true;
+        woken.extend(self.waker.take());
+    }
 }
 
 /// A registered fd.
@@ -62,21 +81,6 @@ struct Source {
     fd: i32,
     read: Direction,
     write: Direction,
-}
-
-impl Source {
-    /// The epoll interest mask implied by the parked wakers. `RDHUP` is
-    /// always on so a peer shutdown wakes waiters even with no bit armed.
-    fn interest(&self) -> u32 {
-        let mut bits = epoll::RDHUP;
-        if self.read.waker.is_some() {
-            bits |= epoll::IN;
-        }
-        if self.write.waker.is_some() {
-            bits |= epoll::OUT;
-        }
-        bits
-    }
 }
 
 /// Slab slot: a generation counter (bumped on free) plus the occupant.
@@ -145,8 +149,8 @@ enum Dir {
 }
 
 /// The poller-claim slot: `0` free, `index + 1` claimed by worker
-/// `index`. At most one worker sits in `epoll_wait` at a time; everyone
-/// else futex-parks as before. Encoding the index lets the watchdog
+/// `index`. At most one worker polls at a time; everyone else spins,
+/// yields or futex-parks as before. Encoding the index lets the watchdog
 /// classify the poller as healthy the same way it treats futex-parked
 /// workers.
 ///
@@ -223,7 +227,14 @@ pub(crate) struct Reactor {
     /// Kick coalescing: 1 while a `write(2)` to the eventfd is outstanding
     /// (not yet drained), so kick storms cost one syscall per poll cycle.
     kick_armed: AtomicU32,
+    /// `write(2)`s to the kick eventfd, for the tests that pin when a kick
+    /// is (not) paid.
+    #[cfg(test)]
+    kick_writes: AtomicUsize,
     sources: parking_lot::Mutex<SourceSlab>,
+    /// Registered sources: the gate of the idle ladder's busy poll and
+    /// the `reactor_sources` gauge.
+    registered: AtomicUsize,
     /// The timer wheel rides the reactor: its next deadline clamps the
     /// poll timeout and every poll advances it.
     pub(crate) timers: TimerWheel,
@@ -253,7 +264,10 @@ impl Reactor {
             kick_fd,
             poller: PollerSlot::new(),
             kick_armed: AtomicU32::new(0),
+            #[cfg(test)]
+            kick_writes: AtomicUsize::new(0),
             sources: parking_lot::Mutex::new(SourceSlab::default()),
+            registered: AtomicUsize::new(0),
             timers: TimerWheel::new(),
         })
     }
@@ -285,6 +299,9 @@ impl Reactor {
         // visible before the kick (ready push, timer insert) is ordered
         // before the flag a drain will clear.
         if self.kick_armed.swap(1, Ordering::Release) == 0 {
+            #[cfg(test)]
+            // ordering: test-only tally, read after the workload joined.
+            self.kick_writes.fetch_add(1, Ordering::Relaxed);
             let buf = 1u64.to_ne_bytes();
             let _ = sys::write_raw(self.kick_fd, &buf);
         }
@@ -309,11 +326,19 @@ impl Reactor {
         self.kick_armed.store(0, Ordering::Release);
     }
 
+    /// Eventfd kicks written since the reactor was created.
+    #[cfg(test)]
+    pub(crate) fn kick_writes(&self) -> usize {
+        // ordering: test-only tally, read after the workload joined.
+        self.kick_writes.load(Ordering::Relaxed)
+    }
+
     // ---- source registration --------------------------------------------
 
-    /// Registers `fd` (which must already be non-blocking) and returns its
-    /// generation-tagged key. Interest starts at `RDHUP` only; directions
-    /// arm themselves when a future parks on them.
+    /// Registers `fd` (which must already be non-blocking) for every
+    /// readiness edge it will ever report, and returns its
+    /// generation-tagged key. An fd that is already ready reports that as
+    /// its first edge.
     pub(crate) fn register(&self, fd: i32) -> Result<u64, sys::SysError> {
         let mut slab = self.sources.lock();
         let key = slab.insert(Source {
@@ -322,13 +347,15 @@ impl Reactor {
             write: Direction::default(),
         });
         let ev = EpollEvent {
-            events: epoll::RDHUP,
+            events: INTEREST,
             data: key,
         };
         if let Err(e) = sys::epoll_ctl(self.epfd, epoll::CTL_ADD, fd, &ev) {
             slab.remove(key);
             return Err(e);
         }
+        // ordering: §7b "source count".
+        self.registered.fetch_add(1, Ordering::Relaxed);
         Ok(key)
     }
 
@@ -341,6 +368,8 @@ impl Reactor {
             if let Some(mut src) = slab.remove(key) {
                 let ev = EpollEvent { events: 0, data: 0 };
                 let _ = sys::epoll_ctl(self.epfd, epoll::CTL_DEL, src.fd, &ev);
+                // ordering: §7b "source count".
+                self.registered.fetch_sub(1, Ordering::Relaxed);
                 woken[0] = src.read.waker.take();
                 woken[1] = src.write.waker.take();
             }
@@ -350,8 +379,15 @@ impl Reactor {
         }
     }
 
-    /// One readiness poll for `key`/`dir`: consumes pending readiness or
-    /// parks `cx`'s waker and arms the interest bit.
+    /// Registered sources right now (racy; a gate and a gauge, never a
+    /// decision that must be exact).
+    pub(crate) fn sources(&self) -> usize {
+        // ordering: §7b "source count".
+        self.registered.load(Ordering::Relaxed)
+    }
+
+    /// One readiness poll for `key`/`dir`: consumes a latched edge, or
+    /// parks `cx`'s waker for the next one.
     fn poll_direction(&self, key: u64, dir: Dir, cx: &mut Context<'_>) -> Poll<io::Result<()>> {
         let mut slab = self.sources.lock();
         let src = slab
@@ -365,30 +401,13 @@ impl Reactor {
             slot.ready = false;
             return Poll::Ready(Ok(()));
         }
-        let had_waker = slot.waker.is_some();
         slot.waker = Some(cx.waker().clone());
-        if !had_waker {
-            // Arm the direction's interest bit. Level-triggered: if the fd
-            // is already ready the next poll reports it immediately.
-            let ev = EpollEvent {
-                events: src.interest(),
-                data: key,
-            };
-            if let Err(e) = sys::epoll_ctl(self.epfd, epoll::CTL_MOD, src.fd, &ev) {
-                let slot = match dir {
-                    Dir::Read => &mut src.read,
-                    Dir::Write => &mut src.write,
-                };
-                slot.waker = None;
-                return Poll::Ready(Err(io::Error::from_raw_os_error(e.0)));
-            }
-        }
         Poll::Pending
     }
 
-    /// Delivers one fetched event: marks directions ready, collects their
-    /// wakers, disarms the delivered interest bits.
-    fn dispatch(&self, key: u64, bits: u32, wakers: &mut Vec<Waker>) {
+    /// Delivers one fetched event: latches the directions it reports and
+    /// collects their parked wakers.
+    fn dispatch(&self, key: u64, bits: u32, woken: &mut Vec<Waker>) {
         let mut slab = self.sources.lock();
         let Some(src) = slab.get_mut(key) else {
             // Deregistered between fetch and dispatch (or a recycled slot):
@@ -397,38 +416,26 @@ impl Reactor {
         };
         let fatal = bits & (epoll::ERR | epoll::HUP | epoll::RDHUP) != 0;
         if fatal || bits & epoll::IN != 0 {
-            src.read.ready = true;
-            if let Some(w) = src.read.waker.take() {
-                wakers.push(w);
-            }
+            src.read.latch(woken);
         }
         if fatal || bits & epoll::OUT != 0 {
-            src.write.ready = true;
-            if let Some(w) = src.write.waker.take() {
-                wakers.push(w);
-            }
+            src.write.latch(woken);
         }
-        // Disarm what was delivered — readiness is now latched in the
-        // slab, and level-triggered epoll would otherwise re-report it
-        // every poll until the task re-polls.
-        let ev = EpollEvent {
-            events: src.interest(),
-            data: key,
-        };
-        let _ = sys::epoll_ctl(self.epfd, epoll::CTL_MOD, src.fd, &ev);
     }
 
     // ---- the poll itself -------------------------------------------------
 
-    /// One reactor poll, run by the claimed poller in place of a futex
-    /// park. Waits up to `timeout_ms` (already clamped to `max_park` and
-    /// the next timer deadline by the caller), dispatches I/O readiness,
-    /// advances the timer wheel, and returns how many wakeups it produced.
+    /// One reactor poll by the claimant of the poller slot. Waits up to
+    /// `timeout_ms` (0 for a busy poll; otherwise already clamped to
+    /// `max_park` and the next timer deadline by the caller), dispatches
+    /// I/O readiness, advances the timer wheel, and appends every waker
+    /// due to `woken`. The caller wakes them after
+    /// [`release`](Reactor::release); workers pass a buffer they reuse
+    /// from poll to poll, so a poll allocates nothing.
     ///
     /// # Safety
     /// `worker` must be the calling thread's live worker.
-    pub(crate) unsafe fn poll(&self, worker: *mut Worker, timeout_ms: u64) -> usize {
-        let mut wakers: Vec<Waker> = Vec::new();
+    pub(crate) unsafe fn poll(&self, worker: *mut Worker, timeout_ms: u64, woken: &mut Vec<Waker>) {
         let mut dispatched = 0usize;
         // SAFETY: `worker` is the calling thread's live worker (caller
         // contract).
@@ -449,7 +456,7 @@ impl Reactor {
                         if data == KICK {
                             self.drain_kick();
                         } else {
-                            self.dispatch(data, bits, &mut wakers);
+                            self.dispatch(data, bits, woken);
                             dispatched += 1;
                         }
                     }
@@ -457,16 +464,7 @@ impl Reactor {
                 EpollWait::Interrupted => {}
             }
         }
-        let fired = self.timers.advance(Instant::now());
-        let timer_count = fired.len();
-        // Wake everything outside the slab lock (a wake may re-enter the
-        // reactor to re-arm, e.g. a Sleep future's re-registration).
-        for w in wakers {
-            w.wake();
-        }
-        for w in fired {
-            w.wake();
-        }
+        let timer_count = self.timers.advance(Instant::now(), woken);
         // SAFETY: `worker` is the calling thread's live worker (caller
         // contract), so dereferencing it for stats and trace hooks is sound.
         unsafe {
@@ -480,7 +478,6 @@ impl Reactor {
                 stats::add(worker, Counter::reactor_events, dispatched as u64);
             }
         }
-        dispatched + timer_count
     }
 
     /// Timer-only advance for threads that are not workers (the watchdog
@@ -488,9 +485,9 @@ impl Reactor {
     /// has polled in a while — the same role the watchdog already plays for
     /// region deadlines.
     pub(crate) fn advance_timers_external(&self) {
-        for w in self.timers.advance(Instant::now()) {
-            w.wake();
-        }
+        let mut fired = Vec::new();
+        self.timers.advance(Instant::now(), &mut fired);
+        fired.into_iter().for_each(Waker::wake);
     }
 }
 
@@ -516,9 +513,11 @@ unsafe impl Sync for Reactor {}
 /// Wraps any [`AsRawFd`] I/O object whose fd is **non-blocking** (the
 /// caller sets that up; the reactor only reports readiness). Futures from
 /// [`readable`](AsyncFd::readable) / [`writable`](AsyncFd::writable)
-/// resolve when the fd is (or may be) ready — the task then re-runs its
-/// syscall and treats `WouldBlock` as "wait again", the standard
-/// level-triggered loop.
+/// resolve when the fd became (or may have become) ready since the last
+/// future of that direction resolved. Readiness is edge-triggered, so the
+/// loop is: run the syscall until it returns `WouldBlock`, and only then
+/// await — an edge already consumed is not reported again while the fd
+/// stays ready.
 ///
 /// Dropping the `AsyncFd` deregisters the fd and wakes any parked waiters.
 pub struct AsyncFd<T: AsRawFd> {
@@ -625,17 +624,71 @@ mod tests {
     }
 
     #[test]
-    fn interest_follows_parked_wakers() {
-        let mut src = Source {
-            fd: 0,
-            read: Direction::default(),
-            write: Direction::default(),
-        };
-        assert_eq!(src.interest(), epoll::RDHUP, "idle source: RDHUP only");
-        src.read.waker = Some(noop_waker());
-        assert_eq!(src.interest(), epoll::RDHUP | epoll::IN);
-        src.write.waker = Some(noop_waker());
-        assert_eq!(src.interest(), epoll::RDHUP | epoll::IN | epoll::OUT);
+    fn an_edge_latches_and_hands_over_the_parked_waker_once() {
+        let mut dir = Direction::default();
+        let mut woken = Vec::new();
+        dir.latch(&mut woken);
+        assert!(dir.ready && woken.is_empty(), "nobody parked: latch only");
+        dir.waker = Some(noop_waker());
+        dir.latch(&mut woken);
+        assert_eq!(woken.len(), 1, "the parked waker is handed over");
+        dir.latch(&mut woken);
+        assert_eq!(woken.len(), 1, "and only once");
+    }
+
+    /// A poll wakes what it dispatched after releasing the poller slot, so
+    /// a strand woken by readiness costs no eventfd kick. One worker
+    /// serves 1 000 echo round trips; every request reaches it through the
+    /// reactor, so a wake issued while the slot is held would kick once
+    /// per request.
+    #[test]
+    fn the_poller_does_not_kick_itself() {
+        use std::io::{ErrorKind, Read, Write};
+        use std::os::unix::net::UnixStream;
+
+        const ROUNDS: u64 = 1_000;
+        let rt = crate::Runtime::new(crate::Config::with_workers(1)).unwrap();
+        let (server, mut client) = UnixStream::pair().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let client = std::thread::spawn(move || {
+            let mut buf = [0u8; 8];
+            for i in 0..ROUNDS {
+                client.write_all(&i.to_le_bytes()).unwrap();
+                client.read_exact(&mut buf).unwrap();
+                assert_eq!(u64::from_le_bytes(buf), i, "echo corrupted");
+            }
+        });
+        let before = rt.shared().reactor.kick_writes();
+        let served = rt.run(move || {
+            crate::block_on(async move {
+                let fd = AsyncFd::new(server).unwrap();
+                let mut buf = [0u8; 8];
+                let mut served = 0;
+                while served < ROUNDS {
+                    match (&mut fd.get_ref()).read(&mut buf) {
+                        Ok(8) => {
+                            (&mut fd.get_ref()).write_all(&buf).unwrap();
+                            served += 1;
+                        }
+                        Ok(n) => panic!("short read of {n} bytes"),
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                            fd.readable().await.unwrap();
+                        }
+                        Err(e) => panic!("server read: {e}"),
+                    }
+                }
+                served
+            })
+        });
+        client.join().unwrap();
+        assert_eq!(served, ROUNDS);
+        let kicks = rt.shared().reactor.kick_writes() - before;
+        // The root submission itself may kick a napping poller once.
+        assert!(
+            kicks <= 2,
+            "{kicks} eventfd kicks for {ROUNDS} reactor-woken requests: the \
+             poller woke strands while still holding the slot"
+        );
     }
 
     fn noop_waker() -> Waker {

@@ -2,7 +2,7 @@
 
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -150,7 +150,7 @@ struct Completion<R> {
 
 /// Creates the deques of a runtime running protocol `P` and starts its
 /// worker threads.
-fn spawn_workers<P: Protocol>(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
+fn spawn_workers<P: Protocol>(shared: &Arc<Shared>, started: &Arc<Barrier>) -> Vec<JoinHandle<()>> {
     let config = &shared.config;
     let (owners, stealers): (Vec<_>, Vec<_>) = (0..config.workers)
         .map(|_| P::new_deque(config.deque_capacity, config.split))
@@ -173,23 +173,26 @@ fn spawn_workers<P: Protocol>(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
                     rng: 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(index as u64 + 1) | 1,
                     last_victim: usize::MAX,
                     cancel_scope: &shared.cancel_root,
+                    woken: Vec::new(),
                 },
                 deque,
                 stealers: stealers.clone(),
             });
+            let started = started.clone();
             std::thread::Builder::new()
                 .name(format!("nowa-worker-{index}"))
                 // Workers barely use their OS stack (all task execution
                 // happens on fiber stacks), but unwinding diagnostics do.
                 .stack_size(256 * 1024)
-                .spawn(move || worker_main(worker))
+                .spawn(move || worker_main(worker, &started))
                 .expect("spawning worker thread")
         })
         .collect()
 }
 
 impl Runtime {
-    /// Builds a runtime and starts its workers.
+    /// Builds a runtime and starts its workers, returning once every
+    /// runtime thread is running.
     ///
     /// The workers begin stealing immediately but have nothing to run
     /// until [`run`](Runtime::run) submits a root task. Construction can
@@ -260,14 +263,25 @@ impl Runtime {
             nowa_context::signal::set_crash_hook(crash_trace_dump);
         }
 
+        // Every runtime thread checks in once it has made its first
+        // allocation, and `new` returns only after all have. glibc binds a
+        // thread to a malloc arena at that first allocation, handing out
+        // the arena an exited thread released last: without the wait, a
+        // thread the caller starts next could take an arena before ours
+        // do, and which arena holds whose freed memory — so the process's
+        // resident size — would turn on that race. Parties: the workers,
+        // the watchdog and this thread.
+        let started = Arc::new(Barrier::new(config.workers + 2));
+
         // Always spawned: the thread drives region deadlines even when the
         // stall watchdog (`config.watchdog`) is off, and sleeps on the
         // deadline condvar when it has nothing to do.
-        let watchdog = Some(crate::watchdog::spawn(shared.clone()));
+        let watchdog = Some(crate::watchdog::spawn(shared.clone(), started.clone()));
 
         // The flavor is resolved here, once: every worker is built as a
         // `FlavoredWorker<P>` and tagged with the flavor `P` came from.
-        let threads = with_protocol!(config.flavor, P => spawn_workers::<P>(&shared));
+        let threads = with_protocol!(config.flavor, P => spawn_workers::<P>(&shared, &started));
+        started.wait();
 
         Ok(Runtime {
             shared,
@@ -294,7 +308,8 @@ impl Runtime {
 
     /// Everything the runtime can report about itself, read at one
     /// instant: per-worker and aggregate scheduler counters, stack-pool
-    /// activity, idle workers, watchdog reports and (when compiled and
+    /// activity, idle workers, watchdog reports, registered reactor
+    /// sources, armed timers and (when compiled and
     /// configured) fault-injection counters. Pull-based — each call
     /// re-reads the relaxed counters; there is no background thread and no
     /// hot-path cost. Render it with [`Snapshot::render_table`],
@@ -314,6 +329,12 @@ impl Runtime {
     /// `pool` part of [`Runtime::snapshot`].
     pub fn pool_stats(&self) -> (u64, u64, u64) {
         self.shared.pool.stats().snapshot()
+    }
+
+    /// The shared state, for unit tests that inspect runtime internals.
+    #[cfg(test)]
+    pub(crate) fn shared(&self) -> &Shared {
+        &self.shared
     }
 
     /// The live snapshot in Prometheus text exposition format.

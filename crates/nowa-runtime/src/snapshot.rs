@@ -52,6 +52,12 @@ pub struct Snapshot {
     /// Stall reports emitted by the watchdog since startup (0 when the
     /// watchdog is disabled or every worker kept making progress).
     pub watchdog_reports: u64,
+    /// Fds registered with the reactor (live `AsyncFd`s). While it is
+    /// non-zero, idle workers busy-poll the reactor before they park.
+    pub reactor_sources: usize,
+    /// Timers armed on the wheel (`sleep`/`timeout` not yet fired or
+    /// dropped).
+    pub timers_pending: usize,
     /// Fault-injection counters (site visits and injections fired),
     /// aggregated over workers; `None` unless the runtime was configured
     /// with [`Config::chaos`](crate::Config::chaos).
@@ -82,6 +88,8 @@ impl Shared {
             },
             idle_workers: self.idle.sleepers() as usize,
             watchdog_reports: self.watchdog_reports.load(Ordering::Relaxed),
+            reactor_sources: self.reactor.sources(),
+            timers_pending: self.reactor.timers.len(),
             #[cfg(feature = "chaos")]
             chaos: self
                 .chaos
@@ -135,7 +143,7 @@ fn json_stats(out: &mut String, s: &StatsSnapshot) {
 
 impl Snapshot {
     /// The runtime-wide scalars as `(name, help, is_counter, value)`.
-    fn globals(&self) -> [(&'static str, &'static str, bool, u64); 7] {
+    fn globals(&self) -> [(&'static str, &'static str, bool, u64); 9] {
         let pool = &self.pool;
         [
             (
@@ -155,6 +163,18 @@ impl Snapshot {
                 "Stall reports emitted by the watchdog.",
                 true,
                 self.watchdog_reports,
+            ),
+            (
+                "reactor_sources",
+                "Fds registered with the reactor.",
+                false,
+                self.reactor_sources as u64,
+            ),
+            (
+                "timers_pending",
+                "Timers armed on the wheel.",
+                false,
+                self.timers_pending as u64,
             ),
             (
                 "stack_pool_gets",

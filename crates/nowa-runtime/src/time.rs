@@ -10,10 +10,10 @@
 //!
 //! Nobody sleeps *on* the wheel. It is advanced from two places:
 //!
-//! * the reactor poll — the claimed poller computes its `epoll_wait`
-//!   timeout as `min(max_park, next deadline)` and advances the wheel on
-//!   every return, so timer latency tracks I/O latency while any worker
-//!   is idle;
+//! * the reactor poll — every poll advances the wheel (the idle ladder's
+//!   busy polls as well as the parked poller's wait, whose `epoll_wait`
+//!   timeout is `min(max_park, next deadline)`), so timer latency tracks
+//!   I/O latency while any worker is idle;
 //! * the watchdog thread — the same thread that fires region deadlines
 //!   (PR 7's plumbing) advances the wheel each sweep, bounding timer
 //!   staleness even when every worker is busy for a long stretch.
@@ -138,16 +138,16 @@ impl TimerWheel {
         }
     }
 
-    /// Fires everything due at `now`; returns the due wakers (the caller
-    /// wakes them outside the lock).
-    pub(crate) fn advance(&self, now: Instant) -> Vec<Waker> {
+    /// Fires everything due at `now`: appends the due wakers to `fired`
+    /// (the caller wakes them outside the lock) and returns how many.
+    pub(crate) fn advance(&self, now: Instant, fired: &mut Vec<Waker>) -> usize {
         let mut w = self.inner.lock();
         let now_tick = w.tick_of(now);
         if now_tick <= w.cursor || w.count == 0 {
             w.cursor = w.cursor.max(now_tick);
-            return Vec::new();
+            return 0;
         }
-        let mut fired = Vec::new();
+        let already = fired.len();
         let span = now_tick - w.cursor;
         // Far behind a sparse wheel: touch each slot once instead of
         // walking every elapsed tick.
@@ -168,11 +168,12 @@ impl TimerWheel {
             }
         }
         w.cursor = now_tick;
-        w.count -= fired.len();
-        if !fired.is_empty() {
+        let count = fired.len() - already;
+        w.count -= count;
+        if count > 0 {
             w.recompute_earliest();
         }
-        fired
+        count
     }
 
     /// Milliseconds until the earliest armed deadline, capped at `max_ms`
@@ -191,9 +192,8 @@ impl TimerWheel {
         ns.div_ceil(1_000_000).min(max_ms)
     }
 
-    /// Live entry count (tests).
-    #[cfg(test)]
-    fn len(&self) -> usize {
+    /// Armed timers right now (the `timers_pending` gauge).
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().count
     }
 }
@@ -352,6 +352,14 @@ mod tests {
         unsafe { Waker::from_raw(RawWaker::new(core::ptr::null(), &VTABLE)) }
     }
 
+    /// Advances `wheel` to `at`; returns how many timers fired.
+    fn fire(wheel: &TimerWheel, at: Instant) -> usize {
+        let mut fired = Vec::new();
+        let n = wheel.advance(at, &mut fired);
+        assert_eq!(n, fired.len());
+        n
+    }
+
     #[test]
     fn wheel_fires_due_entries_once() {
         let wheel = TimerWheel::new();
@@ -360,12 +368,13 @@ mod tests {
         wheel.insert(t0 + Duration::from_millis(2), noop_waker());
         wheel.insert(t0 + Duration::from_secs(60), noop_waker());
         assert_eq!(wheel.len(), 3);
-        assert!(wheel.advance(t0).is_empty(), "nothing due yet");
-        let fired = wheel.advance(t0 + Duration::from_millis(20));
-        assert_eq!(fired.len(), 2, "both short timers fire together");
+        assert_eq!(fire(&wheel, t0), 0, "nothing due yet");
+        let fired = fire(&wheel, t0 + Duration::from_millis(20));
+        assert_eq!(fired, 2, "both short timers fire together");
         assert_eq!(wheel.len(), 1);
-        assert!(
-            wheel.advance(t0 + Duration::from_millis(40)).is_empty(),
+        assert_eq!(
+            fire(&wheel, t0 + Duration::from_millis(40)),
+            0,
             "fired entries do not refire"
         );
     }
@@ -380,8 +389,8 @@ mod tests {
         let far = t0 + Duration::from_millis(3 + SLOTS as u64);
         wheel.insert(near, noop_waker());
         wheel.insert(far, noop_waker());
-        let fired = wheel.advance(t0 + Duration::from_millis(10));
-        assert_eq!(fired.len(), 1, "only the near deadline fires");
+        let fired = fire(&wheel, t0 + Duration::from_millis(10));
+        assert_eq!(fired, 1, "only the near deadline fires");
         assert_eq!(wheel.len(), 1);
     }
 
@@ -406,8 +415,8 @@ mod tests {
             (190..=210).contains(&hint),
             "hint {hint} falls back to the 200ms deadline once the 50ms one is removed"
         );
-        let fired = wheel.advance(t0 + Duration::from_secs(1));
-        assert_eq!(fired.len(), 1, "removed timer never fires");
+        let fired = fire(&wheel, t0 + Duration::from_secs(1));
+        assert_eq!(fired, 1, "removed timer never fires");
         let later = t0 + Duration::from_secs(2);
         let (id, slot, _) = wheel.insert(later + Duration::from_millis(50), noop_waker());
         wheel.remove(slot, id);
@@ -426,8 +435,8 @@ mod tests {
             wheel.insert(t0 + Duration::from_millis(2 + i), noop_waker());
         }
         // Advance far past everything in one leap (> SLOTS ticks).
-        let fired = wheel.advance(t0 + Duration::from_secs(2));
-        assert_eq!(fired.len(), 10);
+        let fired = fire(&wheel, t0 + Duration::from_secs(2));
+        assert_eq!(fired, 10);
         assert_eq!(wheel.len(), 0);
     }
 }

@@ -37,7 +37,7 @@
 //! deadline condvar).
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use crate::worker::Shared;
@@ -49,14 +49,16 @@ const IDLE_NAP: Duration = Duration::from_millis(500);
 
 /// Spawns the watchdog thread for `shared`. The stall threshold (if any)
 /// comes from `shared.config.watchdog`; deadline firing is unconditional.
-pub(crate) fn spawn(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
+/// The thread checks in at `started` once it has allocated its state (see
+/// `Runtime::new`).
+pub(crate) fn spawn(shared: Arc<Shared>, started: Arc<Barrier>) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("nowa-watchdog".to_string())
-        .spawn(move || run(&shared))
+        .spawn(move || run(&shared, &started))
         .expect("spawning watchdog thread")
 }
 
-fn run(shared: &Shared) {
+fn run(shared: &Shared, started: &Barrier) {
     let threshold = shared.config.watchdog;
     let interval = threshold.map(|t| (t / 4).max(Duration::from_millis(5)));
     let n = shared.stats.len();
@@ -64,6 +66,7 @@ fn run(shared: &Shared) {
     let mut last_change: Vec<Instant> = vec![Instant::now(); n];
     // One report per stall episode: re-arm only after progress resumes.
     let mut reported: Vec<bool> = vec![false; n];
+    started.wait();
 
     while !shared.shutdown.load(Ordering::Acquire) {
         let now = Instant::now();

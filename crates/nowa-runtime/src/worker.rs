@@ -25,7 +25,8 @@
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use core::cell::Cell;
 use core::ffi::c_void;
-use std::sync::Arc;
+use core::task::Waker;
+use std::sync::{Arc, Barrier};
 
 use nowa_context::{capture_and_run_on, resume, RawContext, Stack, StackPool, WorkerStackCache};
 use nowa_deque::Steal;
@@ -121,6 +122,10 @@ pub struct Worker {
     /// `Shared::cancel_root` before each root task), so freshly created
     /// frames always inherit the right scope even after migration.
     pub(crate) cancel_scope: *const CancelCell,
+    /// The wakers a reactor poll by this worker made due, held until the
+    /// poller slot is released. Reused from poll to poll, so serving a
+    /// request allocates nothing here.
+    pub(crate) woken: Vec<Waker>,
 }
 
 // SAFETY: a Worker is moved to its OS thread once at startup and from then
@@ -358,7 +363,8 @@ pub unsafe fn resume_sync(worker: *mut Worker, frame: *const crate::record::Fram
 ///
 /// Order per iteration: shutdown check → own deque bottom → outside queue →
 /// steal sweep (last-victim affinity, then a random walk) → the idle
-/// ladder: exponential spin, OS yields, and finally the announce-validate-
+/// ladder: exponential spin, OS yields (each rung busy-polls the reactor
+/// first while an fd is registered), and finally the announce-validate-
 /// park descent of [`crate::idle`]. `failed_sweeps` only resets when actual
 /// work was found — a perpetually contended victim (`Steal::Retry`) no
 /// longer pins every thief at maximum spin.
@@ -440,8 +446,8 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
         // full walk from an unbiased random start.
         let stealers: &[P::Stealer] = unsafe { &(*FlavoredWorker::<P>::of(worker)).stealers };
         let n = stealers.len();
+        let me = unsafe { (*worker).index };
         if n > 1 {
-            let me = unsafe { (*worker).index };
             let lv = unsafe { (*worker).last_victim };
             let start = unsafe { (*worker).next_rand_below(n) };
             let retry_budget = shared.config.idle.steal_retries;
@@ -513,7 +519,20 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
         let force_park = unsafe { chaos::on_idle_backoff(worker) };
         if force_park || failed_sweeps > idle_cfg.spin_sweeps + idle_cfg.yield_sweeps {
             unsafe { park_worker::<P>(worker, shared, stealers) };
-        } else if failed_sweeps <= idle_cfg.spin_sweeps {
+            continue;
+        }
+        // Busy-poll the reactor on the spin/yield rungs while any fd is
+        // registered: readiness that arrives now is served without first
+        // waiting out the ladder. The count is an advisory gate — a stale
+        // zero only defers the poll to the park rung.
+        if shared.reactor.sources() > 0
+            && shared.reactor.try_claim(me)
+            && unsafe { poll_claimed(worker, shared, 0) }
+        {
+            failed_sweeps = 0;
+            continue;
+        }
+        if failed_sweeps <= idle_cfg.spin_sweeps {
             // Short exponential spin: cheapest, keeps steal latency minimal
             // while work is likely to reappear immediately.
             for _ in 0..(1u32 << failed_sweeps.min(10)) {
@@ -523,6 +542,26 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
             std::thread::yield_now();
         }
     }
+}
+
+/// One reactor poll of up to `timeout_ms` by `worker`, which holds the
+/// poller slot. Releases the slot and only then wakes what the poll made
+/// due: woken with the slot still held, each wake would kick this
+/// thread's own eventfd. Returns whether anything was woken.
+///
+/// # Safety
+/// `worker` must be the calling thread's live worker, and it must hold
+/// `shared.reactor`'s poller slot.
+unsafe fn poll_claimed(worker: *mut Worker, shared: &Shared, timeout_ms: u64) -> bool {
+    // Moved out for the poll so no reference into the worker is live
+    // while the poll and the wakes use `worker`.
+    let mut woken = core::mem::take(unsafe { &mut (*worker).woken });
+    unsafe { shared.reactor.poll(worker, timeout_ms, &mut woken) };
+    shared.reactor.release();
+    let any = !woken.is_empty();
+    woken.drain(..).for_each(Waker::wake);
+    unsafe { (*worker).woken = woken };
+    any
 }
 
 /// The deep-idle descent: announce intent to sleep, re-validate every work
@@ -561,7 +600,9 @@ unsafe fn park_worker<P: Protocol>(worker: *mut Worker, shared: &Shared, stealer
     if shared.reactor.try_claim(index) {
         // Same validation re-scan as the futex path: anything runnable
         // aborts the poll before it blocks.
-        if !runnable() {
+        if runnable() {
+            shared.reactor.release();
+        } else {
             let max_ms = (shared
                 .config
                 .idle
@@ -573,9 +614,8 @@ unsafe fn park_worker<P: Protocol>(worker: *mut Worker, shared: &Shared, stealer
                 .reactor
                 .timers
                 .next_timeout_ms(std::time::Instant::now(), max_ms);
-            unsafe { shared.reactor.poll(worker, timeout) };
+            unsafe { poll_claimed(worker, shared, timeout) };
         }
-        shared.reactor.release();
         return;
     }
 
@@ -677,9 +717,11 @@ unsafe extern "C" fn worker_body<P: Protocol>(arg: *mut c_void) -> ! {
     }
 }
 
-/// OS-thread entry of a worker. Returns when the runtime shuts down.
+/// OS-thread entry of a worker. Checks in at `started` once the thread has
+/// made its first allocation (see `Runtime::new`); returns when the
+/// runtime shuts down.
 #[allow(clippy::boxed_local)] // the Box pins the Worker's address for TLS/raw pointers
-pub fn worker_main<P: Protocol>(mut flavored: Box<FlavoredWorker<P>>) {
+pub fn worker_main<P: Protocol>(mut flavored: Box<FlavoredWorker<P>>, started: &Barrier) {
     let worker = &flavored.base;
     // Label the thread for guard-page fault reports, and give the SIGSEGV
     // handler an alternate stack to run on: at the moment of a fiber stack
@@ -691,6 +733,8 @@ pub fn worker_main<P: Protocol>(mut flavored: Box<FlavoredWorker<P>>) {
     } else {
         None
     };
+    flavored.base.woken.reserve(crate::reactor::MAX_EVENTS);
+    started.wait();
     // Derived from the whole flavored worker, so the header pointer may be
     // cast back by `FlavoredWorker::of`.
     let wptr = (&mut *flavored as *mut FlavoredWorker<P>).cast::<Worker>();

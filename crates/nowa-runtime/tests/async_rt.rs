@@ -10,7 +10,6 @@
 //! reactor sites (spurious wakes, injected `EINTR`) armed over a real
 //! serving workload.
 
-#[cfg(feature = "chaos")]
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -203,6 +202,162 @@ fn disarmed_timeout_does_not_spin_the_idle_poller() {
         polls < 1_000,
         "idle runtime polled the reactor {polls} times in 300 ms: the \
          wheel still reports the disarmed timer as due"
+    );
+}
+
+/// A registered but quiet socket keeps idle workers busy-polling only on
+/// the spin/yield rungs: once they reach the park rung the runtime polls
+/// once per `max_park` again, exactly as with no source registered.
+#[test]
+fn quiet_registered_socket_does_not_spin_the_idle_poller() {
+    let rt = Runtime::new(Config::with_workers(2)).unwrap();
+    let (a, mut b) = UnixStream::pair().unwrap();
+    a.set_nonblocking(true).unwrap();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            rt.run(move || {
+                nowa_runtime::block_on(async move {
+                    let fd = AsyncFd::new(a).unwrap();
+                    fd.readable().await.unwrap();
+                })
+            })
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(rt.snapshot().reactor_sources, 1, "the socket is registered");
+        let before = rt.stats().reactor_polls;
+        std::thread::sleep(Duration::from_millis(300));
+        let polls = rt.stats().reactor_polls - before;
+        b.write_all(&[1]).unwrap();
+        server.join().unwrap();
+        assert!(
+            polls < 1_000,
+            "idle runtime with one quiet source polled the reactor {polls} \
+             times in 300 ms: busy polling did not stop at the park rung"
+        );
+    });
+}
+
+/// Edge-triggered readiness must not lose an edge that arrives while
+/// nobody is parked: the reader consumes one edge, drains the socket, and
+/// a second byte lands — and is dispatched — before it awaits again. That
+/// edge is latched, so the next `readable()` resolves with no further
+/// write.
+#[test]
+fn an_edge_between_waits_is_latched_not_lost() {
+    let rt = Runtime::new(Config::with_workers(2)).unwrap();
+    let (a, mut b) = UnixStream::pair().unwrap();
+    a.set_nonblocking(true).unwrap();
+    let rt_ref = &rt;
+    let got = rt.run(move || {
+        nowa_runtime::block_on(async move {
+            let fd = AsyncFd::new(a).unwrap();
+            let mut buf = [0u8; 8];
+            b.write_all(&[1]).unwrap();
+            time::timeout(Duration::from_secs(2), fd.readable())
+                .await
+                .expect("the first edge resolves readable()")
+                .unwrap();
+            assert_eq!((&mut fd.get_ref()).read(&mut buf).unwrap(), 1);
+            let drained = (&mut fd.get_ref()).read(&mut buf);
+            assert_eq!(drained.unwrap_err().kind(), ErrorKind::WouldBlock);
+            // The second byte, while this strand is running (not parked):
+            // wait until some idle worker's poll has dispatched its edge.
+            let events = rt_ref.stats().reactor_events;
+            b.write_all(&[2]).unwrap();
+            let t0 = Instant::now();
+            while rt_ref.stats().reactor_events == events && t0.elapsed() < Duration::from_secs(2) {
+                std::thread::yield_now();
+            }
+            time::timeout(Duration::from_secs(2), fd.readable())
+                .await
+                .expect("an edge dispatched while nobody was parked was lost")
+                .unwrap();
+            let n = (&mut fd.get_ref()).read(&mut buf).unwrap();
+            buf[..n].to_vec()
+        })
+    });
+    assert_eq!(got, [2]);
+}
+
+/// An fd that is already readable when it is registered reports that as
+/// its first edge.
+#[test]
+fn data_pending_at_registration_is_reported() {
+    let rt = Runtime::new(Config::with_workers(2).idle(eager_park())).unwrap();
+    let (a, mut b) = UnixStream::pair().unwrap();
+    a.set_nonblocking(true).unwrap();
+    b.write_all(b"early").unwrap();
+    let got = rt.run(move || {
+        nowa_runtime::block_on(async move {
+            let fd = AsyncFd::new(a).unwrap();
+            time::timeout(Duration::from_secs(2), fd.readable())
+                .await
+                .expect("data pending at registration was never reported")
+                .unwrap();
+            let mut buf = [0u8; 8];
+            let n = (&mut fd.get_ref()).read(&mut buf).unwrap();
+            buf[..n].to_vec()
+        })
+    });
+    assert_eq!(got, b"early");
+}
+
+/// A peer close wakes both directions: one strand parked on `readable()`
+/// of an empty socket and one parked on `writable()` of a full one each
+/// resume, and their syscalls report the close (the peer dies with our
+/// bytes unread, so both see a reset or a broken pipe rather than a clean
+/// end of stream). `max_park` is 5 s, so finishing well inside it proves
+/// the hang-up edge woke them.
+#[test]
+fn peer_close_wakes_parked_reader_and_writer() {
+    let rt = Runtime::new(Config::with_workers(2).idle(eager_park())).unwrap();
+    let (a, b) = UnixStream::pair().unwrap();
+    a.set_nonblocking(true).unwrap();
+    let chunk = [0u8; 4096];
+    while (&a).write(&chunk).is_ok() {}
+    let closer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(100));
+        drop(b);
+    });
+    let t0 = Instant::now();
+    let reports_close = |r: std::io::Result<usize>| match r {
+        Ok(n) => n == 0,
+        Err(e) => matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::BrokenPipe),
+    };
+    let (read_saw, write_saw) = rt.run(move || {
+        let region = pin!(Region::cancellable());
+        let region = region.as_ref();
+        let fd = Arc::new(AsyncFd::new(a).unwrap());
+        let reader = region.spawn_async({
+            let fd = fd.clone();
+            async move {
+                let mut buf = [0u8; 8];
+                loop {
+                    match (&mut fd.get_ref()).read(&mut buf) {
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => fd.readable().await.unwrap(),
+                        other => return reports_close(other),
+                    }
+                }
+            }
+        });
+        let writer = region.spawn_async(async move {
+            loop {
+                match (&mut fd.get_ref()).write(&[1]) {
+                    Ok(_) => {}
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => fd.writable().await.unwrap(),
+                    other => return reports_close(other),
+                }
+            }
+        });
+        region.block_on(async { (reader.await, writer.await) })
+    });
+    closer.join().unwrap();
+    assert!(read_saw, "the reader's syscall did not report the close");
+    assert!(write_saw, "the writer's syscall did not report the close");
+    assert!(
+        t0.elapsed() < Duration::from_secs(3),
+        "the hang-up edge did not wake both parked directions ({:?})",
+        t0.elapsed()
     );
 }
 

@@ -104,37 +104,51 @@ fn sustained_spawns_wake_parked_thieves() {
 
 /// One producer against eagerly parking thieves (§6g): a thief parks only
 /// after reading the producer's public deque empty, and the first push
-/// after that finds it empty too, promotes, and takes the wake path. A
-/// lost post-promotion wake turns the handoff into a `max_park` nap and
-/// blows the wall-clock bound.
+/// after that finds it empty too, promotes, and takes the wake path. The
+/// loop keeps spawning — at least 2 000 leaves, then until a leaf has run
+/// off the producer's worker, for at most 2 s — so the check waits for the
+/// wake instead of racing the loop's end. A lost post-promotion wake
+/// leaves the thieves in a 5 s `max_park` nap and the bound runs out.
 #[test]
 fn starved_thieves_feed_via_promotion_all_flavors() {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
     for flavor in Flavor::ALL {
         let rt = Runtime::new(Config::with_workers(4).flavor(flavor).idle(eager_park())).unwrap();
         let t0 = Instant::now();
         let total = AtomicU64::new(0);
-        rt.run(|| {
+        let migrated = AtomicBool::new(false);
+        let spawned = rt.run(|| {
+            let producer = api::worker_index();
             let region = api::Region::new();
-            let total = &total;
-            for i in 0..2_000u64 {
-                // SAFETY: the atomic is Send and outlives the region; the
+            let (total, migrated) = (&total, &migrated);
+            let mut spawned = 0u64;
+            while spawned < 2_000
+                || (!migrated.load(Ordering::Relaxed) && t0.elapsed() < Duration::from_secs(2))
+            {
+                // SAFETY: the atomics are Send and outlive the region; the
                 // region syncs before drop.
                 unsafe {
                     region.spawn(move || {
                         // ~5 µs of leaf, so the run outlasts a futex wake.
                         for _ in 0..2_500 {
-                            std::hint::black_box(i);
+                            std::hint::black_box(spawned);
+                        }
+                        // A stolen continuation runs the loop — and so
+                        // every later leaf — on the thief's worker.
+                        if api::worker_index() != producer {
+                            migrated.store(true, Ordering::Relaxed);
                         }
                         total.fetch_add(1, Ordering::Relaxed);
                     })
                 };
+                spawned += 1;
             }
             region.sync();
+            spawned
         });
-        assert_eq!(total.into_inner(), 2_000, "flavor {}", flavor.name());
+        assert_eq!(total.into_inner(), spawned, "flavor {}", flavor.name());
         assert!(
             t0.elapsed() < Duration::from_secs(4),
             "flavor {}: starvation handoff stalled into a park nap \
@@ -158,8 +172,9 @@ fn starved_thieves_feed_via_promotion_all_flavors() {
         }
         if parallel {
             assert!(
-                stats.steals > 0,
-                "parked thieves starved beside a spawn loop, flavor {}",
+                migrated.into_inner(),
+                "no parked thief took the spawn loop in 2 s ({spawned} \
+                 leaves), flavor {}",
                 flavor.name()
             );
         }

@@ -5,10 +5,12 @@
 //! provably stole. Runs in the default build: no renderer needs the
 //! `trace` feature.
 
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use nowa_runtime::{api, Config, Flavor, Runtime, Snapshot, StatsSnapshot};
+use nowa_runtime::{api, time, AsyncFd, Config, Flavor, Runtime, Snapshot, StatsSnapshot};
 use nowa_trace::json::Json;
 
 fn fib(n: u64) -> u64 {
@@ -182,5 +184,53 @@ fn metrics_surface_works_in_the_default_build() {
     assert_eq!(json_u64(&json, "stack_pool_maps"), maps);
     assert!(
         json_u64(&json, "stack_pool_gets") <= gets && json_u64(&json, "stack_pool_puts") <= puts
+    );
+}
+
+/// The reactor gauges: a strand parked in `timeout(…, fd.readable())`
+/// holds one registered source and one armed timer, and every renderer
+/// shows both as gauges; once it returns, both read zero again.
+#[test]
+fn reactor_gauges_count_live_sources_and_timers() {
+    let rt = Runtime::new(Config::with_workers(2)).unwrap();
+    let (a, mut b) = UnixStream::pair().unwrap();
+    a.set_nonblocking(true).unwrap();
+    let gauges = |s: &Snapshot| (s.reactor_sources, s.timers_pending);
+    assert_eq!(gauges(&rt.snapshot()), (0, 0));
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            rt.run(move || {
+                nowa_runtime::block_on(async move {
+                    let fd = AsyncFd::new(a).unwrap();
+                    let ready = time::timeout(Duration::from_secs(60), fd.readable()).await;
+                    assert!(matches!(ready, Ok(Ok(()))), "the byte arrives first");
+                })
+            })
+        });
+        let t0 = Instant::now();
+        let mut snap = rt.snapshot();
+        while gauges(&snap) != (1, 1) && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+            snap = rt.snapshot();
+        }
+        assert_eq!(gauges(&snap), (1, 1), "one parked fd wait under one timer");
+        let text = snap.render_prometheus();
+        let json = Json::parse(&snap.render_json()).expect("snapshot JSON parses");
+        let table = snap.render_table();
+        for name in ["reactor_sources", "timers_pending"] {
+            assert!(
+                text.contains(&format!("# TYPE nowa_{name} gauge\nnowa_{name} 1\n")),
+                "{text}"
+            );
+            assert_eq!(json_u64(&json, name), 1, "JSON {name}");
+            assert_eq!(count_lines(&table, &format!("{name} 1")), 1, "{table}");
+        }
+        b.write_all(&[1]).unwrap();
+        server.join().unwrap();
+    });
+    assert_eq!(
+        gauges(&rt.snapshot()),
+        (0, 0),
+        "the dropped fd deregistered and the finished timeout disarmed"
     );
 }

@@ -21,8 +21,8 @@ use nowa::{AsyncFd, Config, Region, Runtime};
 
 /// One connection's echo loop: read whatever arrives, write it back.
 /// Returns the bytes echoed once the peer hangs up. The fd must already be
-/// non-blocking — `AsyncFd` only reports readiness; the standard
-/// level-triggered loop (syscall, `WouldBlock` → await, retry) is ours.
+/// non-blocking — `AsyncFd` only reports readiness edges; the loop
+/// (syscall until `WouldBlock`, then await, retry) is ours.
 async fn echo(stream: UnixStream) -> std::io::Result<u64> {
     let fd = AsyncFd::new(stream)?;
     let mut total = 0u64;
