@@ -229,6 +229,7 @@ impl WorkerStackCache {
 
     /// Takes a stack, preferring the private cache. Fallible: a pool-level
     /// exhaustion surfaces as the typed error instead of aborting.
+    #[inline]
     pub fn try_get(&mut self) -> Result<Stack, StackError> {
         if let Some(stack) = self.cache.pop() {
             self.hits += 1;
@@ -255,11 +256,18 @@ impl WorkerStackCache {
     /// retries a few times (other workers' caches recycle through the pool
     /// in the meantime) — and only panics when the process is genuinely out
     /// of address space.
+    #[inline]
     pub fn get(&mut self) -> Stack {
-        let mut error = match self.try_get() {
-            Ok(stack) => return stack,
-            Err(e) => e,
-        };
+        match self.try_get() {
+            Ok(stack) => stack,
+            Err(error) => self.get_under_pressure(error),
+        }
+    }
+
+    /// The degraded tail of [`WorkerStackCache::get`]: shed, yield, retry.
+    #[cold]
+    #[inline(never)]
+    fn get_under_pressure(&mut self, mut error: StackError) -> Stack {
         for _ in 0..3 {
             self.shed_pressure();
             std::thread::yield_now();
@@ -277,6 +285,7 @@ impl WorkerStackCache {
     /// per-spawn hot path, and the paper's practical cactus-stack solution
     /// only advises the kernel on frame *suspension* (handled by the
     /// runtime via [`Stack::release_below`]) and on global-pool recycling.
+    #[inline]
     pub fn put(&mut self, stack: Stack) {
         if self.cache.len() < self.capacity {
             self.cache.push(stack);

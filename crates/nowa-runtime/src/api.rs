@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use crate::cancel::{self, CancelCell, CancelReason, CancelToken, ScopeHandle};
 use crate::foreign::{foreign_executor, foreign_join2};
 use crate::record::Frame;
-use crate::scheduler::{spawn_execute, sync_execute};
+use crate::scheduler::{spawn_execute, spawn_on, sync_execute};
 use crate::stats::{self, Counter};
 use crate::worker::{current_worker, Worker};
 
@@ -194,9 +194,10 @@ where
         // SAFETY: the guard guarantees a completed sync before `frame`,
         // `slot_a` or anything borrowed by `a`/`b` dies, even when `b`
         // unwinds. Everything live across the spawn is `Send`-bounded by
-        // this function's signature.
+        // this function's signature. `worker` was read above with no
+        // capture point since.
         unsafe {
-            spawn_execute(&frame, move || {
+            spawn_on(worker, &frame, move || {
                 let ptr_a = ptr_a; // capture the Send wrapper, not its field
                 let result = a();
                 *ptr_a.0 = Some(result);
@@ -241,9 +242,10 @@ where
     let rc;
     {
         let guard = SyncOnDrop { frame: &frame };
-        // SAFETY: as in `join2`.
+        // SAFETY: as in `join2`. Only the first spawn may use the entry
+        // `worker`: the next ones follow a capture and re-read it.
         unsafe {
-            spawn_execute(&frame, move || {
+            spawn_on(worker, &frame, move || {
                 let ptr_a = ptr_a; // capture the Send wrapper, not its field
                 let result = a();
                 *ptr_a.0 = Some(result);
@@ -301,9 +303,10 @@ where
     let rd;
     {
         let guard = SyncOnDrop { frame: &frame };
-        // SAFETY: as in `join2`.
+        // SAFETY: as in `join2`. Only the first spawn may use the entry
+        // `worker`: the next ones follow a capture and re-read it.
         unsafe {
-            spawn_execute(&frame, move || {
+            spawn_on(worker, &frame, move || {
                 let ptr_a = ptr_a; // capture the Send wrapper, not its field
                 let result = a();
                 *ptr_a.0 = Some(result);
@@ -442,7 +445,7 @@ where
     T: Send,
     F: Fn(T) + Sync,
 {
-    let worker = current_worker();
+    let mut worker = current_worker();
     if worker.is_null() {
         for item in iter {
             f(item);
@@ -466,10 +469,12 @@ where
             // SAFETY: values live across the spawn are `iter` (Send),
             // `f` (&F, F: Sync ⇒ &F: Send), `frame`/`guard` (runtime
             // state); the guard syncs before any of them dies, even when
-            // unwinding.
+            // unwinding. `worker` is re-read after every spawn.
             unsafe {
-                spawn_execute(&frame, move || f(item));
+                spawn_on(worker, &frame, move || f(item));
             }
+            // The continuation may have resumed on another worker.
+            worker = current_worker();
         }
         drop(guard);
     }
@@ -740,14 +745,18 @@ impl Region {
             return;
         }
         self.checkpoint();
-        if in_task() {
-            let worker = current_worker();
+        let worker = current_worker();
+        if !worker.is_null() {
             // Re-establish this region as the ambient scope: an inner
             // region's sync (or a steal/migration) may have repointed the
             // worker's ambient since our build.
-            // SAFETY: in_task() implies a live worker on this thread.
-            unsafe { (*worker).cancel_scope = self.frame.core.scope.get() };
-            unsafe { spawn_execute(&self.frame, f) };
+            // SAFETY: non-null means the calling thread's live worker, read
+            // with no capture point since; the caller upholds the rest of
+            // `spawn_on`'s contract (this function's own).
+            unsafe {
+                (*worker).cancel_scope = self.frame.core.scope.get();
+                spawn_on(worker, &self.frame, f);
+            }
             return;
         }
         if foreign_executor().is_some() {

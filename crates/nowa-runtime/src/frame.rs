@@ -34,13 +34,12 @@ pub type PanicPayload = Box<dyn Any + Send + 'static>;
 ///
 /// # Layout
 ///
-/// Hot/cold split (DESIGN.md §6g): the fields every spawn checkpoint reads
-/// (`flagged`, `scope`) share the first 128-byte line; the suspension and
-/// panic state — touched only when a sync actually suspends or a child
-/// faults — starts on the second, so checkpoint polling never contends
-/// with a suspension in flight. Asserted below and in `layout.rs`; under
-/// loom the attributes drop away (model-sized atomics).
-#[cfg_attr(not(loom), repr(C, align(128)))]
+/// Packed, in declaration order (DESIGN.md §6g): the fields every spawn
+/// checkpoint reads (`flagged`, `scope`) come first, the suspension and
+/// panic state after them, with no padding between. Every `join2` builds
+/// a frame on its stack, so each cache line the frame spans is a line the
+/// spawn fast path writes. Asserted below and in `layout.rs`.
+#[cfg_attr(not(loom), repr(C))]
 pub struct FrameCore {
     /// Set (relaxed) when any child strand of this frame records a panic;
     /// per-spawn checkpoints read it to skip not-yet-started siblings even
@@ -51,8 +50,6 @@ pub struct FrameCore {
     /// (so reads never race a write); read at checkpoints and at resume
     /// boundaries to re-establish the worker's ambient scope.
     pub(crate) scope: Cell<*const CancelCell>,
-    #[cfg(not(loom))]
-    _hot_pad: [u8; 112],
     /// Continuation saved at a suspending explicit sync.
     pub sync_ctx: UnsafeCell<RawContext>,
     /// The stack holding the suspended frame; the resuming control flow
@@ -65,11 +62,10 @@ pub struct FrameCore {
 
 #[cfg(not(loom))]
 const _: () = {
-    // Checkpoint-polled fields on line one, suspension state on line two.
+    // Checkpoint-polled fields first, suspension state right behind them.
     assert!(core::mem::offset_of!(FrameCore, flagged) == 0);
     assert!(core::mem::offset_of!(FrameCore, scope) == 8);
-    assert!(core::mem::offset_of!(FrameCore, sync_ctx) == 128);
-    assert!(core::mem::align_of::<FrameCore>() == 128);
+    assert!(core::mem::offset_of!(FrameCore, sync_ctx) == 16);
 };
 
 impl FrameCore {
@@ -78,8 +74,6 @@ impl FrameCore {
         FrameCore {
             flagged: AtomicU32::new(0),
             scope: Cell::new(core::ptr::null()),
-            #[cfg(not(loom))]
-            _hot_pad: [0; 112],
             sync_ctx: UnsafeCell::new(RawContext::null()),
             suspended_stack: UnsafeCell::new(None),
             panic: Mutex::new(None),
@@ -116,7 +110,17 @@ impl FrameCore {
 
     /// Takes a recorded panic, if any. Called by the main-path control flow
     /// after a completed sync.
+    ///
+    /// An unflagged frame answers `None` without touching the lock. The
+    /// gate load is Relaxed and still exact: a child's `flagged` store is
+    /// sequenced before its join, and that join — an AcqRel counter RMW,
+    /// the frame lock, or the same thread — happens-before the completed
+    /// sync, so coherence forbids reading the flag's old value here.
+    #[inline]
     pub fn take_panic(&self) -> Option<PanicPayload> {
+        if !self.is_flagged() {
+            return None;
+        }
         self.panic.lock().take()
     }
 }
@@ -178,6 +182,30 @@ mod tests {
         let payload = core.take_panic().unwrap();
         let c = payload.downcast::<Cancelled>().unwrap();
         assert_eq!(c.reason, CancelReason::Deadline);
+    }
+
+    /// The unflagged path must not wait for the panic mutex: with the lock
+    /// held elsewhere, `take_panic` still answers at once.
+    #[test]
+    fn unflagged_take_panic_takes_no_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let core = std::sync::Arc::new(FrameCore::new());
+        let guard = core.panic.lock();
+        let (tx, rx) = mpsc::channel();
+        let taker = {
+            let core = core.clone();
+            std::thread::spawn(move || tx.send(core.take_panic().is_none()).unwrap())
+        };
+        let answered = rx.recv_timeout(Duration::from_secs(1));
+        drop(guard);
+        taker.join().unwrap();
+        assert_eq!(
+            answered,
+            Ok(true),
+            "unflagged take_panic waited for the lock"
+        );
     }
 
     #[test]

@@ -1,77 +1,77 @@
-//! Layout audit for the cache-conscious field grouping (DESIGN.md §6g).
+//! Layout audit for the per-spawn structures (DESIGN.md §6g).
 //!
-//! The `repr(C, align(128))` hot/warm/cold splits in `frame.rs` and
-//! `record.rs` are load-bearing for the spawn fast path: a field added in
-//! the wrong place silently drags the lock-based baseline's mutex — or a
-//! neighbour's park flag — onto the line the wait-free counters live on,
-//! and nothing fails except the benchmark numbers. These tests (plus the
-//! `const` asserts next to the structs) turn that into a compile/test
-//! failure with a named field.
+//! Every `join2` builds a [`Frame`] and a [`SpawnRecord`] on its stack, so
+//! every cache line they span is a line the spawn fast path writes. The
+//! structs are `repr(C)` and unpadded: the fields the protocol reads first
+//! lead, and the whole frame fits in two 64-byte lines. A field added in
+//! the wrong place, or an alignment attribute that pads the frame out
+//! again, fails these tests (plus the `const` asserts next to the
+//! structs) with a named field instead of only moving the benchmark
+//! numbers.
 //!
-//! Everything here is `cfg(not(loom))` by way of the test build: the loom
-//! build drops the layout attributes because loom's atomics are
-//! model-sized objects.
+//! The per-worker arrays are the opposite case: they are shared between
+//! threads and stay padded to a coherence granule.
+//!
+//! Everything here is `cfg(not(loom))` by way of the test build: loom's
+//! atomics are model-sized objects.
 
 use core::mem::{align_of, offset_of, size_of};
+
+use nowa_context::Stack;
 
 use crate::frame::FrameCore;
 use crate::idle::ParkSlot;
 use crate::record::{Frame, JoinState, SpawnRecord};
 use crate::stats::WorkerStats;
 
-/// One coherence-granule (two 64-byte lines — the prefetcher-pair unit the
-/// rest of the codebase pads to).
-const LINE: usize = 128;
+/// One coherence granule (two 64-byte lines — the prefetcher-pair unit the
+/// per-worker arrays pad to).
+const GRANULE: usize = 128;
+
+/// One cache line.
+const LINE: usize = 64;
 
 #[test]
-fn join_state_hot_line_holds_only_the_wait_free_atomics() {
-    assert_eq!(align_of::<JoinState>(), LINE);
-    assert_eq!(size_of::<JoinState>(), 2 * LINE);
-    // Hot group: counter, alpha, susp — packed from offset 0.
+fn join_state_leads_with_the_wait_free_atomics() {
     assert_eq!(offset_of!(JoinState, counter), 0);
     assert_eq!(offset_of!(JoinState, alpha), 8);
     assert_eq!(offset_of!(JoinState, susp), 12);
-    // Cold group: the lock-based baseline's mutex opens line two.
-    assert_eq!(offset_of!(JoinState, locked), LINE);
+    // The lock-based baseline's mutex follows with no gap.
+    assert_eq!(offset_of!(JoinState, locked), 16);
+    assert!(size_of::<JoinState>() <= LINE);
 }
 
 #[test]
-fn frame_core_checkpoint_fields_lead_their_own_line() {
-    assert_eq!(align_of::<FrameCore>(), LINE);
-    // Hot group: the two fields every per-spawn checkpoint reads.
+fn frame_core_leads_with_the_checkpoint_fields() {
     assert_eq!(offset_of!(FrameCore, flagged), 0);
     assert_eq!(offset_of!(FrameCore, scope), 8);
-    // Cold group: suspension + panic state on line two and beyond.
-    assert_eq!(offset_of!(FrameCore, sync_ctx), LINE);
-    assert!(offset_of!(FrameCore, suspended_stack) >= LINE);
-    assert!(offset_of!(FrameCore, panic) >= LINE);
-    assert_eq!(size_of::<FrameCore>() % LINE, 0);
+    // Suspension + panic state right behind them.
+    assert_eq!(offset_of!(FrameCore, sync_ctx), 16);
+    assert!(offset_of!(FrameCore, suspended_stack) > offset_of!(FrameCore, sync_ctx));
+    assert!(offset_of!(FrameCore, panic) > offset_of!(FrameCore, suspended_stack));
 }
 
 #[test]
-fn frame_groups_stay_in_declaration_order() {
-    assert_eq!(align_of::<Frame>(), LINE);
+fn frame_fits_two_lines_in_declaration_order() {
     assert_eq!(offset_of!(Frame, core), 0);
-    // `repr(C)` on Frame: the join state opens its own granule right
-    // after the core, so `frame.join.counter` is exactly
-    // `offset(join) + 0` — the address the joiners hammer.
     assert_eq!(offset_of!(Frame, join), size_of::<FrameCore>());
     assert_eq!(
         size_of::<Frame>(),
         size_of::<FrameCore>() + size_of::<JoinState>()
     );
+    assert!(size_of::<Frame>() <= 2 * LINE);
+    assert!(
+        align_of::<Frame>() <= 8,
+        "an aligned frame pads every join2's stack frame"
+    );
 }
 
 #[test]
-fn spawn_record_fits_one_exclusive_granule() {
-    assert_eq!(align_of::<SpawnRecord>(), LINE);
-    assert_eq!(
-        size_of::<SpawnRecord>(),
-        LINE,
-        "a record must not grow past its line — thief and owner share it"
-    );
+fn spawn_record_is_unpadded() {
     assert_eq!(offset_of!(SpawnRecord, ctx), 0);
     assert_eq!(offset_of!(SpawnRecord, frame), 8);
+    assert_eq!(size_of::<SpawnRecord>(), 16 + size_of::<Option<Stack>>());
+    assert!(align_of::<SpawnRecord>() <= 8);
 }
 
 #[test]
@@ -79,8 +79,8 @@ fn per_worker_slots_cannot_false_share() {
     // The idle engine's park flags and the stats blocks live in arrays —
     // alignment is what keeps worker i's futex traffic off worker i+1's
     // line.
-    assert_eq!(align_of::<ParkSlot>(), LINE);
-    assert_eq!(size_of::<ParkSlot>(), LINE);
-    assert!(align_of::<WorkerStats>() >= LINE);
-    assert_eq!(size_of::<WorkerStats>() % LINE, 0);
+    assert_eq!(align_of::<ParkSlot>(), GRANULE);
+    assert_eq!(size_of::<ParkSlot>(), GRANULE);
+    assert!(align_of::<WorkerStats>() >= GRANULE);
+    assert_eq!(size_of::<WorkerStats>() % GRANULE, 0);
 }

@@ -40,15 +40,13 @@ pub struct LockedJoin {
 ///
 /// # Layout
 ///
-/// Hot/cold split across cache-line groups (the Beat-style layout pass,
-/// DESIGN.md §6g): the wait-free protocol's atomics (`counter`, `alpha`,
-/// `susp`) — hammered by joiners and the owner on every spawn/join — sit
-/// alone on the first 128-byte line; the lock-based baseline's mutex (cold
-/// for every Nowa flavor) starts on the second. `repr(C)` plus the
-/// explicit pad make the grouping a compile-time guarantee (asserted
-/// below and in `layout.rs`), not an optimizer courtesy. Under loom the
-/// layout attributes drop away: loom's atomics have model-sized layouts.
-#[cfg_attr(not(loom), repr(C, align(128)))]
+/// Packed, in declaration order (DESIGN.md §6g): the wait-free protocol's
+/// atomics (`counter`, `alpha`, `susp`) first, the lock-based baseline's
+/// mutex right behind them. A frame is built on the stack of every
+/// `join2`, so padding here would be lines the spawn fast path writes for
+/// nothing (asserted below and in `layout.rs`). Under loom `repr(C)`
+/// drops away: loom's atomics have model-sized layouts.
+#[cfg_attr(not(loom), repr(C))]
 pub struct JoinState {
     /// Nowa's sync-condition counter. `N_r'` in phase 1; `N_r` after the
     /// restore at the explicit sync point.
@@ -71,23 +69,20 @@ pub struct JoinState {
     /// `fetch_sub`, and a joiner only consults `susp` after its own
     /// `fetch_sub` observed the restored count.
     pub susp: AtomicU32,
-    #[cfg(not(loom))]
-    _hot_pad: [u8; 112],
     /// The lock-based protocol's guarded count.
     pub locked: Mutex<LockedJoin>,
 }
 
 #[cfg(not(loom))]
 const _: () = {
-    // The wait-free atomics share the first cache line; the baseline's
-    // mutex starts on the second. A new field that silently lands between
-    // them breaks these asserts, not the benchmark numbers.
+    // The wait-free atomics lead, the baseline's mutex follows with no
+    // gap. A field that grows the state breaks these asserts, not the
+    // benchmark numbers.
     assert!(core::mem::offset_of!(JoinState, counter) == 0);
     assert!(core::mem::offset_of!(JoinState, alpha) == 8);
     assert!(core::mem::offset_of!(JoinState, susp) == 12);
-    assert!(core::mem::offset_of!(JoinState, locked) == 128);
-    assert!(core::mem::align_of::<JoinState>() == 128);
-    assert!(core::mem::size_of::<JoinState>() == 256);
+    assert!(core::mem::offset_of!(JoinState, locked) == 16);
+    assert!(core::mem::size_of::<JoinState>() <= 64);
 };
 
 impl JoinState {
@@ -97,8 +92,6 @@ impl JoinState {
             counter: AtomicI64::new(I_MAX),
             alpha: AtomicU32::new(0),
             susp: AtomicU32::new(SUSP_IDLE),
-            #[cfg(not(loom))]
-            _hot_pad: [0; 112],
             locked: Mutex::new(LockedJoin::default()),
         }
     }
@@ -116,9 +109,9 @@ impl Default for JoinState {
 /// in its own stack frame and **never moved** while spawns of the region are
 /// outstanding — records hold raw pointers to it.
 ///
-/// `repr(C)` keeps the two aligned groups in declaration order, so the
-/// frame's line map is: core hot line, core cold line(s), join hot line,
-/// join cold line (asserted in `layout.rs`).
+/// `repr(C)` keeps the two groups in declaration order: core, then join
+/// state, together no larger than two 64-byte lines (asserted in
+/// `layout.rs`).
 #[cfg_attr(not(loom), repr(C))]
 pub struct Frame {
     /// Protocol-independent suspension/panic state.
@@ -153,11 +146,11 @@ impl Default for Frame {
 /// 3. the consumer, which resumes `ctx` and thereby hands the record back
 ///    to the spawn wrapper's post-capture code.
 ///
-/// Cache-line aligned: a record is the one object both a thief and the
-/// owner touch around a steal, and the deques move only its address — one
-/// line holds all three fields, and no record shares its line with
-/// neighbouring parent-stack data.
-#[repr(C, align(128))]
+/// Unpadded: the deques move only its address, and while a thief may take
+/// it the parent control flow is parked in the capture, so the parent's
+/// stack around it is quiet. An aligned slot would add a line to every
+/// spawn's writes.
+#[repr(C)]
 pub struct SpawnRecord {
     /// The captured parent continuation (filled by `capture_and_run_on`).
     pub ctx: RawContext,

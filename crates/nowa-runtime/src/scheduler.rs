@@ -1,6 +1,6 @@
 //! The spawn/sync machinery — Fig. 5 of the paper, realised on fibers.
 //!
-//! # Spawn (`spawn_execute`)
+//! # Spawn (`spawn_on`, `spawn_execute`)
 //!
 //! ```text
 //! cont = contAfterSpawn();      // capture_and_run_on fills record.ctx
@@ -79,8 +79,26 @@ pub unsafe fn spawn_execute<F>(frame: &Frame, f: F)
 where
     F: FnOnce() + Send,
 {
-    let worker = current_worker();
-    debug_assert!(!worker.is_null(), "spawn_execute requires a worker thread");
+    // SAFETY: the caller's contract is `spawn_on`'s, with the worker read
+    // right here.
+    unsafe { spawn_on(current_worker(), frame, f) }
+}
+
+/// [`spawn_execute`] on a worker the caller already holds, so a combinator
+/// that read [`current_worker`] at its entry does not read it again.
+///
+/// # Safety
+///
+/// As [`spawn_execute`], and `worker` must be the calling thread's live
+/// worker, read with no capture point since (a capture may migrate the
+/// strand to another OS thread).
+#[inline]
+pub(crate) unsafe fn spawn_on<F>(worker: *mut Worker, frame: &Frame, f: F)
+where
+    F: FnOnce() + Send,
+{
+    debug_assert!(!worker.is_null(), "spawn_on requires a worker thread");
+    debug_assert_eq!(worker, current_worker(), "spawn_on given a stale worker");
     unsafe {
         // The erasure seam: everything protocol-dependent about a spawn
         // happens on the child stack, so the seam just picks the body

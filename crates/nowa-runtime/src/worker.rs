@@ -328,6 +328,10 @@ pub(crate) unsafe fn finish_resume(payload: *mut c_void, stack: Option<Stack>) {
 /// # Safety
 /// `rec` must be a continuation record exclusively owned by this control
 /// flow (freshly popped/stolen), with a captured `ctx`.
+///
+/// Inlined, like `resume_captured`, so the spawn fast path reaches the
+/// resume with no call frame outstanding (see `nowa_context::context`).
+#[inline(always)]
 pub unsafe fn resume_record(worker: *mut Worker, rec: Rec) -> ! {
     unsafe {
         let rec = rec.as_ptr();

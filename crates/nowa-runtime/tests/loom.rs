@@ -13,7 +13,9 @@
 //!
 //! 1. the wait-free `I_max` sync counter (Fig. 6's hazardous race, §IV-B),
 //!    driven through `Nowa<Cl>`'s `pop_or_join` / `sync_restore` (the
-//!    `Protocol` trait API the scheduler uses) over a real Chase–Lev deque;
+//!    `Protocol` trait API the scheduler uses) over a real Chase–Lev deque,
+//!    including the child panic it publishes to the sync's gated
+//!    `take_panic`;
 //! 2. the eventcount idle engine (`IdleState`) — the announce/validate/park
 //!    vs. publish/wake handshake whose failure mode is a lost wakeup (the
 //!    models' `work` flag stands for any validated source, including the
@@ -229,6 +231,88 @@ fn sync_counter_relaxed_join_canary_fails() {
         // sync_precheck with the real Acquire load.
         if counter.load(Ordering::Acquire) == I_MAX - alpha {
             assert_eq!(result.load(Ordering::Relaxed), 42, "stale child result");
+        }
+        joiner.join().unwrap();
+    });
+}
+
+/// Panic visibility through the join: the stolen child records a panic
+/// (the Relaxed `flagged` latch, then the payload under the frame's panic
+/// mutex) and joins. Whoever resumes the sync must get the payload from
+/// `take_panic`, whose gate is a Relaxed load of that latch — exact only
+/// because the join's AcqRel decrement / the precheck's Acquire load order
+/// the latch before the completed sync. The main flow reads before the
+/// joiner thread is joined, so no extra edge helps it.
+#[test]
+fn sync_counter_join_publishes_child_panic() {
+    loom::model(|| {
+        let frame = Arc::new(Frame::new());
+        frame
+            .join
+            .alpha
+            .store(1, loom::sync::atomic::Ordering::Relaxed);
+
+        let joiner = {
+            let frame = frame.clone();
+            loom::thread::spawn(move || {
+                frame.core.set_panic(Box::new("child fault"));
+                let post = frame
+                    .join
+                    .counter
+                    .fetch_sub(1, loom::sync::atomic::Ordering::AcqRel)
+                    - 1;
+                post == 0
+            })
+        };
+
+        let main_resumes = P::sync_precheck(&frame) || P::sync_restore(&frame);
+        if main_resumes {
+            let payload = frame
+                .core
+                .take_panic()
+                .expect("the gated take_panic must see the joined child's panic");
+            assert_eq!(*payload.downcast::<&str>().unwrap(), "child fault");
+        }
+        let child_resumes = joiner.join().unwrap();
+        assert!(main_resumes != child_resumes);
+        if child_resumes {
+            assert!(
+                frame.core.take_panic().is_some(),
+                "resumed sync lost the panic"
+            );
+        }
+    });
+}
+
+/// CANARY: the panic handoff with the joiner's decrement weakened to
+/// Relaxed. The precheck can then observe the join while the `flagged`
+/// store is still invisible, and the gated `take_panic` answers `None` —
+/// the child's panic is silently dropped. The checker must catch this.
+#[test]
+#[should_panic(expected = "missed child panic")]
+fn sync_counter_relaxed_join_panic_canary_fails() {
+    loom::model(|| {
+        let frame = Arc::new(Frame::new());
+        frame
+            .join
+            .alpha
+            .store(1, loom::sync::atomic::Ordering::Relaxed);
+
+        let joiner = {
+            let frame = frame.clone();
+            loom::thread::spawn(move || {
+                frame.core.set_panic(Box::new("child fault"));
+                // BUG: Relaxed instead of AcqRel.
+                frame
+                    .join
+                    .counter
+                    .fetch_sub(1, loom::sync::atomic::Ordering::Relaxed);
+            })
+        };
+
+        // The real precheck (Acquire) and the real gated take_panic.
+        if P::sync_precheck(&frame) {
+            assert!(frame.core.take_panic().is_some(), "missed child panic");
         }
         joiner.join().unwrap();
     });
