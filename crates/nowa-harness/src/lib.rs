@@ -36,8 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-#[cfg(feature = "chaos")]
-pub mod chaosexp;
 pub mod profileexp;
 pub mod real;
 pub mod simexp;

@@ -31,15 +31,6 @@ experiments:
                                  reconstruction, work T1 / span T∞ /
                                  parallelism, steal edges, critical-path
                                  attribution; writes BENCH_profile.json
-  chaos  [--seed N] [--iters K] [--workers N]
-                                 seeded fault-injection stress over the real
-                                 kernels (requires the `chaos` cargo feature)
-  cancel-soak [--seed N] [--iters K] [--workers N]
-                                 forced cancellations at steal/sync/suspend
-                                 boundaries over K seeds; every run must
-                                 complete or unwind with a typed Cancelled
-                                 payload and shut down cleanly (requires the
-                                 `chaos` cargo feature)
   all    [--quick]               everything
 
 flags:
@@ -51,9 +42,7 @@ flags:
   --stats        also print aggregated scheduler statistics (measured, overhead)
   --trace-out F  write a Chrome trace_event JSON (one track per worker) to F;
                  open in Perfetto or chrome://tracing (trace mode only)
-  --out F        artifact path for profile mode (default BENCH_profile.json)
-  --seed N       chaos injection seed (default 1; chaos mode only)
-  --iters K      chaos iterations per flavor (default 3; chaos mode only)"
+  --out F        artifact path for profile mode (default BENCH_profile.json)"
     );
     std::process::exit(2);
 }
@@ -67,8 +56,6 @@ struct Args {
     stats: bool,
     trace_out: Option<String>,
     out: Option<String>,
-    seed: u64,
-    iters: Option<usize>,
 }
 
 fn parse_flags(rest: &[String]) -> Args {
@@ -81,8 +68,6 @@ fn parse_flags(rest: &[String]) -> Args {
         stats: false,
         trace_out: None,
         out: None,
-        seed: 1,
-        iters: None,
     };
     let mut i = 0;
     while i < rest.len() {
@@ -114,21 +99,6 @@ fn parse_flags(rest: &[String]) -> Args {
                     .unwrap_or_else(|| usage());
             }
             "--stats" => args.stats = true,
-            "--seed" => {
-                i += 1;
-                args.seed = rest
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--iters" => {
-                i += 1;
-                args.iters = Some(
-                    rest.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
             "--trace-out" => {
                 i += 1;
                 args.trace_out = Some(rest.get(i).cloned().unwrap_or_else(|| usage()));
@@ -204,29 +174,6 @@ fn main() {
     });
 
     match cmd.as_str() {
-        #[cfg(feature = "chaos")]
-        "chaos" => print_tables(&nowa_harness::chaosexp::chaos_stress(
-            args.seed,
-            args.iters.unwrap_or(3),
-            args.workers,
-        )),
-        #[cfg(feature = "chaos")]
-        "cancel-soak" => print_tables(&nowa_harness::chaosexp::cancel_soak(
-            args.seed,
-            args.iters.unwrap_or(8),
-            args.workers,
-        )),
-        #[cfg(not(feature = "chaos"))]
-        "chaos" | "cancel-soak" => {
-            eprintln!(
-                "nowa-bench: the {cmd} mode needs the `chaos` cargo feature:\n  \
-                 cargo run -p nowa-harness --features chaos --bin nowa-bench -- \
-                 {cmd} --seed {} --iters {}",
-                args.seed,
-                args.iters.unwrap_or(3)
-            );
-            std::process::exit(2);
-        }
         "table1" => print_tables(&real::table1()),
         "fig1" => print_tables(&simexp::fig1(args.quick)),
         "fig7" => print_tables(&simexp::fig7(sim_bench, args.quick)),

@@ -53,7 +53,8 @@ pub struct ChaosConfig {
     /// join protocol is most delicate. No-op for unscoped work. Stays `0`
     /// in [`ChaosConfig::aggressive`]: cancellation changes which strands
     /// run, so arming it would break the exact snapshot-equality
-    /// determinism gates — the dedicated cancel-soak tests arm it.
+    /// determinism gates — the forced-cancellation tests in `tests/cancel.rs`
+    /// arm it.
     pub force_cancel: u16,
     /// Rate of forced promotion events at the spawn-push site: half the
     /// firings force an out-of-band private→public promotion batch, the
@@ -111,7 +112,7 @@ impl ChaosConfig {
             force_park: 0,
             spurious_wake: 0,
             // Cancellation reshapes the strand tree, so it too would break
-            // the exact-replay gates; armed by the cancel-soak tests.
+            // the exact-replay gates; armed by the forced-cancellation tests.
             force_cancel: 0,
             // Safe to arm: fires once per spawn, so visit counts (and
             // hence firings) replay exactly for a given seed.
@@ -218,11 +219,6 @@ pub struct Config {
     /// report, when tracing) for every worker that makes no progress for
     /// the given duration. `None` disables the watchdog.
     pub watchdog: Option<Duration>,
-    /// Install the guard-page SIGSEGV handler so a fiber stack overflow is
-    /// reported (worker, stack bounds, fault address) instead of dying as
-    /// an anonymous segfault. Process-wide and idempotent across runtimes;
-    /// non-guard faults chain to the previously installed handler.
-    pub guard_diagnostics: bool,
     /// Idle-engine tuning (spin→yield→park ladder, wake condition).
     pub idle: IdleConfig,
 }
@@ -245,7 +241,6 @@ impl Default for Config {
             flight: None,
             chaos: None,
             watchdog: None,
-            guard_diagnostics: true,
             idle: IdleConfig::default(),
         }
     }
@@ -312,12 +307,6 @@ impl Config {
         self
     }
 
-    /// Enables or disables guard-page overflow diagnostics (builder style).
-    pub fn guard_diagnostics(mut self, enabled: bool) -> Config {
-        self.guard_diagnostics = enabled;
-        self
-    }
-
     /// Sets the idle-engine tuning (builder style).
     pub fn idle(mut self, idle: IdleConfig) -> Config {
         self.idle = idle;
@@ -358,7 +347,6 @@ mod tests {
             .flight_recorder(512)
             .chaos(ChaosConfig::aggressive(7))
             .watchdog(Duration::from_millis(100))
-            .guard_diagnostics(false)
             .split(SplitConfig::disabled());
         assert_eq!(c.workers, 3);
         assert_eq!(c.flavor, Flavor::FIBRIL);
@@ -369,7 +357,6 @@ mod tests {
         assert_eq!(c.flight, Some(512));
         assert_eq!(c.chaos.unwrap().seed, 7);
         assert_eq!(c.watchdog, Some(Duration::from_millis(100)));
-        assert!(!c.guard_diagnostics);
         assert!(!c.split.enabled);
     }
 

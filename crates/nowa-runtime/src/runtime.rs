@@ -214,12 +214,13 @@ impl Runtime {
         if config.workers == 0 {
             return Err(RuntimeError::NoWorkers);
         }
-        if config.guard_diagnostics {
-            // Process-wide and idempotent; failure is surfaced, not fatal
-            // to the OS state (nothing was installed on error).
-            nowa_context::signal::install_guard_handler()
-                .map_err(|e| RuntimeError::GuardHandler(e.0))?;
-        }
+        // The guard-page SIGSEGV handler reports a fiber stack overflow
+        // (worker, stack bounds, fault address) instead of an anonymous
+        // segfault; non-guard faults chain to the previous handler.
+        // Process-wide and idempotent; failure is surfaced, not fatal to
+        // the OS state (nothing was installed on error).
+        nowa_context::signal::install_guard_handler()
+            .map_err(|e| RuntimeError::GuardHandler(e.0))?;
         let pool = StackPool::new(config.stack_size, config.madvise, config.pool_stripes);
 
         let stats = (0..config.workers).map(|_| Default::default()).collect();
@@ -258,7 +259,7 @@ impl Runtime {
         });
 
         #[cfg(feature = "trace")]
-        if (config.tracing || config.flight.is_some()) && config.guard_diagnostics {
+        if config.tracing || config.flight.is_some() {
             *CRASH_SHARED.lock() = Arc::downgrade(&shared);
             nowa_context::signal::set_crash_hook(crash_trace_dump);
         }

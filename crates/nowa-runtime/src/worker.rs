@@ -732,11 +732,7 @@ pub fn worker_main<P: Protocol>(mut flavored: Box<FlavoredWorker<P>>, started: &
     // overflow this thread's sp points into the guard page, so the handler
     // cannot run on the faulting stack. Held for the thread's lifetime.
     nowa_context::signal::set_thread_label(worker.index);
-    let _alt = if worker.shared.config.guard_diagnostics {
-        nowa_context::signal::AltStack::install().ok()
-    } else {
-        None
-    };
+    let _alt = nowa_context::signal::AltStack::install().ok();
     flavored.base.woken.reserve(crate::reactor::MAX_EVENTS);
     started.wait();
     // Derived from the whole flavored worker, so the header pointer may be

@@ -17,7 +17,8 @@
 //!   either joins every worker (`Ok`) or reports the stragglers in a typed
 //!   [`ShutdownError`];
 //! * under `--features chaos`, forced cancellations at the steal / sync /
-//!   suspend boundaries replay bit-identically for a fixed seed.
+//!   suspend boundaries replay bit-identically for a fixed seed, and on
+//!   four workers every run completes or unwinds and the runtime survives.
 
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -432,6 +433,58 @@ fn forced_cancellation_replays_deterministically() {
         cancelled_somewhere,
         "no seed fired a forced cancellation at 1/16 per sync"
     );
+}
+
+/// Forced-cancellation soak on four workers (`--features chaos`): the
+/// `ForceCancel` site on top of the aggressive profile latches the region
+/// at steal / sync / suspend boundaries while stolen continuations race
+/// the join. Every run either returns the serial result or unwinds to the
+/// `run` caller with `Cancelled { reason: Token }`; the runtime then still
+/// runs work and shuts down cleanly, and each flavor cancels at least once
+/// over the sweep.
+#[cfg(feature = "chaos")]
+#[test]
+fn forced_cancellation_soak_survives_on_four_workers() {
+    quiet_expected_panics();
+    for flavor in BOTH_FLAVORS {
+        let mut cancelled = 0;
+        for seed in 5..13u64 {
+            let chaos = nowa_runtime::ChaosConfig {
+                force_cancel: 4096, // 1/16 per boundary visit
+                ..nowa_runtime::ChaosConfig::aggressive(seed)
+            };
+            let mut config = Config::with_workers(4)
+                .flavor(flavor)
+                .stack_size(256 * 1024)
+                .chaos(chaos);
+            config.stack_cache = 0; // all stacks via the pool: mmap faults bite
+            let rt = Runtime::new(config).unwrap();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                rt.run(|| {
+                    let region = Region::cancellable();
+                    let n = fib(16);
+                    region.sync();
+                    n
+                })
+            }));
+            let ctx = format!("{} seed {seed}", flavor.name());
+            match outcome {
+                Ok(n) => assert_eq!(n, 987, "{ctx}: result corrupted"),
+                Err(payload) => {
+                    assert_eq!(reason_of(&*payload), Some(CancelReason::Token), "{ctx}");
+                    cancelled += 1;
+                }
+            }
+            assert_eq!(rt.run(|| 7), 7, "{ctx}: runtime wedged after the run");
+            rt.shutdown(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("{ctx}: shutdown failed: {e}"));
+        }
+        assert!(
+            cancelled > 0,
+            "no forced cancellation fired on {} over 8 seeds",
+            flavor.name()
+        );
+    }
 }
 
 /// A worker busy unwinding cancelled regions is making progress — the

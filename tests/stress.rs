@@ -251,9 +251,17 @@ mod chaos {
         let consumed_before = nowa::context::chaos::consumed_map_failures();
         let mut injected = [0u64; nowa::runtime::chaos::SITES];
         for flavor in [Flavor::NOWA, Flavor::FIBRIL] {
-            for seed in [3] {
+            for seed in [3, 7, 8] {
                 let rt = chaos_runtime(flavor, ChaosConfig::aggressive(seed), 4);
-                for bench in [BenchId::Fib, BenchId::Quicksort] {
+                // Integer-exact kernels plus one floating kernel whose
+                // reduction tree does not depend on the schedule, so every
+                // result compares bit-for-bit against the serial run.
+                for bench in [
+                    BenchId::Fib,
+                    BenchId::Nqueens,
+                    BenchId::Quicksort,
+                    BenchId::Integrate,
+                ] {
                     let expected = bench.run(Size::Tiny); // serial elision
                     assert_eq!(
                         rt.run(|| bench.run(Size::Tiny)),
