@@ -160,7 +160,6 @@ impl<T> ClWorker<T> {
 
 impl<T: Token> WorkerOps<T> for ClWorker<T> {
     #[inline]
-    // lint: hot-path
     // lint: wait-free
     fn push(&self, item: T) -> Result<(), Full<T>> {
         let inner = &*self.inner;
@@ -178,7 +177,6 @@ impl<T: Token> WorkerOps<T> for ClWorker<T> {
     }
 
     #[inline]
-    // lint: hot-path
     // lint: wait-free
     fn pop(&self) -> Option<T> {
         let inner = &*self.inner;
@@ -219,7 +217,6 @@ impl<T: Token> WorkerOps<T> for ClWorker<T> {
 
 impl<T: Token> StealerOps<T> for ClStealer<T> {
     #[inline]
-    // lint: hot-path
     // lint: wait-free
     fn steal(&self) -> Steal<T> {
         #[cfg(feature = "chaos")]

@@ -41,7 +41,7 @@
 //! steal-conservation invariant (`spawns == fast_pops + steals +
 //! own_takes`) survives overflow. The fast path itself — the private
 //! ring's `push_back` / `pop_back` — contains no shared atomic at all,
-//! which nowa-lint R5 enforces via the `// lint: hot-path private` marker.
+//! which nowa-lint R6 enforces via the `// lint: wait-free private` marker.
 
 use core::cell::Cell;
 use core::marker::PhantomData;
@@ -95,8 +95,7 @@ impl PrivateRing {
     }
 
     /// Appends the newest item. Fails (ring full) without side effects.
-    // lint: hot-path private
-    // lint: wait-free
+    // lint: wait-free private
     #[inline(always)]
     fn push_back(&self, word: u64) -> bool {
         let tail = self.tail.get();
@@ -109,8 +108,7 @@ impl PrivateRing {
     }
 
     /// Removes and returns the newest item (the owner's LIFO end).
-    // lint: hot-path private
-    // lint: wait-free
+    // lint: wait-free private
     #[inline(always)]
     fn pop_back(&self) -> Option<u64> {
         let tail = self.tail.get();
@@ -210,7 +208,6 @@ impl<W: WorkerOps<T>, T: Token> SplitWorker<W, T> {
     /// something for thieves. `Err(Full)` means both segments are full —
     /// the caller runs the child inline, exactly as for an unsplit full
     /// deque.
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     pub fn push_spawn(&self, item: T) -> Result<SplitPush, Full<T>> {
@@ -284,8 +281,7 @@ impl<W: WorkerOps<T>, T: Token> SplitWorker<W, T> {
 
     /// Whether the private segment is in use ([`SplitConfig::enabled`]);
     /// when not, every push goes straight to the public deque.
-    // lint: hot-path private
-    // lint: wait-free
+    // lint: wait-free private
     #[inline]
     pub fn is_split(&self) -> bool {
         self.cfg.enabled
@@ -317,7 +313,6 @@ fn nonzero(word: u64) -> NonZeroU64 {
 impl<T: Token, W: WorkerOps<T>> WorkerOps<T> for SplitWorker<W, T> {
     /// [`push_spawn`](SplitWorker::push_spawn) with the promotion count
     /// dropped (trait-generic callers).
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     fn push(&self, item: T) -> Result<(), Full<T>> {
@@ -326,7 +321,6 @@ impl<T: Token, W: WorkerOps<T>> WorkerOps<T> for SplitWorker<W, T> {
 
     /// Pops the globally newest item: the private tail when non-empty
     /// (fence-free fast path), the wrapped deque's bottom otherwise.
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     fn pop(&self) -> Option<T> {
@@ -355,7 +349,6 @@ pub struct SplitStealer<S> {
 
 impl<T: Token, S: StealerOps<T>> StealerOps<T> for SplitStealer<S> {
     /// Steals from the public deque.
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     fn steal(&self) -> Steal<T> {

@@ -105,7 +105,6 @@ unsafe impl<T: Token> Sync for TheStealer<T> {}
 
 impl<T: Token> WorkerOps<T> for TheWorker<T> {
     #[inline]
-    // lint: hot-path
     // lint: wait-free
     fn push(&self, item: T) -> Result<(), Full<T>> {
         let inner = &*self.inner;
@@ -140,7 +139,6 @@ impl<T: Token> WorkerOps<T> for TheWorker<T> {
     }
 
     #[inline]
-    // lint: hot-path
     // lint: wait-free
     fn pop(&self) -> Option<T> {
         let inner = &*self.inner;
@@ -177,7 +175,6 @@ impl<T: Token> WorkerOps<T> for TheWorker<T> {
 
 impl<T: Token> StealerOps<T> for TheStealer<T> {
     #[inline]
-    // lint: hot-path
     // lint: wait-free
     fn steal(&self) -> Steal<T> {
         #[cfg(feature = "chaos")]

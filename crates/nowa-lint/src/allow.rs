@@ -132,12 +132,12 @@ mod tests {
     fn parse_match_and_stale() {
         let list = Allowlist::parse(
             "nowa-lint.allow",
-            "# comment\n\nR5 | src/the.rs | push | .lock( | THE locks by design\nR5 | src/gone.rs | * | * | stale\n",
+            "# comment\n\nR6 | src/the.rs | push | .lock( | THE locks by design\nR6 | src/gone.rs | * | * | stale\n",
         );
         assert_eq!(list.entries.len(), 2);
-        let hit = Diagnostic::new("crates/d/src/the.rs", 10, "R5", "calls .lock( in hot path")
+        let hit = Diagnostic::new("crates/d/src/the.rs", 10, "R6", "calls .lock( in hot path")
             .in_fn(Some("push"));
-        let miss = Diagnostic::new("crates/d/src/the.rs", 11, "R5", "calls .lock( in hot path")
+        let miss = Diagnostic::new("crates/d/src/the.rs", 11, "R6", "calls .lock( in hot path")
             .in_fn(Some("steal"));
         let out = list.apply(vec![hit, miss.clone()]);
         // miss survives; the gone.rs entry is stale.

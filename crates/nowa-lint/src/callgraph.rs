@@ -27,12 +27,12 @@
 //! inference can stay conservative about them: a textual needle match on
 //! an unresolved call is still a *known* leaf fact (`.lock(`,
 //! `thread::sleep`), while an unresolved bare call with an unknown name is
-//! an *unknown* — no effect is claimed for R5–R7, worst case is assumed
-//! for R8 (see `effects`).
+//! an *unknown* — no effect is claimed for R6 and R7, worst case is
+//! assumed for R8 (see `effects`).
 
 use std::collections::HashMap;
 
-use crate::parse::{CallKind, CallSite, ItemKind};
+use crate::parse::{CallKind, CallSite};
 use crate::Workspace;
 
 /// A function node: (file index, fn index) into the workspace model.
@@ -58,9 +58,9 @@ pub struct CallGraph {
 }
 
 /// Files excluded from the call graph (callers *and* targets): the lint
-/// tool's own sources. R1–R4 still see them, but no effect-based rule
-/// consumes them, and their common fn names (`load`, `build`, `render`)
-/// would otherwise capture unrelated production call sites.
+/// tool's own sources. R1, R2 and R4 still see them, but no effect-based
+/// rule consumes them, and their common fn names (`load`, `build`,
+/// `render`) would otherwise capture unrelated production call sites.
 fn analyzed(rel_path: &str) -> bool {
     !rel_path.contains("nowa-lint/src")
 }
@@ -141,11 +141,7 @@ pub fn build(ws: &Workspace) -> CallGraph {
             local.entry((fi, f.name.as_str())).or_default().push(ni);
         }
         for item in &file.items {
-            if matches!(item.kind, ItemKind::Struct | ItemKind::Enum) {
-                for n in &item.names {
-                    types.insert((fi, n.as_str()), ());
-                }
-            }
+            types.insert((fi, item.name.as_str()), ());
         }
     }
 

@@ -59,8 +59,6 @@ pub enum Format {
     /// `file:line: rule-id: message` — the editor-clickable default.
     #[default]
     Text,
-    /// A JSON array of `{file, line, rule, message, fn}` objects.
-    Json,
     /// GitHub workflow commands (`::error file=…,line=…::…`) so findings
     /// surface inline on PR diffs.
     Github,
@@ -71,30 +69,10 @@ impl Format {
     pub fn parse(s: &str) -> Option<Format> {
         match s {
             "text" => Some(Format::Text),
-            "json" => Some(Format::Json),
             "github" => Some(Format::Github),
             _ => None,
         }
     }
-}
-
-/// Minimal JSON string escaping (we own every message, but paths and
-/// messages may carry quotes or backslashes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders `diags` in `format` to a string (no trailing newline).
@@ -105,29 +83,6 @@ pub fn render(diags: &[Diagnostic], format: Format) -> String {
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
             .join("\n"),
-        Format::Json => {
-            let rows: Vec<String> = diags
-                .iter()
-                .map(|d| {
-                    format!(
-                        "  {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"fn\": {}}}",
-                        json_str(&d.file),
-                        d.line,
-                        json_str(d.rule),
-                        json_str(&d.message),
-                        d.context_fn
-                            .as_deref()
-                            .map(json_str)
-                            .unwrap_or_else(|| "null".to_string()),
-                    )
-                })
-                .collect();
-            if rows.is_empty() {
-                "[]".to_string()
-            } else {
-                format!("[\n{}\n]", rows.join(",\n"))
-            }
-        }
         Format::Github => diags
             .iter()
             .map(|d| {
@@ -160,17 +115,11 @@ mod tests {
             render(&d, Format::Text),
             "a/b.rs:3: R6: needs \"quotes\" escaped\nc.rs:9: R8: plain"
         );
-        let json = render(&d, Format::Json);
-        assert!(json.starts_with("[\n"), "{json}");
-        assert!(json.contains("\"rule\": \"R6\""), "{json}");
-        assert!(json.contains("needs \\\"quotes\\\" escaped"), "{json}");
-        assert!(json.contains("\"fn\": null"), "{json}");
         let gh = render(&d, Format::Github);
         assert!(
             gh.contains("::error file=a/b.rs,line=3,title=nowa-lint R6::R6:"),
             "{gh}"
         );
-        assert_eq!(render(&[], Format::Json), "[]");
         assert_eq!(render(&[], Format::Text), "");
     }
 }

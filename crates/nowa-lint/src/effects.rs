@@ -9,13 +9,13 @@
 //!   (`futex_wait`, `capture_and_run_on`, the `lock` shim): their bodies
 //!   are raw syscalls/asm the needles cannot see;
 //! * **textual needles** on body lines (`Box::new`, `.lock(`,
-//!   `thread::sleep`, `epoll_wait`, …) — the R5-era fallback, now applied
+//!   `thread::sleep`, `epoll_wait`, …) — a textual fallback, applied
 //!   only where name resolution did not already claim the call (a
 //!   resolved `self.push(item)` is not `Vec::push`);
 //! * **structural facts** — `loop`/`while` without a `// lint:
 //!   bounded(…)` annotation is an unbounded retry loop; an unresolved
 //!   *bare* call with an unknown name is an [`UNKNOWN_CALL`] (R8 treats
-//!   it as worst-case; R5–R7 claim nothing from it). A bare call to one
+//!   it as worst-case; R6 and R7 claim nothing from it). A bare call to one
 //!   of the enclosing fn's own *parameters* (`a(…)` inside
 //!   `join2(a, b)`) is exempt: that is a closure invocation, and closure
 //!   bodies are attributed to the fn that defines them — the effects
@@ -86,7 +86,7 @@ struct NeedleFact {
 }
 
 const NEEDLE_FACTS: &[NeedleFact] = &[
-    // Allocation (the R5 needle list, classified).
+    // Allocation.
     NeedleFact {
         needle: "Box::new",
         bits: ALLOCATES,

@@ -1,39 +1,37 @@
 //! nowa-lint: project-specific concurrency lints for the Nowa workspace.
 //!
 //! A self-contained (zero-dependency) static analysis pass that keeps
-//! three artifacts in lock-step: the shipping source, the cfg-twinned
-//! loom shims, and the DESIGN.md §7b memory-ordering audit. `rustc` and
-//! `clippy` cannot see any of these contracts — they are project
-//! conventions, not language rules — so this tool walks the workspace
-//! with a hand-rolled lexer and a small item model and enforces them:
+//! three artifacts in lock-step: the shipping source, the loom shims, and
+//! the DESIGN.md §7b memory-ordering audit. `rustc` and `clippy` cannot
+//! see any of these contracts — they are project conventions, not
+//! language rules — so this tool walks the workspace with a hand-rolled
+//! lexer and a small item model and enforces them:
 //!
 //! * **R1 ordering-audit-drift** — `Ordering::` sites ↔ §7b audit rows.
 //! * **R2 shim-discipline** — loom-shimmed modules never bypass
 //!   `crate::sync`.
-//! * **R3 cfg-twin parity** — twin arms export identical public surfaces.
 //! * **R4 safety-comments** — every `unsafe` carries its written contract.
-//! * **R5 hot-path hygiene** — `// lint: hot-path` fns never block or
-//!   allocate, directly or through any resolved callee.
 //! * **R6 wait-freedom** — `// lint: wait-free` fns are transitively free
-//!   of locks, parks and unbounded retry loops (`lint: bounded(N)`
-//!   sanctions a bounded one).
+//!   of allocation, locks, parks, blocking syscalls and unbounded retry
+//!   loops (`lint: bounded(N)` sanctions a bounded one); `wait-free
+//!   private` fns also touch no shared atomic.
 //! * **R7 suspension-safety** — no lock guard or `ManuallyDrop` region
 //!   live across a call that transitively suspends the continuation.
 //! * **R8 blocking-in-async** — nothing reachable from the async surface
 //!   (async fns, future `poll`s, reactor/timer callbacks) blocks in a
 //!   syscall.
 //!
-//! R5–R8 share an interprocedural layer: `callgraph` resolves
+//! R6–R8 share an interprocedural layer: `callgraph` resolves
 //! intra-workspace call sites by name (conservative on ambiguity), and
 //! `effects` propagates per-fn effect sets — allocates / locks / parks /
 //! blocks-syscall / suspends / unbounded-loop — to a fixpoint over that
 //! graph, seeded from leaf facts.
 //!
-//! Diagnostics print as `file:line: rule-id: message` (also available as
-//! JSON and GitHub workflow annotations, see `--format`). Suppressions
-//! are either inline (`// lint: allow(R2)` on or above the offending
-//! line) or reasoned entries in `nowa-lint.allow` at the workspace root;
-//! stale suppressions are themselves errors. See DESIGN.md §7c for the
+//! Diagnostics print as `file:line: rule-id: message` (or as GitHub
+//! workflow annotations, see `--format`). Suppressions are either inline
+//! (`// lint: allow(R2)` on or above the offending line) or reasoned
+//! entries in `nowa-lint.allow` at the workspace root; stale
+//! suppressions are themselves errors. See DESIGN.md §7c for the
 //! rule catalogue.
 
 pub mod allow;

@@ -22,7 +22,7 @@ fn main() -> ExitCode {
                 match Format::parse(&val) {
                     Some(f) => format = f,
                     None => {
-                        eprintln!("nowa-lint: unknown format `{val}` (want text, json or github)");
+                        eprintln!("nowa-lint: unknown format `{val}` (want text or github)");
                         return ExitCode::from(2);
                     }
                 }
@@ -31,12 +31,12 @@ fn main() -> ExitCode {
                 println!(
                     "nowa-lint: project-specific concurrency lints (see DESIGN.md §7c)\n\
                      \n\
-                     usage: nowa-lint [--root <workspace-dir>] [--format text|json|github]\n\
+                     usage: nowa-lint [--root <workspace-dir>] [--format text|github]\n\
                      \n\
                      Walks crates/*/src and examples/, parses the DESIGN.md §7b audit\n\
                      and the {ALLOWLIST_NAME} suppression file, and prints one\n\
-                     finding per line: `file:line: rule-id: message` (text), a JSON\n\
-                     array (json), or `::error` workflow annotations (github)."
+                     finding per line: `file:line: rule-id: message` (text) or an\n\
+                     `::error` workflow annotation (github)."
                 );
                 return ExitCode::SUCCESS;
             }

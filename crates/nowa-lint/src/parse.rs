@@ -2,8 +2,8 @@
 //!
 //! One linear scan with a scope stack recovers everything the rules need:
 //! which function encloses each line, which code is `#[cfg(test)]`, where
-//! the `unsafe` sites are, where `Ordering::X` is mentioned, which items a
-//! module exports under which `cfg`, and which lines carry lint markers.
+//! the `unsafe` sites are, where `Ordering::X` is mentioned, which struct
+//! and enum types a file defines, and which lines carry lint markers.
 //! It is deliberately *not* a full parser — the input already compiles
 //! under `rustc`, so the model only has to be right about the shapes that
 //! actually occur (and the fixture tests pin those).
@@ -114,20 +114,18 @@ pub struct FnItem {
     pub line: u32,
     /// Inclusive body line span; `None` for bodyless signatures.
     pub body: Option<(u32, u32)>,
-    /// Normalized signature: qualifiers + parameter *types* + return/where
-    /// tokens, whitespace-collapsed. Parameter names are dropped so twin
-    /// arms may name (or `_`) their parameters differently.
+    /// Header from the parameter list to the body (or `;`), tokens joined
+    /// by single spaces.
     pub sig: String,
     pub is_unsafe: bool,
     pub in_test: bool,
-    /// `// lint: hot-path` marker in the comment block above the fn.
-    pub hot_path: bool,
-    /// `// lint: hot-path private` marker: the fn additionally claims to
-    /// touch no shared atomic at all (§6g owner-private fast path).
-    pub hot_path_private: bool,
     /// `// lint: wait-free` marker (R6): the fn claims to complete in a
-    /// bounded number of steps — transitively lock/park/retry-free.
+    /// bounded number of steps without allocating — transitively
+    /// allocation/lock/park/retry-free.
     pub wait_free: bool,
+    /// `// lint: wait-free private` marker: the fn additionally claims to
+    /// touch no shared atomic at all (§6g owner-private fast path).
+    pub wait_free_private: bool,
     /// `async fn` qualifier (an R8 root).
     pub is_async: bool,
     /// `// lint: async-context` marker: the fn runs on the async surface
@@ -140,43 +138,21 @@ pub struct FnItem {
     /// Attributes inherited from enclosing `mod` scopes (e.g. a module-wide
     /// `#[allow(clippy::missing_safety_doc)]`).
     pub scope_attrs: Vec<String>,
-    /// Names of enclosing `mod` scopes, outermost first.
-    pub mod_path: Vec<String>,
 }
 
-/// Kind of a module-level item (for cfg-twin comparison).
+/// Kind of a module-level type definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ItemKind {
-    Fn,
     Struct,
     Enum,
-    Trait,
-    TypeAlias,
-    Const,
-    Static,
-    Use,
-    Mod,
 }
 
-/// A module-level item (top level, or one level inside a `mod`).
+/// A struct or enum defined at module-item position: the type names a
+/// file defines (the callgraph gates type-qualified calls on them).
 #[derive(Debug, Clone)]
 pub struct Item {
     pub kind: ItemKind,
-    /// Declared name; for `use` items, the list of leaf names bound.
-    pub names: Vec<String>,
-    pub line: u32,
-    pub attrs: Vec<String>,
-    /// `pub`, `pub(crate)`, `pub(super)`, or "" for private.
-    pub vis: String,
-    /// Enclosing `mod` names, outermost first (empty at file top level).
-    pub mod_path: Vec<String>,
-    /// For fns: index into [`FileModel::fns`].
-    pub fn_index: Option<usize>,
-    /// Effective `[cfg(…)]` attributes: the item's own plus those inherited
-    /// from enclosing `mod`s (a mod-twin's items inherit the twin's cfg).
-    pub cfgs: Vec<String>,
-    /// For `use` items: the flattened path text, e.g. `imp::{a,b}`.
-    pub use_path: Option<String>,
+    pub name: String,
 }
 
 /// The per-file model all rules consume.
@@ -199,19 +175,9 @@ pub struct FileModel {
     pub inner_attrs: Vec<String>,
 }
 
-/// Markers read from the comment block above a fn.
-struct FnMarkers {
-    hot_path: bool,
-    hot_path_private: bool,
-    wait_free: bool,
-    async_context: bool,
-    safety: bool,
-}
-
 #[derive(Debug, Clone)]
 enum Scope {
     Mod {
-        name: String,
         is_test: bool,
         attrs: Vec<String>,
     },
@@ -273,16 +239,6 @@ impl FileModel {
             .unwrap_or(false)
     }
 
-    fn mod_path(stack: &[Scope]) -> Vec<String> {
-        stack
-            .iter()
-            .filter_map(|s| match s {
-                Scope::Mod { name, .. } => Some(name.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Attributes inherited from enclosing `mod` scopes, outermost first.
     fn inherited_attrs(stack: &[Scope]) -> Vec<String> {
         stack
@@ -291,15 +247,6 @@ impl FileModel {
                 Scope::Mod { attrs, .. } => attrs.clone(),
                 _ => Vec::new(),
             })
-            .collect()
-    }
-
-    /// Effective cfg attributes for an item: inherited mod cfgs + its own.
-    fn cfgs_of(own: &[String], stack: &[Scope]) -> Vec<String> {
-        Self::inherited_attrs(stack)
-            .into_iter()
-            .chain(own.iter().cloned())
-            .filter(|a| a.starts_with("[cfg("))
             .collect()
     }
 
@@ -393,25 +340,10 @@ impl FileModel {
                     p = q + 1;
                 }
                 (TokenKind::Ident, "mod") => {
-                    let name = text(p + 1).to_string();
                     let is_test = pending_attrs.iter().any(|a| a.contains("cfg(test)"))
                         || Self::stack_in_test(&stack);
-                    if Self::item_position(&stack) {
-                        self.items.push(Item {
-                            kind: ItemKind::Mod,
-                            names: vec![name.clone()],
-                            line: t.line,
-                            attrs: pending_attrs.clone(),
-                            vis: Self::recent_vis(tokens, &nc, p),
-                            mod_path: Self::mod_path(&stack),
-                            fn_index: None,
-                            cfgs: Self::cfgs_of(&pending_attrs, &stack),
-                            use_path: None,
-                        });
-                    }
                     if text(p + 2) == "{" {
                         pending = Some(Scope::Mod {
-                            name,
                             is_test,
                             attrs: pending_attrs.clone(),
                         });
@@ -422,30 +354,15 @@ impl FileModel {
                     pending_attrs.clear();
                 }
                 (TokenKind::Ident, "use") => {
-                    // Consume to `;`, recording bound leaf names and any
-                    // shim-bypassing path mention.
-                    let start_line = t.line;
+                    // Consume to `;`, recording any shim-bypassing path
+                    // mention.
                     let mut q = p + 1;
-                    let mut path_tokens: Vec<String> = Vec::new();
+                    let mut joined = String::new();
                     while q < nc.len() && text(q) != ";" {
-                        path_tokens.push(text(q).to_string());
+                        joined.push_str(text(q));
                         q += 1;
                     }
-                    let joined = path_tokens.concat();
-                    self.record_atomic_paths(&joined, start_line, Self::stack_in_test(&stack));
-                    if Self::item_position(&stack) {
-                        self.items.push(Item {
-                            kind: ItemKind::Use,
-                            names: use_leaf_names(&path_tokens),
-                            line: start_line,
-                            attrs: pending_attrs.clone(),
-                            vis: Self::recent_vis(tokens, &nc, p),
-                            mod_path: Self::mod_path(&stack),
-                            fn_index: None,
-                            cfgs: Self::cfgs_of(&pending_attrs, &stack),
-                            use_path: Some(joined.clone()),
-                        });
-                    }
+                    self.record_atomic_paths(&joined, t.line, Self::stack_in_test(&stack));
                     pending_attrs.clear();
                     p = q + 1;
                 }
@@ -455,22 +372,8 @@ impl FileModel {
                     let (item, body_open) = self.parse_fn(tokens, &nc, p, &stack, &pending_attrs);
                     let is_unsafe = item.is_unsafe;
                     let is_test = item.in_test;
-                    let fn_line = item.line;
                     self.fns.push(item);
                     let index = self.fns.len() - 1;
-                    if Self::item_position(&stack) {
-                        self.items.push(Item {
-                            kind: ItemKind::Fn,
-                            names: vec![self.fns[index].name.clone()],
-                            line: fn_line,
-                            attrs: pending_attrs.clone(),
-                            vis: Self::recent_vis(tokens, &nc, p),
-                            mod_path: Self::mod_path(&stack),
-                            fn_index: Some(index),
-                            cfgs: Self::cfgs_of(&pending_attrs, &stack),
-                            use_path: None,
-                        });
-                    }
                     pending_attrs.clear();
                     match body_open {
                         Some(open_p) => {
@@ -493,26 +396,15 @@ impl FileModel {
                 ) if tok(p + 1).map(|t| t.kind) == Some(TokenKind::Ident)
                     && text(p + 1) != "fn" =>
                 {
-                    let name = text(p + 1).to_string();
                     let kind = match kw {
-                        "struct" => ItemKind::Struct,
-                        "enum" => ItemKind::Enum,
-                        "trait" => ItemKind::Trait,
-                        "type" => ItemKind::TypeAlias,
-                        "static" => ItemKind::Static,
-                        _ => ItemKind::Const,
+                        "struct" => Some(ItemKind::Struct),
+                        "enum" => Some(ItemKind::Enum),
+                        _ => None,
                     };
-                    if Self::item_position(&stack) {
+                    if let Some(kind) = kind.filter(|_| Self::item_position(&stack)) {
                         self.items.push(Item {
                             kind,
-                            names: vec![name],
-                            line: t.line,
-                            attrs: pending_attrs.clone(),
-                            vis: Self::recent_vis(tokens, &nc, p),
-                            mod_path: Self::mod_path(&stack),
-                            fn_index: None,
-                            cfgs: Self::cfgs_of(&pending_attrs, &stack),
-                            use_path: None,
+                            name: text(p + 1).to_string(),
                         });
                     }
                     pending_attrs.clear();
@@ -661,41 +553,6 @@ impl FileModel {
         }
     }
 
-    /// Visibility tokens directly before item position `p` (walks back over
-    /// qualifier tokens).
-    fn recent_vis(tokens: &[Token], nc: &[usize], p: usize) -> String {
-        let mut vis = String::new();
-        let mut q = p;
-        let txt = |q: usize| -> &str { nc.get(q).map(|&i| tokens[i].text.as_str()).unwrap_or("") };
-        // Walk back over: fn/struct/… keyword qualifiers and pub(...).
-        while q > 0 {
-            q -= 1;
-            match txt(q) {
-                "unsafe" | "const" | "async" | "extern" | "\"C\"" | "\"C-unwind\"" => continue,
-                ")" => {
-                    // possibly the close of pub(crate)/pub(super)
-                    let mut r = q;
-                    while r > 0 && txt(r) != "(" {
-                        r -= 1;
-                    }
-                    if r > 0 && txt(r - 1) == "pub" {
-                        let inner: String = (r + 1..q).map(txt).collect::<Vec<_>>().join("");
-                        vis = format!("pub({inner})");
-                    }
-                    break;
-                }
-                "pub" => {
-                    if vis.is_empty() {
-                        vis = "pub".to_string();
-                    }
-                    break;
-                }
-                _ => break,
-            }
-        }
-        vis
-    }
-
     /// Parses a fn header at non-comment position `p` (the `fn` token).
     /// Returns the item plus the nc-position of the body `{`, if any.
     fn parse_fn(
@@ -712,29 +569,23 @@ impl FileModel {
         let fn_line = line_of(p);
 
         // Backward walk for qualifiers.
-        let mut is_unsafe = false;
-        let mut quals: Vec<&str> = Vec::new();
+        let (mut is_unsafe, mut is_async) = (false, false);
         let mut q = p;
         while q > 0 {
             q -= 1;
             match txt(q) {
-                "unsafe" => {
-                    is_unsafe = true;
-                    quals.push("unsafe");
-                }
-                "const" => quals.push("const"),
-                "async" => quals.push("async"),
-                "extern" => quals.push("extern"),
-                s if s.starts_with('"') => quals.push("\"abi\""),
+                "unsafe" => is_unsafe = true,
+                "async" => is_async = true,
+                "const" | "extern" => {}
+                s if s.starts_with('"') => {}
                 _ => break,
             }
         }
-        quals.reverse();
 
-        // Forward scan: find parameter parens, then the body `{` or `;`.
+        // Forward scan: skip generics to the parameter list, then take the
+        // header up to the body `{` or the `;` of a bodyless fn.
         let mut q = p + 2;
         let mut angle: i32 = 0;
-        // Generics before the parens.
         while q < nc.len() {
             match txt(q) {
                 "<" => angle += 1,
@@ -744,93 +595,32 @@ impl FileModel {
             }
             q += 1;
         }
-        let params_open = q;
-        let mut depth = 0usize;
-        while q < nc.len() {
-            match txt(q) {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            q += 1;
-        }
-        let params_close = q;
-
-        // Normalize parameters to their types.
-        let mut param_types: Vec<String> = Vec::new();
-        {
-            let mut cur: Vec<String> = Vec::new();
-            let mut d_paren = 0i32;
-            let mut d_angle = 0i32;
-            let mut d_brack = 0i32;
-            let flush = |cur: &mut Vec<String>, out: &mut Vec<String>| {
-                if cur.is_empty() {
-                    return;
-                }
-                let joined = cur.join(" ");
-                // Drop the pattern before the first top-level `:` (keeping
-                // `self` receivers whole; `::` never appears at the start
-                // of a parameter's type position in this codebase).
-                let ty = match joined.find(':') {
-                    Some(i) if !joined[i + 1..].starts_with(':') => joined[i + 1..].to_string(),
-                    _ => joined,
-                };
-                out.push(normalize_ws(&ty));
-                cur.clear();
-            };
-            for r in params_open + 1..params_close {
-                let s = txt(r);
-                match s {
-                    "(" => d_paren += 1,
-                    ")" => d_paren -= 1,
-                    "<" => d_angle += 1,
-                    ">" if txt(r.wrapping_sub(1)) != "-" => d_angle -= 1,
-                    "[" => d_brack += 1,
-                    "]" => d_brack -= 1,
-                    "," if d_paren == 0 && d_angle <= 0 && d_brack == 0 => {
-                        flush(&mut cur, &mut param_types);
-                        continue;
-                    }
-                    _ => {}
-                }
-                cur.push(s.to_string());
-            }
-            flush(&mut cur, &mut param_types);
-        }
-
-        // Return type / where clause tokens up to the body.
-        let mut tail: Vec<String> = Vec::new();
-        let mut q = params_close + 1;
+        let mut sig: Vec<&str> = Vec::new();
+        let mut depth = 0i32;
         let mut body_open = None;
         while q < nc.len() {
             match txt(q) {
-                "{" => {
+                "(" => depth += 1,
+                ")" => depth -= 1,
+                "{" if depth == 0 => {
                     body_open = Some(q);
                     break;
                 }
-                ";" => break,
-                s => tail.push(s.to_string()),
+                ";" if depth == 0 => break,
+                _ => {}
             }
+            sig.push(txt(q));
             q += 1;
         }
-
-        let sig = normalize_ws(&format!(
-            "{} fn({}) {}",
-            quals.join(" "),
-            param_types.join(", "),
-            tail.join(" ")
-        ));
 
         let in_test = Self::stack_in_test(stack)
             || pending_attrs
                 .iter()
                 .any(|a| a == "[test]" || a.contains("[test]"));
-        let mk = self.fn_markers(fn_line, pending_attrs);
+        // Markers live in the comment block directly above the fn (doc
+        // comments, line comments and attribute lines form one block).
+        let block = self.comment_block_above(fn_line);
+        let marked = |m: &str| block.iter().any(|l| l.contains(m));
         let body = body_open.map(|b| (line_of(b), line_of(b))); // end patched at `}`
 
         (
@@ -838,18 +628,16 @@ impl FileModel {
                 name,
                 line: fn_line,
                 body,
-                sig,
+                sig: sig.join(" "),
                 is_unsafe,
                 in_test,
-                hot_path: mk.hot_path,
-                hot_path_private: mk.hot_path_private,
-                wait_free: mk.wait_free,
-                is_async: quals.contains(&"async"),
-                async_context: mk.async_context,
-                has_safety_comment: mk.safety,
+                wait_free: marked("lint: wait-free"),
+                wait_free_private: marked("lint: wait-free private"),
+                is_async,
+                async_context: marked("lint: async-context"),
+                has_safety_comment: marked("SAFETY:") || marked("# Safety"),
                 attrs: pending_attrs.to_vec(),
                 scope_attrs: Self::inherited_attrs(stack),
-                mod_path: Self::mod_path(stack),
             },
             body_open,
         )
@@ -871,22 +659,6 @@ impl FileModel {
             q += 1;
         }
         q
-    }
-
-    /// Lint markers from the comment block directly above `fn_line` (doc
-    /// comments, line comments and attribute lines form one contiguous
-    /// block).
-    fn fn_markers(&self, fn_line: u32, _attrs: &[String]) -> FnMarkers {
-        let block = self.comment_block_above(fn_line);
-        FnMarkers {
-            hot_path: block.iter().any(|l| l.contains("lint: hot-path")),
-            hot_path_private: block.iter().any(|l| l.contains("lint: hot-path private")),
-            wait_free: block.iter().any(|l| l.contains("lint: wait-free")),
-            async_context: block.iter().any(|l| l.contains("lint: async-context")),
-            safety: block
-                .iter()
-                .any(|l| l.contains("SAFETY:") || l.contains("# Safety")),
-        }
     }
 
     /// Innermost fn whose body span contains `line` (fns never share a
@@ -1157,57 +929,6 @@ fn is_keyword(s: &str) -> bool {
     )
 }
 
-/// Collapses whitespace runs to single spaces and trims.
-fn normalize_ws(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
-}
-
-/// Leaf names bound by a `use` path, from its token list (`use` and the
-/// trailing `;` excluded), e.g. `core::sync::atomic::{AtomicU64, Ordering}`
-/// → [AtomicU64, Ordering]; `x::y as z` → [z]; globs → ["*"].
-fn use_leaf_names(toks: &[String]) -> Vec<String> {
-    // Split into groups at top-level-of-brace commas; each group's bound
-    // name is the token after `as` if present, else its last ident/`*`.
-    let mut names = Vec::new();
-    let mut group: Vec<&str> = Vec::new();
-    let flush = |group: &mut Vec<&str>, names: &mut Vec<String>| {
-        if group.is_empty() {
-            return;
-        }
-        let name = group
-            .iter()
-            .position(|&s| s == "as")
-            .and_then(|i| group.get(i + 1).copied())
-            .or_else(|| {
-                group
-                    .iter()
-                    .rev()
-                    .find(|s| {
-                        **s == "*"
-                            || s.chars()
-                                .next()
-                                .is_some_and(|c| c.is_alphanumeric() || c == '_')
-                    })
-                    .copied()
-            });
-        if let Some(n) = name {
-            names.push(n.to_string());
-        }
-        group.clear();
-    };
-    for s in toks {
-        match s.as_str() {
-            // A `{` means the tokens so far were a path prefix — they bind
-            // nothing themselves.
-            "{" => group.clear(),
-            "}" | "," => flush(&mut group, &mut names),
-            _ => group.push(s.as_str()),
-        }
-    }
-    flush(&mut group, &mut names);
-    names
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1219,13 +940,13 @@ pub struct S { x: u64 }
 
 impl S {
     /// Docs.
-    // lint: hot-path
+    // lint: wait-free
     #[inline]
     pub fn load_it(&self) -> u64 {
         self.inner.load(Ordering::Acquire)
     }
 
-    // lint: hot-path private
+    // lint: wait-free private
     #[inline]
     pub fn owner_bump(&mut self) -> u64 {
         self.x += 1;
@@ -1262,13 +983,18 @@ mod tests {
             .atomic_paths
             .iter()
             .any(|a| a.path == "core::sync::atomic"));
+        assert!(m
+            .items
+            .iter()
+            .any(|i| i.kind == ItemKind::Struct && i.name == "S"));
         let load = m.fns.iter().find(|f| f.name == "load_it").unwrap();
-        assert!(load.hot_path);
-        assert!(!load.hot_path_private);
+        assert!(load.wait_free);
+        assert!(!load.wait_free_private);
         assert!(!load.in_test);
+        assert!(load.sig.contains("self") && load.sig.contains("u64"));
         let bump = m.fns.iter().find(|f| f.name == "owner_bump").unwrap();
-        assert!(bump.hot_path, "`hot-path private` implies hot-path");
-        assert!(bump.hot_path_private);
+        assert!(bump.wait_free, "`wait-free private` implies wait-free");
+        assert!(bump.wait_free_private);
         let dang = m.fns.iter().find(|f| f.name == "dangerous").unwrap();
         assert!(dang.is_unsafe);
         assert!(dang.has_safety_comment);
@@ -1286,35 +1012,5 @@ mod tests {
             .unwrap();
         assert!(!in_safe.inside_unsafe_fn);
         assert!(m.line_or_block_above_contains(in_safe.line, "SAFETY:"));
-    }
-
-    #[test]
-    fn use_names_and_vis() {
-        let m = FileModel::parse(
-            "f.rs",
-            "pub(crate) use core::sync::atomic::{AtomicU64, Ordering};\npub use x::y as z;\n",
-        );
-        let uses: Vec<_> = m.items.iter().filter(|i| i.kind == ItemKind::Use).collect();
-        assert_eq!(uses[0].names, vec!["AtomicU64", "Ordering"]);
-        assert_eq!(uses[0].vis, "pub(crate)");
-        assert_eq!(uses[1].names, vec!["z"]);
-    }
-
-    #[test]
-    fn signature_normalization_ignores_param_names() {
-        let a = FileModel::parse(
-            "a.rs",
-            "pub(crate) unsafe fn f(worker: *mut Worker) -> bool { false }",
-        );
-        let b = FileModel::parse(
-            "b.rs",
-            "pub(crate) unsafe fn f(_: *mut Worker) -> bool { false }",
-        );
-        assert_eq!(a.fns[0].sig, b.fns[0].sig);
-        let c = FileModel::parse(
-            "c.rs",
-            "pub(crate) unsafe fn f(_: *const Worker) -> bool { false }",
-        );
-        assert_ne!(a.fns[0].sig, c.fns[0].sig);
     }
 }

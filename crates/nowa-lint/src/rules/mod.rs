@@ -8,9 +8,7 @@ use crate::{callgraph, effects, Workspace};
 
 pub mod r1;
 pub mod r2;
-pub mod r3;
 pub mod r4;
-pub mod r5;
 pub mod r6;
 pub mod r7;
 pub mod r8;
@@ -30,13 +28,6 @@ pub const SHIM_MODULES: &[&str] = &[
     "nowa-runtime/src/reactor.rs",
 ];
 
-/// R3: cfg-twinned files whose arms must export the same public surface.
-pub const TWIN_FILES: &[&str] = &[
-    "nowa-runtime/src/chaos.rs",
-    "nowa-runtime/src/sync.rs",
-    "nowa-deque/src/sync.rs",
-];
-
 /// R1: crates whose `Ordering::` sites the DESIGN.md §7b audit must cover.
 pub const AUDIT_SCOPE: &[&str] = &["nowa-deque/src/", "nowa-runtime/src/"];
 
@@ -49,15 +40,13 @@ pub(crate) fn in_scope(rel_path: &str, scope: &[&str]) -> bool {
 }
 
 /// Runs every rule over the workspace (allowlist not yet applied). The
-/// call graph and effect sets are computed once and shared by R5–R8.
+/// call graph and effect sets are computed once and shared by R6–R8.
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     let fx = effects::compute(ws, callgraph::build(ws));
     let mut out = Vec::new();
     out.extend(r1::check(ws));
     out.extend(r2::check(ws));
-    out.extend(r3::check(ws));
     out.extend(r4::check(ws));
-    out.extend(r5::check(ws, &fx));
     out.extend(r6::check(ws, &fx));
     out.extend(r7::check(ws, &fx));
     out.extend(r8::check(ws, &fx));

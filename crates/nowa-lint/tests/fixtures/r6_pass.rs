@@ -1,5 +1,8 @@
 //! R6 fixture (pass): wait-free fns whose claims hold — straight-line
-//! code, a bounded drain loop, and a call to a benign local helper.
+//! code, an atomic counter, a bounded drain loop, a call to a benign
+//! local helper, and an inline allow for a deliberate exception.
+
+use crate::sync::{AtomicU64, Ordering};
 
 pub struct Counter {
     bits: u64,
@@ -26,4 +29,15 @@ impl Counter {
         }
         n
     }
+}
+
+// lint: wait-free
+pub fn fast(x: &AtomicU64) -> u64 {
+    // ordering: fixture counter.
+    x.fetch_add(1, Ordering::Relaxed)
+}
+
+// lint: wait-free
+pub fn fast_with_exception(items: &mut Vec<u64>) {
+    items.push(1); // lint: allow(R6) — fixture-sanctioned exception
 }

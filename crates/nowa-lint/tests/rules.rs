@@ -1,7 +1,7 @@
 //! Fixture tests: each rule must fire on its violating fixture and stay
 //! silent on the passing one. Fixtures are parsed under *mapped* paths
 //! (e.g. `crates/nowa-deque/src/cl.rs`) so the shipped scope configuration
-//! — shim module lists, audit scope, twin files — is what gets exercised,
+//! — shim module lists, audit scope — is what gets exercised,
 //! not a parallel test-only configuration.
 
 use nowa_lint::allow::Allowlist;
@@ -110,32 +110,6 @@ fn r2_ignores_the_same_import_outside_shim_modules() {
 }
 
 #[test]
-fn r3_pass_fixture_is_clean() {
-    let ws = workspace(
-        &[(
-            "crates/nowa-runtime/src/chaos.rs",
-            include_str!("fixtures/r3_pass.rs"),
-        )],
-        AUDIT,
-    );
-    assert_eq!(findings(&ws, "R3"), Vec::<String>::new());
-}
-
-#[test]
-fn r3_fires_on_one_sided_twin_item() {
-    let ws = workspace(
-        &[(
-            "crates/nowa-runtime/src/chaos.rs",
-            include_str!("fixtures/r3_fail.rs"),
-        )],
-        AUDIT,
-    );
-    let out = findings(&ws, "R3");
-    assert!(!out.is_empty());
-    assert!(out.iter().any(|d| d.contains("on_steal")), "{out:?}");
-}
-
-#[test]
 fn r4_pass_fixture_is_clean() {
     let ws = workspace(
         &[(
@@ -177,94 +151,6 @@ fn r4_ignores_files_outside_safety_scope() {
 }
 
 #[test]
-fn r5_pass_fixture_is_clean() {
-    let ws = workspace(
-        &[(
-            "crates/nowa-runtime/src/fix5.rs",
-            include_str!("fixtures/r5_pass.rs"),
-        )],
-        AUDIT,
-    );
-    assert_eq!(findings(&ws, "R5"), Vec::<String>::new());
-}
-
-#[test]
-fn r5_fires_on_hot_path_allocation() {
-    let ws = workspace(
-        &[(
-            "crates/nowa-runtime/src/fix5.rs",
-            include_str!("fixtures/r5_fail.rs"),
-        )],
-        AUDIT,
-    );
-    let out = findings(&ws, "R5");
-    assert!(!out.is_empty());
-    assert!(out[0].contains("Box::new"), "{out:?}");
-}
-
-#[test]
-fn r5_private_pass_fixture_is_clean() {
-    let ws = workspace(
-        &[(
-            "crates/nowa-deque/src/fix5p.rs",
-            include_str!("fixtures/r5_private_pass.rs"),
-        )],
-        AUDIT,
-    );
-    assert_eq!(findings(&ws, "R5"), Vec::<String>::new());
-}
-
-#[test]
-fn r5_private_fires_on_shared_atomic() {
-    let ws = workspace(
-        &[(
-            "crates/nowa-deque/src/fix5p.rs",
-            include_str!("fixtures/r5_private_fail.rs"),
-        )],
-        AUDIT,
-    );
-    let out = findings(&ws, "R5");
-    assert_eq!(out.len(), 1, "exactly the `load` probe fires: {out:?}");
-    assert!(out[0].contains("load"), "{out:?}");
-    assert!(out[0].contains("zero-shared-atomic"), "{out:?}");
-}
-
-#[test]
-fn r5_plain_hot_path_marker_permits_atomics() {
-    // The same body under the *plain* marker is legal — atomics are the
-    // point of most hot paths; only the `private` claim bans them.
-    let src = include_str!("fixtures/r5_private_fail.rs").replace("hot-path private", "hot-path");
-    let ws = workspace(&[("crates/nowa-deque/src/fix5p.rs", src.as_str())], AUDIT);
-    assert_eq!(findings(&ws, "R5"), Vec::<String>::new());
-}
-
-#[test]
-fn allowlist_suppresses_and_reports_stale_entries() {
-    let ws = workspace(
-        &[(
-            "crates/nowa-runtime/src/fix5.rs",
-            include_str!("fixtures/r5_fail.rs"),
-        )],
-        AUDIT,
-    );
-    let list = Allowlist::parse(
-        "nowa-lint.allow",
-        "R5 | src/fix5.rs | fast | Box::new | fixture exception\n\
-         R5 | src/gone.rs | *    | *        | suppresses nothing\n",
-    );
-    let out = run_lint(&ws, &list);
-    assert!(
-        !out.iter().any(|d| d.rule == "R5"),
-        "the R5 finding is suppressed: {out:?}"
-    );
-    assert!(
-        out.iter()
-            .any(|d| d.rule == "ALLOW" && d.message.contains("stale")),
-        "the unused entry is reported: {out:?}"
-    );
-}
-
-#[test]
 fn r6_pass_fixture_is_clean() {
     let ws = workspace(
         &[(
@@ -297,6 +183,120 @@ fn r6_fires_on_unbounded_loop_and_transitive_lock() {
             && d.contains("acquires a lock")
             && d.contains("slow_settle")),
         "the lock is reported with its witness chain: {out:?}"
+    );
+}
+
+#[test]
+fn r6_fires_on_direct_and_transitive_allocation() {
+    let ws = workspace(
+        &[(
+            "crates/nowa-runtime/src/r6alloc.rs",
+            include_str!("fixtures/r6_alloc_fail.rs"),
+        )],
+        AUDIT,
+    );
+    let out = findings(&ws, "R6");
+    assert_eq!(
+        out.len(),
+        2,
+        "fast's Box::new and fast_via_helper's: {out:?}"
+    );
+    assert!(
+        out.iter()
+            .any(|d| d.contains("`fast`") && d.contains("allocates") && d.contains("Box::new")),
+        "{out:?}"
+    );
+    assert!(
+        out.iter().any(|d| d.contains("`fast_via_helper`")
+            && d.contains("transitively allocates")
+            && d.contains("fast_via_helper → boxed")),
+        "the allocation is reported with its witness chain: {out:?}"
+    );
+}
+
+#[test]
+fn r6_private_pass_fixture_is_clean() {
+    let ws = workspace(
+        &[(
+            "crates/nowa-deque/src/r6priv.rs",
+            include_str!("fixtures/r6_private_pass.rs"),
+        )],
+        AUDIT,
+    );
+    assert_eq!(findings(&ws, "R6"), Vec::<String>::new());
+}
+
+#[test]
+fn r6_private_fires_on_shared_atomic() {
+    let ws = workspace(
+        &[(
+            "crates/nowa-deque/src/r6priv.rs",
+            include_str!("fixtures/r6_private_fail.rs"),
+        )],
+        AUDIT,
+    );
+    let out = findings(&ws, "R6");
+    assert_eq!(out.len(), 1, "exactly the `load` probe fires: {out:?}");
+    assert!(out[0].contains("load"), "{out:?}");
+    assert!(out[0].contains("zero-shared-atomic"), "{out:?}");
+}
+
+#[test]
+fn r6_plain_wait_free_marker_permits_atomics() {
+    // The same body under the *plain* marker is legal — atomics are the
+    // point of most wait-free paths; only the `private` claim bans them.
+    let src = include_str!("fixtures/r6_private_fail.rs").replace("wait-free private", "wait-free");
+    let ws = workspace(&[("crates/nowa-deque/src/r6priv.rs", src.as_str())], AUDIT);
+    assert_eq!(findings(&ws, "R6"), Vec::<String>::new());
+}
+
+#[test]
+fn r6_reports_the_retired_hot_path_marker_and_checks_its_loop_once_remarked() {
+    let src = include_str!("fixtures/r6_hot_path_loop.rs");
+    let ws = workspace(&[("crates/nowa-trace/src/r6ring.rs", src)], AUDIT);
+    let out = findings(&ws, "R6");
+    assert_eq!(out.len(), 1, "the stale marker, nothing else: {out:?}");
+    assert!(
+        out[0].contains("`record`") && out[0].contains("retired `hot-path` marker"),
+        "{out:?}"
+    );
+
+    let remarked = src.replace("lint: hot-path", "lint: wait-free");
+    let ws = workspace(
+        &[("crates/nowa-trace/src/r6ring.rs", remarked.as_str())],
+        AUDIT,
+    );
+    let out = findings(&ws, "R6");
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert!(
+        out[0].contains("`record`") && out[0].contains("unbounded retry loop"),
+        "{out:?}"
+    );
+}
+
+#[test]
+fn allowlist_suppresses_and_reports_stale_entries() {
+    let ws = workspace(
+        &[(
+            "crates/nowa-runtime/src/r6alloc.rs",
+            include_str!("fixtures/r6_alloc_fail.rs"),
+        )],
+        AUDIT,
+    );
+    let list = Allowlist::parse(
+        "nowa-lint.allow",
+        "R6 | src/r6alloc.rs | * | Box::new | fixture exception\n\
+         R6 | src/gone.rs    | * | *        | suppresses nothing\n",
+    );
+    let out = run_lint(&ws, &list);
+    assert!(
+        !out.iter().any(|d| d.rule == "R6"),
+        "both R6 findings are suppressed: {out:?}"
+    );
+    assert!(
+        out.iter()
+            .any(|d| d.rule == "ALLOW" && d.message.contains("stale")),
+        "the unused entry is reported: {out:?}"
     );
 }
 

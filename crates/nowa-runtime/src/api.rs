@@ -116,7 +116,7 @@ pub(crate) fn raise_cancelled(frame: *const Frame, reason: CancelReason) -> ! {
 /// # Safety
 /// `worker` must be the calling thread's live worker, with no capture
 /// point between its derivation and this call.
-// lint: hot-path
+// lint: wait-free
 #[inline]
 unsafe fn adopt_scope_and_check(worker: *mut Worker, frame: &Frame) {
     // SAFETY: live worker per the function contract.

@@ -142,7 +142,7 @@ impl CancelCell {
     }
 
     /// This cell's own state: one relaxed load, no chain walk.
-    // lint: hot-path
+    // lint: wait-free
     #[inline(always)]
     pub(crate) fn local(&self) -> Option<CancelReason> {
         CancelReason::from_flag(self.flag.load(Ordering::Relaxed))
@@ -167,6 +167,9 @@ impl CancelCell {
 /// `Shared`) whose dynamic extent contains the caller.
 pub(crate) unsafe fn cancelled_chain(cell: *const CancelCell) -> Option<CancelReason> {
     let mut cur = cell;
+    // lint: bounded(chain depth — one step per enclosing region scope; the
+    // `parent` links are fixed at creation, so no thread can lengthen or
+    // cycle the chain while it is walked)
     while !cur.is_null() {
         // SAFETY: alive per the function contract.
         let c = unsafe { &*cur };

@@ -102,7 +102,7 @@ impl FrameCore {
     }
 
     /// Whether any child strand of this frame has recorded a panic.
-    // lint: hot-path
+    // lint: wait-free
     #[inline(always)]
     pub fn is_flagged(&self) -> bool {
         self.flagged.load(Ordering::Relaxed) != 0

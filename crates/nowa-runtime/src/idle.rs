@@ -122,7 +122,6 @@ impl IdleState {
     /// validate against in [`park`](IdleState::park). The caller **must**
     /// re-scan all work sources after this call and either `cancel` or
     /// `park` — never abandon an announce.
-    // lint: hot-path
     // lint: wait-free
     pub fn announce(&self, index: usize) -> u32 {
         self.slots[index].state.store(WAITING, Ordering::Relaxed);
@@ -144,7 +143,6 @@ impl IdleState {
     /// `true` when a targeted wake had already claimed this worker — the
     /// caller should pass the wake on ([`wake_one`](IdleState::wake_one))
     /// so the work that triggered it still gets a thief.
-    // lint: hot-path
     // lint: wait-free
     pub fn cancel(&self, index: usize) -> bool {
         if index < MASK_BITS {
@@ -186,7 +184,6 @@ impl IdleState {
     /// of the worker claimed. Always bumps the epoch first, so even when no
     /// sleeper is claimable yet, any worker between announce and park will
     /// fail its validation and re-scan.
-    // lint: hot-path
     // lint: wait-free
     pub fn wake_one(&self) -> Option<usize> {
         // SeqCst: pairs with the announcer's RMW — the waker's prior work

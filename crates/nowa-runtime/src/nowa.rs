@@ -27,7 +27,6 @@ pub struct Nowa<D: DequeAlgo>(PhantomData<D>);
 /// The `α` increment `run()` performs before calling `resume()` (§III-B);
 /// it needs no synchronisation because the taker *becomes* the main path
 /// (Invariant II).
-// lint: hot-path
 // lint: wait-free
 #[inline]
 fn fork_bookkeeping(rec: Rec) {
@@ -65,7 +64,6 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
     /// With the split layer enabled the common case is a private,
     /// synchronization-free ring write; a push that finds the public deque
     /// empty publishes (`Some(n > 0)`).
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     fn push(dq: &Self::Owner, rec: Rec) -> Option<u32> {
@@ -76,7 +74,6 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
     /// decrement are *not* atomic together, which is safe because the
     /// counter still holds `N_r' = I_max − ω` until the explicit sync
     /// restores it (§IV-B).
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     fn pop_or_join(dq: &Self::Owner, frame: &Frame) -> AfterChild {
@@ -108,7 +105,6 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
         }
     }
 
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     fn take_own(dq: &Self::Owner) -> Option<Rec> {
@@ -117,7 +113,6 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
         Some(rec)
     }
 
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     fn steal_from(st: &Self::Stealer) -> Steal<Rec> {
@@ -177,7 +172,6 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
         dq.len()
     }
 
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     fn has_private_segment(dq: &Self::Owner) -> bool {

@@ -74,7 +74,7 @@ fn sinks(w: &Worker) -> (Option<&TraceBuffer>, Option<&FlightRing>) {
 ///
 /// # Safety
 /// `worker` must be the calling thread's live worker.
-// lint: hot-path
+// lint: wait-free
 #[inline(always)]
 pub(crate) unsafe fn record(
     worker: *mut Worker,

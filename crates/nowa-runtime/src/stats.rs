@@ -215,7 +215,7 @@ unsafe fn emit(
 ///
 /// # Safety
 /// `worker` must be the calling thread's live worker.
-// lint: hot-path
+// lint: wait-free
 #[inline(always)]
 pub(crate) unsafe fn bump(worker: *mut Worker, counter: Counter, arg: u64) {
     // SAFETY: contract forwarded.
@@ -242,7 +242,7 @@ pub(crate) unsafe fn add(worker: *mut Worker, counter: Counter, n: u64) {
 ///
 /// # Safety
 /// `worker` must be the calling thread's live worker.
-// lint: hot-path
+// lint: wait-free
 #[inline(always)]
 pub(crate) unsafe fn bump_spawn(
     worker: *mut Worker,

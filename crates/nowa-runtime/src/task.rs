@@ -103,7 +103,6 @@ impl WakeState {
     /// cell is now `PARKED` and owned by the next claimer; `false` means a
     /// wake raced in first — the parker keeps ownership and must resume
     /// itself.
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     pub fn park_publish(&self) -> bool {
@@ -124,7 +123,6 @@ impl WakeState {
     }
 
     /// Waker side: consumes one wake. See [`WakeClaim`].
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     pub fn wake_claim(&self) -> WakeClaim {
@@ -173,7 +171,6 @@ impl WakeState {
 
     /// Resumed strand: consumes the pending notification before the next
     /// poll, so wakes landing mid-poll are preserved for the next park.
-    // lint: hot-path
     // lint: wait-free
     #[inline]
     pub fn resume_begin(&self) {

@@ -148,16 +148,11 @@ impl TimerWheel {
             return 0;
         }
         let already = fired.len();
-        let span = now_tick - w.cursor;
-        // Far behind a sparse wheel: touch each slot once instead of
-        // walking every elapsed tick.
-        let slot_range: Box<dyn Iterator<Item = usize>> = if span >= SLOTS as u64 {
-            Box::new(0..SLOTS)
-        } else {
-            Box::new((w.cursor + 1..=now_tick).map(|t| (t % SLOTS as u64) as usize))
-        };
-        for s in slot_range {
-            let entries = &mut w.slots[s];
+        // Walk the elapsed ticks, at most one lap: far behind a sparse
+        // wheel, the last SLOTS ticks touch each slot exactly once.
+        let span = (now_tick - w.cursor).min(SLOTS as u64);
+        for t in now_tick - span + 1..=now_tick {
+            let entries = &mut w.slots[(t % SLOTS as u64) as usize];
             let mut i = 0;
             while i < entries.len() {
                 if entries[i].deadline_tick <= now_tick {

@@ -6,7 +6,9 @@
 //! `madvise` syscall ≈ 1–2 µs); what the experiments depend on is the
 //! *structure* — which operations serialize on which shared resources —
 //! not the absolute numbers. See DESIGN.md §2 for the substitution
-//! rationale (the host has one CPU; real 256-thread runs are impossible).
+//! rationale: runs with 64–256 workers need that many cores, and no
+//! host this reproduction runs on has them (the 2-vCPU reference host
+//! measures P = 1 and P = 2 only).
 
 /// Virtual-time costs of runtime-system operations.
 #[derive(Debug, Clone)]

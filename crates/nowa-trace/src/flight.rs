@@ -60,7 +60,7 @@ impl FlightRing {
 
     /// Records an event, overwriting the oldest if full. Wait-free; only
     /// the owning worker calls this.
-    // lint: hot-path
+    // lint: wait-free
     #[inline]
     pub fn record(&self, ev: Event) {
         let n = self.written.load(Ordering::Relaxed);
@@ -73,7 +73,7 @@ impl FlightRing {
     }
 
     /// Records an event of `kind` stamped now.
-    // lint: hot-path
+    // lint: wait-free
     #[inline]
     pub fn record_now(&self, kind: EventKind, arg: u64) {
         self.record(Event::new(now_ns(), kind, arg));

@@ -81,7 +81,7 @@ impl EventRing {
             // Producer-owned counter: a load + store is a plain pair of
             // moves, where `fetch_add` would be a locked RMW — the drop
             // path is the *steady state* of an overflowing ring and must
-            // stay as cheap as the push path (R5 hot-path).
+            // stay as cheap as the push path (`wait-free`, lint R6).
             let d = self.dropped.load(Ordering::Relaxed);
             self.dropped.store(d + 1, Ordering::Relaxed);
             return false;
@@ -89,7 +89,7 @@ impl EventRing {
         let i = (p as usize & (self.capacity - 1)) * 2;
         // SAFETY: `capacity` is a power of two and `slots.len() == 2 *
         // capacity`, so `i + 1 <= 2 * capacity - 1` is always in bounds;
-        // the checked indexing cost is real on this path (R5 hot-path).
+        // the checked indexing cost is real on this path (`wait-free`, R6).
         unsafe {
             self.slots
                 .get_unchecked(i)
