@@ -185,11 +185,12 @@ fn measured(size: Size, workers: usize, reps: usize) -> Vec<TracedRun> {
 
 /// The stack-pool ablation configurations under tracing (cholesky).
 fn ablation_pool(size: Size, workers: usize, reps: usize) -> Vec<TracedRun> {
+    let shipped = Config::with_workers(workers).stack_cache;
     [
-        ("cache+1stripe", 8usize, 1usize),
+        ("cache+1stripe", shipped, 1usize),
         ("nocache+1stripe", 0, 1),
         ("nocache+8stripes", 0, 8),
-        ("cache+8stripes", 8, 8),
+        ("cache+8stripes", shipped, 8),
     ]
     .into_iter()
     .map(|(label, cache, stripes)| {

@@ -69,11 +69,24 @@ impl<T> Clone for SendPtr<T> {
     }
 }
 
-/// Syncs the frame when dropped — both on the normal path and when the
-/// continuation unwinds, so no child strand can outlive the region's
-/// borrows (fully-strict even under panics).
+/// Syncs the frame — through [`SyncOnDrop::sync`] on the normal path and
+/// when dropped by an unwinding continuation, so no child strand can
+/// outlive the region's borrows (fully-strict even under panics).
 struct SyncOnDrop<'f> {
     frame: &'f Frame,
+}
+
+impl SyncOnDrop<'_> {
+    /// The explicit sync point of the normal path: the same sync as the
+    /// drop, inlined into the combinator, where the drop glue would be an
+    /// out-of-line call.
+    #[inline(always)]
+    fn sync(self) {
+        let frame = self.frame;
+        core::mem::forget(self);
+        // SAFETY: as in `drop`.
+        unsafe { sync_execute(frame) };
+    }
 }
 
 impl Drop for SyncOnDrop<'_> {
@@ -85,6 +98,7 @@ impl Drop for SyncOnDrop<'_> {
 }
 
 /// Re-throws a panic captured from a child strand.
+#[inline]
 fn propagate(frame: &Frame) {
     if let Some(payload) = frame.core.take_panic() {
         resume_unwind(payload);
@@ -204,7 +218,7 @@ where
             });
         }
         rb = b();
-        drop(guard); // the explicit sync point
+        guard.sync(); // the explicit sync point
     }
     propagate(&frame);
     let ra = slot_a.take().expect("child strand completed before sync");
@@ -257,7 +271,7 @@ where
             });
         }
         rc = c();
-        drop(guard);
+        guard.sync();
     }
     propagate(&frame);
     (
@@ -323,7 +337,7 @@ where
             });
         }
         rd = d();
-        drop(guard);
+        guard.sync();
     }
     propagate(&frame);
     (
@@ -476,7 +490,7 @@ where
             // The continuation may have resumed on another worker.
             worker = current_worker();
         }
-        drop(guard);
+        guard.sync();
     }
     propagate(&frame);
     // Cancellation must surface even when every started child completed

@@ -159,14 +159,47 @@ impl CancelCell {
 /// recorded reason. A hit on an ancestor is path-shortened into `cell` so
 /// the next checkpoint in this subtree hits on its first load.
 ///
+/// Inline for the common case — `cell`'s own flag reads live and `cell`
+/// has no parent (an unscoped frame, governed by the runtime root alone),
+/// or the flag reads cancelled — and the walk over the ancestors is the
+/// out-of-line [`cancelled_ancestor`].
+///
 /// # Safety
 ///
 /// Every cell on the chain must be alive. This holds whenever `cell` is a
 /// frame's governing scope and the caller is executing inside that frame:
 /// each ancestor cell is owned by an enclosing region (or by the runtime's
 /// `Shared`) whose dynamic extent contains the caller.
+// lint: wait-free
+#[inline]
 pub(crate) unsafe fn cancelled_chain(cell: *const CancelCell) -> Option<CancelReason> {
-    let mut cur = cell;
+    if cell.is_null() {
+        return None;
+    }
+    // SAFETY: alive per the function contract.
+    let c = unsafe { &*cell };
+    if let Some(reason) = c.local() {
+        return Some(reason);
+    }
+    if c.parent.is_null() {
+        return None;
+    }
+    // SAFETY: forwarded; `cell` heads the same live chain.
+    unsafe { cancelled_ancestor(cell) }
+}
+
+/// The chain walk of [`cancelled_chain`] past a live `cell`: the first
+/// cancelled ancestor's reason, path-shortened into `cell`.
+///
+/// # Safety
+///
+/// As [`cancelled_chain`], with `cell` non-null.
+// lint: wait-free
+#[cold]
+#[inline(never)]
+unsafe fn cancelled_ancestor(cell: *const CancelCell) -> Option<CancelReason> {
+    // SAFETY: alive and non-null per the function contract.
+    let mut cur = unsafe { &*cell }.parent;
     // lint: bounded(chain depth — one step per enclosing region scope; the
     // `parent` links are fixed at creation, so no thread can lengthen or
     // cycle the chain while it is walked)
@@ -174,10 +207,8 @@ pub(crate) unsafe fn cancelled_chain(cell: *const CancelCell) -> Option<CancelRe
         // SAFETY: alive per the function contract.
         let c = unsafe { &*cur };
         if let Some(reason) = c.local() {
-            if cur != cell {
-                // SAFETY: `cell` is the head of the same live chain.
-                unsafe { &*cell }.cancel(reason);
-            }
+            // SAFETY: `cell` is the head of the same live chain.
+            unsafe { &*cell }.cancel(reason);
             return Some(reason);
         }
         cur = c.parent;

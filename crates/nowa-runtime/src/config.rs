@@ -190,6 +190,16 @@ pub struct Config {
     /// restores the every-spawn-public behaviour of the unsplit deques.
     pub split: SplitConfig,
     /// Per-worker stack-cache capacity (paper: "small per worker buffers").
+    ///
+    /// Every spawn runs its child on a fresh stack, so a recursion `d`
+    /// spawns deep holds `d + 1` stacks, and each swing of its depth
+    /// takes stacks from the cache and gives them back. A swing wider
+    /// than the cache spills into the global pool, which is one locked
+    /// `Vec` for the whole runtime. The default, 16, is the smallest
+    /// that keeps a recursion below one pool get per 1 000 spawns:
+    /// `fib(25)` on one worker, after a warm-up, makes 2 578 pool gets in
+    /// 121 392 spawns (2.1 %) with a cache of 8, 371 (0.3 %) with 12,
+    /// 138 (0.11 %) with 14 and 49 (0.04 %) with 16.
     pub stack_cache: usize,
     /// Stripes of the global stack pool (1 = the paper's single pool).
     pub pool_stripes: usize,
@@ -234,7 +244,7 @@ impl Default for Config {
             flavor: Flavor::NOWA,
             deque_capacity: 8192,
             split: SplitConfig::default(),
-            stack_cache: 8,
+            stack_cache: 16,
             pool_stripes: 1,
             tracing: false,
             trace_ring: DEFAULT_TRACE_RING,

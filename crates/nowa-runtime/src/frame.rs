@@ -11,6 +11,7 @@
 //! * a slot for a panic payload propagated out of a child strand.
 
 use core::cell::{Cell, UnsafeCell};
+use core::mem::ManuallyDrop;
 use std::any::Any;
 
 use nowa_context::{RawContext, Stack};
@@ -39,6 +40,14 @@ pub type PanicPayload = Box<dyn Any + Send + 'static>;
 /// panic state after them, with no padding between. Every `join2` builds
 /// a frame on its stack, so each cache line the frame spans is a line the
 /// spawn fast path writes. Asserted below and in `layout.rs`.
+///
+/// # Drop
+///
+/// Every `join2` also drops a frame, so the drop is one inline load of
+/// `flagged` (see the `Drop` impl). The two fields that own resources are
+/// `ManuallyDrop` for that reason: a frame is dropped only after its
+/// last sync resumed, which emptied `suspended_stack`, and `panic` holds
+/// a payload only once `flagged` is set.
 #[cfg_attr(not(loom), repr(C))]
 pub struct FrameCore {
     /// Set (relaxed) when any child strand of this frame records a panic;
@@ -54,10 +63,12 @@ pub struct FrameCore {
     pub sync_ctx: UnsafeCell<RawContext>,
     /// The stack holding the suspended frame; the resuming control flow
     /// takes it over as its current stack.
-    pub suspended_stack: UnsafeCell<Option<Stack>>,
+    pub suspended_stack: UnsafeCell<ManuallyDrop<Option<Stack>>>,
     /// First panic observed in any child strand of this frame. Multiple
-    /// children may panic concurrently, hence the mutex (cold path).
-    pub panic: Mutex<Option<PanicPayload>>,
+    /// children may panic concurrently, hence the mutex (cold path). The
+    /// mutex is locked only once `flagged` is set (`set_panic` stores the
+    /// flag first; `take_panic` and the drop skip an unflagged frame).
+    pub panic: ManuallyDrop<Mutex<Option<PanicPayload>>>,
 }
 
 #[cfg(not(loom))]
@@ -75,8 +86,8 @@ impl FrameCore {
             flagged: AtomicU32::new(0),
             scope: Cell::new(core::ptr::null()),
             sync_ctx: UnsafeCell::new(RawContext::null()),
-            suspended_stack: UnsafeCell::new(None),
-            panic: Mutex::new(None),
+            suspended_stack: UnsafeCell::new(ManuallyDrop::new(None)),
+            panic: ManuallyDrop::new(Mutex::new(None)),
         }
     }
 
@@ -121,7 +132,39 @@ impl FrameCore {
         if !self.is_flagged() {
             return None;
         }
+        self.take_flagged_panic()
+    }
+
+    /// The locked tail of [`take_panic`](Self::take_panic), for a flagged
+    /// frame.
+    #[cold]
+    #[inline(never)]
+    fn take_flagged_panic(&self) -> Option<PanicPayload> {
         self.panic.lock().take()
+    }
+
+    /// The tail of the drop, for a flagged frame: drops the panic slot
+    /// with any payload nobody took.
+    #[cold]
+    #[inline(never)]
+    fn drop_flagged(&mut self) {
+        // SAFETY: called once, from `drop`; nothing reads `panic` after.
+        unsafe { ManuallyDrop::drop(&mut self.panic) }
+    }
+}
+
+impl Drop for FrameCore {
+    /// One relaxed load for an unflagged frame: its stack slot is empty
+    /// and its panic mutex was never locked, so there is nothing to free.
+    #[inline]
+    fn drop(&mut self) {
+        debug_assert!(
+            self.suspended_stack.get_mut().is_none(),
+            "frame dropped with a suspended stack"
+        );
+        if self.is_flagged() {
+            self.drop_flagged();
+        }
     }
 }
 
@@ -206,6 +249,50 @@ mod tests {
             Ok(true),
             "unflagged take_panic waited for the lock"
         );
+    }
+
+    /// A payload nobody took is dropped with the frame, exactly once.
+    #[test]
+    fn dropped_frame_drops_an_untaken_payload_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        let drops = Arc::new(AtomicUsize::new(0));
+        let frame = crate::record::Frame::new();
+        frame.core.set_panic(Box::new(Counted(drops.clone())));
+        assert_eq!(drops.load(Ordering::Relaxed), 0);
+        drop(frame);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+    }
+
+    /// Dropping an unflagged frame must not wait for the panic mutex: with
+    /// the lock left held, the drop on another thread still finishes.
+    #[test]
+    fn unflagged_frame_drop_takes_no_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let frame = crate::record::Frame::new();
+        // Leave the mutex locked with no guard to release it.
+        core::mem::forget(frame.core.panic.lock());
+        let (tx, rx) = mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(frame);
+            tx.send(()).unwrap();
+        });
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(1)),
+            Ok(()),
+            "unflagged frame drop waited for the lock"
+        );
+        dropper.join().unwrap();
     }
 
     #[test]

@@ -165,6 +165,7 @@ fn spawn_workers<P: Protocol>(shared: &Arc<Shared>, started: &Arc<Barrier>) -> V
                     flavor: config.flavor,
                     index,
                     shared: shared.clone(),
+                    stats: core::ptr::NonNull::from(&shared.stats[index]),
                     cache: WorkerStackCache::new(shared.pool.clone(), config.stack_cache),
                     current_stack: None,
                     incoming_stack: None,

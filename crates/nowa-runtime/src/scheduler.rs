@@ -21,11 +21,15 @@
 //!
 //! # Sync (`sync_execute`)
 //!
-//! The fast path is one relaxed load + one acquire load (`sync_precheck`).
-//! Suspension captures the sync continuation into the frame, moves the
-//! (now blocked) stack into the frame, applies the madvise policy below the
-//! suspended stack pointer (§V-B), restores the counter (Eq. 5) and dives
-//! into the work-finding loop on a fresh stack.
+//! The fast path is one relaxed load + one acquire load (`sync_precheck`),
+//! one counter bump and the re-arm, inlined into every combinator along
+//! with the erasure seam's flavor match: an un-stolen `join2` makes no
+//! call for its sync beyond the TLS read of the worker. Suspension is the
+//! out-of-line, `#[cold]` `sync_suspend`: it captures the sync
+//! continuation into the frame, moves the (now blocked) stack into the
+//! frame, applies the madvise policy below the suspended stack pointer
+//! (§V-B), restores the counter (Eq. 5) and dives into the work-finding
+//! loop on a fresh stack.
 //!
 //! # Flavors
 //!
@@ -46,8 +50,8 @@ use crate::flavor::{with_protocol, Protocol};
 use crate::record::{Frame, SpawnRecord};
 use crate::stats::{self, frame_id, Counter};
 use crate::worker::{
-    current_worker, find_work_in, finish_resume, park_current_stack, resume_record, resume_sync,
-    stage_fresh_stack, AbortOnUnwind, FlavoredWorker, Worker,
+    current_worker, fill_slot, find_work_in, finish_resume, park_current_stack, resume_record,
+    resume_sync, stage_fresh_stack, AbortOnUnwind, FlavoredWorker, Worker,
 };
 
 /// Arguments shipped from `spawn_execute` to `spawn_body` (read and moved
@@ -110,7 +114,7 @@ where
 
         let mut record = SpawnRecord::new(frame);
         // The parent's stack travels with the continuation.
-        record.stack = (*worker).current_stack.take();
+        fill_slot(&mut record.stack, (*worker).current_stack.take());
         let mut args = SpawnArgs {
             worker,
             record: &mut record,
@@ -150,7 +154,10 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
             .closure
             .take()
             .expect("closure staged by spawn_execute");
-        (*worker).current_stack = (*worker).incoming_stack.take();
+        fill_slot(
+            &mut (*worker).current_stack,
+            (*worker).incoming_stack.take(),
+        );
         let deque = &(*FlavoredWorker::<P>::of(worker)).deque;
 
         // Chaos: maybe yield right before the push, widening the window in
@@ -248,9 +255,14 @@ struct SyncArgs {
 /// so results/slots can be dropped in a defined order); use
 /// [`Frame::core`]`.take_panic()` afterwards.
 ///
+/// Inlined into every combinator: the fast path is the protocol's
+/// precheck, one counter bump and the re-arm, and the suspension is the
+/// out-of-line, `#[cold]` `sync_suspend`.
+///
 /// # Safety
 /// Must be called on a worker thread, by the main-path control flow of
 /// `frame`'s current spawn region.
+#[inline(always)]
 pub unsafe fn sync_execute(frame: &Frame) {
     let worker = current_worker();
     debug_assert!(!worker.is_null(), "sync_execute requires a worker thread");
@@ -287,8 +299,22 @@ unsafe fn sync_in<P: Protocol>(worker: *mut Worker, frame: &Frame) {
             P::rearm(frame);
             return;
         }
+        sync_suspend::<P>(worker, frame)
+    }
+}
 
-        // Suspension path: stage a fresh stack for the work-finding loop.
+/// The suspension tail of [`sync_in`]: captures the sync continuation,
+/// runs [`sync_body`] on a fresh stack, and returns once the sync
+/// condition holds — possibly on another OS thread. Out of line and cold,
+/// so the inline sync fast path carries none of it.
+///
+/// # Safety
+/// As [`sync_in`].
+#[cold]
+#[inline(never)]
+unsafe fn sync_suspend<P: Protocol>(worker: *mut Worker, frame: &Frame) {
+    unsafe {
+        // Stage a fresh stack for the work-finding loop.
         let fresh_top = stage_fresh_stack(worker);
         let mut args = SyncArgs { worker, frame };
 
@@ -333,7 +359,7 @@ unsafe extern "C" fn sync_body<P: Protocol>(arg: *mut c_void) -> ! {
         park_current_stack(
             worker,
             (*(*frame).core.sync_ctx.get()).0,
-            (*frame).core.suspended_stack.get(),
+            (*frame).core.suspended_stack.get().cast(),
         );
 
         // Restore N_r (Eq. 5). If every child joined in the meantime, the

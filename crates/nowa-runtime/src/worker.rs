@@ -101,6 +101,10 @@ pub struct Worker {
     pub index: usize,
     /// Shared runtime state.
     pub shared: Arc<Shared>,
+    /// This worker's stat block, `shared.stats[index]`, cached so that a
+    /// counter bump is one load instead of a reload of `shared` plus a
+    /// bounds check. Points into `shared`, which this worker keeps alive.
+    pub(crate) stats: core::ptr::NonNull<WorkerStats>,
     /// Private stack cache over the global pool.
     pub cache: WorkerStackCache,
     /// Handle of the stack the worker is currently executing on.
@@ -167,7 +171,9 @@ impl Worker {
     /// This worker's stat block.
     #[inline]
     pub fn stats(&self) -> &WorkerStats {
-        &self.shared.stats[self.index]
+        // SAFETY: set at construction to `shared.stats[index]`, which the
+        // `shared` Arc held by this worker keeps alive and never moves.
+        unsafe { self.stats.as_ref() }
     }
 
     /// Next pseudo-random number (xorshift64*).
@@ -226,6 +232,24 @@ impl Drop for AbortOnUnwind {
     }
 }
 
+/// Writes `stack` into the empty hand-off slot `slot`. Every slot a
+/// transfer step writes is empty by the `current_stack` invariant, so the
+/// plain assignment's `Option<Stack>` drop would only ever see `None`:
+/// the write skips that drop glue, and the invariant is debug-asserted
+/// instead. (A full slot in a release build would leak its stack, not
+/// free a live one.)
+///
+/// # Safety
+/// `slot` must be valid for reads and writes.
+// lint: wait-free
+#[inline(always)]
+pub(crate) unsafe fn fill_slot(slot: *mut Option<Stack>, stack: Option<Stack>) {
+    unsafe {
+        debug_assert!((*slot).is_none(), "stack hand-off slot already full");
+        slot.write(stack);
+    }
+}
+
 /// Stages a fresh stack for the control flow about to be switched onto (a
 /// child, or the work-finding loop of a suspending strand) and returns its
 /// top. The far side of the capture adopts it from `incoming_stack`.
@@ -238,8 +262,7 @@ pub(crate) unsafe fn stage_fresh_stack(worker: *mut Worker) -> *mut c_void {
         chaos::on_stack_get(worker);
         let fresh = (*worker).cache.get();
         let top = fresh.top();
-        debug_assert!((*worker).incoming_stack.is_none());
-        (*worker).incoming_stack = Some(fresh);
+        fill_slot(&mut (*worker).incoming_stack, Some(fresh));
         top
     }
 }
@@ -270,8 +293,11 @@ pub(crate) unsafe fn park_current_stack(
             w.shared.config.madvise
         };
         blocked.release_below(sp, madvise);
-        *holder = Some(blocked);
-        (*worker).current_stack = (*worker).incoming_stack.take();
+        fill_slot(holder, Some(blocked));
+        fill_slot(
+            &mut (*worker).current_stack,
+            (*worker).incoming_stack.take(),
+        );
     }
 }
 
@@ -291,8 +317,10 @@ pub(crate) unsafe fn resume_captured(
 ) -> ! {
     unsafe {
         (*worker).cancel_scope = scope;
-        debug_assert!((*worker).pending_recycle.is_none());
-        (*worker).pending_recycle = (*worker).current_stack.take();
+        fill_slot(
+            &mut (*worker).pending_recycle,
+            (*worker).current_stack.take(),
+        );
         debug_assert!(!ctx.is_null());
         resume(ctx, worker as *mut c_void)
     }
@@ -310,9 +338,8 @@ pub(crate) unsafe fn resume_captured(
 pub(crate) unsafe fn finish_resume(payload: *mut c_void, stack: Option<Stack>) {
     let worker = payload as *mut Worker;
     unsafe {
-        debug_assert!((*worker).current_stack.is_none());
         debug_assert!(stack.is_some());
-        (*worker).current_stack = stack;
+        fill_slot(&mut (*worker).current_stack, stack);
         if let Some(stack) = (*worker).pending_recycle.take() {
             (*worker).cache.put(stack);
         }
@@ -398,7 +425,10 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
 
         if shared.shutdown.load(Ordering::Acquire) {
             unsafe {
-                (*worker).pending_recycle = (*worker).current_stack.take();
+                fill_slot(
+                    &mut (*worker).pending_recycle,
+                    (*worker).current_stack.take(),
+                );
                 let ctx = (*worker).exit_ctx;
                 resume(ctx, worker as *mut c_void)
             }
@@ -716,7 +746,10 @@ unsafe extern "C" fn worker_body<P: Protocol>(arg: *mut c_void) -> ! {
     let _guard = AbortOnUnwind;
     unsafe {
         let worker = arg as *mut Worker;
-        (*worker).current_stack = (*worker).incoming_stack.take();
+        fill_slot(
+            &mut (*worker).current_stack,
+            (*worker).incoming_stack.take(),
+        );
         find_work_in::<P>()
     }
 }
@@ -745,7 +778,7 @@ pub fn worker_main<P: Protocol>(mut flavored: Box<FlavoredWorker<P>>, started: &
     unsafe {
         let first = (*wptr).cache.get();
         let top = first.top();
-        (*wptr).incoming_stack = Some(first);
+        fill_slot(&mut (*wptr).incoming_stack, Some(first));
         let payload = capture_and_run_on(
             &mut (*wptr).exit_ctx,
             top,
