@@ -23,7 +23,7 @@
 use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::cancel::{self, CancelCell, CancelReason, CancelToken, ScopeHandle};
 use crate::foreign::{foreign_executor, foreign_join2};
@@ -511,8 +511,8 @@ pub struct Region {
     frame: Frame,
     /// The region's own cancellation scope; `Some` iff built with
     /// [`Region::cancellable`] / [`Region::with_deadline`]. The `Arc`
-    /// keeps the cell alive for outstanding [`CancelToken`]s and the
-    /// deadline queue after the region itself is gone.
+    /// keeps the cell alive for outstanding [`CancelToken`]s after the
+    /// region itself is gone.
     scope: Option<Arc<ScopeHandle>>,
     /// Children deferred under a foreign (child-stealing) executor; run as
     /// a balanced join tree at the sync. Deferral *is* child-stealing
@@ -558,7 +558,8 @@ impl Region {
 
     /// A cancellable region whose scope is cancelled automatically
     /// ([`CancelReason::Deadline`]) once
-    /// `timeout` elapses, driven by the runtime's watchdog thread.
+    /// `timeout` elapses: by the next reactor poll or watchdog sweep after
+    /// it. A `timeout` too long for `Instant` to represent never fires.
     /// Outside a runtime the deadline is inert (serial elision runs to
     /// completion); the token still works.
     ///
@@ -583,18 +584,17 @@ impl Region {
     /// assert_eq!(cancelled.reason, CancelReason::Deadline);
     /// ```
     pub fn with_deadline(timeout: Duration) -> Region {
-        let region = Region::cancellable();
-        if let Some(scope) = &region.scope {
-            let worker = current_worker();
-            if !worker.is_null() {
-                // SAFETY: non-null means the calling thread's live worker.
-                unsafe {
-                    let shared = &(*worker).shared;
-                    shared.deadlines.arm(scope, Instant::now() + timeout);
-                }
-            }
+        let worker = current_worker();
+        if worker.is_null() {
+            return Region::cancellable();
         }
-        region
+        // SAFETY: non-null means the calling thread's live worker.
+        let (shared, parent) = unsafe { (&(*worker).shared, (*worker).cancel_scope) };
+        Region::build(Some(crate::time::deadline_scope(
+            &shared.reactor,
+            timeout,
+            parent,
+        )))
     }
 
     /// A clonable, sendable token that cancels this region, or `None` for
@@ -646,6 +646,7 @@ impl Region {
         };
         Arc::new(ScopeHandle {
             cell: CancelCell::new(parent),
+            deadline: None,
         })
     }
 
@@ -907,6 +908,16 @@ impl Drop for Region {
             run_deferred(&mut deferred);
         }
         self.restore_ambient();
+        // A completed region's deadline entry leaves the map now, not when
+        // it comes due.
+        if let Some(key) = self.scope.as_ref().and_then(|s| s.deadline) {
+            let worker = current_worker();
+            if !worker.is_null() {
+                // SAFETY: non-null means the calling thread's live worker.
+                let shared = unsafe { &(*worker).shared };
+                shared.reactor.deadlines.remove(key);
+            }
+        }
         // Panics captured from children are intentionally dropped here if
         // the region is dropped during an unwind; `sync()` on the normal
         // path propagates them.

@@ -24,9 +24,9 @@
 //! pointers into its stack).
 
 use crate::sync::{AtomicU32, Ordering};
+use crate::time::Key;
 use std::fmt;
 use std::sync::{Arc, Weak};
-use std::time::Instant;
 
 /// Why a scope was cancelled. The first cause wins and sticks; later
 /// cancellations of the same scope are idempotent no-ops.
@@ -236,12 +236,16 @@ pub(crate) unsafe fn cancel_enclosing_region(
     }
     // SAFETY: live per the function contract.
     if unsafe { (*scope).cancel(reason) } {
-        // Strands of this region parked in `block_on` have no checkpoint
-        // to trip; broadcast so they re-check their scope chains. (Cells
-        // of unrelated scopes wake spuriously, re-poll, and re-park.)
-        shared.async_waiters.wake_all();
-        shared.reactor.kick_if_claimed();
+        broadcast(shared);
     }
+}
+
+/// After a scope latched: strands parked in `block_on` have no checkpoint
+/// to trip, so wake them all to re-check their scope chains. (Cells of
+/// unrelated scopes wake spuriously, re-poll, and re-park.)
+pub(crate) fn broadcast(shared: &crate::worker::Shared) {
+    shared.async_waiters.wake_all();
+    shared.reactor.kick_if_claimed();
 }
 
 /// Raises the typed [`Cancelled`] unwind. Out of line: checkpoints stay
@@ -253,9 +257,12 @@ pub(crate) fn raise(reason: CancelReason) -> ! {
 }
 
 /// The Arc'd owner of a cancellable region's cell. Regions hold the Arc;
-/// tokens clone it; the deadline queue holds a Weak.
+/// tokens clone it; the deadline map holds a Weak.
 pub(crate) struct ScopeHandle {
     pub(crate) cell: CancelCell,
+    /// The region's entry in the deadline map, if it has a deadline; the
+    /// region removes it when it completes.
+    pub(crate) deadline: Option<Key>,
 }
 
 /// A clonable, sendable handle that cancels one region.
@@ -283,11 +290,7 @@ impl CancelToken {
         let latched = self.scope.cell.cancel(CancelReason::Token);
         if latched {
             if let Some(shared) = self.shared.upgrade() {
-                // Strands of this region parked in `block_on` have no
-                // checkpoint to trip; wake them so they re-check their
-                // scope chains (see `cancel_enclosing_region`).
-                shared.async_waiters.wake_all();
-                shared.reactor.kick_if_claimed();
+                broadcast(&shared);
             }
         }
         latched
@@ -304,57 +307,6 @@ impl fmt::Debug for CancelToken {
         f.debug_struct("CancelToken")
             .field("cancelled", &self.is_cancelled())
             .finish()
-    }
-}
-
-/// Pending region deadlines, fired by the watchdog thread.
-///
-/// A `Weak` per armed region: a region that completes before its deadline
-/// drops the strong count and the entry prunes itself on the next sweep,
-/// so completed regions cost nothing and are never touched again.
-#[derive(Default)]
-pub(crate) struct DeadlineQueue {
-    entries: parking_lot::Mutex<Vec<(Weak<ScopeHandle>, Instant)>>,
-    /// Signalled on arm and on shutdown so the watchdog re-plans its nap.
-    pub(crate) cv: parking_lot::Condvar,
-}
-
-impl DeadlineQueue {
-    /// Arms `scope` to be cancelled at `at`.
-    pub(crate) fn arm(&self, scope: &Arc<ScopeHandle>, at: Instant) {
-        self.entries.lock().push((Arc::downgrade(scope), at));
-        self.cv.notify_one();
-    }
-
-    /// Fires every expired deadline, prunes dead entries, and returns the
-    /// next pending expiry (if any) plus how many scopes were latched —
-    /// a non-zero count tells the watchdog to broadcast to parked async
-    /// strands, which have no checkpoint to trip on their own. Called from
-    /// the watchdog loop.
-    pub(crate) fn fire_due(&self, now: Instant) -> (Option<Instant>, usize) {
-        let mut entries = self.entries.lock();
-        let mut next: Option<Instant> = None;
-        let mut fired = 0usize;
-        entries.retain(|(weak, at)| {
-            let Some(scope) = weak.upgrade() else {
-                return false;
-            };
-            if *at <= now {
-                scope.cell.cancel(CancelReason::Deadline);
-                fired += 1;
-                return false;
-            }
-            next = Some(next.map_or(*at, |n| n.min(*at)));
-            true
-        });
-        (next, fired)
-    }
-
-    /// Parks the watchdog on the queue's condvar for `dur`; wakes early
-    /// when a new deadline is armed or shutdown notifies.
-    pub(crate) fn wait(&self, dur: std::time::Duration) {
-        let mut entries = self.entries.lock();
-        let _ = self.cv.wait_for(&mut entries, dur);
     }
 }
 
@@ -402,29 +354,5 @@ mod tests {
         }
         assert_eq!(CancelReason::from_flag(SCOPE_LIVE), None);
         assert_eq!(CancelReason::from_flag(99), None);
-    }
-
-    #[test]
-    fn deadline_queue_fires_due_and_prunes_dead() {
-        let q = DeadlineQueue::default();
-        let now = Instant::now();
-        let live = Arc::new(ScopeHandle {
-            cell: CancelCell::new(std::ptr::null()),
-        });
-        let dead = Arc::new(ScopeHandle {
-            cell: CancelCell::new(std::ptr::null()),
-        });
-        let future = Arc::new(ScopeHandle {
-            cell: CancelCell::new(std::ptr::null()),
-        });
-        q.arm(&live, now);
-        q.arm(&dead, now);
-        q.arm(&future, now + std::time::Duration::from_secs(60));
-        drop(dead); // region completed before its deadline
-        let (next, fired) = q.fire_due(now);
-        assert_eq!(live.cell.local(), Some(CancelReason::Deadline));
-        assert_eq!(future.cell.local(), None, "future deadline untouched");
-        assert_eq!(next, Some(now + std::time::Duration::from_secs(60)));
-        assert_eq!(fired, 1, "the pruned entry doesn't count as fired");
     }
 }

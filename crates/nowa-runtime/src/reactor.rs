@@ -1,4 +1,4 @@
-//! The epoll reactor: I/O readiness and timers for the async surface.
+//! The epoll reactor: I/O readiness for the async surface.
 //!
 //! There is exactly ONE reactor per runtime and NO dedicated reactor
 //! thread. Idle workers poll it themselves: on the spin/yield rungs of the
@@ -6,11 +6,12 @@
 //! a source is registered, and a worker that would otherwise futex-park
 //! first tries to claim the poller slot and sleeps in `epoll_wait` instead
 //! of on a futex, with its timeout clamped to `min(IdleConfig::max_park,
-//! next timer deadline)`. Everything the idle engine documents about
-//! bounded parks applies verbatim: the claim/release handshake has a
-//! store-buffering window (a producer can miss the poller exactly as it
-//! can miss a futex sleeper), and the bounded timeout is the
-//! belt-and-braces backstop for it.
+//! next deadline)` — the earliest entry of the runtime's deadline map
+//! ([`crate::time`]), which every poll then fires. Everything the idle
+//! engine documents about bounded parks applies verbatim: the
+//! claim/release handshake has a store-buffering window (a producer can
+//! miss the poller exactly as it can miss a futex sleeper), and the
+//! bounded timeout is the belt-and-braces backstop for it.
 //!
 //! Readiness is edge-triggered: a source is registered once for
 //! `IN|OUT|RDHUP` with `EPOLLET`, and every reported edge is latched in
@@ -45,7 +46,7 @@ use nowa_context::sys::{self, epoll, EpollEvent, EpollWait};
 use crate::chaos;
 use crate::stats::{self, Counter};
 use crate::sync::{AtomicU32, AtomicUsize, Ordering};
-use crate::time::TimerWheel;
+use crate::time::Deadlines;
 use crate::worker::{current_worker, Shared, Worker};
 
 /// Event-cookie for the kick eventfd; real sources use slab keys, which
@@ -208,9 +209,8 @@ impl PollerSlot {
     }
 
     /// Releases the slot (claimant only). The SeqCst store also publishes
-    /// the outgoing poller's duty-state writes (timer-wheel advances,
-    /// dispatched readiness) to the next claimant, whose claim CAS reads
-    /// the `0` this stores.
+    /// the outgoing poller's duty-state writes (dispatched readiness) to
+    /// the next claimant, whose claim CAS reads the `0` this stores.
     pub fn release(&self) {
         // ordering: §7b "reactor poller claim" — SeqCst store pairs with
         // the claim CAS and the `claimed` load.
@@ -235,9 +235,9 @@ pub(crate) struct Reactor {
     /// Registered sources: the gate of the idle ladder's busy poll and
     /// the `reactor_sources` gauge.
     registered: AtomicUsize,
-    /// The timer wheel rides the reactor: its next deadline clamps the
-    /// poll timeout and every poll advances it.
-    pub(crate) timers: TimerWheel,
+    /// The deadline map rides the reactor: its earliest entry clamps the
+    /// poll timeout, and every poll fires it.
+    pub(crate) deadlines: Deadlines,
 }
 
 impl Reactor {
@@ -268,7 +268,7 @@ impl Reactor {
             kick_writes: AtomicUsize::new(0),
             sources: parking_lot::Mutex::new(SourceSlab::default()),
             registered: AtomicUsize::new(0),
-            timers: TimerWheel::new(),
+            deadlines: Deadlines::new(),
         })
     }
 
@@ -296,7 +296,7 @@ impl Reactor {
     /// `write(2)`.
     pub(crate) fn kick(&self) {
         // ordering: §7b "kick coalescing" — Release so the work made
-        // visible before the kick (ready push, timer insert) is ordered
+        // visible before the kick (ready push, deadline insert) is ordered
         // before the flag a drain will clear.
         if self.kick_armed.swap(1, Ordering::Release) == 0 {
             #[cfg(test)]
@@ -427,21 +427,27 @@ impl Reactor {
 
     /// One reactor poll by the claimant of the poller slot. Waits up to
     /// `timeout_ms` (0 for a busy poll; otherwise already clamped to
-    /// `max_park` and the next timer deadline by the caller), dispatches
-    /// I/O readiness, advances the timer wheel, and appends every waker
-    /// due to `woken`. The caller wakes them after
+    /// `max_park` and the next deadline by the caller), dispatches I/O
+    /// readiness, fires the deadline map, and appends every waker due to
+    /// `woken`. Returns whether it latched a region deadline. The caller
+    /// wakes the wakers, and broadcasts a latched deadline, after
     /// [`release`](Reactor::release); workers pass a buffer they reuse
     /// from poll to poll, so a poll allocates nothing.
     ///
     /// # Safety
     /// `worker` must be the calling thread's live worker.
-    pub(crate) unsafe fn poll(&self, worker: *mut Worker, timeout_ms: u64, woken: &mut Vec<Waker>) {
+    pub(crate) unsafe fn poll(
+        &self,
+        worker: *mut Worker,
+        timeout_ms: u64,
+        woken: &mut Vec<Waker>,
+    ) -> bool {
         let mut dispatched = 0usize;
         // SAFETY: `worker` is the calling thread's live worker (caller
         // contract).
         if unsafe { chaos::on_reactor_eintr(worker) } {
             // Modelled EINTR: the syscall is skipped entirely and the poll
-            // behaves as an interrupted wait (timers still advance below).
+            // behaves as an interrupted wait (deadlines still fire below).
         } else if unsafe { chaos::on_reactor_poll(worker) } {
             // Modelled spurious wakeup: zero events without blocking.
         } else {
@@ -464,7 +470,7 @@ impl Reactor {
                 EpollWait::Interrupted => {}
             }
         }
-        let timer_count = self.timers.advance(Instant::now(), woken);
+        let (timer_count, latched) = self.deadlines.fire_due(Instant::now(), woken);
         // SAFETY: `worker` is the calling thread's live worker (caller
         // contract), so dereferencing it for stats and trace hooks is sound.
         unsafe {
@@ -478,16 +484,7 @@ impl Reactor {
                 stats::add(worker, Counter::reactor_events, dispatched as u64);
             }
         }
-    }
-
-    /// Timer-only advance for threads that are not workers (the watchdog
-    /// sweep). Bounds timer staleness when every worker is busy and nobody
-    /// has polled in a while — the same role the watchdog already plays for
-    /// region deadlines.
-    pub(crate) fn advance_timers_external(&self) {
-        let mut fired = Vec::new();
-        self.timers.advance(Instant::now(), &mut fired);
-        fired.into_iter().for_each(Waker::wake);
+        latched
     }
 }
 
@@ -499,11 +496,11 @@ impl Drop for Reactor {
 }
 
 // SAFETY: every field is either plain-old-data fds, an atomic, a Mutex, or
-// the internally synchronised timer wheel; all cross-thread access goes
+// the internally synchronised deadline map; all cross-thread access goes
 // through those.
 unsafe impl Send for Reactor {}
 // SAFETY: same argument as `Send` above — shared access synchronises
-// through the atomics, the sources Mutex and the timer wheel's own locks.
+// through the atomics, the sources Mutex and the deadline map's lock.
 unsafe impl Sync for Reactor {}
 
 // ---- public async fd surface --------------------------------------------

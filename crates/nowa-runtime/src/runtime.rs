@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use nowa_context::{RawContext, StackPool, WorkerStackCache};
 use parking_lot::{Condvar, Mutex};
 
-use crate::cancel::{CancelCell, CancelReason, DeadlineQueue};
+use crate::cancel::{CancelCell, CancelReason};
 use crate::config::Config;
 use crate::flavor::{with_protocol, Flavor, Protocol};
 use crate::idle::IdleState;
@@ -233,7 +233,6 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             cancel_root: CancelCell::new(core::ptr::null()),
             active_roots: AtomicU64::new(0),
-            deadlines: DeadlineQueue::default(),
             async_waiters: Default::default(),
             reactor: crate::reactor::Reactor::new().map_err(|e| RuntimeError::Reactor(e.0))?,
             pool: pool.clone(),
@@ -275,9 +274,9 @@ impl Runtime {
         // the watchdog and this thread.
         let started = Arc::new(Barrier::new(config.workers + 2));
 
-        // Always spawned: the thread drives region deadlines even when the
-        // stall watchdog (`config.watchdog`) is off, and sleeps on the
-        // deadline condvar when it has nothing to do.
+        // Always spawned: the thread fires deadlines when no worker polls
+        // the reactor, even when the stall watchdog (`config.watchdog`) is
+        // off, and naps on the deadline map when it has nothing to do.
         let watchdog = Some(crate::watchdog::spawn(shared.clone(), started.clone()));
 
         // The flavor is resolved here, once: every worker is built as a
@@ -311,7 +310,7 @@ impl Runtime {
     /// Everything the runtime can report about itself, read at one
     /// instant: per-worker and aggregate scheduler counters, stack-pool
     /// activity, idle workers, watchdog reports, registered reactor
-    /// sources, armed timers and (when compiled and
+    /// sources, armed deadlines and (when compiled and
     /// configured) fault-injection counters. Pull-based — each call
     /// re-reads the relaxed counters; there is no background thread and no
     /// hot-path cost. Render it with [`Snapshot::render_table`],
@@ -507,7 +506,7 @@ impl Runtime {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.idle.wake_all();
         self.shared.reactor.kick();
-        self.shared.deadlines.cv.notify_all();
+        self.shared.reactor.deadlines.close();
 
         let mut error = ShutdownError::default();
         for t in self.threads.lock().drain(..) {
@@ -531,8 +530,8 @@ impl Runtime {
             }
         }
         if let Some(w) = self.watchdog.lock().take() {
-            // The watchdog re-checks the exit flag on every condvar wakeup
-            // and was notified above; its join is prompt.
+            // The deadline map was closed above, so the watchdog naps no
+            // more and sees the exit flag; its join is prompt.
             if let Err(payload) = w.join() {
                 error
                     .panicked

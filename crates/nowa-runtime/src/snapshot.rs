@@ -55,8 +55,9 @@ pub struct Snapshot {
     /// Fds registered with the reactor (live `AsyncFd`s). While it is
     /// non-zero, idle workers busy-poll the reactor before they park.
     pub reactor_sources: usize,
-    /// Timers armed on the wheel (`sleep`/`timeout` not yet fired or
-    /// dropped).
+    /// Entries in the deadline map, of both kinds: `sleep`/`timeout`
+    /// timers not yet fired or dropped, and deadlines of
+    /// `Region::with_deadline` regions not yet fired or completed.
     pub timers_pending: usize,
     /// Fault-injection counters (site visits and injections fired),
     /// aggregated over workers; `None` unless the runtime was configured
@@ -89,7 +90,7 @@ impl Shared {
             idle_workers: self.idle.sleepers() as usize,
             watchdog_reports: self.watchdog_reports.load(Ordering::Relaxed),
             reactor_sources: self.reactor.sources(),
-            timers_pending: self.reactor.timers.len(),
+            timers_pending: self.reactor.deadlines.len(),
             #[cfg(feature = "chaos")]
             chaos: self
                 .chaos
@@ -172,7 +173,7 @@ impl Snapshot {
             ),
             (
                 "timers_pending",
-                "Timers armed on the wheel.",
+                "Entries in the deadline map: timers and region deadlines.",
                 false,
                 self.timers_pending as u64,
             ),

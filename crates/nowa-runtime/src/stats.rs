@@ -146,7 +146,7 @@ event_table! {
     reactor_events: progress false, trace Rare(K::ReactorPoll),
         "I/O readiness events dispatched by reactor polls.";
     timer_fires: progress false, trace Rare(K::TimerFire),
-        "Timer-wheel entries fired by reactor polls.";
+        "sleep/timeout timers fired by reactor polls.";
 }
 
 /// Per-worker event counters, cache-line padded so two workers' counters

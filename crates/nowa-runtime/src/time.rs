@@ -1,195 +1,231 @@
-//! Timers for the async surface: a hashed timer wheel driving `sleep` and
-//! `timeout`.
+//! Deadlines: one ordered map per runtime, driving `sleep`, `timeout` and
+//! [`Region::with_deadline`](crate::api::Region::with_deadline).
 //!
-//! The wheel is coarse by design: ~1 ms ticks, 256 slots, entries hashed
-//! by deadline tick with no per-slot ordering (a slot is drained by
-//! comparing each entry's absolute deadline tick, so wrap-around costs
-//! nothing extra). Serving timeouts are tens of milliseconds; a 1 ms
-//! grain is far below the noise floor of an epoll wake (DESIGN.md §6h
-//! discusses the granularity choice).
+//! `Deadlines` is a mutex around a `BTreeMap` keyed by `(deadline, id)`.
+//! An entry either wakes a waker (a [`Sleep`], which [`timeout`] races
+//! against its future) or latches a region's scope with
+//! [`CancelReason::Deadline`]. The map's first key is the earliest
+//! deadline, so nothing caches it. An entry fires at the first
+//! `fire_due` whose `now` has reached its deadline, never before.
 //!
-//! Nobody sleeps *on* the wheel. It is advanced from two places:
+//! Nobody sleeps *on* the map. Two places fire it:
 //!
-//! * the reactor poll — every poll advances the wheel (the idle ladder's
+//! * the reactor poll — every poll fires what is due (the idle ladder's
 //!   busy polls as well as the parked poller's wait, whose `epoll_wait`
-//!   timeout is `min(max_park, next deadline)`), so timer latency tracks
-//!   I/O latency while any worker is idle;
-//! * the watchdog thread — the same thread that fires region deadlines
-//!   (PR 7's plumbing) advances the wheel each sweep, bounding timer
-//!   staleness even when every worker is busy for a long stretch.
+//!   timeout is `min(max_park, next deadline)`), so deadline latency
+//!   tracks I/O latency while any worker is idle;
+//! * the watchdog sweep — the watchdog naps until the earliest entry, but
+//!   sweeps at most once per 5 ms; it is the backstop for stretches when
+//!   every worker is busy and nobody polls.
 //!
-//! [`timeout`] composes the wheel with ordinary future polling; for
-//! whole-region deadlines that *cancel* (rather than resolve a future),
-//! [`Region::with_deadline`](crate::api::Region::with_deadline) remains
-//! the right tool — `timeout` returns control, `with_deadline` unwinds.
+//! One rule wakes a sleeper: an insert that becomes the earliest entry
+//! kicks the claimed poller and, when it moves the watchdog's nap earlier,
+//! notifies the watchdog.
+//!
+//! `timeout` returns control; `with_deadline` unwinds a whole region.
 
 use core::future::Future;
 use core::pin::Pin;
 use core::task::{Context, Poll, Waker};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
+use crate::cancel::{CancelCell, CancelReason, ScopeHandle};
+use crate::reactor::Reactor;
 use crate::worker::{current_worker, Shared};
 
-/// Wheel granularity. One tick ≈ 1 ms.
-const TICK_NS: u64 = 1_000_000;
-/// Slot count; deadline ticks hash into slots modulo this.
-const SLOTS: usize = 256;
+/// An entry's place in the map: its deadline, then an id that tells apart
+/// entries due at the same instant.
+pub(crate) type Key = (Instant, u64);
 
-/// One armed timer.
-struct TimerEntry {
-    id: u64,
-    deadline_tick: u64,
-    waker: Waker,
+/// The watchdog sweeps at most this often, however close the earliest
+/// entry is: the claimed poller serves short timers, and the watchdog only
+/// backs it up.
+const WATCHDOG_FLOOR: Duration = Duration::from_millis(5);
+
+/// What an entry does when it comes due.
+enum Due {
+    /// Wakes a [`Sleep`]'s task.
+    Wake(Waker),
+    /// Latches a region's scope. Weak: the region removes its entry when it
+    /// completes, and a scope that is gone has nothing left to cancel.
+    Cancel(Weak<ScopeHandle>),
 }
 
-struct WheelInner {
-    /// Wheel epoch; ticks are measured from here.
-    start: Instant,
-    /// The last tick `advance` processed.
-    cursor: u64,
+struct Map {
+    entries: BTreeMap<Key, Due>,
     next_id: u64,
-    /// Live entries, total.
-    count: usize,
-    /// Minimum live deadline tick (`u64::MAX` when empty). Maintained on
-    /// insert, recomputed whenever the entry holding it leaves the wheel
-    /// (a firing advance, or a remove of the earliest entry).
-    earliest: u64,
-    slots: Vec<Vec<TimerEntry>>,
+    /// The instant the watchdog naps until, while an earlier entry would
+    /// move that nap; `None` while it is awake or napping at its floor.
+    watchdog_until: Option<Instant>,
+    /// Set at shutdown: the watchdog naps no more.
+    closed: bool,
 }
 
-impl WheelInner {
-    fn tick_of(&self, at: Instant) -> u64 {
-        let ns = at.saturating_duration_since(self.start).as_nanos() as u64;
-        ns / TICK_NS
-    }
-
-    fn recompute_earliest(&mut self) {
-        let mut min = u64::MAX;
-        for slot in &self.slots {
-            for e in slot {
-                min = min.min(e.deadline_tick);
-            }
-        }
-        self.earliest = min;
-    }
+/// The per-runtime deadline map. See the module docs.
+pub(crate) struct Deadlines {
+    map: parking_lot::Mutex<Map>,
+    /// The watchdog naps on this.
+    watchdog: parking_lot::Condvar,
 }
 
-/// The hashed timer wheel. One per runtime, owned by the reactor.
-pub(crate) struct TimerWheel {
-    inner: parking_lot::Mutex<WheelInner>,
-}
-
-impl TimerWheel {
-    pub(crate) fn new() -> TimerWheel {
-        TimerWheel {
-            inner: parking_lot::Mutex::new(WheelInner {
-                start: Instant::now(),
-                cursor: 0,
+impl Deadlines {
+    pub(crate) fn new() -> Deadlines {
+        Deadlines {
+            map: parking_lot::Mutex::new(Map {
+                entries: BTreeMap::new(),
                 next_id: 0,
-                count: 0,
-                earliest: u64::MAX,
-                slots: (0..SLOTS).map(|_| Vec::new()).collect(),
+                watchdog_until: None,
+                closed: false,
             }),
+            watchdog: parking_lot::Condvar::new(),
         }
     }
 
-    /// Arms a timer. Returns `(id, slot, became_earliest)`; the caller
-    /// kicks the reactor when the new deadline undercuts the previous
-    /// earliest (a sleeping poller may be napping past it).
-    pub(crate) fn insert(&self, deadline: Instant, waker: Waker) -> (u64, usize, bool) {
-        let mut w = self.inner.lock();
-        // Round *up* and never behind the cursor: a timer must not fire
-        // before its deadline, and a past-due deadline fires on the very
-        // next advance.
-        let tick = w.tick_of(deadline).max(w.cursor) + 1;
-        let id = w.next_id;
-        w.next_id += 1;
-        let slot = (tick % SLOTS as u64) as usize;
-        w.slots[slot].push(TimerEntry {
-            id,
-            deadline_tick: tick,
-            waker,
-        });
-        w.count += 1;
-        let became_earliest = tick < w.earliest;
-        if became_earliest {
-            w.earliest = tick;
+    /// Inserts the entry `due` builds from its key, due at `at`. Returns the
+    /// key and whether the entry became the earliest; notifies the
+    /// watchdog when it moves the watchdog's nap earlier.
+    fn insert(&self, at: Instant, due: impl FnOnce(Key) -> Due) -> (Key, bool) {
+        let mut map = self.map.lock();
+        let key = (at, map.next_id);
+        map.next_id += 1;
+        let first = map.entries.first_key_value().is_none_or(|(k, _)| key < *k);
+        let due = due(key);
+        map.entries.insert(key, due);
+        if first && map.watchdog_until.is_some_and(|until| at < until) {
+            self.watchdog.notify_one();
         }
-        (id, slot, became_earliest)
+        (key, first)
     }
 
-    /// Disarms `id` (hashed into `slot`). No-op if it already fired.
-    pub(crate) fn remove(&self, slot: usize, id: u64) {
-        let mut w = self.inner.lock();
-        let entries = &mut w.slots[slot];
-        if let Some(pos) = entries.iter().position(|e| e.id == id) {
-            let removed = entries.swap_remove(pos);
-            w.count -= 1;
-            // `earliest` must not outlive its entry: `advance` recomputes
-            // it only when something fired, so a stale tick, once passed,
-            // would read as "due now" — a zero poll timeout — forever.
-            if w.count == 0 {
-                w.earliest = u64::MAX;
-            } else if removed.deadline_tick == w.earliest {
-                w.recompute_earliest();
+    /// Removes the entry at `key`. No-op if it already fired.
+    pub(crate) fn remove(&self, key: Key) {
+        self.map.lock().entries.remove(&key);
+    }
+
+    /// Fires every entry due at `now`: latches the due scopes and appends
+    /// the due wakers to `woken`, which the caller wakes outside the lock.
+    /// Returns how many wakers it appended and whether it latched a scope
+    /// — then the caller broadcasts to strands parked in `block_on`, which
+    /// have no checkpoint to trip.
+    pub(crate) fn fire_due(&self, now: Instant, woken: &mut Vec<Waker>) -> (usize, bool) {
+        let (mut timers, mut latched) = (0, false);
+        let mut map = self.map.lock();
+        while let Some(entry) = map.entries.first_entry() {
+            if entry.key().0 > now {
+                break;
             }
-        }
-    }
-
-    /// Fires everything due at `now`: appends the due wakers to `fired`
-    /// (the caller wakes them outside the lock) and returns how many.
-    pub(crate) fn advance(&self, now: Instant, fired: &mut Vec<Waker>) -> usize {
-        let mut w = self.inner.lock();
-        let now_tick = w.tick_of(now);
-        if now_tick <= w.cursor || w.count == 0 {
-            w.cursor = w.cursor.max(now_tick);
-            return 0;
-        }
-        let already = fired.len();
-        // Walk the elapsed ticks, at most one lap: far behind a sparse
-        // wheel, the last SLOTS ticks touch each slot exactly once.
-        let span = (now_tick - w.cursor).min(SLOTS as u64);
-        for t in now_tick - span + 1..=now_tick {
-            let entries = &mut w.slots[(t % SLOTS as u64) as usize];
-            let mut i = 0;
-            while i < entries.len() {
-                if entries[i].deadline_tick <= now_tick {
-                    fired.push(entries.swap_remove(i).waker);
-                } else {
-                    i += 1;
+            match entry.remove() {
+                Due::Wake(waker) => {
+                    woken.push(waker);
+                    timers += 1;
+                }
+                Due::Cancel(scope) => {
+                    if let Some(scope) = scope.upgrade() {
+                        latched |= scope.cell.cancel(CancelReason::Deadline);
+                    }
                 }
             }
         }
-        w.cursor = now_tick;
-        let count = fired.len() - already;
-        w.count -= count;
-        if count > 0 {
-            w.recompute_earliest();
-        }
-        count
+        (timers, latched)
     }
 
-    /// Milliseconds until the earliest armed deadline, capped at `max_ms`
-    /// (the idle engine's `max_park` bound); `max_ms` when no timer is
-    /// armed. Rounds up so a timer never fires early.
-    pub(crate) fn next_timeout_ms(&self, now: Instant, max_ms: u64) -> u64 {
-        let w = self.inner.lock();
-        if w.earliest == u64::MAX {
-            return max_ms;
+    /// Milliseconds until the earliest entry, rounded up so nothing fires
+    /// early, and capped at `max_ms` (the idle engine's `max_park`).
+    pub(crate) fn timeout_ms(&self, now: Instant, max_ms: u64) -> u64 {
+        match self.map.lock().entries.first_key_value() {
+            None => max_ms,
+            Some((&(at, _), _)) => {
+                let ms = at
+                    .saturating_duration_since(now)
+                    .as_nanos()
+                    .div_ceil(1_000_000);
+                ms.min(u128::from(max_ms)) as u64
+            }
         }
-        let now_tick = w.tick_of(now);
-        if w.earliest <= now_tick {
-            return 0;
-        }
-        let ns = (w.earliest - now_tick) * TICK_NS;
-        ns.div_ceil(1_000_000).min(max_ms)
     }
 
-    /// Armed timers right now (the `timers_pending` gauge).
+    /// Armed entries right now, of both kinds (the `timers_pending` gauge).
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().count
+        self.map.lock().entries.len()
+    }
+
+    /// The watchdog's nap after its sweep at `swept`: until the earliest
+    /// entry is due, but no sooner than [`WATCHDOG_FLOOR`] and no later
+    /// than `cap` after the sweep. An insert that moves that instant
+    /// earlier wakes the nap to re-plan; [`close`](Deadlines::close) ends
+    /// it. Entries inserted later than the planned instant do not extend
+    /// the nap, so the sweeps are at least the floor apart.
+    pub(crate) fn nap(&self, swept: Instant, cap: Duration) {
+        let (floor, latest) = (swept + WATCHDOG_FLOOR, swept + cap);
+        let mut map = self.map.lock();
+        while !map.closed {
+            let until = map
+                .entries
+                .first_key_value()
+                .map_or(latest, |(&(at, _), _)| at.max(floor).min(latest));
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            map.watchdog_until = (until > floor).then_some(until);
+            if self.watchdog.wait_for(&mut map, left).timed_out() {
+                break;
+            }
+        }
+        map.watchdog_until = None;
+    }
+
+    /// Ends the watchdog's nap for good (shutdown).
+    pub(crate) fn close(&self) {
+        self.map.lock().closed = true;
+        self.watchdog.notify_all();
+    }
+}
+
+/// Arms an entry due at `at`. One that becomes the earliest kicks the
+/// claimed poller, which may be napping past it.
+fn arm(reactor: &Reactor, at: Instant, due: impl FnOnce(Key) -> Due) -> Key {
+    let (key, first) = reactor.deadlines.insert(at, due);
+    if first {
+        reactor.kick_if_claimed();
+    }
+    key
+}
+
+/// A region scope chained under `parent`, latched with
+/// [`CancelReason::Deadline`] once `timeout` elapses. The scope carries its
+/// key, so the region removes the entry when it completes.
+pub(crate) fn deadline_scope(
+    reactor: &Reactor,
+    timeout: Duration,
+    parent: *const CancelCell,
+) -> Arc<ScopeHandle> {
+    let mut scope = None;
+    arm(reactor, deadline_after(timeout), |key| {
+        let handle = Arc::new(ScopeHandle {
+            cell: CancelCell::new(parent),
+            deadline: Some(key),
+        });
+        let weak = Arc::downgrade(&handle);
+        scope = Some(handle);
+        Due::Cancel(weak)
+    });
+    scope.expect("the entry was built")
+}
+
+/// `Instant::now() + dur`, without panicking when the sum is past what
+/// `Instant` can represent: such a deadline is clamped to an instant no
+/// clock reaches (on Linux about 2^62 s away), so it never fires.
+fn deadline_after(mut dur: Duration) -> Instant {
+    let now = Instant::now();
+    loop {
+        match now.checked_add(dur) {
+            Some(at) => return at,
+            None => dur /= 2,
+        }
     }
 }
 
@@ -197,8 +233,8 @@ impl TimerWheel {
 pub struct Sleep {
     deadline: Instant,
     shared: Arc<Shared>,
-    /// `(id, slot)` of the currently armed wheel entry, if any.
-    registered: Option<(u64, usize)>,
+    /// The armed entry and the waker it holds.
+    armed: Option<(Key, Waker)>,
 }
 
 impl Sleep {
@@ -213,57 +249,52 @@ impl Future for Sleep {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        if Instant::now() >= this.deadline {
-            if let Some((id, slot)) = this.registered.take() {
-                this.shared.reactor.timers.remove(slot, id);
+        let due = Instant::now() >= this.deadline;
+        if let Some((_, waker)) = &this.armed {
+            if !due && waker.will_wake(cx.waker()) {
+                // Polled again by the same task: the entry already wakes it.
+                return Poll::Pending;
             }
+        }
+        if let Some((key, _)) = this.armed.take() {
+            this.shared.reactor.deadlines.remove(key);
+        }
+        if due {
             return Poll::Ready(());
         }
-        // Re-arm with the current waker (it may differ from the one a
-        // previous poll registered).
-        if let Some((id, slot)) = this.registered.take() {
-            this.shared.reactor.timers.remove(slot, id);
-        }
-        let (id, slot, became_earliest) = this
-            .shared
-            .reactor
-            .timers
-            .insert(this.deadline, cx.waker().clone());
-        this.registered = Some((id, slot));
-        if became_earliest {
-            // A claimed poller may be napping past the new deadline.
-            this.shared.reactor.kick_if_claimed();
-        }
+        let waker = cx.waker().clone();
+        let key = arm(&this.shared.reactor, this.deadline, |_| Due::Wake(waker));
+        this.armed = Some((key, cx.waker().clone()));
         Poll::Pending
     }
 }
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        if let Some((id, slot)) = self.registered.take() {
-            self.shared.reactor.timers.remove(slot, id);
+        if let Some((key, _)) = self.armed.take() {
+            self.shared.reactor.deadlines.remove(key);
         }
     }
 }
 
-/// Sleeps asynchronously for `dur` (wheel-granular: rounded up to the next
-/// ~1 ms tick). The strand parks; the worker keeps scheduling.
+/// Sleeps asynchronously for `dur`. The strand parks; the worker keeps
+/// scheduling. A `dur` too long for `Instant` to represent never elapses.
 ///
 /// # Panics
-/// Panics when called outside a runtime worker (the wheel lives on the
-/// runtime).
+/// Panics when called outside a runtime worker (the deadline map lives on
+/// the runtime).
 pub fn sleep(dur: Duration) -> Sleep {
     let worker = current_worker();
     assert!(
         !worker.is_null(),
-        "nowa time::sleep requires a runtime worker (the timer wheel lives on the runtime)"
+        "nowa time::sleep requires a runtime worker (the deadline map lives on the runtime)"
     );
     // SAFETY: non-null means the calling thread's live worker.
     let shared = unsafe { (*worker).shared.clone() };
     Sleep {
-        deadline: Instant::now() + dur,
+        deadline: deadline_after(dur),
         shared,
-        registered: None,
+        armed: None,
     }
 }
 
@@ -307,8 +338,7 @@ impl<F: Future> Future for Timeout<F> {
 /// Awaits `future` for at most `dur`; yields `Err(Elapsed)` if the timer
 /// fires first (the future is dropped, releasing whatever it held).
 ///
-/// Granularity is the wheel tick (~1 ms); for cancelling a whole fork/join
-/// region rather than one future, use
+/// For cancelling a whole fork/join region rather than one future, use
 /// [`Region::with_deadline`](crate::api::Region::with_deadline).
 ///
 /// ```
@@ -335,103 +365,146 @@ pub fn timeout<F: Future>(dur: Duration, future: F) -> Timeout<F> {
 mod tests {
     use super::*;
 
-    fn noop_waker() -> Waker {
-        use core::task::{RawWaker, RawWakerVTable};
-        const VTABLE: RawWakerVTable = RawWakerVTable::new(
-            |_| RawWaker::new(core::ptr::null(), &VTABLE),
-            |_| {},
-            |_| {},
-            |_| {},
-        );
-        // SAFETY: every vtable entry is a no-op.
-        unsafe { Waker::from_raw(RawWaker::new(core::ptr::null(), &VTABLE)) }
+    fn wake_at(map: &Deadlines, at: Instant) -> (Key, bool) {
+        map.insert(at, |_| Due::Wake(Waker::noop().clone()))
     }
 
-    /// Advances `wheel` to `at`; returns how many timers fired.
-    fn fire(wheel: &TimerWheel, at: Instant) -> usize {
-        let mut fired = Vec::new();
-        let n = wheel.advance(at, &mut fired);
-        assert_eq!(n, fired.len());
+    /// Fires `map` at `at`; returns how many wakers fired.
+    fn fire(map: &Deadlines, at: Instant) -> usize {
+        let mut woken = Vec::new();
+        let (n, _) = map.fire_due(at, &mut woken);
+        assert_eq!(n, woken.len());
         n
     }
 
     #[test]
-    fn wheel_fires_due_entries_once() {
-        let wheel = TimerWheel::new();
+    fn fires_due_entries_once() {
+        let map = Deadlines::new();
         let t0 = Instant::now();
-        wheel.insert(t0 + Duration::from_millis(2), noop_waker());
-        wheel.insert(t0 + Duration::from_millis(2), noop_waker());
-        wheel.insert(t0 + Duration::from_secs(60), noop_waker());
-        assert_eq!(wheel.len(), 3);
-        assert_eq!(fire(&wheel, t0), 0, "nothing due yet");
-        let fired = fire(&wheel, t0 + Duration::from_millis(20));
-        assert_eq!(fired, 2, "both short timers fire together");
-        assert_eq!(wheel.len(), 1);
+        wake_at(&map, t0 + Duration::from_millis(2));
+        wake_at(&map, t0 + Duration::from_millis(2));
+        wake_at(&map, t0 + Duration::from_secs(60));
+        assert_eq!(map.len(), 3);
+        assert_eq!(fire(&map, t0), 0, "nothing due yet");
+        assert_eq!(fire(&map, t0 + Duration::from_millis(20)), 2);
+        assert_eq!(map.len(), 1);
         assert_eq!(
-            fire(&wheel, t0 + Duration::from_millis(40)),
+            fire(&map, t0 + Duration::from_millis(40)),
             0,
             "fired entries do not refire"
         );
     }
 
     #[test]
-    fn wheel_handles_wraparound_collisions() {
-        // Two deadlines exactly SLOTS ticks apart share a slot; only the
-        // near one may fire.
-        let wheel = TimerWheel::new();
-        let t0 = Instant::now();
-        let near = t0 + Duration::from_millis(3);
-        let far = t0 + Duration::from_millis(3 + SLOTS as u64);
-        wheel.insert(near, noop_waker());
-        wheel.insert(far, noop_waker());
-        let fired = fire(&wheel, t0 + Duration::from_millis(10));
-        assert_eq!(fired, 1, "only the near deadline fires");
-        assert_eq!(wheel.len(), 1);
+    fn an_entry_due_at_t_fires_at_exactly_t_and_not_before() {
+        let map = Deadlines::new();
+        let t = Instant::now() + Duration::from_millis(3);
+        wake_at(&map, t);
+        assert_eq!(fire(&map, t - Duration::from_nanos(1)), 0, "never early");
+        assert_eq!(fire(&map, t), 1, "due at t fires at t, not a tick later");
     }
 
     #[test]
-    fn wheel_remove_disarms_and_timeout_hint_tracks_earliest() {
-        let wheel = TimerWheel::new();
+    fn remove_disarms_and_the_timeout_tracks_the_first_key() {
+        let map = Deadlines::new();
         let t0 = Instant::now();
-        assert_eq!(wheel.next_timeout_ms(t0, 500), 500, "empty wheel: max");
-        let (id, slot, earliest) = wheel.insert(t0 + Duration::from_millis(50), noop_waker());
-        assert!(earliest);
-        let hint = wheel.next_timeout_ms(t0, 500);
-        assert!(
-            (1..=60).contains(&hint),
-            "hint {hint} tracks the 50ms deadline"
-        );
-        let (_, _, earliest) = wheel.insert(t0 + Duration::from_millis(200), noop_waker());
-        assert!(!earliest, "200ms does not undercut 50ms");
-        wheel.remove(slot, id);
-        assert_eq!(wheel.len(), 1);
-        let hint = wheel.next_timeout_ms(t0, 500);
-        assert!(
-            (190..=210).contains(&hint),
-            "hint {hint} falls back to the 200ms deadline once the 50ms one is removed"
-        );
-        let fired = fire(&wheel, t0 + Duration::from_secs(1));
-        assert_eq!(fired, 1, "removed timer never fires");
-        let later = t0 + Duration::from_secs(2);
-        let (id, slot, _) = wheel.insert(later + Duration::from_millis(50), noop_waker());
-        wheel.remove(slot, id);
+        assert_eq!(map.timeout_ms(t0, 500), 500, "empty map: max");
+        let (near, first) = wake_at(&map, t0 + Duration::from_millis(50));
+        assert!(first);
+        assert_eq!(map.timeout_ms(t0, 500), 50);
+        let (_, first) = wake_at(&map, t0 + Duration::from_millis(200));
+        assert!(!first, "200ms does not undercut 50ms");
+        map.remove(near);
+        assert_eq!(map.len(), 1);
         assert_eq!(
-            wheel.next_timeout_ms(later + Duration::from_secs(1), 500),
+            map.timeout_ms(t0, 500),
+            200,
+            "the timeout falls back to the 200ms deadline once the 50ms one is removed"
+        );
+        assert_eq!(
+            map.timeout_ms(t0 + Duration::from_micros(199_001), 500),
+            1,
+            "rounded up, never early"
+        );
+        assert_eq!(
+            fire(&map, t0 + Duration::from_secs(1)),
+            1,
+            "removed entry never fires"
+        );
+        assert_eq!(
+            map.timeout_ms(t0 + Duration::from_secs(2), 500),
             500,
-            "an emptied wheel imposes no deadline, however late it is asked"
+            "an emptied map imposes no deadline, however late it is asked"
         );
     }
 
     #[test]
-    fn wheel_far_behind_catchup_scans_all_slots() {
-        let wheel = TimerWheel::new();
-        let t0 = Instant::now();
-        for i in 0..10u64 {
-            wheel.insert(t0 + Duration::from_millis(2 + i), noop_waker());
+    fn scopes_latch_and_dead_scopes_are_skipped() {
+        let map = Deadlines::new();
+        let now = Instant::now();
+        let scope = |deadline| {
+            Arc::new(ScopeHandle {
+                cell: CancelCell::new(core::ptr::null()),
+                deadline,
+            })
+        };
+        let (live, dead, later) = (scope(None), scope(None), scope(None));
+        for (s, at) in [
+            (&live, now),
+            (&dead, now),
+            (&later, now + Duration::from_secs(60)),
+        ] {
+            let weak = Arc::downgrade(s);
+            map.insert(at, |_| Due::Cancel(weak));
         }
-        // Advance far past everything in one leap (> SLOTS ticks).
-        let fired = fire(&wheel, t0 + Duration::from_secs(2));
-        assert_eq!(fired, 10);
-        assert_eq!(wheel.len(), 0);
+        drop(dead);
+        let mut woken = Vec::new();
+        assert_eq!(map.fire_due(now, &mut woken), (0, true));
+        assert_eq!(live.cell.local(), Some(CancelReason::Deadline));
+        assert_eq!(later.cell.local(), None, "a later deadline is untouched");
+        assert_eq!(map.len(), 1);
+        assert_eq!(
+            map.fire_due(now, &mut woken),
+            (0, false),
+            "nothing left to latch"
+        );
+    }
+
+    /// A pending `Sleep` polled again by the same task keeps its entry and
+    /// pays no lock and no poller kick.
+    #[test]
+    fn repolling_with_the_same_waker_keeps_the_entry() {
+        let rt = crate::Runtime::new(crate::Config::with_workers(1)).unwrap();
+        rt.run(|| {
+            let worker = current_worker();
+            // SAFETY: `run` executes this closure on the runtime's worker.
+            let shared = unsafe { (*worker).shared.clone() };
+            // Stand in for a poller napping in `epoll_wait`, so each arm
+            // that becomes the earliest entry would kick.
+            assert!(shared.reactor.try_claim(0));
+            // Arc-backed, like the runtime's own wakers: a clone is the
+            // same waker to `will_wake`.
+            struct Task;
+            impl std::task::Wake for Task {
+                fn wake(self: Arc<Self>) {}
+            }
+            let waker = Waker::from(Arc::new(Task));
+            let mut cx = Context::from_waker(&waker);
+            let mut sleep = sleep(Duration::from_secs(60));
+            assert!(Pin::new(&mut sleep).poll(&mut cx).is_pending());
+            let key = sleep.armed.as_ref().map(|(k, _)| *k);
+            let kicks = shared.reactor.kick_writes();
+            for _ in 0..100 {
+                // Consume the last kick, as a real poller would.
+                let mut woken = Vec::new();
+                // SAFETY: the calling thread's live worker, holding the slot.
+                unsafe { shared.reactor.poll(worker, 0, &mut woken) };
+                assert!(Pin::new(&mut sleep).poll(&mut cx).is_pending());
+            }
+            shared.reactor.release();
+            assert_eq!(sleep.armed.as_ref().map(|(k, _)| *k), key, "entry re-armed");
+            assert_eq!(shared.reactor.kick_writes(), kicks, "re-poll kicked");
+            assert_eq!(shared.reactor.deadlines.len(), 1);
+        });
     }
 }

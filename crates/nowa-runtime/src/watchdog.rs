@@ -1,14 +1,18 @@
-//! Watchdog thread: region deadlines plus the stall monitor.
+//! Watchdog thread: the deadline backstop plus the stall monitor.
 //!
 //! One background thread per runtime, always spawned, with two duties:
 //!
-//! * **Region deadlines** — [`Region::with_deadline`](crate::api::Region)
-//!   arms an entry in [`Shared::deadlines`]; this thread sleeps on the
-//!   queue's condvar until the earliest expiry (or a new arm, or
-//!   shutdown), then fires due entries by latching their scopes with
-//!   [`CancelReason::Deadline`](crate::cancel::CancelReason). Firing is a
-//!   flag store — the cancelled region unwinds cooperatively at its next
-//!   checkpoint — so a late watchdog delays detection, never correctness.
+//! * **Deadlines** — each sweep fires what is due in the runtime's
+//!   [deadline map](crate::time): `sleep`/`timeout` timers and
+//!   [`Region::with_deadline`](crate::api::Region) scopes, which it latches
+//!   with [`CancelReason::Deadline`](crate::cancel::CancelReason). Reactor
+//!   polls fire the same map; the watchdog is what fires it when every
+//!   worker is busy and nobody polls. Between sweeps it naps until the
+//!   map's earliest entry (no sooner than 5 ms after the last sweep), and
+//!   an insert that undercuts that nap wakes it to re-plan. Firing a
+//!   region deadline is a flag store — the cancelled region unwinds
+//!   cooperatively at its next checkpoint — so a late watchdog delays
+//!   detection, never correctness.
 //! * **Stall monitoring** — only when `Config::watchdog` is `Some`: samples
 //!   per-worker progress counters and reports workers that stop moving.
 //!
@@ -33,18 +37,17 @@
 //! With stall monitoring on, the thread wakes four times per threshold (at
 //! least every 5 ms), so detection latency is at most ~1.25 × threshold;
 //! without it, the thread sleeps until the next armed deadline. The thread
-//! exits when the runtime shuts down (the shutdown path notifies the
-//! deadline condvar).
+//! exits when the runtime shuts down (the shutdown path closes the deadline
+//! map, which ends the nap).
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 use crate::worker::Shared;
 
-/// Sleep cap while no deadline is armed and stall monitoring is off: a
-/// periodic re-check of the shutdown flag in case the shutdown notify
-/// raced the condvar wait.
+/// Nap cap while stall monitoring is off.
 const IDLE_NAP: Duration = Duration::from_millis(500);
 
 /// Spawns the watchdog thread for `shared`. The stall threshold (if any)
@@ -68,37 +71,18 @@ fn run(shared: &Shared, started: &Barrier) {
     let mut reported: Vec<bool> = vec![false; n];
     started.wait();
 
+    let mut woken = Vec::new();
     while !shared.shutdown.load(Ordering::Acquire) {
-        let now = Instant::now();
-        let (next_deadline, fired) = shared.deadlines.fire_due(now);
-        if fired > 0 {
-            // A latched deadline cancels cooperatively — but a strand
-            // parked in `block_on` has no checkpoint to trip. Broadcast so
-            // every parked async cell re-checks its scope chain.
-            shared.async_waiters.wake_all();
-            shared.reactor.kick_if_claimed();
+        let swept = Instant::now();
+        let (_, latched) = shared.reactor.deadlines.fire_due(swept, &mut woken);
+        woken.drain(..).for_each(Waker::wake);
+        if latched {
+            crate::cancel::broadcast(shared);
         }
-        // Bound timer staleness under full saturation: when every worker
-        // is busy, nobody reactor-polls, so the wheel would stall. The
-        // watchdog sweep is the same backstop the deadline queue uses.
-        shared.reactor.advance_timers_external();
-
-        // Sleep until whichever comes first: the stall-sampling tick, the
-        // earliest armed deadline, or a condvar notify (new deadline armed
-        // earlier than our sleep, or shutdown).
-        let mut nap = interval.unwrap_or(IDLE_NAP);
-        if let Some(at) = next_deadline {
-            nap = nap.min(at.saturating_duration_since(now));
-        }
-        // Armed wheel timers also cap the nap (floored at 5 ms so the
-        // watchdog never busy-spins on 1 ms timers the poller normally
-        // serves): the cap only matters when every worker stays busy.
-        let timer_ms = shared
+        shared
             .reactor
-            .timers
-            .next_timeout_ms(now, nap.as_millis().min(u64::MAX as u128) as u64);
-        nap = nap.min(Duration::from_millis(timer_ms.max(5)));
-        shared.deadlines.wait(nap);
+            .deadlines
+            .nap(swept, interval.unwrap_or(IDLE_NAP));
 
         let Some(threshold) = threshold else { continue };
         let now = Instant::now();
@@ -121,10 +105,6 @@ fn run(shared: &Shared, started: &Barrier) {
             }
         }
     }
-    // Fire anything already due one last time so a deadline that expired
-    // during shutdown still latches (its region may already be cancelled
-    // by the root latch anyway; latching twice is idempotent).
-    let _ = shared.deadlines.fire_due(Instant::now());
 }
 
 fn report(shared: &Shared, worker: usize, stalled_for: Duration, progress: u64) {

@@ -31,7 +31,7 @@ use std::sync::{Arc, Barrier};
 use nowa_context::{capture_and_run_on, resume, RawContext, Stack, StackPool, WorkerStackCache};
 use nowa_deque::Steal;
 
-use crate::cancel::{self, CancelCell, DeadlineQueue};
+use crate::cancel::{self, CancelCell};
 use crate::chaos;
 use crate::config::Config;
 use crate::flavor::{with_protocol, Flavor, Protocol, Rec};
@@ -60,13 +60,11 @@ pub struct Shared {
     /// Root tasks submitted but not yet completed; `shutdown` drains to
     /// zero (or times out) on this.
     pub active_roots: AtomicU64,
-    /// Armed region deadlines, fired by the watchdog thread.
-    pub(crate) deadlines: DeadlineQueue,
     /// Registry of parked async continuations, notified en masse when a
     /// cancellation source fires (token, deadline, sibling panic,
     /// shutdown) so `block_on` loops re-check their scope chains.
     pub(crate) async_waiters: AsyncWaiters,
-    /// The epoll reactor + timer wheel, polled by parked workers.
+    /// The epoll reactor, polled by idle workers.
     pub(crate) reactor: Reactor,
     /// The global stack pool.
     pub pool: Arc<StackPool>,
@@ -580,8 +578,9 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
 
 /// One reactor poll of up to `timeout_ms` by `worker`, which holds the
 /// poller slot. Releases the slot and only then wakes what the poll made
-/// due: woken with the slot still held, each wake would kick this
-/// thread's own eventfd. Returns whether anything was woken.
+/// due (and broadcasts a region deadline it latched): woken with the slot
+/// still held, each wake would kick this thread's own eventfd. Returns
+/// whether anything was woken.
 ///
 /// # Safety
 /// `worker` must be the calling thread's live worker, and it must hold
@@ -590,10 +589,13 @@ unsafe fn poll_claimed(worker: *mut Worker, shared: &Shared, timeout_ms: u64) ->
     // Moved out for the poll so no reference into the worker is live
     // while the poll and the wakes use `worker`.
     let mut woken = core::mem::take(unsafe { &mut (*worker).woken });
-    unsafe { shared.reactor.poll(worker, timeout_ms, &mut woken) };
+    let latched = unsafe { shared.reactor.poll(worker, timeout_ms, &mut woken) };
     shared.reactor.release();
-    let any = !woken.is_empty();
+    let any = !woken.is_empty() || latched;
     woken.drain(..).for_each(Waker::wake);
+    if latched {
+        cancel::broadcast(shared);
+    }
     unsafe { (*worker).woken = woken };
     any
 }
@@ -646,8 +648,8 @@ unsafe fn park_worker<P: Protocol>(worker: *mut Worker, shared: &Shared, stealer
                 .max(1);
             let timeout = shared
                 .reactor
-                .timers
-                .next_timeout_ms(std::time::Instant::now(), max_ms);
+                .deadlines
+                .timeout_ms(std::time::Instant::now(), max_ms);
             unsafe { poll_claimed(worker, shared, timeout) };
         }
         return;

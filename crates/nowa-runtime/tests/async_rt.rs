@@ -179,6 +179,21 @@ fn timeout_bounds_forever_pending_io() {
     });
 }
 
+/// A sleep past what `Instant` can represent never fires, and arming it
+/// does not panic: the timeout around it elapses instead.
+#[test]
+fn sleep_past_instant_range_never_fires() {
+    let rt = Runtime::new(Config::with_workers(2)).unwrap();
+    let out = rt.run(|| {
+        nowa_runtime::block_on(time::timeout(
+            Duration::from_millis(20),
+            time::sleep(Duration::MAX),
+        ))
+    });
+    assert_eq!(out, Err(time::Elapsed));
+    assert_eq!(rt.snapshot().timers_pending, 0, "both entries disarmed");
+}
+
 /// A `timeout` whose future won leaves a disarmed timer behind; the idle
 /// runtime must go back to sleeping `max_park` at a time, not treat the
 /// disarmed deadline as perpetually due. With the default 1 ms `max_park`
@@ -362,46 +377,55 @@ fn peer_close_wakes_parked_reader_and_writer() {
 }
 
 /// Cancelling a region whose strand is parked on I/O that never arrives:
-/// the token latch must broadcast through the async waiters, the parked
+/// the latch must broadcast through the async waiters, the parked
 /// `block_on` must observe its scope chain and unwind with the typed
-/// payload — not hang until the fd produces bytes (it never will).
+/// payload — not hang until the fd produces bytes (it never will). Two
+/// latches: a token cancelled from another thread, and a region deadline,
+/// which the reactor poll or the watchdog sweep fires.
 #[test]
 fn cancel_unwinds_parked_io_future() {
     quiet_expected_panics();
-    let rt = Runtime::new(Config::with_workers(2).idle(eager_park())).unwrap();
-    let (tx, rx) = mpsc::channel();
-    let canceller = std::thread::spawn(move || {
-        let token: nowa_runtime::CancelToken = rx.recv().unwrap();
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(token.cancel(), "first cancel latches");
-    });
-    let t0 = Instant::now();
-    let out = rt.run(move || {
-        catch_unwind(AssertUnwindSafe(|| {
-            let region = Region::cancellable();
-            tx.send(region.cancel_token().expect("cancellable region"))
-                .unwrap();
-            let (a, _keep_alive) = UnixStream::pair().unwrap();
-            a.set_nonblocking(true).unwrap();
-            let fd = AsyncFd::new(a).unwrap();
-            region.block_on(async {
-                fd.readable().await.ok();
-                unreachable!("nothing ever arrives on this socket");
-            })
-        }))
-    });
-    let payload = out.expect_err("cancelled I/O wait must unwind");
-    let cancelled = payload
-        .downcast_ref::<Cancelled>()
-        .expect("typed Cancelled payload");
-    assert_eq!(cancelled.reason, CancelReason::Token);
-    assert!(
-        t0.elapsed() < Duration::from_secs(3),
-        "the cancel broadcast missed the parked strand; only a timeout \
-         backstop recovered it ({:?})",
-        t0.elapsed()
-    );
-    canceller.join().unwrap();
+    for reason in [CancelReason::Token, CancelReason::Deadline] {
+        let rt = Runtime::new(Config::with_workers(2).idle(eager_park())).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let canceller = std::thread::spawn(move || {
+            let token: Option<nowa_runtime::CancelToken> = rx.recv().unwrap();
+            if let Some(token) = token {
+                std::thread::sleep(Duration::from_millis(40));
+                assert!(token.cancel(), "first cancel latches");
+            }
+        });
+        let t0 = Instant::now();
+        let out = rt.run(move || {
+            catch_unwind(AssertUnwindSafe(|| {
+                let region = match reason {
+                    CancelReason::Deadline => Region::with_deadline(Duration::from_millis(40)),
+                    _ => Region::cancellable(),
+                };
+                let token = (reason == CancelReason::Token).then(|| region.cancel_token());
+                tx.send(token.flatten()).unwrap();
+                let (a, _keep_alive) = UnixStream::pair().unwrap();
+                a.set_nonblocking(true).unwrap();
+                let fd = AsyncFd::new(a).unwrap();
+                region.block_on(async {
+                    fd.readable().await.ok();
+                    unreachable!("nothing ever arrives on this socket");
+                })
+            }))
+        });
+        let payload = out.expect_err("cancelled I/O wait must unwind");
+        let cancelled = payload
+            .downcast_ref::<Cancelled>()
+            .expect("typed Cancelled payload");
+        assert_eq!(cancelled.reason, reason);
+        assert!(
+            t0.elapsed() < Duration::from_secs(3),
+            "the {reason} broadcast missed the parked strand; only a timeout \
+             backstop recovered it ({:?})",
+            t0.elapsed()
+        );
+        canceller.join().unwrap();
+    }
 }
 
 /// Serving workload used by the chaos replay test: one echo handler, one

@@ -140,6 +140,34 @@ fn deadline_cancels_at_checkpoint() {
     assert_eq!(rt.run(|| 7), 7);
 }
 
+/// A deadline past what `Instant` can represent never fires, and arming it
+/// does not panic.
+#[test]
+fn deadline_past_instant_range_never_fires() {
+    let rt = Runtime::new(Config::with_workers(2)).unwrap();
+    let out = rt.run(|| {
+        let region = Region::with_deadline(Duration::MAX);
+        std::thread::sleep(Duration::from_millis(20));
+        region.checkpoint();
+        api::join2(|| fib(15), || fib(16))
+    });
+    assert_eq!(out, (fib(15), fib(16)));
+}
+
+/// A region that completes removes its deadline entry at once: entries of
+/// finished regions do not pile up until their deadlines come due.
+#[test]
+fn completed_regions_remove_their_deadlines() {
+    let rt = Runtime::new(Config::with_workers(2)).unwrap();
+    rt.run(|| {
+        for _ in 0..1_000 {
+            let region = Region::with_deadline(Duration::from_secs(60));
+            region.checkpoint();
+        }
+    });
+    assert_eq!(rt.snapshot().timers_pending, 0);
+}
+
 /// Cancelling a region whose main path is *suspended* at `sync` must not
 /// block any worker: the last joiner retires the suspension and resumes
 /// the continuation specifically to unwind (the abort path).

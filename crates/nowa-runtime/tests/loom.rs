@@ -852,7 +852,7 @@ fn reactor_poller_claim_is_exclusive() {
 }
 
 /// Claim handoff publishes duty state: the outgoing poller's writes
-/// (timer-wheel advances, dispatched readiness) must be visible to the
+/// (dispatched readiness) must be visible to the
 /// next claimant — the release store is what the successful claim CAS
 /// reads, forming the ordering edge.
 #[test]

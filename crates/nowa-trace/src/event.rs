@@ -102,7 +102,7 @@ pub enum EventKind {
     /// A worker completed one reactor poll (epoll_wait + dispatch).
     /// arg: the number of I/O events dispatched.
     ReactorPoll = 20,
-    /// The timer wheel fired due timers. arg: how many fired.
+    /// A reactor poll fired due timers. arg: how many fired.
     TimerFire = 21,
 }
 
