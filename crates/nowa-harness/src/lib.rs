@@ -13,21 +13,21 @@
 //! nowa-bench fig9  [--quick]   # Fig 9     — CL vs THE queue (sim)
 //! nowa-bench fig10 [--quick]   # Fig 10    — Nowa vs OpenMP stand-ins (sim)
 //! nowa-bench table3 [--quick]  # Table III — 256-worker exec times (sim)
-//! nowa-bench measured [--size quick] [--workers N] [--reps R] [--stats]  # real wall-clock
-//! nowa-bench overhead [--size quick] [--stats]   # real 1-worker overhead
-//! nowa-bench trace measured [--size tiny] [--trace-out t.json]  # traced re-run
-//! nowa-bench profile fib [--size quick] [--out BENCH_profile.json]  # causal profile
-//! nowa-bench all   [--quick]   # everything above
+//! nowa-bench measured [--size quick] [--workers N] [--reps R]  # real wall-clock
+//! nowa-bench overhead [--size quick]   # real 1-worker overhead
+//! nowa-bench profile fib [--size quick] [--out BENCH_profile.json] [--trace-out t.json]
+//! nowa-bench all   [--quick]   # everything above but profile
 //! ```
 //!
-//! `--stats` appends aggregated scheduler counters ([`nowa_runtime::StatsSnapshot`])
-//! to the `measured` and `overhead` reports. `trace` re-runs a real experiment
-//! with per-worker event rings and latency histograms enabled ([`traceexp`]);
-//! `--trace-out FILE` exports a Chrome `trace_event` JSON for Perfetto.
-//! `profile` ([`profileexp`]) reconstructs the fork/join DAG from causal
-//! trace events and reports work T1, span T∞, parallelism, steal-edge
-//! statistics, and per-phase critical-path attribution, writing
-//! `BENCH_profile.json` in the versioned [`artifact`] envelope.
+//! `measured` and `overhead` follow their timing table with the
+//! aggregated scheduler counters ([`nowa_runtime::StatsSnapshot`]) of
+//! each Nowa system. `profile` ([`profileexp`]) is the one traced run:
+//! it reconstructs the fork/join DAG from causal trace events and reports
+//! work T1, span T∞, parallelism, steal-edge statistics, and per-phase
+//! critical-path attribution, then the trace summary (event counts,
+//! latency histograms); it writes `BENCH_profile.json` in the versioned
+//! [`artifact`] envelope, and `--trace-out FILE` exports a Chrome
+//! `trace_event` JSON for Perfetto.
 //!
 //! Performance numbers (spawn cost, wake latency, serving latency, tracing
 //! cost) are not measured here: the one ruler is the standalone
@@ -40,7 +40,6 @@ pub mod profileexp;
 pub mod real;
 pub mod simexp;
 pub mod stats;
-pub mod traceexp;
 
 pub use stats::Table;
 

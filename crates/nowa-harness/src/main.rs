@@ -1,6 +1,6 @@
 //! `nowa-bench` — CLI entry of the experiment harness.
 
-use nowa_harness::{print_tables, profileexp, real, simexp, traceexp};
+use nowa_harness::{print_tables, profileexp, real, simexp};
 use nowa_kernels::{BenchId, Size};
 use nowa_runtime::MadvisePolicy;
 use nowa_sim::SimBench;
@@ -18,19 +18,19 @@ experiments:
   fig9   [--quick]               Fig 9     CL vs THE work-stealing queue (sim)
   fig10  [--quick]               Fig 10    Nowa vs OpenMP stand-ins (sim)
   table3 [--quick]               Table III 256-worker execution times (sim)
-  measured [--size S] [--workers N] [--reps R] [--stats]  real wall-clock comparison
-  overhead [--size S] [--reps R] [--stats]  real 1-worker overhead vs serial elision
+  measured [--size S] [--workers N] [--reps R]  real wall-clock comparison
+                                 and aggregated scheduler counters
+  overhead [--size S] [--reps R]  real 1-worker overhead vs serial elision
+                                 and aggregated scheduler counters
   ablation-pool [--size S] [--workers N] [--reps R]  stack-pool ablation (real)
   knapsack-order [--workers N] [--reps R]  spawn-order experiment (real)
-  trace <experiment> [--size S] [--workers N] [--reps R] [--trace-out FILE]
-                                 traced re-run of measured | ablation-pool |
-                                 knapsack-order | fig9 with scheduler event
-                                 rings + latency histograms enabled
-  profile <kernel> [--size S] [--workers N] [--out FILE]
-                                 causal profile of one kernel run: DAG
-                                 reconstruction, work T1 / span T∞ /
+  profile <kernel> [--size S] [--workers N] [--out FILE] [--trace-out FILE]
+                                 traced run of one kernel: causal profile
+                                 (DAG reconstruction, work T1 / span T∞ /
                                  parallelism, steal edges, critical-path
-                                 attribution; writes BENCH_profile.json
+                                 attribution) and trace summary (event
+                                 counts, latency histograms); writes
+                                 BENCH_profile.json
   all    [--quick]               everything
 
 flags:
@@ -39,9 +39,8 @@ flags:
   --size S       tiny|quick|medium|paper (default quick)
   --workers N    worker threads for real runs (default 4)
   --reps R       repetitions for real runs (default 5)
-  --stats        also print aggregated scheduler statistics (measured, overhead)
   --trace-out F  write a Chrome trace_event JSON (one track per worker) to F;
-                 open in Perfetto or chrome://tracing (trace mode only)
+                 open in Perfetto or chrome://tracing (profile mode only)
   --out F        artifact path for profile mode (default BENCH_profile.json)"
     );
     std::process::exit(2);
@@ -53,7 +52,6 @@ struct Args {
     size: Size,
     workers: usize,
     reps: usize,
-    stats: bool,
     trace_out: Option<String>,
     out: Option<String>,
 }
@@ -65,7 +63,6 @@ fn parse_flags(rest: &[String]) -> Args {
         size: Size::Quick,
         workers: 4,
         reps: 5,
-        stats: false,
         trace_out: None,
         out: None,
     };
@@ -98,7 +95,6 @@ fn parse_flags(rest: &[String]) -> Args {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--stats" => args.stats = true,
             "--trace-out" => {
                 i += 1;
                 args.trace_out = Some(rest.get(i).cloned().unwrap_or_else(|| usage()));
@@ -138,30 +134,20 @@ fn main() {
         return;
     }
 
-    // `trace` takes a sub-experiment name before the flags.
-    if cmd == "trace" {
-        let Some(sub) = rest.first() else { usage() };
-        let args = parse_flags(&rest[1..]);
-        print_tables(&traceexp::trace_experiment(
-            sub,
-            args.size,
-            args.workers,
-            args.reps,
-            args.trace_out.as_deref(),
-        ));
-        return;
-    }
-
     // `profile` takes a kernel name before the flags.
     if cmd == "profile" {
         let Some(kernel) = rest.first() else { usage() };
         let args = parse_flags(&rest[1..]);
-        print_tables(&profileexp::profile(
-            kernel,
-            args.size,
-            args.workers,
-            args.out.as_deref().unwrap_or("BENCH_profile.json"),
-        ));
+        print!(
+            "{}",
+            profileexp::profile(
+                kernel,
+                args.size,
+                args.workers,
+                args.out.as_deref().unwrap_or("BENCH_profile.json"),
+                args.trace_out.as_deref(),
+            )
+        );
         return;
     }
 
@@ -186,9 +172,8 @@ fn main() {
             args.size,
             args.workers,
             args.reps,
-            args.stats,
         )),
-        "overhead" => print_tables(&real::overhead_table(args.size, args.reps, args.stats)),
+        "overhead" => print_tables(&real::overhead_table(args.size, args.reps)),
         "ablation-pool" => print_tables(&real::pool_ablation(args.size, args.workers, args.reps)),
         "knapsack-order" => print_tables(&real::knapsack_order(args.workers, args.reps)),
         "all" => {
@@ -200,16 +185,11 @@ fn main() {
             print_tables(&simexp::fig9(args.quick));
             print_tables(&simexp::fig10(args.quick));
             print_tables(&simexp::table3(args.quick));
-            print_tables(&real::overhead_table(
-                args.size,
-                args.reps.min(3),
-                args.stats,
-            ));
+            print_tables(&real::overhead_table(args.size, args.reps.min(3)));
             print_tables(&real::measured_comparison(
                 args.size,
                 args.workers,
                 args.reps.min(3),
-                args.stats,
             ));
             print_tables(&real::pool_ablation(
                 args.size,

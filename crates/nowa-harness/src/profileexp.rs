@@ -1,12 +1,16 @@
-//! `nowa-bench profile <kernel>` — causal profile of one real run.
+//! `nowa-bench profile <kernel>` — the one traced run of the harness.
 //!
 //! `profile` runs one kernel under scheduler tracing with a ring sized to
 //! hold the whole run, reconstructs the fork/join DAG from the causal
 //! event stream ([`CausalProfile`]), and reports work T1, span T∞,
 //! parallelism T1/T∞, steal-edge statistics, and the per-phase composition
-//! of the critical path. The profile is also written as a versioned JSON
-//! artifact (default `BENCH_profile.json`, `--out` to override) wrapped in
-//! the [`crate::artifact`] envelope.
+//! of the critical path, followed by the trace summary (event counts per
+//! kind and worker, latency histograms — [`nowa_trace::TraceReport::summary_table`]).
+//! The profile is also written as a versioned JSON artifact (default
+//! `BENCH_profile.json`, `--out` to override) wrapped in the
+//! [`crate::artifact`] envelope; `--trace-out FILE` also writes the raw
+//! per-worker event streams as Chrome `trace_event` JSON (one track per
+//! worker), loadable in Perfetto or `chrome://tracing`.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -26,9 +30,17 @@ use crate::stats::Table;
 /// the [`nowa_runtime::Config::trace_ring`] default).
 const PROFILE_RING: usize = 1 << 20;
 
-/// Runs `kernel` once under tracing and returns the reconstructed
-/// profile tables; writes the enveloped JSON artifact to `out`.
-pub fn profile(kernel: &str, size: Size, workers: usize, out: &str) -> Vec<Table> {
+/// Runs `kernel` once under tracing and returns the rendered report:
+/// the reconstructed profile tables and the trace summary. Writes the
+/// enveloped JSON artifact to `out` and, given `trace_out`, the Chrome
+/// trace there.
+pub fn profile(
+    kernel: &str,
+    size: Size,
+    workers: usize,
+    out: &str,
+    trace_out: Option<&str>,
+) -> String {
     let Some(bench) = BenchId::parse(kernel) else {
         eprintln!("unknown kernel {kernel} (one of the 12 benchmark names, e.g. fib, nqueens)");
         std::process::exit(2);
@@ -74,12 +86,25 @@ pub fn profile(kernel: &str, size: Size, workers: usize, out: &str) -> Vec<Table
     body.insert("scheduler_stats".to_string(), Json::Obj(sched));
     artifact::write(out, &artifact::envelope("nowa-bench-profile", body));
 
+    if let Some(path) = trace_out {
+        match std::fs::write(path, report.chrome_trace()) {
+            Ok(()) => println!(
+                "wrote {path} (Chrome trace: {} events, {} workers)",
+                report.total_events(),
+                report.workers.len()
+            ),
+            Err(e) => eprintln!("failed to write {path}: {e}"),
+        }
+    }
+
     let mut tables = vec![headline_table(kernel, size, workers, wall_s, &profile)];
     tables.push(phase_table(&profile));
     if !profile.steal_edges.is_empty() {
         tables.push(steal_table(&profile));
     }
-    tables
+    let mut rendered: String = tables.iter().map(|t| t.render() + "\n").collect();
+    rendered.push_str(&report.summary_table());
+    rendered
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -197,13 +222,25 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("BENCH_profile.json");
         let out_str = out.to_str().unwrap().to_string();
-        let tables = profile("fib", Size::Tiny, 2, &out_str);
-        assert!(tables.len() >= 2, "headline + phase tables");
-        let rendered: String = tables.iter().map(Table::render).collect();
+        let rendered = profile("fib", Size::Tiny, 2, &out_str, None);
         assert!(rendered.contains("work T1"), "{rendered}");
         assert!(rendered.contains("span T∞"), "{rendered}");
         assert!(rendered.contains("parallelism T1/T∞"), "{rendered}");
         assert!(rendered.contains("steal edges"), "{rendered}");
+        assert!(rendered.contains("## Critical path"), "{rendered}");
+        // The trace summary follows the tables: scheduler activity was
+        // recorded (a root pickup and its spawns), with latency lines.
+        let summary = &rendered[rendered.find("\ntrace: 2 workers, ").expect(&rendered)..];
+        assert!(summary.contains("steal→first-poll"), "{summary}");
+        let count = |kind: &str| -> u64 {
+            let line = summary
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(kind))
+                .unwrap_or_else(|| panic!("no {kind} line:\n{summary}"));
+            line.split_whitespace().nth(1).unwrap().parse().unwrap()
+        };
+        assert!(count("root") >= 1, "{summary}");
+        assert!(count("spawn") > 0, "{summary}");
 
         let json = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(
@@ -223,6 +260,30 @@ mod tests {
             .get("critical_path")
             .and_then(|c| c.get("phases_ns"))
             .is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn chrome_export_has_one_track_per_worker() {
+        let dir = std::env::temp_dir().join(format!("nowa_chrome_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (out, trace) = (dir.join("p.json"), dir.join("t.json"));
+        profile(
+            "fib",
+            Size::Tiny,
+            3,
+            out.to_str().unwrap(),
+            Some(trace.to_str().unwrap()),
+        );
+        let parsed = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
+        let tracks: std::collections::BTreeSet<u64> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
+            .map(|e| e.get("tid").unwrap().as_num().unwrap() as u64)
+            .collect();
+        assert_eq!(tracks.len(), 3, "one thread_name track per worker");
+        assert!(events.len() > 3, "events beyond the track metadata");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -51,19 +51,8 @@ pub struct Measurement {
 
 /// Measures `bench` at `size` on `runtime` with `workers` workers,
 /// `reps` repetitions after one warm-up (the paper's methodology, §V,
-/// scaled down from 50+1). Returns per-rep seconds.
-pub fn measure(
-    runtime: RealRuntime,
-    bench: BenchId,
-    size: Size,
-    workers: usize,
-    reps: usize,
-) -> Vec<f64> {
-    measure_detailed(runtime, bench, size, workers, reps).times
-}
-
-/// [`measure`], but also returning the runtime's [`StatsSnapshot`] when
-/// the system under test is a Nowa flavor.
+/// scaled down from 50+1). Returns per-rep seconds and, when the system
+/// under test is a Nowa flavor, the runtime's [`StatsSnapshot`].
 pub fn measure_detailed(
     runtime: RealRuntime,
     bench: BenchId,
@@ -128,15 +117,10 @@ fn scheduler_stats_table(title: String, systems: &[(String, StatsSnapshot)]) -> 
     }
 }
 
-/// Wall-clock comparison of the real runtime systems on this host. With
-/// `show_stats`, a second table aggregates each Nowa system's scheduler
-/// counters over all benchmarks (serial and baselines have none).
-pub fn measured_comparison(
-    size: Size,
-    workers: usize,
-    reps: usize,
-    show_stats: bool,
-) -> Vec<Table> {
+/// Wall-clock comparison of the real runtime systems on this host, and a
+/// second table aggregating each Nowa system's scheduler counters over
+/// all benchmarks (serial and baselines have none).
+pub fn measured_comparison(size: Size, workers: usize, reps: usize) -> Vec<Table> {
     let systems = [
         RealRuntime::Serial,
         RealRuntime::Nowa(Flavor::NOWA, MadvisePolicy::Keep),
@@ -168,27 +152,24 @@ pub fn measured_comparison(
         }
         table.row(row);
     }
-    let mut tables = vec![table];
-    if show_stats {
-        let rows: Vec<(String, StatsSnapshot)> = systems
-            .iter()
-            .zip(&totals)
-            .filter(|(s, _)| matches!(s, RealRuntime::Nowa(..)))
-            .map(|(s, t)| (s.name(), *t))
-            .collect();
-        tables.push(scheduler_stats_table(
-            format!("Scheduler statistics, aggregated over all benchmarks ({workers} workers)"),
-            &rows,
-        ));
-    }
-    tables
+    let rows: Vec<(String, StatsSnapshot)> = systems
+        .iter()
+        .zip(&totals)
+        .filter(|(s, _)| matches!(s, RealRuntime::Nowa(..)))
+        .map(|(s, t)| (s.name(), *t))
+        .collect();
+    let stats = scheduler_stats_table(
+        format!("Scheduler statistics, aggregated over all benchmarks ({workers} workers)"),
+        &rows,
+    );
+    vec![table, stats]
 }
 
 /// Single-worker overhead of each Nowa flavor relative to the serial
-/// elision — the price of the runtime mechanisms themselves. With
-/// `show_stats`, a second table aggregates each flavor's scheduler
-/// counters over all benchmarks.
-pub fn overhead_table(size: Size, reps: usize, show_stats: bool) -> Vec<Table> {
+/// elision — the price of the runtime mechanisms themselves — and a
+/// second table aggregating each flavor's scheduler counters over all
+/// benchmarks.
+pub fn overhead_table(size: Size, reps: usize) -> Vec<Table> {
     let flavors = [Flavor::NOWA, Flavor::NOWA_THE, Flavor::FIBRIL];
     let mut table = Table::new(
         format!("Runtime overhead: T_1 / T_serial at size {size:?} (1 worker)"),
@@ -196,7 +177,7 @@ pub fn overhead_table(size: Size, reps: usize, show_stats: bool) -> Vec<Table> {
     );
     let mut totals: Vec<StatsSnapshot> = vec![StatsSnapshot::default(); flavors.len()];
     for bench in BenchId::ALL {
-        let serial = mean(&measure(RealRuntime::Serial, bench, size, 1, reps));
+        let serial = mean(&measure_detailed(RealRuntime::Serial, bench, size, 1, reps).times);
         let mut row = vec![bench.name().to_string(), format!("{serial:.4}")];
         for (i, flavor) in flavors.into_iter().enumerate() {
             let m = measure_detailed(
@@ -213,19 +194,16 @@ pub fn overhead_table(size: Size, reps: usize, show_stats: bool) -> Vec<Table> {
         }
         table.row(row);
     }
-    let mut tables = vec![table];
-    if show_stats {
-        let rows: Vec<(String, StatsSnapshot)> = flavors
-            .iter()
-            .zip(&totals)
-            .map(|(f, t)| (f.name().to_string(), *t))
-            .collect();
-        tables.push(scheduler_stats_table(
-            "Scheduler statistics, aggregated over all benchmarks (1 worker)".to_string(),
-            &rows,
-        ));
-    }
-    tables
+    let rows: Vec<(String, StatsSnapshot)> = flavors
+        .iter()
+        .zip(&totals)
+        .map(|(f, t)| (f.name().to_string(), *t))
+        .collect();
+    let stats = scheduler_stats_table(
+        "Scheduler statistics, aggregated over all benchmarks (1 worker)".to_string(),
+        &rows,
+    );
+    vec![table, stats]
 }
 
 /// Child-process probe for Table II: runs one benchmark under one madvise
@@ -403,33 +381,33 @@ mod tests {
 
     #[test]
     fn serial_measurement_returns_reps() {
-        let times = measure(RealRuntime::Serial, BenchId::Fib, Size::Tiny, 1, 3);
-        assert_eq!(times.len(), 3);
-        assert!(times.iter().all(|t| *t >= 0.0));
+        let m = measure_detailed(RealRuntime::Serial, BenchId::Fib, Size::Tiny, 1, 3);
+        assert_eq!(m.times.len(), 3);
+        assert!(m.times.iter().all(|t| *t >= 0.0));
     }
 
     #[test]
     fn nowa_measurement_works() {
-        let times = measure(
+        let m = measure_detailed(
             RealRuntime::Nowa(Flavor::NOWA, MadvisePolicy::Keep),
             BenchId::Nqueens,
             Size::Tiny,
             2,
             2,
         );
-        assert_eq!(times.len(), 2);
+        assert_eq!(m.times.len(), 2);
     }
 
     #[test]
     fn baseline_measurement_works() {
-        let times = measure(
+        let m = measure_detailed(
             RealRuntime::Baseline(BaselineKind::ChildStealTbb),
             BenchId::Fib,
             Size::Tiny,
             2,
             2,
         );
-        assert_eq!(times.len(), 2);
+        assert_eq!(m.times.len(), 2);
     }
 
     #[test]

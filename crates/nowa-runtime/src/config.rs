@@ -216,17 +216,16 @@ pub struct Config {
     /// Flight recorder: when `Some(n)`, every worker keeps a bounded
     /// overwrite-oldest ring of its last `n` scheduler events with no
     /// exporter thread — cheap enough to leave on in production. The
-    /// crash/stall machinery (child-panic propagation, the watchdog, the
-    /// guard-page handler) dumps the merged tail on failure. Independent
-    /// of `tracing`; same `trace` cargo-feature contract (inert without
-    /// it).
+    /// post-mortem of a failure (guard-page crash, task panic, watchdog
+    /// stall, shutdown timeout) prints the merged tail. Independent of
+    /// `tracing`; same `trace` cargo-feature contract (inert without it).
     pub flight: Option<usize>,
     /// Fault injection (see [`ChaosConfig`]). Takes effect only when built
     /// with the `chaos` cargo feature; accepted but inert otherwise.
     pub chaos: Option<ChaosConfig>,
     /// Stall watchdog: when `Some`, a monitor thread samples per-worker
-    /// progress counters and dumps a report to stderr (plus the trace
-    /// report, when tracing) for every worker that makes no progress for
+    /// progress counters and prints a report with the runtime's
+    /// post-mortem to stderr for every worker that makes no progress for
     /// the given duration. `None` disables the watchdog.
     pub watchdog: Option<Duration>,
     /// Idle-engine tuning (spin→yield→park ladder, wake condition).

@@ -16,13 +16,13 @@
 //! identity (see `nowa_trace::EventKind`): post-run analysis replays the
 //! deques and rebuilds the fork/join DAG from the stream.
 
-use nowa_trace::{pack_steal_arg, EventKind, FlightRing, TraceBuffer};
+use nowa_trace::{pack_steal_arg, Event, EventKind, FlightRing, TraceBuffer};
 
 use crate::worker::Worker;
 
 /// How one row of the event table reaches the calling worker's trace
-/// buffer and flight ring. Unless noted, the flight ring gets the same
-/// `(kind, arg)` the buffer does.
+/// buffer and flight ring. Unless noted, both sinks get the same
+/// [`Event`], stamped once by the worker's [`nowa_trace::Stamp`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Trace {
     /// Counted only.
@@ -45,8 +45,8 @@ pub(crate) enum Trace {
         /// Whether to record it during an idle span too.
         while_idle: bool,
     },
-    /// An offered spawn of frame `arg`; samples deque occupancy every
-    /// `2^OCCUPANCY_SHIFT`-th time.
+    /// An offered spawn of frame `arg` (hot); the buffer samples deque
+    /// occupancy every `2^OCCUPANCY_SHIFT`-th time.
     Spawn,
     /// A successful steal of frame `arg` from the worker's `last_victim`
     /// (set by the sweep just before it emits); starts the
@@ -56,7 +56,8 @@ pub(crate) enum Trace {
     Idle,
     /// Entering a futex park.
     Park,
-    /// The park ended (wake, timeout, or stale epoch).
+    /// The park ended (wake, timeout, or stale epoch) after `arg`
+    /// nanoseconds: an [`EventKind::Unpark`] span stamped at its start.
     Unpark,
 }
 
@@ -83,69 +84,57 @@ pub(crate) unsafe fn record(
     occupancy: impl FnOnce() -> u64,
 ) {
     // SAFETY: live worker per the function contract; only header fields
-    // are read.
+    // are read, and the stamp is this worker's own.
     let w = unsafe { &*worker };
     let (buf, flight) = sinks(w);
-    let (kind, arg) = match trace {
+    if buf.is_none() && flight.is_none() {
+        return;
+    }
+    let stamp = &w.stamp;
+    let ev = match trace {
         Trace::Off => return,
-        Trace::Hot(kind) => {
-            if let Some(b) = buf {
-                b.hot_event(kind, arg);
-            }
-            (kind, arg)
-        }
-        Trace::Rare(kind) | Trace::Work(kind) => {
-            if let Some(b) = buf {
-                if matches!(trace, Trace::Work(_)) {
-                    b.idle_exit();
-                }
-                b.event(kind, arg);
-            }
-            (kind, arg)
-        }
         Trace::Sweep { kind, while_idle } => {
             if let Some(b) = buf {
                 if while_idle || !b.is_idle() {
-                    b.event(kind, arg);
+                    b.record(Event::new(stamp.fresh(), kind, arg));
                 }
             }
             return;
         }
-        Trace::Spawn => {
-            if let Some(b) = buf {
-                b.spawn(arg, occupancy);
-            }
-            (EventKind::Spawn, arg)
-        }
-        Trace::Steal => {
-            let victim = w.last_victim;
-            if let Some(b) = buf {
-                b.idle_exit();
-                b.steal_success(victim, arg);
-            }
-            (EventKind::Steal, pack_steal_arg(victim, arg))
-        }
         Trace::Idle => {
             if let Some(b) = buf {
-                b.idle_enter();
+                b.idle_enter(|| stamp.fresh());
             }
             return;
         }
-        Trace::Park => {
-            if let Some(b) = buf {
-                b.park_begin();
-            }
-            (EventKind::Park, 0)
-        }
-        Trace::Unpark => {
-            if let Some(b) = buf {
-                b.park_end();
-            }
-            (EventKind::Unpark, 0)
-        }
+        Trace::Hot(kind) => Event::new(stamp.hot(), kind, arg),
+        Trace::Spawn => Event::new(stamp.hot(), EventKind::Spawn, arg),
+        Trace::Rare(kind) | Trace::Work(kind) => Event::new(stamp.fresh(), kind, arg),
+        Trace::Steal => Event::new(
+            stamp.fresh(),
+            EventKind::Steal,
+            pack_steal_arg(w.last_victim, arg),
+        ),
+        Trace::Park => Event::new(stamp.fresh(), EventKind::Park, 0),
+        Trace::Unpark => Event::new(stamp.fresh().saturating_sub(arg), EventKind::Unpark, arg),
     };
+    if let Some(b) = buf {
+        match trace {
+            Trace::Spawn => b.spawn(ev, occupancy),
+            Trace::Steal => {
+                b.idle_exit(ev.ts_ns);
+                b.steal_success(ev);
+            }
+            Trace::Work(_) => {
+                b.idle_exit(ev.ts_ns);
+                b.record(ev);
+            }
+            Trace::Unpark => b.unpark(ev),
+            _ => b.record(ev),
+        }
+    }
     if let Some(f) = flight {
-        f.record_now(kind, arg);
+        f.record(ev);
     }
 }
 
@@ -159,7 +148,81 @@ pub(crate) unsafe fn record(
 #[inline]
 pub(crate) unsafe fn resume_finished(worker: *mut Worker) {
     // SAFETY: live worker per the function contract.
-    if let (Some(b), _) = sinks(unsafe { &*worker }) {
-        b.resume_finished();
+    let w = unsafe { &*worker };
+    if let (Some(b), _) = sinks(w) {
+        b.resume_finished(|| w.stamp.fresh());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use nowa_trace::EventKind;
+
+    use crate::{api, Config, Runtime};
+
+    fn fib(n: u64) -> u64 {
+        if n < 2 {
+            return n;
+        }
+        let (a, b) = api::join2(|| fib(n - 1), || fib(n - 2));
+        a + b
+    }
+
+    /// Kinds the trace buffer records and the flight ring does not.
+    fn buffer_only(kind: EventKind) -> bool {
+        matches!(
+            kind,
+            EventKind::StealEmpty | EventKind::StealRetry | EventKind::Idle | EventKind::Occupancy
+        )
+    }
+
+    /// One event, one timestamp: with both recorders on, each worker's
+    /// flight ring holds exactly the tail of its drained trace stream
+    /// (restricted to the kinds both sinks get), timestamps included —
+    /// hot events too, which both stamp with the same amortized reading.
+    #[test]
+    fn flight_ring_is_the_tail_of_the_trace_stream() {
+        let rt = Runtime::new(
+            Config::with_workers(2)
+                .tracing(true)
+                .trace_ring(1 << 16)
+                .flight_recorder(512),
+        )
+        .unwrap();
+        assert_eq!(rt.run(|| fib(14)), 377);
+        // Idle until a worker parks, so Park/Unpark spans are in the tail.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rt.stats().parks == 0 {
+            assert!(Instant::now() < deadline, "no worker parked within 5 s");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(rt.run(|| fib(9)), 34);
+        // Quiesce first: a worker recording between the two reads below
+        // would make the tails differ for a reason other than stamping.
+        rt.shutdown(Duration::from_secs(10)).unwrap();
+        let report = rt.trace_report().unwrap();
+        assert_eq!(report.dropped_total, 0);
+        let rings = rt.shared().flight.as_deref().unwrap();
+        let mut compared = Vec::new();
+        for (w, ring) in report.workers.iter().zip(rings) {
+            let flight = ring.snapshot();
+            let traced: Vec<_> = w.events.iter().filter(|e| !buffer_only(e.kind)).collect();
+            assert!(flight.len() <= traced.len(), "worker {}", w.index);
+            let tail = &traced[traced.len() - flight.len()..];
+            for (f, t) in flight.iter().zip(tail) {
+                assert_eq!(f, *t, "worker {}: flight and trace disagree", w.index);
+            }
+            compared.extend(flight.iter().map(|e| e.kind));
+        }
+        for kind in [
+            EventKind::Spawn,
+            EventKind::FastPop,
+            EventKind::Park,
+            EventKind::Unpark,
+        ] {
+            assert!(compared.contains(&kind), "no {} compared", kind.name());
+        }
     }
 }

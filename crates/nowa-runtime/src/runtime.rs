@@ -18,34 +18,22 @@ use crate::snapshot::Snapshot;
 use crate::stats::StatsSnapshot;
 use crate::worker::{current_worker, worker_main, FlavoredWorker, Shared, Worker};
 
-/// The shared state the guard-page crash hook dumps trace data from. A
-/// plain `fn()` hook cannot capture, so the most recent tracing-enabled
-/// runtime registers itself here (best-effort diagnostics; last one wins).
+/// The shared state the guard-page crash hook renders its post-mortem
+/// from. A plain `fn()` hook cannot capture, so the most recent runtime
+/// with tracing or a flight recorder registers itself here (best-effort
+/// diagnostics; last one wins).
 #[cfg(feature = "trace")]
 static CRASH_SHARED: Mutex<std::sync::Weak<Shared>> = Mutex::new(std::sync::Weak::new());
 
-/// Crash hook installed with the guard-page handler: dumps the last trace
-/// events of the dying process. Runs inside a signal handler — the process
-/// is already doomed, so allocation/locking here is best-effort by design.
-///
-/// The flight recorder is dumped first: it is the always-available bounded
-/// history (last N events per worker, exact ordering), whereas the trace
-/// report only exists when full tracing was on and summarises rather than
-/// replays.
+/// Crash hook installed with the guard-page handler: prints the
+/// post-mortem of the dying runtime. Runs inside a signal handler — the
+/// process is already doomed, so allocation/locking here is best-effort
+/// by design.
 #[cfg(feature = "trace")]
-fn crash_trace_dump() {
+fn crash_postmortem() {
     let shared = CRASH_SHARED.lock().upgrade();
     if let Some(shared) = shared {
-        if let Some(rings) = shared.flight.as_deref() {
-            eprintln!(
-                "nowa: flight recorder at crash:\n{}",
-                nowa_trace::flight::dump(rings)
-            );
-        }
-        if let Some(buffers) = shared.trace.as_deref() {
-            let report = nowa_trace::TraceReport::collect(buffers);
-            eprintln!("nowa: trace report at crash:\n{}", report.summary_table());
-        }
+        eprint!("{}", shared.postmortem("nowa", "crash"));
     }
 }
 
@@ -175,6 +163,8 @@ fn spawn_workers<P: Protocol>(shared: &Arc<Shared>, started: &Arc<Barrier>) -> V
                     last_victim: usize::MAX,
                     cancel_scope: &shared.cancel_root,
                     woken: Vec::new(),
+                    #[cfg(feature = "trace")]
+                    stamp: Default::default(),
                 },
                 deque,
                 stealers: stealers.clone(),
@@ -261,7 +251,7 @@ impl Runtime {
         #[cfg(feature = "trace")]
         if config.tracing || config.flight.is_some() {
             *CRASH_SHARED.lock() = Arc::downgrade(&shared);
-            nowa_context::signal::set_crash_hook(crash_trace_dump);
+            nowa_context::signal::set_crash_hook(crash_postmortem);
         }
 
         // Every runtime thread checks in once it has made its first
@@ -338,24 +328,16 @@ impl Runtime {
         &self.shared
     }
 
-    /// The live snapshot in Prometheus text exposition format.
-    pub fn metrics_text(&self) -> String {
-        self.snapshot().render_prometheus()
-    }
-
-    /// The live snapshot as JSON.
-    pub fn metrics_json(&self) -> String {
-        self.snapshot().render_json()
-    }
-
     /// Drains the per-worker trace rings and merges everything recorded so
     /// far into a [`nowa_trace::TraceReport`]. `None` unless the runtime
     /// was configured with [`Config::tracing`]`(true)`.
     ///
     /// Draining consumes the buffered events (a second call reports only
-    /// events recorded in between) but histograms are cumulative. Safe to
-    /// call between [`Runtime::run`]s; calling it *during* a run yields a
-    /// consistent prefix of each worker's stream.
+    /// events recorded in between) but histograms are cumulative. This is
+    /// the rings' one consumer: the runtime's own failure reports only
+    /// read their fill and histograms, so they never take events from
+    /// here. Safe to call between [`Runtime::run`]s; calling it *during* a
+    /// run yields a consistent prefix of each worker's stream.
     #[cfg(feature = "trace")]
     pub fn trace_report(&self) -> Option<nowa_trace::TraceReport> {
         self.shared
@@ -432,11 +414,12 @@ impl Runtime {
             Ok(result) => result,
             Err(payload) => {
                 // A propagating task panic is exactly what the flight
-                // recorder exists for: dump the final scheduler events
-                // before the unwind leaves the runtime.
+                // recorder exists for: print the post-mortem, final
+                // scheduler events included, before the unwind leaves the
+                // runtime.
                 #[cfg(feature = "trace")]
-                if let Some(dump) = self.flight_dump() {
-                    eprintln!("nowa: flight recorder at task panic:\n{dump}");
+                if self.shared.flight.is_some() {
+                    eprint!("{}", self.shared.postmortem("nowa", "task panic"));
                 }
                 resume_unwind(payload)
             }
@@ -542,12 +525,11 @@ impl Runtime {
         let result = if error.stuck.is_empty() && error.panicked.is_empty() {
             Ok(())
         } else {
-            // The fourth flight-drain leg: a shutdown timeout is a
-            // post-mortem moment like a crash or a task panic — dump the
-            // last scheduler events while the rings are still alive.
+            // A shutdown timeout is a post-mortem moment like a crash or
+            // a task panic: explain the wedge while the rings are alive.
             #[cfg(feature = "trace")]
-            if let Some(dump) = self.flight_dump() {
-                eprintln!("nowa: flight recorder at shutdown timeout:\n{dump}");
+            if self.shared.flight.is_some() {
+                eprint!("{}", self.shared.postmortem("nowa", "shutdown timeout"));
             }
             Err(error)
         };

@@ -1,8 +1,8 @@
 //! [`Runtime::snapshot`](crate::Runtime::snapshot): one typed tree of
 //! everything the runtime can say about itself, and the three renderers —
 //! text table, Prometheus text exposition, JSON — that every reporting
-//! surface uses (`metrics_text`/`metrics_json`, the harness `--stats`
-//! table, the profile artifact, the watchdog's stall report).
+//! surface uses (the harness's scheduler tables, the profile artifact,
+//! and the post-mortem every failure report prints).
 //!
 //! Pull-based: a snapshot re-reads the relaxed counters — no background
 //! thread, no hot-path cost — and the renderers are compiled in every
@@ -97,6 +97,44 @@ impl Shared {
                 .as_deref()
                 .map(crate::chaos::ChaosSnapshot::aggregate),
         }
+    }
+
+    /// The post-mortem each failure report prints — the guard-page crash
+    /// hook, a task panic leaving `Runtime::run`, a watchdog stall and a
+    /// shutdown timeout: the [`Snapshot::render_table`] table; the flight
+    /// recorder's merged tail when one is configured; and, when tracing
+    /// is on, each trace ring's fill and drop count and the latency
+    /// histograms. Each section opens with `"{who}: <section> at {at}:"`.
+    ///
+    /// It only reads (relaxed counter and histogram snapshots, the flight
+    /// rings' non-destructive snapshot) and never drains a trace ring:
+    /// those have one consumer, `Runtime::trace_report`, which a failure
+    /// report must neither race nor rob of events.
+    pub(crate) fn postmortem(&self, who: &str, at: &str) -> String {
+        let out = format!(
+            "{who}: scheduler counters at {at}:\n{}",
+            self.snapshot().render_table()
+        );
+        #[cfg(feature = "trace")]
+        let out = {
+            let mut out = out;
+            if let Some(rings) = self.flight.as_deref() {
+                let _ = write!(
+                    out,
+                    "{who}: flight recorder at {at}:\n{}",
+                    nowa_trace::flight::dump(rings)
+                );
+            }
+            if let Some(buffers) = self.trace.as_deref() {
+                let _ = write!(
+                    out,
+                    "{who}: trace report at {at}:\n{}",
+                    nowa_trace::ring_summary(buffers)
+                );
+            }
+            out
+        };
+        out
     }
 }
 
@@ -206,8 +244,8 @@ impl Snapshot {
 
     /// Human-readable text: the globals on one line each, then one table
     /// line per scheduler counter and ratio with a `total` column and one
-    /// column per worker. What `--stats` style output and the watchdog's
-    /// stall report print.
+    /// column per worker. What the harness's scheduler tables and every
+    /// post-mortem print.
     pub fn render_table(&self) -> String {
         let mut out = format!("flavor {}\n", self.flavor.name());
         for (name, _, _, v) in self.globals() {
@@ -343,5 +381,53 @@ mod tests {
         assert!(out.contains("nowa_steals_total{worker=\"1\"} 5\n"));
         assert!(out.contains("# TYPE nowa_wake_ratio gauge\n"));
         assert!(out.contains("nowa_wake_ratio{path=\"a\\\"b\\\\c\\nd\"} 0.75\n"));
+    }
+
+    fn fib(n: u64) -> u64 {
+        if n < 2 {
+            return n;
+        }
+        let (a, b) = crate::api::join2(|| fib(n - 1), || fib(n - 2));
+        a + b
+    }
+
+    /// Every failure report prints this: the counter table always, the
+    /// flight and trace sections exactly when configured — and rendering
+    /// takes no event from the trace rings' one consumer.
+    #[test]
+    fn postmortem_shows_what_is_configured_and_consumes_nothing() {
+        let compiled = cfg!(feature = "trace");
+        for (tracing, flight) in [(false, false), (true, false), (false, true), (true, true)] {
+            let mut config = crate::Config::with_workers(2).tracing(tracing);
+            if flight {
+                config = config.flight_recorder(256);
+            }
+            let rt = crate::Runtime::new(config).unwrap();
+            assert_eq!(rt.run(|| fib(12)), 144);
+            for _ in 0..2 {
+                let text = rt.shared().postmortem("nowa", "test");
+                assert!(
+                    text.starts_with("nowa: scheduler counters at test:\nflavor nowa-cl\n"),
+                    "{text}"
+                );
+                assert!(text.contains("\nspawns "), "{text}");
+                let has = |section: &str| text.contains(&format!("nowa: {section} at test:\n"));
+                assert_eq!(has("flight recorder"), compiled && flight, "{text}");
+                assert_eq!(has("trace report"), compiled && tracing, "{text}");
+                if compiled && tracing {
+                    assert!(text.contains("events buffered, 0 dropped"), "{text}");
+                }
+            }
+            #[cfg(feature = "trace")]
+            if tracing {
+                let report = rt.trace_report().unwrap();
+                assert_eq!(report.dropped_total, 0);
+                assert_eq!(
+                    report.count(nowa_trace::EventKind::Spawn),
+                    rt.stats().spawns,
+                    "every spawn event still reaches trace_report"
+                );
+            }
+        }
     }
 }

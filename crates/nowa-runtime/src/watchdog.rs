@@ -28,10 +28,12 @@
 //! genuine stall (a task stuck in a syscall, a deadlocked lock inside user
 //! code, a scheduler bug) leaves the counter frozen; after `threshold`
 //! without movement the watchdog prints one report per stall episode to
-//! stderr — worker index, seconds stalled, last progress value, and the
-//! [`Snapshot`](crate::Snapshot) table of every counter per worker — plus
-//! the flight-recorder dump (when the flight recorder is on) and the merged
-//! trace report (when tracing is enabled). Reports are counted in
+//! stderr — worker index, seconds stalled, last progress value — followed
+//! by the runtime's post-mortem (`Shared::postmortem`): the
+//! [`Snapshot`](crate::Snapshot) table of every counter per worker, the
+//! flight-recorder dump (when the flight recorder is on) and the trace
+//! rings' fill, drops and histograms (when tracing is enabled; the
+//! report reads the rings, never drains them). Reports are counted in
 //! `Snapshot::watchdog_reports` so tests and harnesses can assert on them.
 //!
 //! With stall monitoring on, the thread wakes four times per threshold (at
@@ -108,29 +110,11 @@ fn run(shared: &Shared, started: &Barrier) {
 }
 
 fn report(shared: &Shared, worker: usize, stalled_for: Duration, progress: u64) {
-    eprintln!(
+    eprint!(
         "nowa-watchdog: worker {worker} made no progress for {:.3}s \
          (progress counter stuck at {progress}); it may be blocked in user \
          code or wedged\n{}",
         stalled_for.as_secs_f64(),
-        shared.snapshot().render_table()
+        shared.postmortem("nowa-watchdog", "stall")
     );
-    // The flight recorder next: the last per-worker scheduler events
-    // usually show *where* the wedged worker stopped, which counters and
-    // the summary table cannot.
-    #[cfg(feature = "trace")]
-    if let Some(rings) = shared.flight.as_deref() {
-        eprintln!(
-            "nowa-watchdog: flight recorder at stall:\n{}",
-            nowa_trace::flight::dump(rings)
-        );
-    }
-    #[cfg(feature = "trace")]
-    if let Some(buffers) = shared.trace.as_deref() {
-        let report = nowa_trace::TraceReport::collect(buffers);
-        eprintln!(
-            "nowa-watchdog: trace report at stall:\n{}",
-            report.summary_table()
-        );
-    }
 }

@@ -128,6 +128,10 @@ pub struct Worker {
     /// poller slot is released. Reused from poll to poll, so serving a
     /// request allocates nothing here.
     pub(crate) woken: Vec<Waker>,
+    /// The one timestamp source of this worker's trace buffer and flight
+    /// ring: each traced event is stamped once, here (`obs::record`).
+    #[cfg(feature = "trace")]
+    pub(crate) stamp: nowa_trace::Stamp,
 }
 
 // SAFETY: a Worker is moved to its OS thread once at startup and from then

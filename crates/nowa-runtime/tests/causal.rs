@@ -11,7 +11,7 @@
 #![cfg(feature = "trace")]
 
 use nowa_runtime::{api, Config, Runtime};
-use nowa_trace::CausalProfile;
+use nowa_trace::{CausalProfile, EventKind};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -109,6 +109,31 @@ fn tracing_records_a_bounded_number_of_events_per_spawn() {
         "{events} events for {spawns} spawns: {:?}",
         report.counts
     );
+}
+
+/// A stall report reads the trace rings and takes nothing from them: the
+/// run's own `trace_report` still gets every event recorded before the
+/// stall. (A report that drains the rings — they have one consumer —
+/// leaves the later report short of the pre-stall spawns.)
+#[test]
+fn stall_report_does_not_consume_trace_events() {
+    let rt = Runtime::new(
+        Config::with_workers(2)
+            .tracing(true)
+            .watchdog(std::time::Duration::from_millis(40)),
+    )
+    .unwrap();
+    rt.run(|| {
+        assert_eq!(fib(12), 144);
+        std::thread::sleep(std::time::Duration::from_millis(250));
+    });
+    assert!(
+        rt.snapshot().watchdog_reports >= 1,
+        "watchdog missed a 250ms stall with a 40ms threshold"
+    );
+    let report = rt.trace_report().expect("tracing configured");
+    assert_eq!(report.dropped_total, 0);
+    assert_eq!(report.count(EventKind::Spawn), rt.stats().spawns);
 }
 
 /// Forced steal failures (chaos) perturb *which* steals succeed, not the

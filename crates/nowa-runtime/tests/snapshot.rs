@@ -147,13 +147,13 @@ fn every_table_row_reaches_every_renderer_on_every_flavor() {
 }
 
 /// The live-metrics surface needs no cargo feature: this file is not
-/// gated, so the default build exercises `metrics_text`/`metrics_json`.
+/// gated, so the default build exercises the Prometheus and JSON renderers.
 #[test]
 fn metrics_surface_works_in_the_default_build() {
     let rt = Runtime::new(Config::with_workers(2)).unwrap();
     assert_eq!(rt.run(|| fib(16)), 987);
     let spawns = rt.stats().spawns;
-    let text = rt.metrics_text();
+    let text = rt.snapshot().render_prometheus();
     assert!(
         text.contains("nowa_build_info{flavor=\"nowa-cl\"} 1\n"),
         "{text}"
@@ -176,7 +176,7 @@ fn metrics_surface_works_in_the_default_build() {
         "{text}"
     );
 
-    let json = Json::parse(&rt.metrics_json()).expect("metrics JSON parses");
+    let json = Json::parse(&rt.snapshot().render_json()).expect("metrics JSON parses");
     assert_eq!(json.get("flavor").and_then(Json::as_str), Some("nowa-cl"));
     assert_eq!(json_u64(&json, "workers"), 2);
     assert_eq!(json_u64(json.get("scheduler").unwrap(), "spawns"), spawns);

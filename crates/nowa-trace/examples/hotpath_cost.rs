@@ -1,6 +1,6 @@
 //! Micro-cost probe for the hot recording path (dev aid: run with
 //! --release and read ns/op).
-use nowa_trace::{Event, EventKind, EventRing, TraceBuffer};
+use nowa_trace::{Event, EventKind, EventRing, Stamp, TraceBuffer};
 use std::time::Instant;
 
 fn main() {
@@ -17,21 +17,22 @@ fn main() {
     );
 
     let buf = TraceBuffer::new(1 << 14);
+    let stamp = Stamp::default();
     let t0 = Instant::now();
     for i in 0..n {
-        buf.hot_event(EventKind::FastPop, i);
+        buf.record(Event::new(stamp.hot(), EventKind::FastPop, i));
     }
     println!(
-        "hot_event: {:.1} ns/op",
+        "hot-stamped push: {:.1} ns/op",
         t0.elapsed().as_nanos() as f64 / n as f64
     );
 
     let buf = TraceBuffer::new(1 << 14);
     let t0 = Instant::now();
     for i in 0..n {
-        buf.spawn(i, || 3);
-        buf.hot_event(EventKind::FastPop, i);
-        buf.hot_event(EventKind::SyncInline, i);
+        buf.spawn(Event::new(stamp.hot(), EventKind::Spawn, i), || 3);
+        buf.record(Event::new(stamp.hot(), EventKind::FastPop, i));
+        buf.record(Event::new(stamp.hot(), EventKind::SyncInline, i));
     }
     let per = t0.elapsed().as_nanos() as f64 / n as f64;
     println!(

@@ -10,23 +10,14 @@ use crate::ring::EventRing;
 /// How often deque occupancy is sampled: every `2^OCCUPANCY_SHIFT`-th spawn.
 pub const OCCUPANCY_SHIFT: u32 = 6;
 
-/// How often hot-path events take a fresh clock reading: every
-/// `2^STAMP_SHIFT`-th hot event reads the monotonic clock; the ones in
-/// between reuse the last reading. A clock read costs tens of
-/// nanoseconds — more than a fine-grained spawn itself — so stamping
-/// every event would double the runtime of spawn-bound kernels
-/// (`benchmark/` reports the traced ÷ untraced ratio; what a test asserts
-/// is the event count per spawn, in nowa-runtime's `tests/causal.rs`).
-/// Staleness is bounded by `2^STAMP_SHIFT` *hot* events: rare-path
-/// events (steals, syncs, idle/park transitions) always stamp precisely
-/// and refresh the shared reading, so timestamps stay monotonic per
-/// worker and dense event bursts — the only periods that reuse stamps —
-/// are exactly the periods with no scheduling gaps to mis-measure.
-pub const STAMP_SHIFT: u32 = 6;
-
 /// Everything one worker records: its event ring, its latency histograms,
 /// and the scratch cells for in-flight measurements. Cache-line padded so
 /// two workers' buffers never share a line.
+///
+/// The buffer reads no clock: the worker stamps each event once with its
+/// [`Stamp`](crate::Stamp) and passes the stamped [`Event`] (or, for a
+/// span boundary, the reading) in, so the same event can go to a flight
+/// ring unchanged.
 ///
 /// All methods are wait-free. Only the owning worker calls the recording
 /// methods; the report collector reads concurrently via [`EventRing`]'s
@@ -52,14 +43,8 @@ pub struct TraceBuffer {
     pending_steal_ns: AtomicU64,
     /// Timestamp idleness began (0 = currently busy).
     idle_since_ns: AtomicU64,
-    /// Timestamp the current park began (0 = not parked).
-    park_since_ns: AtomicU64,
     /// Spawns seen, for occupancy sampling.
     spawn_tick: AtomicU64,
-    /// Hot events seen, for amortized stamping ([`STAMP_SHIFT`]).
-    stamp_tick: AtomicU64,
-    /// The last monotonic clock reading taken by this worker.
-    stamp_ns: AtomicU64,
 }
 
 impl TraceBuffer {
@@ -76,91 +61,52 @@ impl TraceBuffer {
             parked: Hist64::default(),
             pending_steal_ns: AtomicU64::new(0),
             idle_since_ns: AtomicU64::new(0),
-            park_since_ns: AtomicU64::new(0),
             spawn_tick: AtomicU64::new(0),
-            stamp_tick: AtomicU64::new(0),
-            stamp_ns: AtomicU64::new(0),
         }
     }
 
-    /// Reads the clock and refreshes the shared stamp. Every precise
-    /// (rare-path) reading goes through here so subsequent hot events can
-    /// never be stamped earlier than a preceding precise event.
+    /// Records a stamped event (dropped and counted when the ring is full).
     #[inline]
-    fn fresh_ts(&self) -> u64 {
-        let ts = now_ns();
-        self.stamp_ns.store(ts, Ordering::Relaxed);
-        ts
+    pub fn record(&self, ev: Event) {
+        self.ring.push(ev);
     }
 
-    /// Amortized timestamp for hot-path events: a fresh reading every
-    /// `2^`[`STAMP_SHIFT`]`-th` call, the last reading otherwise.
-    #[inline]
-    fn hot_ts(&self) -> u64 {
-        let tick = self.stamp_tick.load(Ordering::Relaxed);
-        self.stamp_tick.store(tick + 1, Ordering::Relaxed);
-        if tick & ((1 << STAMP_SHIFT) - 1) == 0 {
-            self.fresh_ts()
-        } else {
-            self.stamp_ns.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Records a rare-path event stamped with a fresh clock reading.
-    #[inline]
-    pub fn event(&self, kind: EventKind, arg: u64) {
-        self.ring.push(Event::new(self.fresh_ts(), kind, arg));
-    }
-
-    /// Records a hot-path event with an amortized stamp (`STAMP_SHIFT`).
-    #[inline]
-    pub fn hot_event(&self, kind: EventKind, arg: u64) {
-        self.ring.push(Event::new(self.hot_ts(), kind, arg));
-    }
-
-    /// Records an offered spawn of `frame`; every
-    /// `2^`[`OCCUPANCY_SHIFT`]`-th` call also samples `deque_len` into the
-    /// occupancy histogram (and an [`EventKind::Occupancy`] event), where
+    /// Records an offered spawn event; every `2^`[`OCCUPANCY_SHIFT`]`-th`
+    /// call also samples `deque_len` into the occupancy histogram (and an
+    /// [`EventKind::Occupancy`] event at the spawn's timestamp), where
     /// `deque_len` is provided lazily so the common case never touches the
     /// deque.
     #[inline]
-    pub fn spawn(&self, frame: u64, deque_len: impl FnOnce() -> u64) {
+    pub fn spawn(&self, ev: Event, deque_len: impl FnOnce() -> u64) {
+        self.ring.push(ev);
         let tick = self.spawn_tick.load(Ordering::Relaxed);
         self.spawn_tick.store(tick + 1, Ordering::Relaxed);
         if tick & ((1 << OCCUPANCY_SHIFT) - 1) == 0 {
             let len = deque_len();
             self.occupancy.record(len);
-            let ts = self.fresh_ts();
-            self.ring.push(Event::new(ts, EventKind::Spawn, frame));
-            self.ring.push(Event::new(ts, EventKind::Occupancy, len));
-        } else {
-            self.hot_event(EventKind::Spawn, frame);
+            self.ring
+                .push(Event::new(ev.ts_ns, EventKind::Occupancy, len));
         }
     }
 
-    /// Records a successful steal of `frame`'s record from `victim` and
-    /// starts the steal-to-first-poll clock.
+    /// Records a successful steal event and starts the steal-to-first-poll
+    /// clock at its timestamp.
     #[inline]
-    pub fn steal_success(&self, victim: usize, frame: u64) {
-        let ts = self.fresh_ts();
-        self.ring.push(Event::new(
-            ts,
-            EventKind::Steal,
-            crate::event::pack_steal_arg(victim, frame),
-        ));
-        self.pending_steal_ns.store(ts, Ordering::Relaxed);
+    pub fn steal_success(&self, ev: Event) {
+        self.ring.push(ev);
+        self.pending_steal_ns.store(ev.ts_ns, Ordering::Relaxed);
     }
 
     /// Stops the steal-to-first-poll clock (called when a resumed
-    /// continuation is back on its feet). No-op without a pending steal —
-    /// fast-path resumes also pass through the resume site.
+    /// continuation is back on its feet), reading `now` only then. No-op
+    /// without a pending steal — fast-path resumes also pass through the
+    /// resume site.
     #[inline]
-    pub fn resume_finished(&self) {
+    pub fn resume_finished(&self, now: impl FnOnce() -> u64) {
         let started = self.pending_steal_ns.load(Ordering::Relaxed);
         if started != 0 {
             self.pending_steal_ns.store(0, Ordering::Relaxed);
-            self.steal_latency
-                .record(self.fresh_ts().saturating_sub(started));
+            self.steal_latency.record(now().saturating_sub(started));
         }
     }
 
@@ -171,50 +117,35 @@ impl TraceBuffer {
         self.idle_since_ns.load(Ordering::Relaxed) != 0
     }
 
-    /// Marks the beginning of an idle period (first failed steal sweep).
-    /// Idempotent while already idle.
+    /// Marks the beginning of an idle period (first failed steal sweep),
+    /// reading `now` only then. Idempotent while already idle.
     #[inline]
-    pub fn idle_enter(&self) {
+    pub fn idle_enter(&self, now: impl FnOnce() -> u64) {
         if self.idle_since_ns.load(Ordering::Relaxed) == 0 {
-            self.idle_since_ns
-                .store(self.fresh_ts().max(1), Ordering::Relaxed);
+            self.idle_since_ns.store(now().max(1), Ordering::Relaxed);
         }
     }
 
-    /// Marks the end of an idle period: records the spin duration and an
-    /// [`EventKind::Idle`] event spanning it. No-op when not idle.
+    /// Marks the end of an idle period at `now`: records the spin duration
+    /// and an [`EventKind::Idle`] event spanning it. No-op when not idle.
     #[inline]
-    pub fn idle_exit(&self) {
+    pub fn idle_exit(&self, now: u64) {
         let since = self.idle_since_ns.load(Ordering::Relaxed);
         if since != 0 {
             self.idle_since_ns.store(0, Ordering::Relaxed);
-            let dur = self.fresh_ts().saturating_sub(since);
+            let dur = now.saturating_sub(since);
             self.idle_spin.record(dur);
             self.ring.push(Event::new(since, EventKind::Idle, dur));
         }
     }
 
-    /// Marks the beginning of a futex park ([`EventKind::Park`] instant,
-    /// parked-time clock started).
+    /// Records the end of a park: an [`EventKind::Unpark`] event stamped
+    /// at the park's start whose arg is the time parked, which also goes
+    /// into the `parked` histogram.
     #[inline]
-    pub fn park_begin(&self) {
-        let ts = self.fresh_ts().max(1);
-        self.park_since_ns.store(ts, Ordering::Relaxed);
-        self.ring.push(Event::new(ts, EventKind::Park, 0));
-    }
-
-    /// Marks the end of a park: records the parked duration and an
-    /// [`EventKind::Unpark`] span covering it. No-op without a pending
-    /// [`TraceBuffer::park_begin`].
-    #[inline]
-    pub fn park_end(&self) {
-        let since = self.park_since_ns.load(Ordering::Relaxed);
-        if since != 0 {
-            self.park_since_ns.store(0, Ordering::Relaxed);
-            let dur = self.fresh_ts().saturating_sub(since);
-            self.parked.record(dur);
-            self.ring.push(Event::new(since, EventKind::Unpark, dur));
-        }
+    pub fn unpark(&self, ev: Event) {
+        self.parked.record(ev.arg);
+        self.ring.push(ev);
     }
 }
 
@@ -226,8 +157,8 @@ mod tests {
     fn spawn_samples_occupancy_periodically() {
         let buf = TraceBuffer::new(1 << 10);
         let mut probes = 0u32;
-        for _ in 0..(2 << OCCUPANCY_SHIFT) {
-            buf.spawn(42, || {
+        for i in 0..(2 << OCCUPANCY_SHIFT) {
+            buf.spawn(Event::new(i, EventKind::Spawn, 42), || {
                 probes += 1;
                 3
             });
@@ -236,58 +167,56 @@ mod tests {
         let occ = buf.occupancy.snapshot();
         assert_eq!(occ.count, 2);
         assert_eq!(occ.max, 3);
+        let mut events = Vec::new();
+        buf.ring.drain_into(&mut events);
+        let sample = events
+            .iter()
+            .position(|e| e.kind == EventKind::Occupancy)
+            .unwrap();
+        assert_eq!(events[sample - 1].kind, EventKind::Spawn);
+        assert_eq!(
+            events[sample].ts_ns,
+            events[sample - 1].ts_ns,
+            "the sample shares its spawn's stamp"
+        );
     }
 
     #[test]
     fn steal_latency_requires_pending_steal() {
         let buf = TraceBuffer::new(64);
-        buf.resume_finished(); // fast-path resume: no pending steal
+        buf.resume_finished(|| unreachable!("fast-path resume reads no clock"));
         assert_eq!(buf.steal_latency.snapshot().count, 0);
-        buf.steal_success(2, 42);
-        buf.resume_finished();
-        buf.resume_finished(); // second resume must not double-record
-        assert_eq!(buf.steal_latency.snapshot().count, 1);
+        buf.steal_success(Event::new(10, EventKind::Steal, 42));
+        buf.resume_finished(|| 25);
+        buf.resume_finished(|| 99); // second resume must not double-record
+        let s = buf.steal_latency.snapshot();
+        assert_eq!((s.count, s.max), (1, 15));
     }
 
     #[test]
     fn idle_period_recorded_once() {
         let buf = TraceBuffer::new(64);
-        buf.idle_exit(); // busy → no-op
-        buf.idle_enter();
-        buf.idle_enter(); // idempotent
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        buf.idle_exit();
+        buf.idle_exit(5); // busy → no-op
+        buf.idle_enter(|| 1_000);
+        buf.idle_enter(|| unreachable!("idempotent while idle"));
+        buf.idle_exit(1_000_000);
         let s = buf.idle_spin.snapshot();
-        assert_eq!(s.count, 1);
-        assert!(s.max >= 1_000_000, "slept ≥ 1ms, recorded {}", s.max);
+        assert_eq!((s.count, s.max), (1, 999_000));
         let mut events = Vec::new();
         buf.ring.drain_into(&mut events);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::Idle);
-        assert_eq!(events[0].arg, s.max);
+        assert_eq!(events, [Event::new(1_000, EventKind::Idle, 999_000)]);
     }
 
     #[test]
-    fn park_span_recorded_once() {
+    fn unpark_records_the_parked_time() {
         let buf = TraceBuffer::new(64);
-        buf.park_end(); // not parked → no-op
-        assert_eq!(buf.parked.snapshot().count, 0);
-        buf.park_begin();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        buf.park_end();
-        buf.park_end(); // must not double-record
-        buf.event(EventKind::Wake, 3);
+        buf.record(Event::new(100, EventKind::Park, 0));
+        buf.unpark(Event::new(100, EventKind::Unpark, 1_000_000));
         let s = buf.parked.snapshot();
-        assert_eq!(s.count, 1);
-        assert!(s.max >= 1_000_000, "parked ≥ 1ms, recorded {}", s.max);
+        assert_eq!((s.count, s.max), (1, 1_000_000));
         let mut events = Vec::new();
         buf.ring.drain_into(&mut events);
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, EventKind::Park);
-        assert_eq!(events[1].kind, EventKind::Unpark);
-        assert_eq!(events[1].arg, s.max);
+        assert_eq!(events.len(), 2);
         assert_eq!(events[1].ts_ns, events[0].ts_ns, "span starts at the park");
-        assert_eq!(events[2].kind, EventKind::Wake);
-        assert_eq!(events[2].arg, 3);
     }
 }

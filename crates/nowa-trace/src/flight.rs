@@ -4,12 +4,14 @@
 //! [`FlightRing`] keeps the *most recent* events and needs no consumer: it
 //! can stay on for the lifetime of a production process at a fixed memory
 //! cost, holding the last moments of scheduler history for post-mortem
-//! dumps. The crash/stall machinery (watchdog stall reports, child-panic
-//! propagation, the guard-page SIGSEGV hook) snapshots it when something
-//! goes wrong.
+//! dumps. The runtime's post-mortem (guard-page crash, task panic,
+//! watchdog stall, shutdown timeout) snapshots it when something goes
+//! wrong.
 //!
 //! The producer is the owning worker and is wait-free: record is two
-//! relaxed stores plus a release publish, no branches on fullness.
+//! relaxed stores plus a release publish, no branches on fullness. It
+//! reads no clock — the worker stamps each event once and records the
+//! same [`Event`] into every sink.
 //! Snapshots are taken from other threads and are best-effort: a slot
 //! that may have been overwritten mid-read is detected by re-checking the
 //! publish counter and discarded, so a torn event is never returned.
@@ -70,13 +72,6 @@ impl FlightRing {
         // Release-publish so a snapshot that observes counter n+1 also
         // observes the slot words (modulo the overwrite race it re-checks).
         self.written.store(n + 1, Ordering::Release);
-    }
-
-    /// Records an event of `kind` stamped now.
-    // lint: wait-free
-    #[inline]
-    pub fn record_now(&self, kind: EventKind, arg: u64) {
-        self.record(Event::new(now_ns(), kind, arg));
     }
 
     /// Best-effort snapshot of the currently-held events, oldest first.

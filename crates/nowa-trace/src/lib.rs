@@ -12,10 +12,15 @@
 //!   occupancy. Recording is one relaxed `fetch_add`.
 //! * [`TraceBuffer`] — the per-worker bundle of ring + histograms, cache-
 //!   line padded so workers never share a line.
-//! * [`TraceReport`] — the merged view across workers, with three
-//!   exporters: a human-readable summary table, JSON, and Chrome
-//!   `trace_event` JSON (one track per worker) loadable in Perfetto or
-//!   `chrome://tracing`.
+//! * [`Stamp`] — a worker's one timestamp source: each event is stamped
+//!   once (hot kinds with an amortized reading) and the same [`Event`]
+//!   goes to every sink.
+//! * [`TraceReport`] — the merged view across workers, drained from the
+//!   rings by their one consumer, with two exporters: a human-readable
+//!   summary table and Chrome `trace_event` JSON (one track per worker)
+//!   loadable in Perfetto or `chrome://tracing`. [`ring_summary`] is the
+//!   non-consuming view for post-mortem dumps: ring fill, drops and
+//!   histograms.
 //! * [`CausalProfile`] — the analysis half: events carry causal identity
 //!   (frame ids, steal provenance), so a post-run pass replays the
 //!   per-worker deques, rebuilds the fork/join DAG, and computes work T1,
@@ -41,14 +46,14 @@ mod report;
 mod ring;
 
 pub use buffer::{TraceBuffer, OCCUPANCY_SHIFT};
-pub use clock::now_ns;
+pub use clock::{now_ns, Stamp, STAMP_SHIFT};
 pub use critical::{CausalProfile, CriticalPath, StealEdge};
 pub use event::{
     pack_steal_arg, steal_frame, steal_victim, Event, EventKind, ARG_MASK, STEAL_FRAME_BITS,
 };
 pub use flight::FlightRing;
 pub use hist::{Hist64, HistSnapshot};
-pub use report::{TraceReport, WorkerTrace};
+pub use report::{ring_summary, TraceReport, WorkerTrace};
 pub use ring::EventRing;
 
 /// Default per-worker event-ring capacity (events). Must be a power of two.

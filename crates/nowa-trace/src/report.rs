@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use crate::buffer::TraceBuffer;
 use crate::event::{Event, EventKind, NUM_KINDS};
-use crate::hist::{bucket_bounds, HistSnapshot, BUCKETS};
+use crate::hist::HistSnapshot;
 use crate::json::Json;
 
 /// One worker's drained event stream.
@@ -171,45 +171,17 @@ impl TraceReport {
                 .collect();
             let _ = writeln!(out, "  {:<14} {:>12}   [{}]", kind.name(), n, per.join(" "));
         }
-        for (name, h) in [
-            ("steal→first-poll", &self.steal_latency),
-            ("suspend→resume", &self.suspend_latency),
-            ("idle spin", &self.idle_spin),
-            ("parked", &self.parked),
-        ] {
-            let _ = writeln!(out, "  {}", fmt_hist_line(name, h, fmt_ns));
-        }
-        let _ = writeln!(
-            out,
-            "  {}",
-            fmt_hist_line("deque occupancy", &self.occupancy, |v| v.to_string())
+        write_hists(
+            &mut out,
+            &[
+                ("steal→first-poll", &self.steal_latency),
+                ("suspend→resume", &self.suspend_latency),
+                ("idle spin", &self.idle_spin),
+                ("parked", &self.parked),
+            ],
+            &self.occupancy,
         );
         out
-    }
-
-    /// The report as a JSON document (counts, histograms, per-worker event
-    /// totals — not the raw event streams; use [`TraceReport::
-    /// chrome_trace`] for those).
-    pub fn to_json(&self) -> String {
-        let mut root = BTreeMap::new();
-        root.insert("workers".to_string(), Json::Num(self.workers.len() as f64));
-        root.insert("dropped".to_string(), Json::Num(self.dropped_total as f64));
-        root.insert("span_ns".to_string(), Json::Num(self.span_ns as f64));
-        let mut counts = BTreeMap::new();
-        for kind in EventKind::ALL {
-            counts.insert(kind.name().to_string(), Json::Num(self.count(kind) as f64));
-        }
-        root.insert("counts".to_string(), Json::Obj(counts));
-        for (key, h) in [
-            ("steal_latency_ns", &self.steal_latency),
-            ("suspend_latency_ns", &self.suspend_latency),
-            ("idle_spin_ns", &self.idle_spin),
-            ("deque_occupancy", &self.occupancy),
-            ("parked_ns", &self.parked),
-        ] {
-            root.insert(key.to_string(), hist_json(h));
-        }
-        Json::Obj(root).render()
     }
 
     /// The full event streams in Chrome `trace_event` JSON (the
@@ -297,32 +269,51 @@ impl TraceReport {
     }
 }
 
-fn hist_json(h: &HistSnapshot) -> Json {
-    let mut obj = BTreeMap::new();
-    obj.insert("count".to_string(), Json::Num(h.count as f64));
-    obj.insert("sum".to_string(), Json::Num(h.sum as f64));
-    obj.insert("max".to_string(), Json::Num(h.max as f64));
-    obj.insert("mean".to_string(), Json::Num(h.mean()));
-    obj.insert(
-        "p50_ub".to_string(),
-        Json::Num(h.quantile_upper_bound(0.5) as f64),
+/// What the trace buffers hold right now, consuming none of it: each
+/// worker's ring fill (events buffered of capacity) and drop count, and
+/// the latency histograms merged over workers. Made for post-mortem dumps
+/// taken from any thread while the run goes on; [`TraceReport::collect`]
+/// drains the rings and belongs to their one consumer. Suspend-to-resume
+/// latency is absent: it is derived from the events at collection.
+pub fn ring_summary(buffers: &[TraceBuffer]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "trace rings: {} workers", buffers.len());
+    let [mut steal, mut idle, mut parked, mut occupancy] = [HistSnapshot::default(); 4];
+    for (i, buf) in buffers.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "  w{i} {} of {} events buffered, {} dropped",
+            buf.ring.len(),
+            buf.ring.capacity(),
+            buf.ring.dropped(),
+        );
+        steal.merge(&buf.steal_latency.snapshot());
+        idle.merge(&buf.idle_spin.snapshot());
+        parked.merge(&buf.parked.snapshot());
+        occupancy.merge(&buf.occupancy.snapshot());
+    }
+    write_hists(
+        &mut out,
+        &[
+            ("steal→first-poll", &steal),
+            ("idle spin", &idle),
+            ("parked", &parked),
+        ],
+        &occupancy,
     );
-    obj.insert(
-        "p99_ub".to_string(),
-        Json::Num(h.quantile_upper_bound(0.99) as f64),
+    out
+}
+
+/// One line per histogram: the nanosecond ones, then deque occupancy.
+fn write_hists(out: &mut String, ns: &[(&str, &HistSnapshot)], occupancy: &HistSnapshot) {
+    for (name, h) in ns {
+        let _ = writeln!(out, "  {}", fmt_hist_line(name, h, fmt_ns));
+    }
+    let _ = writeln!(
+        out,
+        "  {}",
+        fmt_hist_line("deque occupancy", occupancy, |v| v.to_string())
     );
-    // Sparse buckets: [[lo, count], ...].
-    let buckets: Vec<Json> = (0..BUCKETS)
-        .filter(|&i| h.buckets[i] != 0)
-        .map(|i| {
-            Json::Arr(vec![
-                Json::Num(bucket_bounds(i).0 as f64),
-                Json::Num(h.buckets[i] as f64),
-            ])
-        })
-        .collect();
-    obj.insert("buckets".to_string(), Json::Arr(buckets));
-    Json::Obj(obj)
 }
 
 fn fmt_hist_line(name: &str, h: &HistSnapshot, unit: impl Fn(u64) -> String) -> String {
@@ -354,24 +345,26 @@ fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::pack_steal_arg;
 
     fn sample_buffers() -> Vec<TraceBuffer> {
         let bufs = vec![TraceBuffer::new(256), TraceBuffer::new(256)];
         let frame = 0x100;
+        let ev = |ts, kind, arg| Event::new(ts, kind, arg);
         // Worker 0: spawns + a suspend.
-        bufs[0].spawn(frame, || 2);
-        bufs[0].event(EventKind::FastPop, frame);
-        bufs[0].event(EventKind::SyncSuspend, frame);
+        bufs[0].spawn(ev(10, EventKind::Spawn, frame), || 2);
+        bufs[0].record(ev(11, EventKind::FastPop, frame));
+        bufs[0].record(ev(12, EventKind::SyncSuspend, frame));
         // Worker 1: steals and resumes the suspended frame.
-        bufs[1].steal_success(0, frame);
-        bufs[1].resume_finished();
-        bufs[1].event(EventKind::SyncResume, frame);
-        bufs[1].idle_enter();
-        bufs[1].idle_exit();
+        bufs[1].steal_success(ev(20, EventKind::Steal, pack_steal_arg(0, frame)));
+        bufs[1].resume_finished(|| 25);
+        bufs[1].record(ev(30, EventKind::SyncResume, frame));
+        bufs[1].idle_enter(|| 31);
+        bufs[1].idle_exit(40);
         // Worker 1 parks once and is woken by worker 0.
-        bufs[1].park_begin();
-        bufs[1].park_end();
-        bufs[0].event(EventKind::Wake, 1);
+        bufs[1].record(ev(41, EventKind::Park, 0));
+        bufs[1].unpark(ev(41, EventKind::Unpark, 9));
+        bufs[0].record(ev(50, EventKind::Wake, 1));
         bufs
     }
 
@@ -401,9 +394,28 @@ mod tests {
     }
 
     #[test]
+    fn ring_summary_consumes_nothing() {
+        let bufs = sample_buffers();
+        let held: Vec<usize> = bufs.iter().map(|b| b.ring.len()).collect();
+        let summary = ring_summary(&bufs);
+        assert_eq!(ring_summary(&bufs), summary, "reading twice reads the same");
+        assert!(
+            summary.contains("w0 5 of 256 events buffered, 0 dropped"),
+            "{summary}"
+        );
+        assert!(summary.contains("steal→first-poll   n=1"), "{summary}");
+        assert!(summary.contains("parked             n=1"), "{summary}");
+        assert_eq!(bufs.iter().map(|b| b.ring.len()).collect::<Vec<_>>(), held);
+        assert_eq!(
+            TraceReport::collect(&bufs).total_events(),
+            held.iter().sum()
+        );
+    }
+
+    #[test]
     fn unmatched_resume_ignored() {
         let bufs = vec![TraceBuffer::new(64)];
-        bufs[0].event(EventKind::SyncResume, 77);
+        bufs[0].record(Event::new(1, EventKind::SyncResume, 77));
         let report = TraceReport::collect(&bufs);
         assert_eq!(report.suspend_latency.count, 0);
     }
@@ -416,20 +428,6 @@ mod tests {
             assert!(summary.contains(kind.name()), "missing {}", kind.name());
         }
         assert!(summary.contains("steal→first-poll"));
-    }
-
-    #[test]
-    fn json_export_parses_back() {
-        let report = TraceReport::collect(&sample_buffers());
-        let parsed = Json::parse(&report.to_json()).unwrap();
-        assert_eq!(parsed.get("workers").unwrap().as_num(), Some(2.0));
-        let counts = parsed.get("counts").unwrap();
-        assert_eq!(counts.get("steal").unwrap().as_num(), Some(1.0));
-        assert!(parsed
-            .get("steal_latency_ns")
-            .unwrap()
-            .get("count")
-            .is_some());
     }
 
     #[test]

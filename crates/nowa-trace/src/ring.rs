@@ -58,10 +58,14 @@ impl EventRing {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Events currently buffered.
+    /// Events currently buffered. Consumes nothing, so any thread may ask
+    /// while the producer and the consumer run.
     pub fn len(&self) -> usize {
-        let p = self.published.load(Ordering::Acquire);
+        // `consumed` first: it never passes `published`, and `published`
+        // only grows, so the later load cannot read below it (the other
+        // order underflows when a drain lands between the two loads).
         let c = self.consumed.load(Ordering::Acquire);
+        let p = self.published.load(Ordering::Acquire);
         (p - c) as usize
     }
 
