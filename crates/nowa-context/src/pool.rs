@@ -206,10 +206,6 @@ pub struct WorkerStackCache {
     pool: Arc<StackPool>,
     cache: Vec<Stack>,
     capacity: usize,
-    /// Cache hits (no global pool traffic).
-    pub hits: u64,
-    /// Cache misses (had to go to the global pool).
-    pub misses: u64,
     /// Times allocation pressure made this cache shed capacity.
     pub pressure_events: u64,
 }
@@ -221,8 +217,6 @@ impl WorkerStackCache {
             pool,
             cache: Vec::with_capacity(capacity),
             capacity,
-            hits: 0,
-            misses: 0,
             pressure_events: 0,
         }
     }
@@ -231,12 +225,10 @@ impl WorkerStackCache {
     /// exhaustion surfaces as the typed error instead of aborting.
     #[inline]
     pub fn try_get(&mut self) -> Result<Stack, StackError> {
-        if let Some(stack) = self.cache.pop() {
-            self.hits += 1;
-            return Ok(stack);
+        match self.cache.pop() {
+            Some(stack) => Ok(stack),
+            None => self.pool.try_get(),
         }
-        self.misses += 1;
-        self.pool.try_get()
     }
 
     /// Reacts to allocation pressure: halves this cache's capacity and
@@ -342,12 +334,12 @@ mod tests {
         let pool = StackPool::new(64 * 1024, MadvisePolicy::Keep, 1);
         let mut cache = WorkerStackCache::new(pool.clone(), 2);
         let s = cache.get(); // miss -> pool -> map
+        let top = s.top();
         cache.put(s);
-        let _s = cache.get(); // hit
-        assert_eq!(cache.hits, 1);
-        assert_eq!(cache.misses, 1);
-        let (gets, _, _) = pool.stats().snapshot();
-        assert_eq!(gets, 0, "pool only saw the miss-map, not a get");
+        let s = cache.get(); // hit
+        assert_eq!(s.top(), top, "the cached stack came back");
+        let (gets, puts, maps) = pool.stats().snapshot();
+        assert_eq!((gets, puts, maps), (0, 0, 1), "pool only saw the miss-map");
     }
 
     #[test]

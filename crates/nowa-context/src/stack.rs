@@ -10,6 +10,7 @@
 //! that the pages are unused — trading refault cost for resident-set size.
 
 use core::ffi::c_void;
+use core::ptr::NonNull;
 
 use crate::sys::{self, Advice, SysError, PAGE_SIZE};
 
@@ -97,10 +98,14 @@ impl std::error::Error for StackError {}
 ///
 /// Dropping unmaps the region. Stacks are usually recycled through a
 /// [`StackPool`](crate::pool::StackPool) instead of being dropped.
+///
+/// Two words, and `Option<Stack>` is the same two words: the non-null
+/// base is the niche. Every hand-off slot a spawn moves a stack through
+/// is an `Option<Stack>`, so a `None` costs no tag word.
 #[derive(Debug)]
 pub struct Stack {
     /// Low end of the mapping (the guard page).
-    base: *mut u8,
+    base: NonNull<u8>,
     /// Total mapping length including the guard page.
     len: usize,
 }
@@ -125,19 +130,23 @@ impl Stack {
                 sys::map::PRIVATE | sys::map::ANONYMOUS | sys::map::NORESERVE,
             )?
         } as *mut u8;
+        // A successful anonymous mapping never starts at address 0 (the
+        // kernel keeps `mmap_min_addr` unmapped).
+        let base = NonNull::new(base).expect("mmap returned address 0");
         // Low page becomes the guard: stacks grow downward into it on
         // overflow, faulting instead of corrupting a neighbour.
+        let low = base.as_ptr() as *mut c_void;
         // SAFETY: `base..base+PAGE_SIZE` is the low page of the mapping we
         // just created and nothing points into it yet.
-        if let Err(e) = unsafe { sys::mprotect(base as *mut c_void, PAGE_SIZE, sys::prot::NONE) } {
+        if let Err(e) = unsafe { sys::mprotect(low, PAGE_SIZE, sys::prot::NONE) } {
             // SAFETY: unmapping the region we just mapped; it was never
             // published.
             unsafe {
-                let _ = sys::munmap(base as *mut c_void, len);
+                let _ = sys::munmap(low, len);
             }
             return Err(e);
         }
-        crate::signal::register_stack(base as usize, len);
+        crate::signal::register_stack(base.as_ptr() as usize, len);
         Ok(Stack { base, len })
     }
 
@@ -162,7 +171,7 @@ impl Stack {
     pub fn top(&self) -> *mut c_void {
         // SAFETY: `base + len` is one-past-the-end of the owned mapping —
         // in bounds for pointer arithmetic.
-        unsafe { self.base.add(self.len) as *mut c_void }
+        unsafe { self.base.as_ptr().add(self.len) as *mut c_void }
     }
 
     /// The low end of the usable area (just above the guard page).
@@ -170,7 +179,7 @@ impl Stack {
     pub fn usable_base(&self) -> *mut u8 {
         // SAFETY: the mapping is at least one page plus the guard page, so
         // `base + PAGE_SIZE` stays in bounds.
-        unsafe { self.base.add(PAGE_SIZE) }
+        unsafe { self.base.as_ptr().add(PAGE_SIZE) }
     }
 
     /// Usable bytes between guard page and top.
@@ -223,11 +232,11 @@ impl Stack {
 
 impl Drop for Stack {
     fn drop(&mut self) {
-        crate::signal::unregister_stack(self.base as usize);
+        crate::signal::unregister_stack(self.base.as_ptr() as usize);
         // SAFETY: `Drop` has exclusive ownership of the mapping; nothing can
         // reference it afterwards.
         unsafe {
-            let _ = sys::munmap(self.base as *mut c_void, self.len);
+            let _ = sys::munmap(self.base.as_ptr() as *mut c_void, self.len);
         }
     }
 }

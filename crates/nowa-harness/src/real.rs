@@ -14,7 +14,7 @@ use nowa_context::sys::rss_kib;
 use nowa_kernels::{BenchId, Size};
 use nowa_runtime::{Config, Flavor, MadvisePolicy, Runtime, StatsSnapshot};
 
-use crate::stats::{mean, std_dev, Table};
+use crate::stats::{mean, sig3, std_dev, Table};
 
 /// A real runtime system under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,7 +145,11 @@ pub fn measured_comparison(size: Size, workers: usize, reps: usize) -> Vec<Table
         let mut row = vec![bench.name().to_string()];
         for (i, system) in systems.into_iter().enumerate() {
             let m = measure_detailed(system, bench, size, workers, reps);
-            row.push(format!("{:.4}±{:.4}", mean(&m.times), std_dev(&m.times)));
+            row.push(format!(
+                "{}±{}",
+                sig3(mean(&m.times)),
+                sig3(std_dev(&m.times))
+            ));
             if let Some(s) = m.stats {
                 totals[i].merge(&s);
             }
@@ -178,7 +182,7 @@ pub fn overhead_table(size: Size, reps: usize) -> Vec<Table> {
     let mut totals: Vec<StatsSnapshot> = vec![StatsSnapshot::default(); flavors.len()];
     for bench in BenchId::ALL {
         let serial = mean(&measure_detailed(RealRuntime::Serial, bench, size, 1, reps).times);
-        let mut row = vec![bench.name().to_string(), format!("{serial:.4}")];
+        let mut row = vec![bench.name().to_string(), sig3(serial)];
         for (i, flavor) in flavors.into_iter().enumerate() {
             let m = measure_detailed(
                 RealRuntime::Nowa(flavor, MadvisePolicy::Keep),
@@ -307,7 +311,7 @@ pub fn pool_ablation(size: Size, workers: usize, reps: usize) -> Vec<Table> {
         let (gets, puts, maps) = rt.pool_stats();
         table.row(vec![
             label.to_string(),
-            format!("{:.4}±{:.4}", mean(&times), std_dev(&times)),
+            format!("{}±{}", sig3(mean(&times)), sig3(std_dev(&times))),
             gets.to_string(),
             puts.to_string(),
             maps.to_string(),
@@ -341,7 +345,7 @@ pub fn knapsack_order(workers: usize, reps: usize) -> Vec<Table> {
                 times.push(start.elapsed().as_secs_f64());
                 assert_eq!(got, expected, "knapsack result mismatch");
             }
-            format!("{:.4}±{:.4}", mean(&times), std_dev(&times))
+            format!("{}±{}", sig3(mean(&times)), sig3(std_dev(&times)))
         };
         (cell(SpawnOrder::TakeFirst), cell(SpawnOrder::SkipFirst))
     };

@@ -20,6 +20,21 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
+/// A time in seconds to three significant digits, so the microsecond
+/// kernels of `--size tiny` and the multi-second ones of `--size full`
+/// both keep their value (a fixed `{:.4}` prints 2.4e-5 s as `0.0000`).
+/// Below a millisecond it switches to exponent notation.
+pub fn sig3(secs: f64) -> String {
+    if secs == 0.0 || !secs.is_finite() {
+        return format!("{secs}");
+    }
+    if secs.abs() < 1e-3 {
+        return format!("{secs:.2e}");
+    }
+    let decimals = (2 - secs.abs().log10().floor() as i32).max(0) as usize;
+    format!("{secs:.decimals$}")
+}
+
 /// Geometric mean (the paper averages speedups geometrically).
 pub fn geo_mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -98,6 +113,18 @@ mod tests {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert!((std_dev(&[1.0, 2.0, 3.0]) - 1.0).abs() < 1e-12);
         assert_eq!(std_dev(&[5.0]), 0.0);
+    }
+
+    #[test]
+    fn sig3_keeps_tiny_and_large_times() {
+        assert_eq!(sig3(2.4e-5), "2.40e-5");
+        assert_eq!(sig3(13.08), "13.1");
+        assert_eq!(sig3(0.93), "0.930");
+        assert_eq!(sig3(0.0024), "0.00240");
+        assert_eq!(sig3(0.0), "0");
+        for t in [2.4e-5, 13.08] {
+            assert!(!sig3(t).contains("0.0000"), "{t} -> {}", sig3(t));
+        }
     }
 
     #[test]

@@ -67,10 +67,21 @@ fn frame_fits_two_lines_in_declaration_order() {
 }
 
 #[test]
+fn stack_hand_off_slots_carry_no_tag_word() {
+    // Every hand-off slot (`Worker::{current_stack, incoming_stack,
+    // pending_recycle}`, `SpawnRecord::stack`, `FrameCore::
+    // suspended_stack`, `AsyncCell::stack`) is an `Option<Stack>`: the
+    // non-null base is its niche, so `None` costs no third word.
+    assert_eq!(size_of::<Option<Stack>>(), size_of::<Stack>());
+    assert!(size_of::<Stack>() <= 16);
+}
+
+#[test]
 fn spawn_record_is_unpadded() {
     assert_eq!(offset_of!(SpawnRecord, ctx), 0);
     assert_eq!(offset_of!(SpawnRecord, frame), 8);
     assert_eq!(size_of::<SpawnRecord>(), 16 + size_of::<Option<Stack>>());
+    assert!(size_of::<SpawnRecord>() <= 32, "half a line per spawn");
     assert!(align_of::<SpawnRecord>() <= 8);
 }
 

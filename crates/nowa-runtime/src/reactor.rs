@@ -39,7 +39,7 @@ use core::task::{Context, Poll, Waker};
 use std::io;
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use nowa_context::sys::{self, epoll, EpollEvent, EpollWait};
 
@@ -426,7 +426,7 @@ impl Reactor {
     // ---- the poll itself -------------------------------------------------
 
     /// One reactor poll by the claimant of the poller slot. Waits up to
-    /// `timeout_ms` (0 for a busy poll; otherwise already clamped to
+    /// `timeout` (zero for a busy poll; otherwise already clamped to
     /// `max_park` and the next deadline by the caller), dispatches I/O
     /// readiness, fires the deadline map, and appends every waker due to
     /// `woken`. Returns whether it latched a region deadline. The caller
@@ -439,7 +439,7 @@ impl Reactor {
     pub(crate) unsafe fn poll(
         &self,
         worker: *mut Worker,
-        timeout_ms: u64,
+        timeout: Duration,
         woken: &mut Vec<Waker>,
     ) -> bool {
         let mut dispatched = 0usize;
@@ -452,7 +452,6 @@ impl Reactor {
             // Modelled spurious wakeup: zero events without blocking.
         } else {
             let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-            let timeout = timeout_ms.min(i32::MAX as u64) as i32;
             match sys::epoll_wait(self.epfd, &mut events, Some(timeout)) {
                 EpollWait::Ready(n) => {
                     for ev in &events[..n] {

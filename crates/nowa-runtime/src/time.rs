@@ -12,7 +12,7 @@
 //!
 //! * the reactor poll — every poll fires what is due (the idle ladder's
 //!   busy polls as well as the parked poller's wait, whose `epoll_wait`
-//!   timeout is `min(max_park, next deadline)`), so deadline latency
+//!   timeout is `min(max_park, next deadline)`, to the nanosecond), so deadline latency
 //!   tracks I/O latency while any worker is idle;
 //! * the watchdog sweep — the watchdog naps until the earliest entry, but
 //!   sweeps at most once per 5 ms; it is the backstop for stretches when
@@ -132,18 +132,12 @@ impl Deadlines {
         (timers, latched)
     }
 
-    /// Milliseconds until the earliest entry, rounded up so nothing fires
-    /// early, and capped at `max_ms` (the idle engine's `max_park`).
-    pub(crate) fn timeout_ms(&self, now: Instant, max_ms: u64) -> u64 {
+    /// Time until the earliest entry, unrounded (the poller's wait takes a
+    /// `timespec`), and capped at `max` (the idle engine's `max_park`).
+    pub(crate) fn timeout(&self, now: Instant, max: Duration) -> Duration {
         match self.map.lock().entries.first_key_value() {
-            None => max_ms,
-            Some((&(at, _), _)) => {
-                let ms = at
-                    .saturating_duration_since(now)
-                    .as_nanos()
-                    .div_ceil(1_000_000);
-                ms.min(u128::from(max_ms)) as u64
-            }
+            None => max,
+            Some((&(at, _), _)) => at.saturating_duration_since(now).min(max),
         }
     }
 
@@ -408,23 +402,29 @@ mod tests {
     fn remove_disarms_and_the_timeout_tracks_the_first_key() {
         let map = Deadlines::new();
         let t0 = Instant::now();
-        assert_eq!(map.timeout_ms(t0, 500), 500, "empty map: max");
+        let max = Duration::from_millis(500);
+        assert_eq!(map.timeout(t0, max), max, "empty map: max");
         let (near, first) = wake_at(&map, t0 + Duration::from_millis(50));
         assert!(first);
-        assert_eq!(map.timeout_ms(t0, 500), 50);
+        assert_eq!(map.timeout(t0, max), Duration::from_millis(50));
         let (_, first) = wake_at(&map, t0 + Duration::from_millis(200));
         assert!(!first, "200ms does not undercut 50ms");
         map.remove(near);
         assert_eq!(map.len(), 1);
         assert_eq!(
-            map.timeout_ms(t0, 500),
-            200,
+            map.timeout(t0, max),
+            Duration::from_millis(200),
             "the timeout falls back to the 200ms deadline once the 50ms one is removed"
         );
         assert_eq!(
-            map.timeout_ms(t0 + Duration::from_micros(199_001), 500),
-            1,
-            "rounded up, never early"
+            map.timeout(t0 + Duration::from_micros(199_750), max),
+            Duration::from_micros(250),
+            "an entry 250 us ahead is a 250 us wait, not a whole millisecond"
+        );
+        assert_eq!(
+            map.timeout(t0 + Duration::from_millis(300), max),
+            Duration::ZERO,
+            "an overdue entry is a poll that does not block"
         );
         assert_eq!(
             fire(&map, t0 + Duration::from_secs(1)),
@@ -432,8 +432,8 @@ mod tests {
             "removed entry never fires"
         );
         assert_eq!(
-            map.timeout_ms(t0 + Duration::from_secs(2), 500),
-            500,
+            map.timeout(t0 + Duration::from_secs(2), max),
+            max,
             "an emptied map imposes no deadline, however late it is asked"
         );
     }
@@ -498,7 +498,7 @@ mod tests {
                 // Consume the last kick, as a real poller would.
                 let mut woken = Vec::new();
                 // SAFETY: the calling thread's live worker, holding the slot.
-                unsafe { shared.reactor.poll(worker, 0, &mut woken) };
+                unsafe { shared.reactor.poll(worker, Duration::ZERO, &mut woken) };
                 assert!(Pin::new(&mut sleep).poll(&mut cx).is_pending());
             }
             shared.reactor.release();

@@ -1,6 +1,6 @@
 //! End-to-end runtime tests across all flavors.
 
-use nowa_runtime::{api, Config, Flavor, Runtime, SplitConfig};
+use nowa_runtime::{api, Config, Flavor, Runtime, SplitConfig, StatsSnapshot};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -32,6 +32,62 @@ fn fib_single_worker() {
             split.enabled,
             "{split:?}: {stats:?}"
         );
+    }
+}
+
+/// The counters of one `rt.run`, as the delta of `rt.stats()` around it.
+fn run_counted(rt: &Runtime, n: u64) -> StatsSnapshot {
+    let before = rt.stats();
+    assert_eq!(rt.run(|| fib(n)), fib_serial(n));
+    let after = rt.stats();
+    StatsSnapshot {
+        spawns: after.spawns - before.spawns,
+        syncs_inline: after.syncs_inline - before.syncs_inline,
+        steals: after.steals - before.steals,
+        suspensions: after.suspensions - before.suspensions,
+        fast_pops: after.fast_pops - before.fast_pops,
+        own_takes: after.own_takes - before.own_takes,
+        private_pops: after.private_pops - before.private_pops,
+        promoted_items: after.promoted_items - before.promoted_items,
+        ..StatsSnapshot::default()
+    }
+}
+
+/// Exact counters for a known DAG: `fib(n)` makes one `join2` per call
+/// with `n >= 2` — 10 945 for `fib(20)` — and each counter means one
+/// thing on every flavor. On one worker nothing is stolen or suspends,
+/// every continuation comes back to its owner, and with the split layer
+/// every spawn is either popped back privately or went public by
+/// promotion, never both.
+#[test]
+fn counters_are_exact_for_a_known_dag() {
+    const FIB20_SPAWNS: u64 = 10_945;
+    for flavor in Flavor::ALL {
+        let name = flavor.name();
+        let rt = Runtime::new(Config::with_workers(1).flavor(flavor)).unwrap();
+        let d = run_counted(&rt, 20);
+        assert_eq!(d.spawns, FIB20_SPAWNS, "{name}: {d:?}");
+        assert_eq!(d.syncs_inline, FIB20_SPAWNS, "{name}: {d:?}");
+        assert_eq!((d.steals, d.suspensions), (0, 0), "{name}: {d:?}");
+        assert_eq!(d.fast_pops + d.own_takes, d.spawns, "{name}: {d:?}");
+        if flavor == Flavor::FIBRIL {
+            assert_eq!((d.private_pops, d.promoted_items), (0, 0), "{name}: {d:?}");
+        } else {
+            assert_eq!(d.private_pops + d.promoted_items, d.spawns, "{name}: {d:?}");
+        }
+
+        // With a thief: the split identity and conservation still hold
+        // exactly at quiescence.
+        let rt = Runtime::new(Config::with_workers(2).flavor(flavor)).unwrap();
+        let d = run_counted(&rt, 22);
+        assert_eq!(
+            d.fast_pops + d.steals + d.own_takes,
+            d.spawns,
+            "{name}: {d:?}"
+        );
+        if flavor != Flavor::FIBRIL {
+            assert_eq!(d.private_pops + d.promoted_items, d.spawns, "{name}: {d:?}");
+        }
     }
 }
 
