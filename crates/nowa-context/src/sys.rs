@@ -10,7 +10,6 @@
 #![allow(clippy::missing_safety_doc)]
 
 use core::ffi::c_void;
-use core::sync::atomic::{AtomicBool, Ordering};
 use core::time::Duration;
 
 // Syscall numbers.
@@ -30,7 +29,6 @@ mod nr {
     pub const EPOLL_PWAIT: usize = 281;
     pub const EVENTFD2: usize = 290;
     pub const EPOLL_CREATE1: usize = 291;
-    pub const EPOLL_PWAIT2: usize = 441;
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -49,7 +47,6 @@ mod nr {
     pub const EPOLL_PWAIT: usize = 22;
     pub const EVENTFD2: usize = 19;
     pub const EPOLL_CREATE1: usize = 20;
-    pub const EPOLL_PWAIT2: usize = 441;
 }
 
 /// `PROT_*` constants for [`mmap`]/[`mprotect`].
@@ -142,9 +139,6 @@ impl core::fmt::Display for SysError {
 }
 
 impl std::error::Error for SysError {}
-
-/// `EINTR`: a blocking call was interrupted by a signal.
-const EINTR: i32 = 4;
 
 #[inline]
 fn check(ret: isize) -> Result<usize, SysError> {
@@ -386,68 +380,19 @@ pub enum EpollWait {
     Interrupted,
 }
 
-/// Whether [`epoll_wait`] may still try `epoll_pwait2`. Cleared for the
-/// rest of the process by its first failure other than `EINTR`.
-static PWAIT2: AtomicBool = AtomicBool::new(true);
-
-/// `epoll_pwait2(epfd, events, timeout, NULL)`: blocks until an event,
-/// the timeout, or a signal. The timeout is a `timespec`, so a wait for
-/// the next deadline is as long as the deadline, not rounded up to a
-/// whole millisecond. `None` blocks forever; `Some(Duration::ZERO)` polls
-/// without blocking.
-///
-/// Where `epoll_pwait2` fails with anything but `EINTR` — `ENOSYS` before
-/// Linux 5.11, `EPERM` under a seccomp filter that does not know syscall
-/// 441 — this wait and every later one is `epoll_pwait` with the timeout
-/// rounded up to milliseconds, so it never ends early. An error that
-/// `epoll_pwait` shares (a bad fd) costs only the `timespec` precision.
+/// `epoll_pwait(epfd, events, timeout, NULL)`: blocks until an event,
+/// the timeout, or a signal. `None` blocks forever; `Some(Duration::ZERO)`
+/// polls without blocking. The timeout is rounded up to whole
+/// milliseconds, so the wait never ends early.
 pub fn epoll_wait(epfd: i32, events: &mut [EpollEvent], timeout: Option<Duration>) -> EpollWait {
-    epoll_wait_via(&PWAIT2, nr::EPOLL_PWAIT2, epfd, events, timeout)
-}
-
-/// [`epoll_wait`] with the `timespec` syscall's number and its usable
-/// flag passed in, so a test can drive the fallback.
-fn epoll_wait_via(
-    pwait2: &AtomicBool,
-    pwait2_nr: usize,
-    epfd: i32,
-    events: &mut [EpollEvent],
-    timeout: Option<Duration>,
-) -> EpollWait {
-    // Relaxed: the flag only saves a failing syscall; a thread that has
-    // not seen it cleared tries once more and clears it again.
-    if pwait2.load(Ordering::Relaxed) {
-        let ts = timeout.map(Timespec::from_duration);
-        let ts_ptr = ts
-            .as_ref()
-            .map_or(core::ptr::null(), |t| t as *const Timespec);
-        // SAFETY: the kernel writes at most `events.len()` entries into
-        // the live mutable slice and only reads `*ts_ptr` (null or a live
-        // `Timespec`); a null sigmask pointer means "don't touch the
-        // signal mask" (plain epoll_wait semantics).
-        let ret = unsafe {
-            syscall6(
-                pwait2_nr,
-                epfd as usize,
-                events.as_mut_ptr() as usize,
-                events.len(),
-                ts_ptr as usize,
-                0,
-                0,
-            )
-        };
-        match check(ret) {
-            Ok(n) => return EpollWait::Ready(n),
-            Err(SysError(EINTR)) => return EpollWait::Interrupted,
-            Err(_) => pwait2.store(false, Ordering::Relaxed),
-        }
-    }
-    // A whole-millisecond `epoll_pwait` (aarch64 has no plain
-    // `epoll_wait`), rounded up; `-1` blocks forever.
+    // `epoll_pwait`, because aarch64 has no plain `epoll_wait`; `-1`
+    // blocks forever.
     let ms = timeout.map_or(-1, |d| {
         d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
     });
-    // SAFETY: as above, with the timeout passed by value.
+    // SAFETY: the kernel writes at most `events.len()` entries into the
+    // live mutable slice; a null sigmask pointer means "don't touch the
+    // signal mask" (plain epoll_wait semantics).
     let ret = unsafe {
         syscall6(
             nr::EPOLL_PWAIT,
@@ -687,84 +632,18 @@ mod tests {
         close(ep);
     }
 
+    /// The timeout is rounded up to whole milliseconds, so no wait ends
+    /// early, a sub-millisecond one included. Only the lower bound is
+    /// checked (a loaded host may oversleep by any amount).
     #[test]
     fn epoll_wait_times_out() {
         let ep = epoll_create1().expect("epoll_create1");
         let mut buf = [EpollEvent { events: 0, data: 0 }; 1];
-        let start = std::time::Instant::now();
-        assert_eq!(
-            epoll_wait(ep, &mut buf, Some(Duration::from_millis(5))),
-            EpollWait::Ready(0)
-        );
-        assert!(start.elapsed() >= Duration::from_millis(4));
-        close(ep);
-    }
-
-    /// The timeout is a `timespec`: a sub-millisecond wait is not rounded
-    /// up to 1 ms, and never ends early. Only the lower bound is checked
-    /// (a loaded host may oversleep by any amount).
-    #[test]
-    fn epoll_wait_takes_sub_millisecond_timeouts() {
-        let ep = epoll_create1().expect("epoll_create1");
-        let mut buf = [EpollEvent { events: 0, data: 0 }; 1];
-        let start = std::time::Instant::now();
-        assert_eq!(
-            epoll_wait(ep, &mut buf, Some(Duration::from_micros(300))),
-            EpollWait::Ready(0)
-        );
-        assert!(start.elapsed() >= Duration::from_micros(300));
-        close(ep);
-    }
-
-    /// Where `epoll_pwait2` fails (here: a syscall number the kernel does
-    /// not know, `ENOSYS`, or `EPERM` under a seccomp filter), the wait
-    /// falls back to a rounded-up `epoll_pwait` at once, still delivers
-    /// events, and never tries the failing syscall again.
-    #[test]
-    fn epoll_wait_falls_back_for_good_when_pwait2_fails() {
-        let ep = epoll_create1().expect("epoll_create1");
-        let efd = eventfd().expect("eventfd");
-        let ev = EpollEvent {
-            events: epoll::IN,
-            data: 7,
-        };
-        epoll_ctl(ep, epoll::CTL_ADD, efd, &ev).expect("ctl add");
-        let mut buf = [EpollEvent { events: 0, data: 0 }; 1];
-        let pwait2 = AtomicBool::new(true);
-        // Past every syscall number in use on x86_64 and aarch64.
-        const UNKNOWN: usize = 4095;
-
-        // 300 µs rounds up to a whole millisecond, so it never ends early.
-        let start = std::time::Instant::now();
-        assert_eq!(
-            epoll_wait_via(
-                &pwait2,
-                UNKNOWN,
-                ep,
-                &mut buf,
-                Some(Duration::from_micros(300))
-            ),
-            EpollWait::Ready(0)
-        );
-        assert!(start.elapsed() >= Duration::from_millis(1));
-        assert!(!pwait2.load(Ordering::Relaxed), "the failure is remembered");
-
-        // Later waits go straight to `epoll_pwait` and see readiness.
-        assert_eq!(write_raw(efd, &1u64.to_ne_bytes()), 8);
-        assert_eq!(
-            epoll_wait_via(
-                &pwait2,
-                UNKNOWN,
-                ep,
-                &mut buf,
-                Some(Duration::from_millis(100))
-            ),
-            EpollWait::Ready(1)
-        );
-        let data = buf[0].data;
-        assert_eq!(data, 7);
-
-        close(efd);
+        for timeout in [Duration::from_millis(5), Duration::from_micros(300)] {
+            let start = std::time::Instant::now();
+            assert_eq!(epoll_wait(ep, &mut buf, Some(timeout)), EpollWait::Ready(0));
+            assert!(start.elapsed() >= timeout, "{timeout:?}");
+        }
         close(ep);
     }
 

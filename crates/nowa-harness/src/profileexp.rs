@@ -27,7 +27,7 @@ use crate::stats::Table;
 /// every event of the supported kernel sizes so the reconstruction is
 /// exact, not best-effort. 2^20 events × 16 B = 16 MiB per worker —
 /// a profiling-session price, never paid by plain tracing (which keeps
-/// the [`nowa_runtime::Config::trace_ring`] default).
+/// the default ring, `nowa_trace::DEFAULT_RING_CAPACITY`).
 const PROFILE_RING: usize = 1 << 20;
 
 /// Runs `kernel` once under tracing and returns the rendered report:

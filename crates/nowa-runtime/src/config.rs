@@ -159,15 +159,6 @@ impl Default for IdleConfig {
     }
 }
 
-/// Default per-worker trace-ring capacity in events. Kept equal to
-/// `nowa_trace::DEFAULT_RING_CAPACITY` (asserted in the runtime tests);
-/// spelled locally because `nowa-trace` is an optional dependency.
-pub const DEFAULT_TRACE_RING: usize = 1 << 14;
-
-/// Default flight-recorder capacity used by
-/// [`Config::flight_recorder`], in events per worker.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
-
 /// Configuration of a [`Runtime`](crate::runtime::Runtime).
 ///
 /// Defaults mirror the paper's evaluation setup where applicable: 1 MiB
@@ -203,23 +194,21 @@ pub struct Config {
     pub stack_cache: usize,
     /// Stripes of the global stack pool (1 = the paper's single pool).
     pub pool_stripes: usize,
-    /// Record scheduler traces (per-worker event rings + latency
-    /// histograms). Takes effect only when the runtime is built with the
-    /// `trace` cargo feature; without the feature the flag is accepted but
-    /// inert, so callers don't need their own `cfg` gymnastics.
+    /// Record scheduler traces (per-worker event rings, idle sweeps
+    /// included, + latency histograms). Takes effect only when the runtime
+    /// is built with the `trace` cargo feature; without the feature the
+    /// flag is accepted but inert, so callers don't need their own `cfg`
+    /// gymnastics.
     pub tracing: bool,
-    /// Per-worker event-ring capacity used when `tracing` is on, in
-    /// events (rounded up to a power of two). Long profiling runs that
-    /// drain the rings from an exporter thread can raise this to lower
-    /// the drop rate. Mirrors `nowa_trace::DEFAULT_RING_CAPACITY`.
-    pub trace_ring: usize,
-    /// Flight recorder: when `Some(n)`, every worker keeps a bounded
-    /// overwrite-oldest ring of its last `n` scheduler events with no
-    /// exporter thread — cheap enough to leave on in production. The
-    /// post-mortem of a failure (guard-page crash, task panic, watchdog
-    /// stall, shutdown timeout) prints the merged tail. Independent of
-    /// `tracing`; same `trace` cargo-feature contract (inert without it).
-    pub flight: Option<usize>,
+    /// Per-worker event-ring capacity in events (rounded up to a power of
+    /// two). A ring keeps its worker's newest events, and the post-mortem
+    /// of a failure (guard-page crash, task panic, watchdog stall,
+    /// shutdown timeout) prints their merged tail. `Some(n)` keeps the
+    /// ring with `tracing` off too — the flight recorder: scheduling
+    /// events only, no exporter thread, cheap enough to leave on in
+    /// production. `None`: `nowa_trace::DEFAULT_RING_CAPACITY` when
+    /// tracing, else no ring. Same cargo-feature contract as `tracing`.
+    pub trace_ring: Option<usize>,
     /// Fault injection (see [`ChaosConfig`]). Takes effect only when built
     /// with the `chaos` cargo feature; accepted but inert otherwise.
     pub chaos: Option<ChaosConfig>,
@@ -246,8 +235,7 @@ impl Default for Config {
             stack_cache: 16,
             pool_stripes: 1,
             tracing: false,
-            trace_ring: DEFAULT_TRACE_RING,
-            flight: None,
+            trace_ring: None,
             chaos: None,
             watchdog: None,
             idle: IdleConfig::default(),
@@ -289,17 +277,11 @@ impl Config {
         self
     }
 
-    /// Sets the per-worker trace-ring capacity (builder style).
+    /// Keeps a per-worker event ring of `events` capacity, with or
+    /// without tracing (builder style). See the field docs: requires the
+    /// `trace` cargo feature to have any effect.
     pub fn trace_ring(mut self, events: usize) -> Config {
-        self.trace_ring = events;
-        self
-    }
-
-    /// Enables the flight recorder with `events` per-worker capacity
-    /// (builder style). See the field docs: requires the `trace` cargo
-    /// feature to have any effect.
-    pub fn flight_recorder(mut self, events: usize) -> Config {
-        self.flight = Some(events);
+        self.trace_ring = Some(events);
         self
     }
 
@@ -340,8 +322,7 @@ mod tests {
         assert_eq!(c.madvise, MadvisePolicy::Keep);
         assert_eq!(c.flavor, Flavor::NOWA);
         assert!(c.workers >= 1);
-        assert_eq!(c.trace_ring, DEFAULT_TRACE_RING);
-        assert_eq!(c.flight, None, "flight recorder is opt-in");
+        assert_eq!(c.trace_ring, None, "the flight recorder is opt-in");
         assert!(c.split.enabled, "split deques are the default fast path");
     }
 
@@ -353,7 +334,6 @@ mod tests {
             .stack_size(64 * 1024)
             .tracing(true)
             .trace_ring(1 << 16)
-            .flight_recorder(512)
             .chaos(ChaosConfig::aggressive(7))
             .watchdog(Duration::from_millis(100))
             .split(SplitConfig::disabled());
@@ -362,8 +342,7 @@ mod tests {
         assert_eq!(c.madvise, MadvisePolicy::Free);
         assert_eq!(c.stack_size, 64 * 1024);
         assert!(c.tracing);
-        assert_eq!(c.trace_ring, 1 << 16);
-        assert_eq!(c.flight, Some(512));
+        assert_eq!(c.trace_ring, Some(1 << 16));
         assert_eq!(c.chaos.unwrap().seed, 7);
         assert_eq!(c.watchdog, Some(Duration::from_millis(100)));
         assert!(!c.split.enabled);

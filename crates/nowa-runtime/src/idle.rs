@@ -324,17 +324,24 @@ mod tests {
         let t = {
             let idle = idle.clone();
             let woken_flag = woken_flag.clone();
-            std::thread::spawn(move || {
+            // Re-announce until woken, as a worker would: a sleeper that
+            // reads the waker's epoch bump skips the futex, and if its
+            // departing swap lands before the waker's `WAITING → NOTIFIED`
+            // CAS it leaves unwoken and that `wake_one` claims no one.
+            std::thread::spawn(move || loop {
                 let epoch = idle.announce(0);
-                let woken = idle.park(0, epoch, 5_000_000_000, false);
-                woken_flag.store(woken, Ordering::SeqCst);
+                if idle.park(0, epoch, 5_000_000_000, false) {
+                    woken_flag.store(true, Ordering::SeqCst);
+                    break;
+                }
             })
         };
         // Wait until the sleeper is visible, then wake it.
         while idle.sleepers() == 0 {
             std::thread::yield_now();
         }
-        // The sleeper may still be pre-futex; wake_one handles both.
+        // The sleeper may still be pre-futex or between announces; the
+        // waker retries until one `wake_one` claims it.
         let claimed = loop {
             if let Some(i) = idle.wake_one() {
                 break i;

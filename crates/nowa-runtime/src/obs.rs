@@ -4,25 +4,27 @@
 //! in here per event: it emits a counted event through
 //! [`crate::stats::bump`]/[`add`](crate::stats::add), and the event's row in
 //! the table says — as a [`Trace`] — how it reaches this module. With the
-//! feature on, recording is still a no-op unless the runtime was built
-//! with [`crate::Config`]`::tracing(true)` (the buffers are simply absent
-//! otherwise) and/or `Config::flight_recorder` (the flight rings likewise).
+//! feature on, recording is still a no-op unless the runtime has event
+//! rings ([`crate::Config`]`::tracing(true)` or `Config::trace_ring`; the
+//! buffers are simply absent otherwise). Each event is stamped once and
+//! stored once, in the calling worker's ring.
 //!
-//! Recording never blocks and never allocates: rings are wait-free SPSC
-//! with a drop-newest overflow policy (flight rings overwrite-oldest), and
-//! histograms are relaxed `fetch_add`s.
+//! Recording never blocks and never allocates: the ring is wait-free and
+//! overwrites its oldest event when full, and histograms are relaxed
+//! `fetch_add`s. Without `tracing` (the flight recorder alone) the ring
+//! gets scheduling events only: no idle churn, no histograms.
 //!
 //! Deque-lifecycle events carry the frame involved, giving events causal
 //! identity (see `nowa_trace::EventKind`): post-run analysis replays the
 //! deques and rebuilds the fork/join DAG from the stream.
 
-use nowa_trace::{pack_steal_arg, Event, EventKind, FlightRing, TraceBuffer};
+use nowa_trace::{pack_steal_arg, Event, EventKind, TraceBuffer};
 
 use crate::worker::Worker;
 
 /// How one row of the event table reaches the calling worker's trace
-/// buffer and flight ring. Unless noted, both sinks get the same
-/// [`Event`], stamped once by the worker's [`nowa_trace::Stamp`].
+/// buffer, stamped by the worker's [`nowa_trace::Stamp`]. The rows marked
+/// *tracing only* record nothing in a flight-recorder-only runtime.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Trace {
     /// Counted only.
@@ -33,10 +35,10 @@ pub(crate) enum Trace {
     Rare(EventKind),
     /// The worker found work: [`Trace::Rare`], closing the idle span first.
     Work(EventKind),
-    /// A failed steal attempt on victim `arg`. Buffer only: an idle worker
+    /// A failed steal attempt on victim `arg`. Tracing only: an idle worker
     /// re-sweeps every victim many thousand times a second and would evict
-    /// everything else from the flight ring. Unless `while_idle`, also
-    /// suppressed in the buffer while the worker is deep-idle — the
+    /// everything else from a flight recorder's ring. Unless `while_idle`,
+    /// also suppressed while the worker is deep-idle — the
     /// [`EventKind::Idle`] span summarises the period instead (the
     /// *counter* still counts every attempt).
     Sweep {
@@ -45,14 +47,15 @@ pub(crate) enum Trace {
         /// Whether to record it during an idle span too.
         while_idle: bool,
     },
-    /// An offered spawn of frame `arg` (hot); the buffer samples deque
-    /// occupancy every `2^OCCUPANCY_SHIFT`-th time.
+    /// An offered spawn of frame `arg` (hot); with tracing, the buffer
+    /// samples deque occupancy every `2^OCCUPANCY_SHIFT`-th time.
     Spawn,
     /// A successful steal of frame `arg` from the worker's `last_victim`
-    /// (set by the sweep just before it emits); starts the
+    /// (set by the sweep just before it emits); with tracing, starts the
     /// steal-to-first-poll clock stopped by [`resume_finished`].
     Steal,
-    /// A sweep found nothing: opens the idle span (idempotent). Buffer only.
+    /// A sweep found nothing: opens the idle span (idempotent). Tracing
+    /// only.
     Idle,
     /// Entering a futex park.
     Park,
@@ -61,13 +64,12 @@ pub(crate) enum Trace {
     Unpark,
 }
 
-/// The calling worker's trace buffer and flight ring, when configured.
+/// The calling worker's trace buffer, when the runtime has rings, and
+/// whether the runtime traces (idle churn and histograms too).
 #[inline(always)]
-fn sinks(w: &Worker) -> (Option<&TraceBuffer>, Option<&FlightRing>) {
-    (
-        w.shared.trace.as_deref().map(|t| &t[w.index]),
-        w.shared.flight.as_deref().map(|t| &t[w.index]),
-    )
+fn sink(w: &Worker) -> Option<(&TraceBuffer, bool)> {
+    let buffers = w.shared.trace.as_deref()?;
+    Some((&buffers[w.index], w.shared.config.tracing))
 }
 
 /// Routes one emitted event per its table row. `occupancy` is the
@@ -86,24 +88,21 @@ pub(crate) unsafe fn record(
     // SAFETY: live worker per the function contract; only header fields
     // are read, and the stamp is this worker's own.
     let w = unsafe { &*worker };
-    let (buf, flight) = sinks(w);
-    if buf.is_none() && flight.is_none() {
+    let Some((buf, tracing)) = sink(w) else {
         return;
-    }
+    };
     let stamp = &w.stamp;
     let ev = match trace {
         Trace::Off => return,
         Trace::Sweep { kind, while_idle } => {
-            if let Some(b) = buf {
-                if while_idle || !b.is_idle() {
-                    b.record(Event::new(stamp.fresh(), kind, arg));
-                }
+            if tracing && (while_idle || !buf.is_idle()) {
+                buf.record(Event::new(stamp.fresh(), kind, arg));
             }
             return;
         }
         Trace::Idle => {
-            if let Some(b) = buf {
-                b.idle_enter(|| stamp.fresh());
+            if tracing {
+                buf.idle_enter(|| stamp.fresh());
             }
             return;
         }
@@ -118,23 +117,22 @@ pub(crate) unsafe fn record(
         Trace::Park => Event::new(stamp.fresh(), EventKind::Park, 0),
         Trace::Unpark => Event::new(stamp.fresh().saturating_sub(arg), EventKind::Unpark, arg),
     };
-    if let Some(b) = buf {
-        match trace {
-            Trace::Spawn => b.spawn(ev, occupancy),
-            Trace::Steal => {
-                b.idle_exit(ev.ts_ns);
-                b.steal_success(ev);
-            }
-            Trace::Work(_) => {
-                b.idle_exit(ev.ts_ns);
-                b.record(ev);
-            }
-            Trace::Unpark => b.unpark(ev),
-            _ => b.record(ev),
-        }
+    if !tracing {
+        buf.record(ev);
+        return;
     }
-    if let Some(f) = flight {
-        f.record(ev);
+    match trace {
+        Trace::Spawn => buf.spawn(ev, occupancy),
+        Trace::Steal => {
+            buf.idle_exit(ev.ts_ns);
+            buf.steal_success(ev);
+        }
+        Trace::Work(_) => {
+            buf.idle_exit(ev.ts_ns);
+            buf.record(ev);
+        }
+        Trace::Unpark => buf.unpark(ev),
+        _ => buf.record(ev),
     }
 }
 
@@ -149,8 +147,8 @@ pub(crate) unsafe fn record(
 pub(crate) unsafe fn resume_finished(worker: *mut Worker) {
     // SAFETY: live worker per the function contract.
     let w = unsafe { &*worker };
-    if let (Some(b), _) = sinks(w) {
-        b.resume_finished(|| w.stamp.fresh());
+    if let Some((buf, true)) = sink(w) {
+        buf.resume_finished(|| w.stamp.fresh());
     }
 }
 
@@ -158,7 +156,7 @@ pub(crate) unsafe fn resume_finished(worker: *mut Worker) {
 mod tests {
     use std::time::{Duration, Instant};
 
-    use nowa_trace::EventKind;
+    use nowa_trace::EventKind as K;
 
     use crate::{api, Config, Runtime};
 
@@ -170,59 +168,41 @@ mod tests {
         a + b
     }
 
-    /// Kinds the trace buffer records and the flight ring does not.
-    fn buffer_only(kind: EventKind) -> bool {
-        matches!(
-            kind,
-            EventKind::StealEmpty | EventKind::StealRetry | EventKind::Idle | EventKind::Occupancy
-        )
-    }
-
-    /// One event, one timestamp: with both recorders on, each worker's
-    /// flight ring holds exactly the tail of its drained trace stream
-    /// (restricted to the kinds both sinks get), timestamps included —
-    /// hot events too, which both stamp with the same amortized reading.
+    /// One ring, each event stored once. Traced, the drain holds one
+    /// `Spawn` per spawn and equals the flight recorder's view (a
+    /// snapshot of the same ring); untraced, the ring gets the scheduling
+    /// events and none of the idle churn.
     #[test]
-    fn flight_ring_is_the_tail_of_the_trace_stream() {
-        let rt = Runtime::new(
-            Config::with_workers(2)
-                .tracing(true)
-                .trace_ring(1 << 16)
-                .flight_recorder(512),
-        )
-        .unwrap();
-        assert_eq!(rt.run(|| fib(14)), 377);
-        // Idle until a worker parks, so Park/Unpark spans are in the tail.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while rt.stats().parks == 0 {
-            assert!(Instant::now() < deadline, "no worker parked within 5 s");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(rt.run(|| fib(9)), 34);
-        // Quiesce first: a worker recording between the two reads below
-        // would make the tails differ for a reason other than stamping.
-        rt.shutdown(Duration::from_secs(10)).unwrap();
-        let report = rt.trace_report().unwrap();
-        assert_eq!(report.dropped_total, 0);
-        let rings = rt.shared().flight.as_deref().unwrap();
-        let mut compared = Vec::new();
-        for (w, ring) in report.workers.iter().zip(rings) {
-            let flight = ring.snapshot();
-            let traced: Vec<_> = w.events.iter().filter(|e| !buffer_only(e.kind)).collect();
-            assert!(flight.len() <= traced.len(), "worker {}", w.index);
-            let tail = &traced[traced.len() - flight.len()..];
-            for (f, t) in flight.iter().zip(tail) {
-                assert_eq!(f, *t, "worker {}: flight and trace disagree", w.index);
+    fn one_ring_holds_each_event_once() {
+        for tracing in [true, false] {
+            let config = Config::with_workers(2).tracing(tracing);
+            let rt = Runtime::new(config.trace_ring(1 << 16)).unwrap();
+            assert_eq!(rt.run(|| fib(14)), 377);
+            // Idle until a worker parks, so Park/Unpark spans are recorded.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while rt.stats().parks == 0 {
+                assert!(Instant::now() < deadline, "no worker parked within 5 s");
+                std::thread::sleep(Duration::from_millis(1));
             }
-            compared.extend(flight.iter().map(|e| e.kind));
-        }
-        for kind in [
-            EventKind::Spawn,
-            EventKind::FastPop,
-            EventKind::Park,
-            EventKind::Unpark,
-        ] {
-            assert!(compared.contains(&kind), "no {} compared", kind.name());
+            assert_eq!(rt.run(|| fib(9)), 34);
+            rt.shutdown(Duration::from_secs(10)).unwrap();
+            let rings = rt.shared().trace.as_deref().unwrap();
+            let tails: Vec<_> = rings.iter().map(|r| r.ring.snapshot()).collect();
+            let kinds: Vec<_> = tails.iter().flatten().map(|e| e.kind).collect();
+            for kind in [K::Spawn, K::FastPop, K::Park, K::Unpark] {
+                assert!(kinds.contains(&kind), "no {}", kind.name());
+            }
+            let churn = |k: &K| matches!(k, K::StealEmpty | K::StealRetry | K::Idle | K::Occupancy);
+            assert_eq!(kinds.iter().any(churn), tracing, "{kinds:?}");
+            let Some(report) = rt.trace_report() else {
+                assert!(!tracing);
+                continue;
+            };
+            assert_eq!(report.dropped_total, 0);
+            assert_eq!(report.count(K::Spawn), rt.stats().spawns);
+            for (w, tail) in report.workers.iter().zip(&tails) {
+                assert_eq!(&w.events, tail, "worker {}", w.index);
+            }
         }
     }
 }

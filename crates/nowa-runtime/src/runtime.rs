@@ -20,8 +20,8 @@ use crate::worker::{current_worker, worker_main, FlavoredWorker, Shared, Worker}
 
 /// The shared state the guard-page crash hook renders its post-mortem
 /// from. A plain `fn()` hook cannot capture, so the most recent runtime
-/// with tracing or a flight recorder registers itself here (best-effort
-/// diagnostics; last one wins).
+/// with event rings registers itself here (best-effort diagnostics; last
+/// one wins).
 #[cfg(feature = "trace")]
 static CRASH_SHARED: Mutex<std::sync::Weak<Shared>> = Mutex::new(std::sync::Weak::new());
 
@@ -227,15 +227,12 @@ impl Runtime {
             reactor: crate::reactor::Reactor::new().map_err(|e| RuntimeError::Reactor(e.0))?,
             pool: pool.clone(),
             #[cfg(feature = "trace")]
-            trace: config.tracing.then(|| {
+            trace: (config.tracing || config.trace_ring.is_some()).then(|| {
+                let capacity = config
+                    .trace_ring
+                    .unwrap_or(nowa_trace::DEFAULT_RING_CAPACITY);
                 (0..config.workers)
-                    .map(|_| nowa_trace::TraceBuffer::new(config.trace_ring))
-                    .collect()
-            }),
-            #[cfg(feature = "trace")]
-            flight: config.flight.map(|capacity| {
-                (0..config.workers)
-                    .map(|_| nowa_trace::FlightRing::new(capacity))
+                    .map(|_| nowa_trace::TraceBuffer::new(capacity))
                     .collect()
             }),
             #[cfg(feature = "chaos")]
@@ -249,7 +246,7 @@ impl Runtime {
         });
 
         #[cfg(feature = "trace")]
-        if config.tracing || config.flight.is_some() {
+        if shared.trace.is_some() {
             *CRASH_SHARED.lock() = Arc::downgrade(&shared);
             nowa_context::signal::set_crash_hook(crash_postmortem);
         }
@@ -328,33 +325,30 @@ impl Runtime {
         &self.shared
     }
 
-    /// Drains the per-worker trace rings and merges everything recorded so
-    /// far into a [`nowa_trace::TraceReport`]. `None` unless the runtime
-    /// was configured with [`Config::tracing`]`(true)`.
+    /// Drains the per-worker event rings and merges everything recorded
+    /// since the last drain into a [`nowa_trace::TraceReport`]. `None`
+    /// unless the runtime was configured with [`Config::tracing`]`(true)`.
     ///
-    /// Draining consumes the buffered events (a second call reports only
-    /// events recorded in between) but histograms are cumulative. This is
-    /// the rings' one consumer: the runtime's own failure reports only
-    /// read their fill and histograms, so they never take events from
-    /// here. Safe to call between [`Runtime::run`]s; calling it *during* a
-    /// run yields a consistent prefix of each worker's stream.
+    /// Draining consumes the events (events a full ring overwrote first
+    /// count as dropped) but histograms are cumulative. This is the rings'
+    /// one consumer: failure reports only snapshot them. Safe to call
+    /// between [`Runtime::run`]s; calling it *during* a run yields a
+    /// consistent prefix of each worker's stream.
     #[cfg(feature = "trace")]
     pub fn trace_report(&self) -> Option<nowa_trace::TraceReport> {
-        self.shared
-            .trace
-            .as_deref()
-            .map(nowa_trace::TraceReport::collect)
+        let tracing = self.shared.config.tracing;
+        let buffers = self.shared.trace.as_deref().filter(|_| tracing)?;
+        Some(nowa_trace::TraceReport::collect(buffers))
     }
 
-    /// Formats a post-mortem dump of the flight recorder: the last moments
-    /// of scheduler history across all workers, merged by timestamp. `None`
-    /// unless the runtime was configured with [`Config::flight_recorder`].
-    ///
-    /// Non-destructive (the rings keep recording) and safe to call at any
-    /// time, including while tasks are running.
+    /// The flight recorder's dump: the newest events of every worker's
+    /// ring, merged by timestamp. `None` unless the runtime has event
+    /// rings ([`Config::trace_ring`] or [`Config::tracing`]). Takes
+    /// nothing from `trace_report`; safe to call at any time, including
+    /// while tasks are running.
     #[cfg(feature = "trace")]
     pub fn flight_dump(&self) -> Option<String> {
-        self.shared.flight.as_deref().map(nowa_trace::flight::dump)
+        self.shared.trace.as_deref().map(nowa_trace::tail)
     }
 
     /// Runs `f` as a root task on the runtime and blocks until it finishes,
@@ -418,7 +412,7 @@ impl Runtime {
                 // scheduler events included, before the unwind leaves the
                 // runtime.
                 #[cfg(feature = "trace")]
-                if self.shared.flight.is_some() {
+                if self.shared.trace.is_some() {
                     eprint!("{}", self.shared.postmortem("nowa", "task panic"));
                 }
                 resume_unwind(payload)
@@ -528,7 +522,7 @@ impl Runtime {
             // A shutdown timeout is a post-mortem moment like a crash or
             // a task panic: explain the wedge while the rings are alive.
             #[cfg(feature = "trace")]
-            if self.shared.flight.is_some() {
+            if self.shared.trace.is_some() {
                 eprint!("{}", self.shared.postmortem("nowa", "shutdown timeout"));
             }
             Err(error)

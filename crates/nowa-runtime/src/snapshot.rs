@@ -101,38 +101,27 @@ impl Shared {
 
     /// The post-mortem each failure report prints — the guard-page crash
     /// hook, a task panic leaving `Runtime::run`, a watchdog stall and a
-    /// shutdown timeout: the [`Snapshot::render_table`] table; the flight
-    /// recorder's merged tail when one is configured; and, when tracing
-    /// is on, each trace ring's fill and drop count and the latency
-    /// histograms. Each section opens with `"{who}: <section> at {at}:"`.
+    /// shutdown timeout: the [`Snapshot::render_table`] table, then, when
+    /// the runtime has event rings, their merged tail, each ring's fill
+    /// and drop count, and (with tracing on) the latency histograms. Each
+    /// section opens with `"{who}: <section> at {at}:"`.
     ///
-    /// It only reads (relaxed counter and histogram snapshots, the flight
-    /// rings' non-destructive snapshot) and never drains a trace ring:
-    /// those have one consumer, `Runtime::trace_report`, which a failure
-    /// report must neither race nor rob of events.
+    /// It only reads (relaxed counter and histogram snapshots, the rings'
+    /// non-destructive snapshot) and never drains a ring: they have one
+    /// consumer, `Runtime::trace_report`, which a failure report must
+    /// neither race nor rob of events.
     pub(crate) fn postmortem(&self, who: &str, at: &str) -> String {
         let out = format!(
             "{who}: scheduler counters at {at}:\n{}",
             self.snapshot().render_table()
         );
         #[cfg(feature = "trace")]
-        let out = {
-            let mut out = out;
-            if let Some(rings) = self.flight.as_deref() {
-                let _ = write!(
-                    out,
-                    "{who}: flight recorder at {at}:\n{}",
-                    nowa_trace::flight::dump(rings)
-                );
-            }
-            if let Some(buffers) = self.trace.as_deref() {
-                let _ = write!(
-                    out,
-                    "{who}: trace report at {at}:\n{}",
-                    nowa_trace::ring_summary(buffers)
-                );
-            }
-            out
+        let out = match self.trace.as_deref() {
+            Some(buffers) => format!(
+                "{out}{who}: event rings at {at}:\n{}",
+                nowa_trace::ring_summary(buffers, self.config.tracing)
+            ),
+            None => out,
         };
         out
     }
@@ -392,15 +381,16 @@ mod tests {
     }
 
     /// Every failure report prints this: the counter table always, the
-    /// flight and trace sections exactly when configured — and rendering
-    /// takes no event from the trace rings' one consumer.
+    /// ring section exactly when the runtime has rings (histograms only
+    /// with tracing) — and rendering takes no event from the rings' one
+    /// consumer.
     #[test]
     fn postmortem_shows_what_is_configured_and_consumes_nothing() {
         let compiled = cfg!(feature = "trace");
-        for (tracing, flight) in [(false, false), (true, false), (false, true), (true, true)] {
+        for (tracing, ring) in [(false, false), (true, false), (false, true), (true, true)] {
             let mut config = crate::Config::with_workers(2).tracing(tracing);
-            if flight {
-                config = config.flight_recorder(256);
+            if ring {
+                config = config.trace_ring(1 << 14);
             }
             let rt = crate::Runtime::new(config).unwrap();
             assert_eq!(rt.run(|| fib(12)), 144);
@@ -411,9 +401,17 @@ mod tests {
                     "{text}"
                 );
                 assert!(text.contains("\nspawns "), "{text}");
-                let has = |section: &str| text.contains(&format!("nowa: {section} at test:\n"));
-                assert_eq!(has("flight recorder"), compiled && flight, "{text}");
-                assert_eq!(has("trace report"), compiled && tracing, "{text}");
+                let rings = compiled && (tracing || ring);
+                assert_eq!(
+                    text.contains("nowa: event rings at test:\nflight recorder: last "),
+                    rings,
+                    "{text}"
+                );
+                assert_eq!(
+                    text.contains("steal→first-poll"),
+                    compiled && tracing,
+                    "{text}"
+                );
                 if compiled && tracing {
                     assert!(text.contains("events buffered, 0 dropped"), "{text}");
                 }

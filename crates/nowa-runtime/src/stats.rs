@@ -6,7 +6,7 @@
 //! per-worker cell in [`WorkerStats`], the public [`StatsSnapshot`] field,
 //! `aggregate`/`merge`/`progress`, the `(name, help, value)` iterator all
 //! renderers walk ([`crate::snapshot`]), and — with the `trace` cargo
-//! feature — the route into the trace buffer and flight ring
+//! feature — the route into the worker's event ring
 //! (`obs.rs`). **Adding a counter is a one-row diff here** plus the
 //! `bump`/`add` call where the event happens.
 //!
@@ -38,7 +38,7 @@ macro_rules! event_table {
             /// Number of rows.
             pub const COUNT: usize = [$( Counter::$name ),*].len();
 
-            /// How this row reaches the trace buffer and flight ring.
+            /// How this row reaches the worker's event ring.
             #[cfg(feature = "trace")]
             #[inline(always)]
             pub(crate) const fn trace(self) -> crate::obs::Trace {

@@ -132,8 +132,8 @@ impl Deadlines {
         (timers, latched)
     }
 
-    /// Time until the earliest entry, unrounded (the poller's wait takes a
-    /// `timespec`), and capped at `max` (the idle engine's `max_park`).
+    /// Time until the earliest entry, capped at `max` (the idle engine's
+    /// `max_park`). The poller's wait rounds it up to whole milliseconds.
     pub(crate) fn timeout(&self, now: Instant, max: Duration) -> Duration {
         match self.map.lock().entries.first_key_value() {
             None => max,

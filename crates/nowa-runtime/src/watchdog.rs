@@ -30,10 +30,10 @@
 //! without movement the watchdog prints one report per stall episode to
 //! stderr — worker index, seconds stalled, last progress value — followed
 //! by the runtime's post-mortem (`Shared::postmortem`): the
-//! [`Snapshot`](crate::Snapshot) table of every counter per worker, the
-//! flight-recorder dump (when the flight recorder is on) and the trace
-//! rings' fill, drops and histograms (when tracing is enabled; the
-//! report reads the rings, never drains them). Reports are counted in
+//! [`Snapshot`](crate::Snapshot) table of every counter per worker and,
+//! when the runtime has event rings, their merged tail, fill and drops
+//! (plus histograms with tracing on; the report reads the rings, never
+//! drains them). Reports are counted in
 //! `Snapshot::watchdog_reports` so tests and harnesses can assert on them.
 //!
 //! With stall monitoring on, the thread wakes four times per threshold (at

@@ -71,16 +71,11 @@ pub struct Shared {
     pub pool: Arc<StackPool>,
     /// The configuration the runtime was built with.
     pub config: Config,
-    /// Per-worker trace buffers; `Some` iff the runtime was configured
-    /// with `Config::tracing(true)`.
+    /// Per-worker event rings (with their histograms); `Some` iff the
+    /// runtime was configured with `Config::tracing(true)` or a
+    /// `Config::trace_ring`.
     #[cfg(feature = "trace")]
     pub trace: Option<Box<[nowa_trace::TraceBuffer]>>,
-    /// Per-worker flight-recorder rings; `Some` iff the runtime was
-    /// configured with `Config::flight_recorder`. Independent of `trace`:
-    /// the flight recorder is bounded and exporter-free, so it can stay on
-    /// even when full tracing is off.
-    #[cfg(feature = "trace")]
-    pub flight: Option<Box<[nowa_trace::FlightRing]>>,
     /// Per-worker fault-injection state; `Some` iff the runtime was
     /// configured with a `Config::chaos` knob.
     #[cfg(feature = "chaos")]
@@ -129,8 +124,8 @@ pub struct Worker {
     /// poller slot is released. Reused from poll to poll, so serving a
     /// request allocates nothing here.
     pub(crate) woken: Vec<Waker>,
-    /// The one timestamp source of this worker's trace buffer and flight
-    /// ring: each traced event is stamped once, here (`obs::record`).
+    /// The timestamp source of this worker's trace buffer
+    /// (`obs::record`).
     #[cfg(feature = "trace")]
     pub(crate) stamp: nowa_trace::Stamp,
 }

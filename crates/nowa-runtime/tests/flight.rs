@@ -1,8 +1,9 @@
 //! Flight-recorder integration tests.
 //!
-//! The flight recorder is a bounded overwrite-oldest ring per worker that
-//! keeps the last moments of scheduler history with no exporter thread.
-//! These tests drive the four drain paths end to end:
+//! The flight recorder is the tail of each worker's overwrite-oldest event
+//! ring (`Config::trace_ring`), kept even with tracing off: the last
+//! moments of scheduler history, with no exporter thread. These tests
+//! drive the four post-mortem paths end to end:
 //!
 //! * a child panic propagating out of [`Runtime::run`] leaves the final
 //!   scheduler events in the rings (and dumps them to stderr on the way);
@@ -50,7 +51,7 @@ fn quiet_expected_panics() {
 #[test]
 fn child_panic_leaves_final_events_in_flight_ring() {
     quiet_expected_panics();
-    let rt = Runtime::new(Config::with_workers(2).flight_recorder(4096)).unwrap();
+    let rt = Runtime::new(Config::with_workers(2).trace_ring(4096)).unwrap();
     let result = catch_unwind(AssertUnwindSafe(|| {
         rt.run(|| {
             let (_a, _b) = api::join2(|| fib(10), || -> u64 { std::panic::panic_any(Boom) });
@@ -77,7 +78,7 @@ fn watchdog_stall_counts_report_with_flight_recorder_armed() {
     // we assert the report fired and the rings are dumpable).
     let rt = Runtime::new(
         Config::with_workers(2)
-            .flight_recorder(1024)
+            .trace_ring(1024)
             .watchdog(Duration::from_millis(40)),
     )
     .unwrap();
@@ -96,12 +97,12 @@ fn watchdog_stall_counts_report_with_flight_recorder_armed() {
     );
 }
 
-/// The fourth drain leg: a shutdown that times out dumps the flight rings
+/// The fourth post-mortem leg: a shutdown that times out dumps the rings
 /// (to stderr) before returning the typed error, and leaves them dumpable
 /// for post-mortem inspection.
 #[test]
 fn shutdown_timeout_drains_flight_recorder() {
-    let rt = Runtime::new(Config::with_workers(2).flight_recorder(2048)).unwrap();
+    let rt = Runtime::new(Config::with_workers(2).trace_ring(2048)).unwrap();
     std::thread::scope(|s| {
         let handle = s.spawn(|| {
             rt.run(|| {
@@ -125,7 +126,7 @@ fn shutdown_timeout_drains_flight_recorder() {
 
 #[test]
 fn flight_recorder_works_without_tracing() {
-    let rt = Runtime::new(Config::with_workers(2).flight_recorder(64)).unwrap();
+    let rt = Runtime::new(Config::with_workers(2).trace_ring(64)).unwrap();
     assert!(rt.trace_report().is_none(), "tracing was not requested");
     assert_eq!(rt.run(|| fib(14)), 377);
     let dump = rt.flight_dump().expect("flight recorder configured");

@@ -1,5 +1,7 @@
 //! End-to-end runtime tests across all flavors.
 
+use std::time::{Duration, Instant};
+
 use nowa_runtime::{api, Config, Flavor, Runtime, SplitConfig, StatsSnapshot};
 
 fn fib(n: u64) -> u64 {
@@ -111,11 +113,34 @@ fn serial_elision_outside_runtime() {
     assert_eq!(fib(15), fib_serial(15));
 }
 
+/// `fib` whose leaves each spin for `leaf`. With nanosecond leaves the
+/// first worker can finish the whole DAG before a thief that went to
+/// sleep gets a CPU back; leaves that outlast an idle sweep keep work in
+/// the deques while the thieves come round.
+fn fib_slow_leaves(n: u64, leaf: Duration) -> u64 {
+    if n < 2 {
+        let start = Instant::now();
+        while start.elapsed() < leaf {
+            std::hint::spin_loop();
+        }
+        return n;
+    }
+    let (a, b) = api::join2(
+        || fib_slow_leaves(n - 1, leaf),
+        || fib_slow_leaves(n - 2, leaf),
+    );
+    a + b
+}
+
 #[test]
 fn steals_actually_happen() {
     let rt = Runtime::new(Config::with_workers(4)).unwrap();
-    let expected = fib_serial(24);
-    assert_eq!(rt.run(|| fib(24)), expected);
+    // 4 181 leaves of 10 µs: ~42 ms of work.
+    let expected = fib_serial(18);
+    assert_eq!(
+        rt.run(|| fib_slow_leaves(18, Duration::from_micros(10))),
+        expected
+    );
     let stats = rt.stats();
     assert!(stats.spawns > 1000, "spawns: {stats:?}");
     assert!(

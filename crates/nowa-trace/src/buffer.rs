@@ -14,15 +14,14 @@ pub const OCCUPANCY_SHIFT: u32 = 6;
 /// and the scratch cells for in-flight measurements. Cache-line padded so
 /// two workers' buffers never share a line.
 ///
-/// The buffer reads no clock: the worker stamps each event once with its
+/// The buffer reads no clock: the worker stamps each event with its
 /// [`Stamp`](crate::Stamp) and passes the stamped [`Event`] (or, for a
-/// span boundary, the reading) in, so the same event can go to a flight
-/// ring unchanged.
+/// span boundary, the reading) in.
 ///
 /// All methods are wait-free. Only the owning worker calls the recording
-/// methods; the report collector reads concurrently via [`EventRing`]'s
-/// consumer side and [`Hist64::snapshot`]. The scratch cells are atomics
-/// only so the type stays `Sync` — they are worker-private.
+/// methods; readers use [`EventRing`]'s snapshot and drain and
+/// [`Hist64::snapshot`] concurrently. The scratch cells are atomics only
+/// so the type stays `Sync` — they are worker-private.
 #[repr(align(128))]
 pub struct TraceBuffer {
     /// The event ring.
@@ -65,7 +64,8 @@ impl TraceBuffer {
         }
     }
 
-    /// Records a stamped event (dropped and counted when the ring is full).
+    /// Records a stamped event (overwriting the oldest when the ring is
+    /// full).
     #[inline]
     pub fn record(&self, ev: Event) {
         self.ring.push(ev);

@@ -31,11 +31,8 @@ pub fn now_ns() -> u64 {
 /// are exactly the periods with no scheduling gaps to mis-measure.
 pub const STAMP_SHIFT: u32 = 6;
 
-/// One worker's timestamp source. A worker stamps each event once, here,
-/// and hands the same [`Event`](crate::Event) to every sink it records
-/// into — trace buffer and flight ring alike — so one event never
-/// carries two timestamps, and the flight recorder pays no more per hot
-/// event than full tracing does.
+/// One worker's timestamp source: a worker stamps each event once, here,
+/// before it goes into the worker's ring.
 ///
 /// Worker-private (`!Sync`): only the owning worker stamps.
 #[derive(Debug, Default)]

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::buffer::TraceBuffer;
-use crate::event::{Event, EventKind, NUM_KINDS};
+use crate::event::{steal_frame, steal_victim, Event, EventKind, NUM_KINDS};
 use crate::hist::HistSnapshot;
 use crate::json::Json;
 
@@ -269,16 +269,52 @@ impl TraceReport {
     }
 }
 
-/// What the trace buffers hold right now, consuming none of it: each
-/// worker's ring fill (events buffered of capacity) and drop count, and
-/// the latency histograms merged over workers. Made for post-mortem dumps
-/// taken from any thread while the run goes on; [`TraceReport::collect`]
-/// drains the rings and belongs to their one consumer. Suspend-to-resume
-/// latency is absent: it is derived from the events at collection.
-pub fn ring_summary(buffers: &[TraceBuffer]) -> String {
+/// The newest events each worker's ring holds, merged by timestamp, one
+/// line per event, oldest first: the flight recorder's view. Consumes
+/// nothing.
+pub fn tail(buffers: &[TraceBuffer]) -> String {
+    let mut merged: Vec<(usize, Event)> = Vec::new();
+    for (w, buf) in buffers.iter().enumerate() {
+        merged.extend(buf.ring.snapshot().into_iter().map(|ev| (w, ev)));
+    }
+    merged.sort_by_key(|(w, ev)| (ev.ts_ns, *w));
+    if merged.is_empty() {
+        return "flight recorder: no events\n".to_string();
+    }
+    let recorded: u64 = buffers.iter().map(|b| b.ring.recorded()).sum();
     let mut out = String::new();
-    let _ = writeln!(out, "trace rings: {} workers", buffers.len());
-    let [mut steal, mut idle, mut parked, mut occupancy] = [HistSnapshot::default(); 4];
+    let _ = writeln!(
+        out,
+        "flight recorder: last {} of {} events ({} workers)",
+        merged.len(),
+        recorded,
+        buffers.len()
+    );
+    for (w, ev) in &merged {
+        let arg = match ev.kind {
+            EventKind::Steal => format!(
+                "victim={} frame={:#x}",
+                steal_victim(ev.arg),
+                steal_frame(ev.arg)
+            ),
+            EventKind::Idle | EventKind::Unpark => format!("dur={}ns", ev.arg),
+            _ => format!("arg={:#x}", ev.arg),
+        };
+        let ts = ev.ts_ns;
+        let _ = writeln!(out, "  [{ts:>12}ns] w{w} {:<12} {}", ev.kind.name(), arg);
+    }
+    out
+}
+
+/// What a post-mortem prints of the rings, consuming none of it: the
+/// merged [`tail`], each ring's fill (the events a drain would deliver,
+/// of its capacity) and drops, and — with `histograms` — the latency
+/// histograms merged over workers. Made for dumps taken from any thread
+/// while the run goes on; [`TraceReport::collect`] drains the rings and
+/// belongs to their one consumer. Suspend-to-resume latency is absent:
+/// it is derived from the events at collection.
+pub fn ring_summary(buffers: &[TraceBuffer], histograms: bool) -> String {
+    let mut out = tail(buffers);
     for (i, buf) in buffers.iter().enumerate() {
         let _ = writeln!(
             out,
@@ -287,20 +323,25 @@ pub fn ring_summary(buffers: &[TraceBuffer]) -> String {
             buf.ring.capacity(),
             buf.ring.dropped(),
         );
-        steal.merge(&buf.steal_latency.snapshot());
-        idle.merge(&buf.idle_spin.snapshot());
-        parked.merge(&buf.parked.snapshot());
-        occupancy.merge(&buf.occupancy.snapshot());
     }
-    write_hists(
-        &mut out,
-        &[
-            ("steal→first-poll", &steal),
-            ("idle spin", &idle),
-            ("parked", &parked),
-        ],
-        &occupancy,
-    );
+    if histograms {
+        let [mut steal, mut idle, mut parked, mut occupancy] = [HistSnapshot::default(); 4];
+        for buf in buffers {
+            steal.merge(&buf.steal_latency.snapshot());
+            idle.merge(&buf.idle_spin.snapshot());
+            parked.merge(&buf.parked.snapshot());
+            occupancy.merge(&buf.occupancy.snapshot());
+        }
+        write_hists(
+            &mut out,
+            &[
+                ("steal→first-poll", &steal),
+                ("idle spin", &idle),
+                ("parked", &parked),
+            ],
+            &occupancy,
+        );
+    }
     out
 }
 
@@ -397,19 +438,46 @@ mod tests {
     fn ring_summary_consumes_nothing() {
         let bufs = sample_buffers();
         let held: Vec<usize> = bufs.iter().map(|b| b.ring.len()).collect();
-        let summary = ring_summary(&bufs);
-        assert_eq!(ring_summary(&bufs), summary, "reading twice reads the same");
+        let summary = ring_summary(&bufs, true);
+        assert_eq!(
+            ring_summary(&bufs, true),
+            summary,
+            "reading twice reads the same"
+        );
+        assert!(
+            summary.starts_with("flight recorder: last 10 of 10 events (2 workers)\n"),
+            "{summary}"
+        );
         assert!(
             summary.contains("w0 5 of 256 events buffered, 0 dropped"),
             "{summary}"
         );
         assert!(summary.contains("steal→first-poll   n=1"), "{summary}");
         assert!(summary.contains("parked             n=1"), "{summary}");
+        let bare = ring_summary(&bufs, false);
+        assert!(
+            bare.contains("events buffered") && !bare.contains("n=1"),
+            "{bare}"
+        );
         assert_eq!(bufs.iter().map(|b| b.ring.len()).collect::<Vec<_>>(), held);
         assert_eq!(
             TraceReport::collect(&bufs).total_events(),
             held.iter().sum()
         );
+        assert!(summary.starts_with(&tail(&bufs)), "a drain leaves the tail");
+    }
+
+    #[test]
+    fn tail_merges_workers_in_time_order() {
+        assert!(tail(&[TraceBuffer::new(16)]).contains("no events"));
+        let text = tail(&sample_buffers());
+        let at = |needle: &str| {
+            text.find(needle)
+                .unwrap_or_else(|| panic!("{needle}:\n{text}"))
+        };
+        assert!(at("w0 spawn") < at("w1 steal") && at("w1 steal") < at("w0 wake"));
+        assert!(text.contains("victim=0 frame=0x100"), "{text}");
+        assert!(text.contains("w1 unpark       dur=9ns"), "{text}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn stack_overflow_reports_guard_page_hit() {
 }
 
 /// With tracing compiled in and enabled, the crash hook additionally dumps
-/// the trace report collected at the moment of death.
+/// the event rings as they stood at the moment of death.
 #[cfg(feature = "trace")]
 #[test]
 fn stack_overflow_dumps_trace_report() {
@@ -69,7 +69,7 @@ fn stack_overflow_dumps_trace_report() {
         "missing guard-page diagnostic:\n{stderr}"
     );
     assert!(
-        stderr.contains("nowa: trace report at crash"),
+        stderr.contains("nowa: event rings at crash"),
         "crash hook did not dump the trace report:\n{stderr}"
     );
 }
