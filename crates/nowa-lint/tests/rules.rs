@@ -300,6 +300,25 @@ fn allowlist_suppresses_and_reports_stale_entries() {
     );
 }
 
+/// The defect only R2 catches (DESIGN §7c): a shim module's atomic that
+/// the loom build compiles and every loom model passes with. Mapped to
+/// `record.rs`, it draws an R2 finding and nothing else.
+#[test]
+fn r2_alone_catches_a_loom_blind_atomic() {
+    const FIXTURE: &str = "crates/nowa-runtime/src/record.rs";
+    let ws = workspace(
+        &[(FIXTURE, include_str!("fixtures/r2_loom_blind.rs"))],
+        AUDIT,
+    );
+    let out: Vec<_> = run_lint(&ws, &Allowlist::default())
+        .into_iter()
+        .filter(|d| d.file == FIXTURE)
+        .collect();
+    let rules: Vec<&str> = out.iter().map(|d| d.rule).collect();
+    assert_eq!(rules, ["R2"], "{out:?}");
+    assert!(out[0].message.contains("core::sync::atomic"), "{out:?}");
+}
+
 #[test]
 fn r7_pass_fixture_is_clean() {
     let ws = workspace(
@@ -336,6 +355,30 @@ fn r7_fires_on_guard_live_across_suspension() {
         out.iter()
             .any(|d| d.contains("ManuallyDrop region `staged`") && d.contains("sync_suspend_here")),
         "the resolved suspending callee is named: {out:?}"
+    );
+}
+
+/// The defect only R7 catches (DESIGN §7c): a lock guard live across
+/// `join2`, which rustc accepts. Linted with the real workspace, so the
+/// finding rests on the effect inference of the shipped `join2`.
+#[test]
+fn r7_alone_catches_a_guard_live_across_join2() {
+    const FIXTURE: &str = "examples/r7_join2.rs";
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut ws = Workspace::load(&root).expect("workspace loads");
+    ws.files.push(FileModel::parse(
+        FIXTURE,
+        include_str!("fixtures/r7_join2.rs"),
+    ));
+    let out: Vec<_> = run_lint(&ws, &Allowlist::default())
+        .into_iter()
+        .filter(|d| d.file == FIXTURE)
+        .collect();
+    let rules: Vec<&str> = out.iter().map(|d| d.rule).collect();
+    assert_eq!(rules, ["R7"], "{out:?}");
+    assert!(
+        out[0].message.contains("lock guard `guard`") && out[0].message.contains("`join2`"),
+        "{out:?}"
     );
 }
 

@@ -100,7 +100,7 @@ impl Drop for SyncOnDrop<'_> {
 /// Re-throws a panic captured from a child strand.
 #[inline]
 fn propagate(frame: &Frame) {
-    if let Some(payload) = frame.core.take_panic() {
+    if let Some(payload) = frame.take_panic() {
         resume_unwind(payload);
     }
 }
@@ -135,7 +135,7 @@ pub(crate) fn raise_cancelled(frame: *const Frame, reason: CancelReason) -> ! {
 unsafe fn adopt_scope_and_check(worker: *mut Worker, frame: &Frame) {
     // SAFETY: live worker per the function contract.
     let scope = unsafe { (*worker).cancel_scope };
-    frame.core.scope.set(scope);
+    frame.scope.set(scope);
     // SAFETY: the ambient chain is live while this strand runs.
     if let Some(reason) = unsafe { cancel::cancelled_chain(scope) } {
         raise_cancelled(frame, reason);
@@ -469,7 +469,7 @@ where
     let frame = Frame::new();
     // SAFETY: as in `join2`.
     unsafe { adopt_scope_and_check(worker, &frame) };
-    let scope = frame.core.scope.get();
+    let scope = frame.scope.get();
     {
         let guard = SyncOnDrop { frame: &frame };
         for item in iter {
@@ -477,7 +477,7 @@ where
             // the governing scope was cancelled; the guard still syncs
             // the already-running ones and `propagate` rethrows.
             // SAFETY: the frame's scope chain is live while we run.
-            if frame.core.is_flagged() || unsafe { cancel::cancelled_chain(scope) }.is_some() {
+            if frame.is_flagged() || unsafe { cancel::cancelled_chain(scope) }.is_some() {
                 break;
             }
             // SAFETY: values live across the spawn are `iter` (Send),
@@ -622,7 +622,7 @@ impl Region {
     /// been cancelled. Intended for long serial stretches between spawns
     /// (the combinators checkpoint on their own).
     pub fn checkpoint(&self) {
-        let scope = self.frame.core.scope.get();
+        let scope = self.frame.scope.get();
         if scope.is_null() {
             return;
         }
@@ -663,7 +663,7 @@ impl Region {
             Some(s) => {
                 // The Arc pins the cell's address, so the frame pointer
                 // stays valid across moves of the Region itself.
-                region.frame.core.scope.set(&s.cell);
+                region.frame.scope.set(&s.cell);
                 if !worker.is_null() {
                     // SAFETY: the calling thread's live worker. Children
                     // spawned here must inherit the region scope.
@@ -673,7 +673,7 @@ impl Region {
             None if !worker.is_null() => {
                 // SAFETY: as above.
                 let ambient = unsafe { (*worker).cancel_scope };
-                region.frame.core.scope.set(ambient);
+                region.frame.scope.set(ambient);
             }
             None => {}
         }
@@ -756,7 +756,7 @@ impl Region {
         // recorded a panic/cancel — skip not-yet-started siblings (the
         // sync surfaces the payload). A cancelled scope chain unwinds us
         // here, before the child ever starts.
-        if self.frame.core.is_flagged() {
+        if self.frame.is_flagged() {
             return;
         }
         self.checkpoint();
@@ -769,7 +769,7 @@ impl Region {
             // with no capture point since; the caller upholds the rest of
             // `spawn_on`'s contract (this function's own).
             unsafe {
-                (*worker).cancel_scope = self.frame.core.scope.get();
+                (*worker).cancel_scope = self.frame.scope.get();
                 spawn_on(worker, &self.frame, f);
             }
             return;
@@ -835,7 +835,7 @@ impl Region {
             // region's sync or a migration may have repointed it), so the
             // parked cell checkpoints against the right chain.
             // SAFETY: non-null means the calling thread's live worker.
-            unsafe { (*worker).cancel_scope = self.frame.core.scope.get() };
+            unsafe { (*worker).cancel_scope = self.frame.scope.get() };
         }
         crate::task::block_on(fut)
     }

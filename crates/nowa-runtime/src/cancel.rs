@@ -2,7 +2,7 @@
 //!
 //! A cancellation *scope* is one atomic flag (`CancelCell`) plus a link
 //! to the enclosing scope. Every frame records the innermost scope
-//! governing it (`FrameCore::scope`), so a cooperative checkpoint is one
+//! governing it (`Frame::scope`), so a cooperative checkpoint is one
 //! relaxed load of the innermost flag on the hot path; the parent chain is
 //! only walked while that flag still reads live, and a hit on an ancestor
 //! is *path-shortened* into the innermost cell so every later checkpoint
@@ -12,7 +12,7 @@
 //! obligations: no data is published *through* it. Cancellation's effects
 //! (child unwinds, join-counter retirement, panic payloads) all
 //! synchronize through the wait-free sync counter's AcqRel algebra and the
-//! frame panic mutex, exactly as ordinary completion does. DESIGN.md §6f
+//! frame lock's panic slot, exactly as ordinary completion does. DESIGN.md §6f
 //! spells the argument out; §7b carries the audit rows.
 //!
 //! Cancellation is *cooperative*: a checkpoint that observes a cancelled
@@ -130,7 +130,7 @@ impl CancelCell {
     pub(crate) fn cancel(&self, reason: CancelReason) -> bool {
         // Relaxed: the flag is a monotonic latch publishing nothing but
         // itself; cancellation's effects synchronize through the join
-        // counter and panic mutex (module docs).
+        // counter and the frame lock (module docs).
         self.flag
             .compare_exchange(
                 SCOPE_LIVE,

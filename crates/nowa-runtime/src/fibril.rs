@@ -1,13 +1,19 @@
 //! The Fibril-style lock-based protocol (Listing 2, Fig. 6) — the baseline
 //! the paper compares the wait-free protocol against.
 //!
-//! A per-frame lock guards the strand count, and the protocol briefly holds
-//! the deque lock *together with* the frame lock (Listing 2 line 10) to
-//! fuse each pop/steal with its count update — which is why it owns its
-//! deque instead of running over a [`nowa_deque::DequeAlgo`]. The locks are
-//! the baseline's point: nothing here claims wait-freedom, and the fused
-//! deque stays unsplit — it keeps [`Protocol`]'s no-private-segment
-//! defaults (the baseline is measured, not optimised).
+//! Listing 2's per-frame lock is [`Frame::lock`], and the strand count and
+//! `suspended` flag it guards live in the frame's `alpha` and `susp`
+//! words (the fields Nowa uses for its fork count and suspension state).
+//! Those two words are read and written only while the frame lock is
+//! held, so their `Relaxed` accesses are ordered by the lock; they are
+//! atomics only because the frame layout is shared with Nowa. The
+//! protocol briefly holds the deque lock *together with* the frame lock
+//! (Listing 2 line 10) to fuse each pop/steal with its count update —
+//! which is why it owns its deque instead of running over a
+//! [`nowa_deque::DequeAlgo`]. The locks are the baseline's point: nothing
+//! here claims wait-freedom, and the fused deque stays unsplit — it keeps
+//! [`Protocol`]'s no-private-segment defaults (the baseline is measured,
+//! not optimised).
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -16,10 +22,19 @@ use std::sync::Arc;
 use nowa_deque::{SplitConfig, Steal};
 
 use crate::flavor::{Protocol, Rec};
-use crate::record::{AfterChild, Frame};
+use crate::record::{AfterChild, Frame, SUSP_IDLE, SUSP_SUSPENDED};
+use crate::sync::Ordering;
 
 /// The lock-based protocol; see the module docs.
 pub struct Fibril;
+
+/// Listing 2's `f->count++` for a continuation just taken (stolen, or
+/// taken back by its owner). The caller holds the frame lock.
+#[inline]
+fn count_fork(frame: &Frame) {
+    let count = frame.alpha.load(Ordering::Relaxed);
+    frame.alpha.store(count + 1, Ordering::Relaxed);
+}
 
 /// The deque used by [`Fibril`]: a single mutex protects the queue; owner
 /// and thieves share one handle type.
@@ -53,12 +68,13 @@ impl Protocol for Fibril {
         }
         // Listing 2 discipline: acquire the frame lock before releasing
         // the deque lock, fusing pop-failure and count update.
-        let mut j = frame.join.locked.lock();
+        let _frame_lock = frame.lock.lock();
         drop(q);
-        j.count -= 1;
-        debug_assert!(j.count >= 0, "locked join count underflow");
-        if j.suspended && j.count == 0 {
-            j.suspended = false;
+        let count = frame.alpha.load(Ordering::Relaxed);
+        debug_assert!(count > 0, "locked join count underflow");
+        frame.alpha.store(count - 1, Ordering::Relaxed);
+        if count == 1 && frame.susp.load(Ordering::Relaxed) == SUSP_SUSPENDED {
+            frame.susp.store(SUSP_IDLE, Ordering::Relaxed);
             AfterChild::ResumeSync
         } else {
             AfterChild::OutOfWork
@@ -72,9 +88,9 @@ impl Protocol for Fibril {
         // SAFETY: popped under the deque lock — the record is ours, and
         // its frame outlives it.
         let frame = unsafe { &*(*rec.as_ptr()).frame };
-        let mut j = frame.join.locked.lock();
+        let _frame_lock = frame.lock.lock();
         drop(q);
-        j.count += 1;
+        count_fork(frame);
         Some(rec)
     }
 
@@ -95,33 +111,34 @@ impl Protocol for Fibril {
         let frame = unsafe { &*(*rec.as_ptr()).frame };
         // Listing 2 lines 10–15: frame lock acquired while still holding
         // the victim's deque lock.
-        let mut j = frame.join.locked.lock();
+        let _frame_lock = frame.lock.lock();
         drop(q);
-        j.count += 1;
+        count_fork(frame);
         Steal::Success(rec)
     }
 
     #[inline]
     fn sync_precheck(frame: &Frame) -> bool {
-        frame.join.locked.lock().count == 0
+        let _frame_lock = frame.lock.lock();
+        frame.alpha.load(Ordering::Relaxed) == 0
     }
 
     #[inline]
     fn sync_restore(frame: &Frame) -> bool {
-        let mut j = frame.join.locked.lock();
-        if j.count == 0 {
+        let _frame_lock = frame.lock.lock();
+        if frame.alpha.load(Ordering::Relaxed) == 0 {
             true
         } else {
-            j.suspended = true;
+            frame.susp.store(SUSP_SUSPENDED, Ordering::Relaxed);
             false
         }
     }
 
     #[inline]
     fn rearm(frame: &Frame) {
-        let mut j = frame.join.locked.lock();
-        debug_assert_eq!(j.count, 0);
-        j.suspended = false;
+        let _frame_lock = frame.lock.lock();
+        debug_assert_eq!(frame.alpha.load(Ordering::Relaxed), 0);
+        frame.susp.store(SUSP_IDLE, Ordering::Relaxed);
     }
 
     fn occupancy(dq: &Self::Owner) -> usize {
@@ -150,16 +167,16 @@ mod tests {
         assert_eq!(Fibril::stealer_len(&st), 1, "public at once");
         assert_eq!(Fibril::force_promote(&dq), 0);
         let _stolen = Fibril::steal_from(&st).success().unwrap();
-        assert_eq!(frame.join.locked.lock().count, 1);
+        assert_eq!(frame.alpha.load(Ordering::Relaxed), 1);
 
         assert!(!Fibril::sync_precheck(&frame));
         assert!(!Fibril::sync_restore(&frame));
-        assert!(frame.join.locked.lock().suspended);
+        assert_eq!(frame.susp.load(Ordering::Relaxed), SUSP_SUSPENDED);
 
         assert_eq!(Fibril::pop_or_join(&dq, &frame), AfterChild::ResumeSync);
         assert!(!Fibril::last_pop_was_private(&dq));
-        assert!(!frame.join.locked.lock().suspended);
-        assert_eq!(frame.join.locked.lock().count, 0);
+        assert_eq!(frame.susp.load(Ordering::Relaxed), SUSP_IDLE);
+        assert_eq!(frame.alpha.load(Ordering::Relaxed), 0);
         Fibril::rearm(&frame);
     }
 
@@ -170,6 +187,6 @@ mod tests {
         let rec = SpawnRecord::new(&frame);
         assert!(Fibril::push(&dq, Ptr::from_ref(&rec)).is_some());
         let _ = Fibril::take_own(&dq).unwrap();
-        assert_eq!(frame.join.locked.lock().count, 1);
+        assert_eq!(frame.alpha.load(Ordering::Relaxed), 1);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Every `join2` builds a [`Frame`] and a [`SpawnRecord`] on its stack, so
 //! every cache line they span is a line the spawn fast path writes. The
-//! structs are `repr(C)` and unpadded: the fields the protocol reads first
-//! lead, and the whole frame fits in two 64-byte lines. A field added in
-//! the wrong place, or an alignment attribute that pads the frame out
-//! again, fails these tests (plus the `const` asserts next to the
+//! structs are `repr(C)` and unpadded: the words an un-stolen `join2`
+//! touches fill the frame's first 32 bytes, and the whole frame is at most
+//! 80 bytes. A field added in the wrong place, or an alignment attribute
+//! that pads the frame out again, fails these tests (plus the `const` asserts next to the
 //! structs) with a named field instead of only moving the benchmark
 //! numbers.
 //!
@@ -19,47 +19,32 @@ use core::mem::{align_of, offset_of, size_of};
 
 use nowa_context::Stack;
 
-use crate::frame::FrameCore;
 use crate::idle::ParkSlot;
-use crate::record::{Frame, JoinState, SpawnRecord};
+use crate::record::{Frame, SpawnRecord};
 use crate::stats::WorkerStats;
 
 /// One coherence granule (two 64-byte lines — the prefetcher-pair unit the
 /// per-worker arrays pad to).
 const GRANULE: usize = 128;
 
-/// One cache line.
-const LINE: usize = 64;
-
 #[test]
-fn join_state_leads_with_the_wait_free_atomics() {
-    assert_eq!(offset_of!(JoinState, counter), 0);
-    assert_eq!(offset_of!(JoinState, alpha), 8);
-    assert_eq!(offset_of!(JoinState, susp), 12);
-    // The lock-based baseline's mutex follows with no gap.
-    assert_eq!(offset_of!(JoinState, locked), 16);
-    assert!(size_of::<JoinState>() <= LINE);
+fn frame_leads_with_the_words_an_unstolen_join2_touches() {
+    // Nowa's counter pair and suspension word, then the checkpoint fields:
+    // all in the first 32 bytes.
+    assert_eq!(offset_of!(Frame, counter), 0);
+    assert_eq!(offset_of!(Frame, alpha), 8);
+    assert_eq!(offset_of!(Frame, susp), 12);
+    assert_eq!(offset_of!(Frame, flagged), 16);
+    assert_eq!(offset_of!(Frame, scope), 24);
+    // Suspension state and the frame lock behind them, in that order.
+    assert_eq!(offset_of!(Frame, sync_ctx), 32);
+    assert!(offset_of!(Frame, suspended_stack) > offset_of!(Frame, sync_ctx));
+    assert!(offset_of!(Frame, lock) > offset_of!(Frame, suspended_stack));
 }
 
 #[test]
-fn frame_core_leads_with_the_checkpoint_fields() {
-    assert_eq!(offset_of!(FrameCore, flagged), 0);
-    assert_eq!(offset_of!(FrameCore, scope), 8);
-    // Suspension + panic state right behind them.
-    assert_eq!(offset_of!(FrameCore, sync_ctx), 16);
-    assert!(offset_of!(FrameCore, suspended_stack) > offset_of!(FrameCore, sync_ctx));
-    assert!(offset_of!(FrameCore, panic) > offset_of!(FrameCore, suspended_stack));
-}
-
-#[test]
-fn frame_fits_two_lines_in_declaration_order() {
-    assert_eq!(offset_of!(Frame, core), 0);
-    assert_eq!(offset_of!(Frame, join), size_of::<FrameCore>());
-    assert_eq!(
-        size_of::<Frame>(),
-        size_of::<FrameCore>() + size_of::<JoinState>()
-    );
-    assert!(size_of::<Frame>() <= 2 * LINE);
+fn frame_is_at_most_80_bytes() {
+    assert!(size_of::<Frame>() <= 80, "{} bytes", size_of::<Frame>());
     assert!(
         align_of::<Frame>() <= 8,
         "an aligned frame pads every join2's stack frame"
@@ -69,7 +54,7 @@ fn frame_fits_two_lines_in_declaration_order() {
 #[test]
 fn stack_hand_off_slots_carry_no_tag_word() {
     // Every hand-off slot (`Worker::{current_stack, incoming_stack,
-    // pending_recycle}`, `SpawnRecord::stack`, `FrameCore::
+    // pending_recycle}`, `SpawnRecord::stack`, `Frame::
     // suspended_stack`, `AsyncCell::stack`) is an `Option<Stack>`: the
     // non-null base is its niche, so `None` costs no third word.
     assert_eq!(size_of::<Option<Stack>>(), size_of::<Stack>());

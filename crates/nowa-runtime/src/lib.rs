@@ -53,7 +53,6 @@ pub mod config;
 pub mod fibril;
 pub mod flavor;
 pub mod foreign;
-pub mod frame;
 pub mod idle;
 pub(crate) mod injector;
 #[cfg(all(test, not(loom)))]

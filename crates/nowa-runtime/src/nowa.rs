@@ -33,7 +33,7 @@ fn fork_bookkeeping(rec: Rec) {
     // SAFETY: the caller owns `rec` (a successful steal or pop), and the
     // frame outlives every record pointing at it.
     let frame = unsafe { &*(*rec.as_ptr()).frame };
-    frame.join.alpha.fetch_add(1, Ordering::Relaxed);
+    frame.alpha.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Claims a parked suspension at a counter zero-crossing: swaps the
@@ -48,7 +48,7 @@ pub fn retire_suspension(frame: &Frame) -> bool {
     // AcqRel: acquire the suspender's pre-suspension writes (sync_ctx,
     // suspended_stack) before resuming them; release our own join so the
     // resumed continuation sees it.
-    frame.join.susp.swap(SUSP_IDLE, Ordering::AcqRel) == SUSP_SUSPENDED
+    frame.susp.swap(SUSP_IDLE, Ordering::AcqRel) == SUSP_SUSPENDED
 }
 
 impl<D: DequeAlgo> Protocol for Nowa<D> {
@@ -90,7 +90,7 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
             }
             None => {
                 // Wait-free child join: one atomic RMW, no lock.
-                let post = frame.join.counter.fetch_sub(1, Ordering::AcqRel) - 1;
+                let post = frame.counter.fetch_sub(1, Ordering::AcqRel) - 1;
                 if post == 0 {
                     // We crossed zero, so the main path already restored
                     // the counter — and published its suspension before
@@ -126,11 +126,11 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
     // lint: wait-free
     #[inline]
     fn sync_precheck(frame: &Frame) -> bool {
-        let alpha = frame.join.alpha.load(Ordering::Relaxed) as i64;
+        let alpha = frame.alpha.load(Ordering::Relaxed) as i64;
         // All α forked strands joined ⇔ counter == I_max − α. The Acquire
         // pairs with the joiners' AcqRel decrements so child results are
         // visible.
-        frame.join.counter.load(Ordering::Acquire) == I_MAX - alpha
+        frame.counter.load(Ordering::Acquire) == I_MAX - alpha
     }
 
     /// Eq. 5: `N_r = N_r' − (I_max − α)`, one `fetch_sub`.
@@ -141,10 +141,10 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
         // joiner whose decrement crosses zero must observe it (its AcqRel
         // RMW on the counter synchronizes with ours below, so this Release
         // store happens-before its `retire_suspension`).
-        frame.join.susp.store(SUSP_SUSPENDED, Ordering::Release);
-        let alpha = frame.join.alpha.load(Ordering::Relaxed) as i64;
+        frame.susp.store(SUSP_SUSPENDED, Ordering::Release);
+        let alpha = frame.alpha.load(Ordering::Relaxed) as i64;
         let delta = I_MAX - alpha;
-        let post = frame.join.counter.fetch_sub(delta, Ordering::AcqRel) - delta;
+        let post = frame.counter.fetch_sub(delta, Ordering::AcqRel) - delta;
         debug_assert!(post >= 0, "sync counter restored below zero");
         if post == 0 {
             // The restore itself crossed zero: no joiner will, so we
@@ -159,12 +159,12 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
     #[inline]
     fn rearm(frame: &Frame) {
         debug_assert_eq!(
-            frame.join.susp.load(Ordering::Relaxed),
+            frame.susp.load(Ordering::Relaxed),
             SUSP_IDLE,
             "rearm with a suspension still parked"
         );
-        frame.join.counter.store(I_MAX, Ordering::Relaxed);
-        frame.join.alpha.store(0, Ordering::Relaxed);
+        frame.counter.store(I_MAX, Ordering::Relaxed);
+        frame.alpha.store(0, Ordering::Relaxed);
     }
 
     // lint: wait-free
@@ -222,19 +222,19 @@ mod tests {
             stolen.as_ptr() as *const SpawnRecord,
             &rec2 as *const SpawnRecord
         );
-        assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 1);
+        assert_eq!(frame.alpha.load(Ordering::Relaxed), 1);
 
         // child of spawn #2 returns, finds the deque empty, joins; the
         // parent has not reached the sync, so the counter stays huge and
         // the child is simply out of work (benign race!).
         assert_eq!(P::pop_or_join(&dq, &frame), AfterChild::OutOfWork);
-        assert_eq!(frame.join.counter.load(Ordering::Relaxed), I_MAX - 1);
+        assert_eq!(frame.counter.load(Ordering::Relaxed), I_MAX - 1);
 
         // main path reaches the explicit sync: everything already joined.
         assert!(P::sync_precheck(&frame));
         P::rearm(&frame);
-        assert_eq!(frame.join.counter.load(Ordering::Relaxed), I_MAX);
-        assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 0);
+        assert_eq!(frame.counter.load(Ordering::Relaxed), I_MAX);
+        assert_eq!(frame.alpha.load(Ordering::Relaxed), 0);
     }
 
     /// The suspension ordering: sync before the join → restore leaves the
@@ -250,9 +250,9 @@ mod tests {
         // Main path reaches sync while the child still runs.
         assert!(!P::sync_precheck(&frame));
         assert!(!P::sync_restore(&frame), "one child outstanding");
-        assert_eq!(frame.join.counter.load(Ordering::Relaxed), 1);
+        assert_eq!(frame.counter.load(Ordering::Relaxed), 1);
         assert_eq!(
-            frame.join.susp.load(Ordering::Relaxed),
+            frame.susp.load(Ordering::Relaxed),
             SUSP_SUSPENDED,
             "restore published the parked suspension"
         );
@@ -260,7 +260,7 @@ mod tests {
         // Child joins: it is the last one and must resume the sync ctx,
         // retiring the suspension exactly once on the way.
         assert_eq!(P::pop_or_join(&dq, &frame), AfterChild::ResumeSync);
-        assert_eq!(frame.join.susp.load(Ordering::Relaxed), SUSP_IDLE);
+        assert_eq!(frame.susp.load(Ordering::Relaxed), SUSP_IDLE);
         assert!(
             !retire_suspension(&frame),
             "a second retire of the same suspension must fail"
@@ -279,7 +279,7 @@ mod tests {
         assert_eq!(P::pop_or_join(&dq, &frame), AfterChild::OutOfWork);
         // Restore crosses zero itself: immediate resume, suspension retired.
         assert!(P::sync_restore(&frame));
-        assert_eq!(frame.join.susp.load(Ordering::Relaxed), SUSP_IDLE);
+        assert_eq!(frame.susp.load(Ordering::Relaxed), SUSP_IDLE);
     }
 
     fn take_own_does_fork_bookkeeping<P: Protocol>() {
@@ -292,7 +292,7 @@ mod tests {
             taken.as_ptr() as *const SpawnRecord,
             &rec as *const SpawnRecord
         );
-        assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 1);
+        assert_eq!(frame.alpha.load(Ordering::Relaxed), 1);
         assert!(P::take_own(&dq).is_none());
     }
 
@@ -312,7 +312,7 @@ mod tests {
             stolen.as_ptr() as *const SpawnRecord,
             &rec as *const SpawnRecord
         );
-        assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 1);
+        assert_eq!(frame.alpha.load(Ordering::Relaxed), 1);
         assert_eq!(P::pop_or_join(&dq, &frame), AfterChild::OutOfWork);
     }
 
@@ -346,7 +346,7 @@ mod tests {
             &recs[1] as *const _,
             "thief receives the globally oldest spawn"
         );
-        assert_eq!(frame.join.alpha.load(Ordering::Relaxed), 2);
+        assert_eq!(frame.alpha.load(Ordering::Relaxed), 2);
     }
 
     /// A forced promotion publishes private work without a push, and the

@@ -195,7 +195,7 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
             Ok(()) => {}
             Err(payload) => {
                 let organic = payload.downcast_ref::<Cancelled>().is_none();
-                (*frame).core.set_panic(payload);
+                (*frame).set_panic(payload);
                 if organic {
                     // Panic→cancel-siblings: a real fault cancels the
                     // governing region (never the runtime root) so the
@@ -203,7 +203,7 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
                     // instead of computing work the fault already doomed.
                     let shared = &(*worker).shared;
                     cancel::cancel_enclosing_region(
-                        (*frame).core.scope.get(),
+                        (*frame).scope.get(),
                         shared,
                         cancel::CancelReason::SiblingPanic,
                     );
@@ -253,7 +253,7 @@ struct SyncArgs {
 ///
 /// Captured child panics are *not* re-thrown here (the caller owns that,
 /// so results/slots can be dropped in a defined order); use
-/// [`Frame::core`]`.take_panic()` afterwards.
+/// [`Frame::take_panic`] afterwards.
 ///
 /// Inlined into every combinator: the fast path is the protocol's
 /// precheck, one counter bump and the re-arm, and the suspension is the
@@ -283,11 +283,7 @@ unsafe fn sync_in<P: Protocol>(worker: *mut Worker, frame: &Frame) {
         // with joins.
         if chaos::on_force_cancel(worker) {
             let shared = &(*worker).shared;
-            cancel::cancel_enclosing_region(
-                frame.core.scope.get(),
-                shared,
-                cancel::CancelReason::Token,
-            );
+            cancel::cancel_enclosing_region(frame.scope.get(), shared, cancel::CancelReason::Token);
         }
         // Chaos: a forced suspension vetoes the fast path, driving the
         // capture/restore machinery even when all children already joined.
@@ -319,14 +315,14 @@ unsafe fn sync_suspend<P: Protocol>(worker: *mut Worker, frame: &Frame) {
         let mut args = SyncArgs { worker, frame };
 
         let payload = capture_and_run_on(
-            frame.core.sync_ctx.get(),
+            frame.sync_ctx.get(),
             fresh_top,
             sync_body::<P>,
             &mut args as *mut SyncArgs as *mut c_void,
         );
 
         // ---- resumed: the sync condition holds.
-        finish_resume(payload, (*frame.core.suspended_stack.get()).take());
+        finish_resume(payload, (*frame.suspended_stack.get()).take());
         P::rearm(frame);
     }
 }
@@ -348,7 +344,7 @@ unsafe extern "C" fn sync_body<P: Protocol>(arg: *mut c_void) -> ! {
         if chaos::on_force_cancel(worker) {
             let shared = &(*worker).shared;
             cancel::cancel_enclosing_region(
-                (*frame).core.scope.get(),
+                (*frame).scope.get(),
                 shared,
                 cancel::CancelReason::Token,
             );
@@ -358,8 +354,8 @@ unsafe extern "C" fn sync_body<P: Protocol>(arg: *mut c_void) -> ! {
         // into the frame.
         park_current_stack(
             worker,
-            (*(*frame).core.sync_ctx.get()).0,
-            (*frame).core.suspended_stack.get().cast(),
+            (*(*frame).sync_ctx.get()).0,
+            (*frame).suspended_stack.get().cast(),
         );
 
         // Restore N_r (Eq. 5). If every child joined in the meantime, the

@@ -12,7 +12,7 @@
 //!
 //! At any instant, a worker's `current_stack` field holds the handle of the
 //! very stack its control flow is executing on. Every context transfer
-//! hands stacks over through a *holder* (`SpawnRecord::stack`, `FrameCore::
+//! hands stacks over through a *holder* (`SpawnRecord::stack`, `Frame::
 //! suspended_stack`, `AsyncCell::stack`) and `pending_recycle` such that the
 //! invariant is restored at the resume site — including when a control flow
 //! *returns* from a call on a different OS thread than it entered (which
@@ -360,7 +360,7 @@ pub(crate) unsafe fn finish_resume(payload: *mut c_void, stack: Option<Stack>) {
 pub unsafe fn resume_record(worker: *mut Worker, rec: Rec) -> ! {
     unsafe {
         let rec = rec.as_ptr();
-        resume_captured(worker, (*(*rec).frame).core.scope.get(), (*rec).ctx)
+        resume_captured(worker, (*(*rec).frame).scope.get(), (*rec).ctx)
     }
 }
 
@@ -372,7 +372,7 @@ pub unsafe fn resume_record(worker: *mut Worker, rec: Rec) -> ! {
 /// state.
 pub unsafe fn resume_sync(worker: *mut Worker, frame: *const crate::record::Frame) -> ! {
     unsafe {
-        let scope = (*frame).core.scope.get();
+        let scope = (*frame).scope.get();
         // SAFETY: the frame is live (we own its suspension), so its whole
         // scope chain is live.
         if cancel::cancelled_chain(scope).is_some() {
@@ -383,7 +383,7 @@ pub unsafe fn resume_sync(worker: *mut Worker, frame: *const crate::record::Fram
         } else {
             stats::bump(worker, Counter::sync_resumes, frame_id(frame));
         }
-        resume_captured(worker, scope, *(*frame).core.sync_ctx.get())
+        resume_captured(worker, scope, *(*frame).sync_ctx.get())
     }
 }
 
@@ -514,7 +514,7 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
                             // straight into a cancelled checkpoint.
                             if chaos::on_force_cancel(worker) {
                                 cancel::cancel_enclosing_region(
-                                    (*(*rec.as_ptr()).frame).core.scope.get(),
+                                    (*(*rec.as_ptr()).frame).scope.get(),
                                     shared,
                                     cancel::CancelReason::Token,
                                 );

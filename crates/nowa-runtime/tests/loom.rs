@@ -130,17 +130,13 @@ fn sync_counter_suspension_handoff() {
     loom::model(|| {
         let frame = Arc::new(Frame::new());
         // Steal already happened: α = 1, one child outstanding.
-        frame
-            .join
-            .alpha
-            .store(1, loom::sync::atomic::Ordering::Relaxed);
+        frame.alpha.store(1, loom::sync::atomic::Ordering::Relaxed);
 
         let joiner = {
             let frame = frame.clone();
             loom::thread::spawn(move || {
                 // Child join: one wait-free RMW (nowa.rs pop-miss path).
                 let post = frame
-                    .join
                     .counter
                     .fetch_sub(1, loom::sync::atomic::Ordering::AcqRel)
                     - 1;
@@ -172,10 +168,7 @@ fn sync_counter_join_publishes_child_result() {
     loom::model(|| {
         let frame = Arc::new(Frame::new());
         let result = Arc::new(loom::sync::atomic::AtomicU64::new(0));
-        frame
-            .join
-            .alpha
-            .store(1, loom::sync::atomic::Ordering::Relaxed);
+        frame.alpha.store(1, loom::sync::atomic::Ordering::Relaxed);
 
         let joiner = {
             let frame = frame.clone();
@@ -184,7 +177,6 @@ fn sync_counter_join_publishes_child_result() {
                 // The child writes its result, then joins.
                 result.store(42, loom::sync::atomic::Ordering::Relaxed);
                 let post = frame
-                    .join
                     .counter
                     .fetch_sub(1, loom::sync::atomic::Ordering::AcqRel)
                     - 1;
@@ -237,8 +229,8 @@ fn sync_counter_relaxed_join_canary_fails() {
 }
 
 /// Panic visibility through the join: the stolen child records a panic
-/// (the Relaxed `flagged` latch, then the payload under the frame's panic
-/// mutex) and joins. Whoever resumes the sync must get the payload from
+/// (the Relaxed `flagged` latch, then the payload under the frame lock)
+/// and joins. Whoever resumes the sync must get the payload from
 /// `take_panic`, whose gate is a Relaxed load of that latch — exact only
 /// because the join's AcqRel decrement / the precheck's Acquire load order
 /// the latch before the completed sync. The main flow reads before the
@@ -247,17 +239,13 @@ fn sync_counter_relaxed_join_canary_fails() {
 fn sync_counter_join_publishes_child_panic() {
     loom::model(|| {
         let frame = Arc::new(Frame::new());
-        frame
-            .join
-            .alpha
-            .store(1, loom::sync::atomic::Ordering::Relaxed);
+        frame.alpha.store(1, loom::sync::atomic::Ordering::Relaxed);
 
         let joiner = {
             let frame = frame.clone();
             loom::thread::spawn(move || {
-                frame.core.set_panic(Box::new("child fault"));
+                frame.set_panic(Box::new("child fault"));
                 let post = frame
-                    .join
                     .counter
                     .fetch_sub(1, loom::sync::atomic::Ordering::AcqRel)
                     - 1;
@@ -268,7 +256,6 @@ fn sync_counter_join_publishes_child_panic() {
         let main_resumes = P::sync_precheck(&frame) || P::sync_restore(&frame);
         if main_resumes {
             let payload = frame
-                .core
                 .take_panic()
                 .expect("the gated take_panic must see the joined child's panic");
             assert_eq!(*payload.downcast::<&str>().unwrap(), "child fault");
@@ -276,10 +263,7 @@ fn sync_counter_join_publishes_child_panic() {
         let child_resumes = joiner.join().unwrap();
         assert!(main_resumes != child_resumes);
         if child_resumes {
-            assert!(
-                frame.core.take_panic().is_some(),
-                "resumed sync lost the panic"
-            );
+            assert!(frame.take_panic().is_some(), "resumed sync lost the panic");
         }
     });
 }
@@ -293,18 +277,14 @@ fn sync_counter_join_publishes_child_panic() {
 fn sync_counter_relaxed_join_panic_canary_fails() {
     loom::model(|| {
         let frame = Arc::new(Frame::new());
-        frame
-            .join
-            .alpha
-            .store(1, loom::sync::atomic::Ordering::Relaxed);
+        frame.alpha.store(1, loom::sync::atomic::Ordering::Relaxed);
 
         let joiner = {
             let frame = frame.clone();
             loom::thread::spawn(move || {
-                frame.core.set_panic(Box::new("child fault"));
+                frame.set_panic(Box::new("child fault"));
                 // BUG: Relaxed instead of AcqRel.
                 frame
-                    .join
                     .counter
                     .fetch_sub(1, loom::sync::atomic::Ordering::Relaxed);
             })
@@ -312,7 +292,7 @@ fn sync_counter_relaxed_join_panic_canary_fails() {
 
         // The real precheck (Acquire) and the real gated take_panic.
         if P::sync_precheck(&frame) {
-            assert!(frame.core.take_panic().is_some(), "missed child panic");
+            assert!(frame.take_panic().is_some(), "missed child panic");
         }
         joiner.join().unwrap();
     });
@@ -523,7 +503,7 @@ fn cancel_abort_retires_suspension_exactly_once() {
         use loom::sync::atomic::{AtomicU32, AtomicU64, Ordering};
         let frame = Arc::new(Frame::new());
         // Continuation already stolen: α = 1, one child outstanding.
-        frame.join.alpha.store(1, Ordering::Relaxed);
+        frame.alpha.store(1, Ordering::Relaxed);
         // The suspender's pre-suspension writes (sync_ctx / stack analog).
         let ctx = Arc::new(AtomicU64::new(0));
         // The region's cancel flag, latched as `CancelCell::cancel` does.
@@ -543,7 +523,7 @@ fn cancel_abort_retires_suspension_exactly_once() {
                 // Last child join: the wait-free decrement (nowa.rs
                 // pop-miss path), then the abort classification the
                 // scheduler's `resume_sync` performs.
-                let post = frame.join.counter.fetch_sub(1, Ordering::AcqRel) - 1;
+                let post = frame.counter.fetch_sub(1, Ordering::AcqRel) - 1;
                 if post == 0 {
                     assert!(
                         retire_suspension(&frame),
@@ -576,7 +556,7 @@ fn cancel_abort_retires_suspension_exactly_once() {
              (main={main_resumes}, joiner={joiner_resumed:?})"
         );
         assert_eq!(
-            frame.join.susp.load(Ordering::Relaxed),
+            frame.susp.load(Ordering::Relaxed),
             SUSP_IDLE,
             "every claim must return the suspension machine to idle"
         );

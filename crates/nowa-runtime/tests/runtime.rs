@@ -93,6 +93,47 @@ fn counters_are_exact_for_a_known_dag() {
     }
 }
 
+/// What the one-worker `join2` probes of `benchmark/` measure. A loop of
+/// `join2`s at a task's top level pushes every continuation onto an empty
+/// public deque, so each push publishes and each pop is the public
+/// deque's last-item pop. The same loop inside an outer `join2`'s child
+/// finds the outer continuation public, and every inner spawn stays on
+/// the private segment.
+#[test]
+fn top_level_join2s_publish_and_nested_ones_stay_private() {
+    const N: u64 = 1_000;
+    fn join_loop(n: u64) -> u64 {
+        (0..n)
+            .map(|_| {
+                let (a, b) = api::join2(|| 1u64, || 0u64);
+                a + b
+            })
+            .sum()
+    }
+    let rt = Runtime::new(Config::with_workers(1)).unwrap();
+
+    let before = rt.stats();
+    assert_eq!(rt.run(|| join_loop(N)), N);
+    let after = rt.stats();
+    let top_level = (
+        after.spawns - before.spawns,
+        after.promotions - before.promotions,
+        after.private_pops - before.private_pops,
+    );
+    assert_eq!(top_level, (N, N, 0), "(spawns, promotions, private_pops)");
+
+    let before = rt.stats();
+    assert_eq!(rt.run(|| api::join2(|| join_loop(N), || 0).0), N);
+    let after = rt.stats();
+    let nested = (
+        after.spawns - before.spawns,
+        after.promotions - before.promotions,
+        after.private_pops - before.private_pops,
+    );
+    // The outer spawn publishes once; the N inner ones stay private.
+    assert_eq!(nested, (N + 1, 1, N), "(spawns, promotions, private_pops)");
+}
+
 #[test]
 fn fib_four_workers_all_flavors() {
     for flavor in Flavor::ALL {
