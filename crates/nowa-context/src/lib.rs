@@ -13,16 +13,10 @@
 //!   plus a SIGSEGV handler that turns an anonymous overflow crash into a
 //!   report naming the worker and the stack bounds.
 //! * [`sys`] — the minimal raw Linux syscall layer underneath.
-//!
-//! With the `chaos` cargo feature, the `chaos` module adds a deterministic
-//! `mmap`-failure injection point to the stack mapping path; without the
-//! feature the fallible paths compile to the plain syscalls.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-#[cfg(feature = "chaos")]
-pub mod chaos;
 pub mod context;
 pub mod pool;
 pub mod signal;

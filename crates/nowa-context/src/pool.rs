@@ -34,7 +34,8 @@ pub struct PoolStats {
     pub global_puts: AtomicU64,
     /// Fresh `mmap`s because the pool was empty.
     pub maps: AtomicU64,
-    /// Map attempts that failed (real `ENOMEM` or injected via `chaos`).
+    /// Map attempts that failed (real `ENOMEM` or injected through
+    /// [`StackPool::try_get`]'s `failures`).
     pub map_failures: AtomicU64,
 }
 
@@ -130,14 +131,16 @@ impl StackPool {
     /// another worker in the meantime satisfies the request. After
     /// [`MAP_RETRIES`] failed attempts the typed error is returned for the
     /// caller to degrade on.
-    pub fn try_get(&self) -> Result<Stack, StackError> {
+    ///
+    /// `failures` is a count of map failures to inject (the fault-injection
+    /// hook; plain callers pass `&mut 0`). While it is non-zero, each
+    /// attempt decrements it and fails as an `ENOMEM` before the stripes
+    /// are even probed, so the retry path runs from the very top.
+    pub fn try_get(&self, failures: &mut u32) -> Result<Stack, StackError> {
         let mut last_errno = 0;
         for attempt in 0..MAP_RETRIES {
-            #[cfg(feature = "chaos")]
-            if crate::chaos::take_map_failure() {
-                // An injected failure consumes this attempt before the
-                // stripes are even probed, exercising the retry path from
-                // the very top.
+            if *failures > 0 {
+                *failures -= 1;
                 PoolStats::bump(&self.stats.map_failures);
                 last_errno = 12; // ENOMEM
                 std::thread::yield_now();
@@ -173,7 +176,7 @@ impl StackPool {
     /// Panics (with the [`StackError`] message) only after the bounded
     /// retry and backpressure of [`StackPool::try_get`] are exhausted.
     pub fn get(&self) -> Stack {
-        self.try_get()
+        self.try_get(&mut 0)
             .unwrap_or_else(|e| panic!("nowa: stack allocation failed: {e}"))
     }
 
@@ -206,6 +209,9 @@ pub struct WorkerStackCache {
     pool: Arc<StackPool>,
     cache: Vec<Stack>,
     capacity: usize,
+    /// Map failures to inject on this cache's next pool requests (see
+    /// [`WorkerStackCache::arm_map_failures`]).
+    armed_failures: u32,
     /// Times allocation pressure made this cache shed capacity.
     pub pressure_events: u64,
 }
@@ -217,8 +223,21 @@ impl WorkerStackCache {
             pool,
             cache: Vec::with_capacity(capacity),
             capacity,
+            armed_failures: 0,
             pressure_events: 0,
         }
+    }
+
+    /// Arms `n` more stack-map failures for the pool requests this cache
+    /// makes on its misses (the fault-injection hook). Each is consumed by
+    /// one attempt of [`StackPool::try_get`]; cache hits never see them.
+    pub fn arm_map_failures(&mut self, n: u32) {
+        self.armed_failures = self.armed_failures.saturating_add(n);
+    }
+
+    /// Map failures armed and not yet consumed.
+    pub fn armed_map_failures(&self) -> u32 {
+        self.armed_failures
     }
 
     /// Takes a stack, preferring the private cache. Fallible: a pool-level
@@ -227,7 +246,7 @@ impl WorkerStackCache {
     pub fn try_get(&mut self) -> Result<Stack, StackError> {
         match self.cache.pop() {
             Some(stack) => Ok(stack),
-            None => self.pool.try_get(),
+            None => self.pool.try_get(&mut self.armed_failures),
         }
     }
 
@@ -263,7 +282,7 @@ impl WorkerStackCache {
         for _ in 0..3 {
             self.shed_pressure();
             std::thread::yield_now();
-            match self.pool.try_get() {
+            match self.pool.try_get(&mut self.armed_failures) {
                 Ok(stack) => return stack,
                 Err(e) => error = e,
             }
@@ -379,26 +398,24 @@ mod tests {
         assert_eq!(pool.pooled(), 8);
     }
 
-    #[cfg(feature = "chaos")]
     #[test]
     fn injected_map_failures_retry_then_succeed() {
-        // Fewer armed failures than MAP_RETRIES: try_get must recover.
+        // Fewer injected failures than MAP_RETRIES: try_get must recover.
         let pool = StackPool::new(64 * 1024, MadvisePolicy::Keep, 1);
-        crate::chaos::reset();
-        crate::chaos::arm_map_failures(MAP_RETRIES - 1);
-        let stack = pool.try_get().expect("bounded retry recovers");
+        let mut failures = MAP_RETRIES - 1;
+        let stack = pool.try_get(&mut failures).expect("bounded retry recovers");
         drop(stack);
         assert_eq!(pool.stats().map_failures(), (MAP_RETRIES - 1) as u64);
-        assert_eq!(crate::chaos::armed_map_failures(), 0);
+        assert_eq!(failures, 0, "every injected failure was consumed");
     }
 
-    #[cfg(feature = "chaos")]
     #[test]
     fn injected_exhaustion_is_typed_not_abort() {
         let pool = StackPool::new(64 * 1024, MadvisePolicy::Keep, 1);
-        crate::chaos::reset();
-        crate::chaos::arm_map_failures(MAP_RETRIES);
-        let err = pool.try_get().expect_err("all attempts consumed");
+        let mut failures = MAP_RETRIES;
+        let err = pool
+            .try_get(&mut failures)
+            .expect_err("all attempts consumed");
         assert_eq!(
             err,
             StackError::Exhausted {
@@ -406,10 +423,8 @@ mod tests {
                 errno: 12,
             }
         );
-        crate::chaos::reset();
     }
 
-    #[cfg(feature = "chaos")]
     #[test]
     fn cache_sheds_pressure_and_recovers_from_pool() {
         // The pool holds a recycled stack; mapping is "broken". get() must
@@ -417,12 +432,26 @@ mod tests {
         let pool = StackPool::new(64 * 1024, MadvisePolicy::Keep, 1);
         pool.prefill(1).unwrap();
         let mut cache = WorkerStackCache::new(pool.clone(), 8);
-        crate::chaos::reset();
-        crate::chaos::arm_map_failures(MAP_RETRIES);
+        cache.arm_map_failures(MAP_RETRIES);
         let stack = cache.get();
         assert!(cache.pressure_events >= 1, "cache shed under pressure");
+        assert_eq!(cache.armed_map_failures(), 0);
         drop(stack);
-        crate::chaos::reset();
+    }
+
+    #[test]
+    fn armed_failures_wait_for_a_cache_miss() {
+        let pool = StackPool::new(64 * 1024, MadvisePolicy::Keep, 1);
+        let mut cache = WorkerStackCache::new(pool.clone(), 2);
+        let s = cache.get();
+        cache.put(s);
+        cache.arm_map_failures(1);
+        let hit = cache.get();
+        assert_eq!(cache.armed_map_failures(), 1, "a hit consumes nothing");
+        let miss = cache.get();
+        assert_eq!(cache.armed_map_failures(), 0, "the miss consumed it");
+        assert_eq!(pool.stats().map_failures(), 1);
+        drop((hit, miss));
     }
 
     #[test]

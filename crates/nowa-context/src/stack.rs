@@ -150,19 +150,8 @@ impl Stack {
         Ok(Stack { base, len })
     }
 
-    /// Fallible variant of [`Stack::map`] with a typed error. Under the
-    /// `chaos` feature this is also the `mmap`-failure injection point: an
-    /// armed failure (see `crate::chaos`) is consumed here and surfaces as
-    /// an `ENOMEM` [`StackError::Map`], indistinguishable from the real
-    /// thing to the recovery paths above.
+    /// Fallible variant of [`Stack::map`] with a typed error.
     pub fn try_map(usable: usize) -> Result<Stack, StackError> {
-        #[cfg(feature = "chaos")]
-        if crate::chaos::take_map_failure() {
-            return Err(StackError::Map {
-                usable,
-                errno: 12, // ENOMEM
-            });
-        }
         Stack::map(usable).map_err(|e| StackError::Map { usable, errno: e.0 })
     }
 

@@ -219,10 +219,6 @@ impl<T: Token> StealerOps<T> for ClStealer<T> {
     #[inline]
     // lint: wait-free
     fn steal(&self) -> Steal<T> {
-        #[cfg(feature = "chaos")]
-        if let Some(forced) = crate::chaos::take_forced() {
-            return forced.as_steal();
-        }
         let inner = &*self.inner;
         let t = inner.top.load(Ordering::Acquire);
         fence(Ordering::SeqCst);

@@ -44,8 +44,6 @@
 
 #![warn(missing_docs)]
 
-#[cfg(feature = "chaos")]
-pub mod chaos;
 mod cl;
 mod split;
 mod sync;

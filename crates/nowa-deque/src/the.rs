@@ -177,10 +177,6 @@ impl<T: Token> StealerOps<T> for TheStealer<T> {
     #[inline]
     // lint: wait-free
     fn steal(&self) -> Steal<T> {
-        #[cfg(feature = "chaos")]
-        if let Some(forced) = crate::chaos::take_forced() {
-            return forced.as_steal();
-        }
         let inner = &*self.inner;
         // Cheap unsynchronized emptiness probe before paying for the lock.
         // Relaxed on both sides: the probe only gates the lock acquisition —

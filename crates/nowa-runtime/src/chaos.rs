@@ -1,5 +1,5 @@
 //! Fault injection: deterministic, seeded chaos at every scheduler
-//! decision — the runtime's only coupling to the injection machinery.
+//! decision — the one place that decides **and delivers** a fault.
 //!
 //! A cfg twin: with the `chaos` cargo feature **off**, every hook below is
 //! an `#[inline(always)]` empty body and the scheduler compiles exactly as
@@ -17,44 +17,52 @@
 //! order. (Which *global* interleaving results still depends on the OS
 //! scheduler; the injection sequence each worker sees does not.)
 //!
-//! The injected faults:
+//! # Delivery
 //!
-//! * **StealFail** — the next steal attempt is forced to fail (alternating
-//!   `Empty` / lost-race `Retry`), via `nowa_deque::chaos`.
+//! Each hook delivers its fault at the call site it perturbs, through a
+//! handle the worker already holds. The lower crates know nothing of
+//! chaos: they expose plain owner-handle methods
+//! ([`SplitWorker::fail_next_promotion`](nowa_deque::SplitWorker::fail_next_promotion),
+//! [`WorkerStackCache::arm_map_failures`](nowa_context::WorkerStackCache::arm_map_failures))
+//! and have no cargo feature and no thread-local. The injected faults:
+//!
+//! * **StealFail** — the work-finding loop's steal attempt is replaced by
+//!   a forced failure (alternating `Retry` / `Empty`); the victim's deque
+//!   is not touched.
 //! * **ForceSuspend** — `sync_execute`'s fast path is vetoed, forcing the
 //!   suspension path (capture, Eq. 5 restore, work-finding) even when all
 //!   children already joined.
 //! * **SpuriousYield** — an OS yield right before `pushBottom`, widening
 //!   the window in which thieves observe the pre-push deque state.
-//! * **MmapFail** — arms one stack-map failure (consumed by the pool's
-//!   bounded-retry path, see `nowa_context::chaos`).
+//! * **MmapFail** — arms one stack-map failure on the worker's stack
+//!   cache; the next cache miss hands it to the pool, whose bounded retry
+//!   consumes it.
 //! * **ChildPanic** — panics inside a child strand with a recognisable
 //!   `ChaosPanic` payload, exercising panic capture and re-throw.
-//! * **ForcePark** — an idle worker skips the spin/yield ladder and goes
-//!   straight to the announce-validate-park sequence, maximising exposure
-//!   of the lost-wakeup window.
 //! * **SpuriousWake** — a park consumes its announce but skips the kernel
 //!   wait, simulating a spurious futex return.
 //! * **ForceCancel** — latches the enclosing region's cancellation scope
 //!   at a steal, sync, or suspend boundary, as if its token had been
 //!   cancelled at the worst possible moment.
 //! * **ForcePromote** — at the spawn-push site, alternately forces an
-//!   out-of-band private→public promotion batch or arms a forced
-//!   promotion *failure* (the split layer's put-back path runs as if the
-//!   public deque were full). Fires once per spawn visit, so it is
+//!   out-of-band private→public promotion batch or makes the next
+//!   promotion fail as if the public deque were full (the split layer's
+//!   put-back arm runs). Fires once per spawn visit, so it is
 //!   replay-deterministic and armed by `ChaosConfig::aggressive`.
-//! * **ReactorSpuriousWake** — the claimed reactor poller skips its
-//!   `epoll_wait` and reports zero events, exercising the re-validate
-//!   loop around the poll (§6h).
-//! * **ReactorEintr** — the reactor poll behaves as if `epoll_wait`
-//!   returned `EINTR`, exercising the interrupted-syscall path.
+//! * **ReactorSkipWait** — the claimed reactor poller skips its
+//!   `epoll_wait`: no event is dispatched and only the due deadlines fire,
+//!   exercising the re-validate loop around the poll (§6h).
 //!
-//! The two idle sites are *not* armed by `ChaosConfig::aggressive`: their
-//! visit counts depend on wall-clock idleness, so arming them would break
-//! the exact snapshot-equality determinism gates. `ForceCancel` stays
-//! unarmed there too — cancellation reshapes the strand tree — and so do
-//! the two reactor sites, whose visit counts depend on wall-clock poll
-//! cadence. Dedicated tests arm them explicitly.
+//! The idle and reactor sites are *not* armed by
+//! `ChaosConfig::aggressive`: their visit counts depend on wall-clock
+//! idleness, so arming them would break the exact snapshot-equality
+//! determinism gates. `ForceCancel` stays unarmed there too — cancellation
+//! reshapes the strand tree. Dedicated tests arm them explicitly.
+
+use nowa_deque::Steal;
+
+use crate::flavor::ForcedPromotion;
+use crate::worker::Worker;
 
 #[cfg(feature = "chaos")]
 // Shared safety contract for every hook in this module: `worker` must point
@@ -66,8 +74,8 @@
 mod imp {
     use core::sync::atomic::{AtomicU64, Ordering};
 
+    use super::*;
     use crate::config::ChaosConfig;
-    use crate::worker::Worker;
 
     /// Marker payload of an injected child panic, so tests (and users
     /// catching panics) can tell injected faults from real bugs.
@@ -77,11 +85,14 @@ mod imp {
         pub worker: usize,
     }
 
-    /// The injection sites, one per scheduler decision kind.
+    /// The injection sites, one per scheduler decision kind. A site's
+    /// discriminant is its `site` input to [`decision`]; the surviving
+    /// sites keep the numbers they always had, so a seed still yields the
+    /// same per-worker fault sequence at each of them.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     #[repr(usize)]
     pub enum ChaosSite {
-        /// Forced steal failure (deque layer).
+        /// Forced steal failure in the work-finding loop.
         StealFail = 0,
         /// Forced suspension at `sync_execute`.
         ForceSuspend = 1,
@@ -91,27 +102,21 @@ mod imp {
         MmapFail = 3,
         /// Panic injected into a child strand.
         ChildPanic = 4,
-        /// Forced descent to the park path in the idle ladder.
-        ForcePark = 5,
+        /// The claimed reactor poller skips `epoll_wait`: nothing is
+        /// dispatched, only the due deadlines fire.
+        ReactorSkipWait = 5,
         /// Spurious (kernel-less) return from a park.
         SpuriousWake = 6,
         /// Forced cancellation of the enclosing region at a steal, sync,
         /// or suspend boundary.
         ForceCancel = 7,
         /// Forced promotion event at the spawn-push site (out-of-band
-        /// batch or armed promotion failure, alternating).
+        /// batch or promotion failure, alternating).
         ForcePromote = 8,
-        /// Spurious reactor wake: the claimed poller returns from its poll
-        /// without calling `epoll_wait`, as if the kernel delivered zero
-        /// events.
-        ReactorSpuriousWake = 9,
-        /// Injected `EINTR`: the reactor poll behaves as if `epoll_wait`
-        /// was interrupted by a signal before any event arrived.
-        ReactorEintr = 10,
     }
 
     /// Number of distinct injection sites.
-    pub const SITES: usize = 11;
+    pub const SITES: usize = 9;
 
     const SITE_NAMES: [&str; SITES] = [
         "steal_fail",
@@ -119,12 +124,10 @@ mod imp {
         "spurious_yield",
         "mmap_fail",
         "child_panic",
-        "force_park",
+        "reactor_skip_wait",
         "spurious_wake",
         "force_cancel",
         "force_promote",
-        "reactor_spurious_wake",
-        "reactor_eintr",
     ];
 
     /// Per-worker chaos state: one tick and one injected counter per site.
@@ -255,64 +258,51 @@ mod imp {
         }
     }
 
-    /// Before a steal attempt: maybe force the outcome at the deque layer.
+    /// Before a steal attempt: `Some` is the forced failure the caller
+    /// takes in place of stealing, alternating `Retry` and `Empty` so both
+    /// the lost-race and the empty-victim paths run.
     #[inline]
-    pub(crate) unsafe fn on_steal_attempt(worker: *mut Worker) {
-        unsafe {
-            if let Some((st, cfg)) = state(worker) {
-                if st.decide(ChaosSite::StealFail, cfg.steal_fail) {
-                    // Alternate between the two failure semantics so both
-                    // the empty-victim and lost-race paths get exercised.
-                    let forced =
-                        if st.injected[ChaosSite::StealFail as usize].load(Ordering::Relaxed) % 2
-                            == 0
-                        {
-                            nowa_deque::chaos::ForcedSteal::Retry
-                        } else {
-                            nowa_deque::chaos::ForcedSteal::Empty
-                        };
-                    nowa_deque::chaos::force_next_steal(forced);
-                }
-            }
+    pub(crate) unsafe fn on_steal_attempt<T>(worker: *mut Worker) -> Option<Steal<T>> {
+        let (st, cfg) = unsafe { state(worker) }?;
+        if !st.decide(ChaosSite::StealFail, cfg.steal_fail) {
+            return None;
         }
+        let n = st.injected[ChaosSite::StealFail as usize].load(Ordering::Relaxed);
+        Some(if n % 2 == 0 {
+            Steal::Retry
+        } else {
+            Steal::Empty
+        })
     }
 
     /// At `sync_execute`: returns `true` to veto the inline fast path and
     /// force the suspension path.
     #[inline]
     pub(crate) unsafe fn on_sync(worker: *mut Worker) -> bool {
-        unsafe {
-            match state(worker) {
-                Some((st, cfg)) => st.decide(ChaosSite::ForceSuspend, cfg.force_suspend),
-                None => false,
-            }
-        }
+        unsafe { fires(worker, ChaosSite::ForceSuspend, |c| c.force_suspend) }
     }
 
     /// Right before `pushBottom`: maybe yield the OS thread, widening the
     /// thief-vs-owner race window.
     #[inline]
     pub(crate) unsafe fn on_spawn_push(worker: *mut Worker) {
-        unsafe {
-            if let Some((st, cfg)) = state(worker) {
-                if st.decide(ChaosSite::SpuriousYield, cfg.spurious_yield) {
-                    std::thread::yield_now();
-                }
-            }
+        if unsafe { fires(worker, ChaosSite::SpuriousYield, |c| c.spurious_yield) } {
+            std::thread::yield_now();
         }
     }
 
-    /// Before a stack acquisition: maybe arm one map failure for the pool's
-    /// bounded-retry path to absorb. Never arms on top of a pending one, so
-    /// armed failures stay below the retry bound and runs always recover.
+    /// Before a stack acquisition: maybe arm one map failure on the
+    /// worker's stack cache, for the pool's bounded retry to absorb on the
+    /// next cache miss. Never arms on top of a pending one, so armed
+    /// failures stay below the retry bound and runs always recover.
     #[inline]
     pub(crate) unsafe fn on_stack_get(worker: *mut Worker) {
         unsafe {
             if let Some((st, cfg)) = state(worker) {
-                if nowa_context::chaos::armed_map_failures() == 0
-                    && st.decide(ChaosSite::MmapFail, cfg.mmap_fail)
+                let cache = &mut (*worker).cache;
+                if cache.armed_map_failures() == 0 && st.decide(ChaosSite::MmapFail, cfg.mmap_fail)
                 {
-                    nowa_context::chaos::arm_map_failures(1);
+                    cache.arm_map_failures(1);
                 }
             }
         }
@@ -322,25 +312,9 @@ mod imp {
     /// with a `ChaosPanic` payload.
     #[inline]
     pub(crate) unsafe fn on_child_start(worker: *mut Worker) {
-        unsafe {
-            if let Some((st, cfg)) = state(worker) {
-                if st.decide(ChaosSite::ChildPanic, cfg.child_panic) {
-                    let index = (*worker).index;
-                    std::panic::panic_any(ChaosPanic { worker: index });
-                }
-            }
-        }
-    }
-
-    /// In the idle backoff ladder: returns `true` to skip spin/yield and
-    /// descend straight to the announce-validate-park sequence.
-    #[inline]
-    pub(crate) unsafe fn on_idle_backoff(worker: *mut Worker) -> bool {
-        unsafe {
-            match state(worker) {
-                Some((st, cfg)) => st.decide(ChaosSite::ForcePark, cfg.force_park),
-                None => false,
-            }
+        if unsafe { fires(worker, ChaosSite::ChildPanic, |c| c.child_panic) } {
+            let index = unsafe { (*worker).index };
+            std::panic::panic_any(ChaosPanic { worker: index });
         }
     }
 
@@ -348,12 +322,7 @@ mod imp {
     /// kernel wait, simulating a spurious futex return.
     #[inline]
     pub(crate) unsafe fn on_park_wait(worker: *mut Worker) -> bool {
-        unsafe {
-            match state(worker) {
-                Some((st, cfg)) => st.decide(ChaosSite::SpuriousWake, cfg.spurious_wake),
-                None => false,
-            }
-        }
+        unsafe { fires(worker, ChaosSite::SpuriousWake, |c| c.spurious_wake) }
     }
 
     /// At a steal/sync/suspend boundary: returns `true` to force-cancel
@@ -361,58 +330,40 @@ mod imp {
     /// frame whose scope is enclosing).
     #[inline]
     pub(crate) unsafe fn on_force_cancel(worker: *mut Worker) -> bool {
-        unsafe {
-            match state(worker) {
-                Some((st, cfg)) => st.decide(ChaosSite::ForceCancel, cfg.force_cancel),
-                None => false,
-            }
-        }
+        unsafe { fires(worker, ChaosSite::ForceCancel, |c| c.force_cancel) }
     }
 
-    /// At the spawn-push site: returns `true` to force an out-of-band
-    /// promotion batch. Every other firing instead arms a forced
-    /// promotion *failure* at the deque layer (put-back path) and returns
-    /// `false` — that failure is consumed by the next promotion attempt.
+    /// At the spawn-push site: `Some` is the promotion leg the caller
+    /// delivers through `Protocol::force_promote` — even firings fail the
+    /// next promotion, odd ones force an out-of-band batch.
     #[inline]
-    pub(crate) unsafe fn on_force_promote(worker: *mut Worker) -> bool {
-        unsafe {
-            if let Some((st, cfg)) = state(worker) {
-                if st.decide(ChaosSite::ForcePromote, cfg.force_promote) {
-                    let n = st.injected[ChaosSite::ForcePromote as usize].load(Ordering::Relaxed);
-                    if n % 2 == 0 {
-                        nowa_deque::chaos::force_promotion_failure();
-                        return false;
-                    }
-                    return true;
-                }
-            }
-            false
+    pub(crate) unsafe fn on_force_promote(worker: *mut Worker) -> Option<ForcedPromotion> {
+        let (st, cfg) = unsafe { state(worker) }?;
+        if !st.decide(ChaosSite::ForcePromote, cfg.force_promote) {
+            return None;
         }
+        let n = st.injected[ChaosSite::ForcePromote as usize].load(Ordering::Relaxed);
+        Some(if n % 2 == 0 {
+            ForcedPromotion::Failure
+        } else {
+            ForcedPromotion::Batch
+        })
     }
 
     /// Before the reactor's `epoll_wait`: returns `true` to skip the
-    /// syscall and report zero events (a spurious poller wake).
+    /// syscall — no event is dispatched, only the due deadlines fire.
     #[inline]
     pub(crate) unsafe fn on_reactor_poll(worker: *mut Worker) -> bool {
-        unsafe {
-            match state(worker) {
-                Some((st, cfg)) => {
-                    st.decide(ChaosSite::ReactorSpuriousWake, cfg.reactor_spurious_wake)
-                }
-                None => false,
-            }
-        }
+        unsafe { fires(worker, ChaosSite::ReactorSkipWait, |c| c.reactor_skip_wait) }
     }
 
-    /// Before the reactor's `epoll_wait`: returns `true` to behave as if
-    /// the wait returned `EINTR` (interrupted, no events dispatched).
+    /// Whether `site`, at the rate `rate` picks from the config, fires on
+    /// this visit (`false` when chaos is not configured).
     #[inline]
-    pub(crate) unsafe fn on_reactor_eintr(worker: *mut Worker) -> bool {
-        unsafe {
-            match state(worker) {
-                Some((st, cfg)) => st.decide(ChaosSite::ReactorEintr, cfg.reactor_eintr),
-                None => false,
-            }
+    unsafe fn fires(worker: *mut Worker, site: ChaosSite, rate: fn(&ChaosConfig) -> u16) -> bool {
+        match unsafe { state(worker) } {
+            Some((st, cfg)) => st.decide(site, rate(cfg)),
+            None => false,
         }
     }
 
@@ -474,10 +425,12 @@ mod imp {
 #[cfg(not(feature = "chaos"))]
 #[allow(clippy::missing_safety_doc)]
 mod imp {
-    use crate::worker::Worker;
+    use super::*;
 
     #[inline(always)]
-    pub(crate) unsafe fn on_steal_attempt(_: *mut Worker) {}
+    pub(crate) unsafe fn on_steal_attempt<T>(_: *mut Worker) -> Option<Steal<T>> {
+        None
+    }
     #[inline(always)]
     pub(crate) unsafe fn on_sync(_: *mut Worker) -> bool {
         false
@@ -489,10 +442,6 @@ mod imp {
     #[inline(always)]
     pub(crate) unsafe fn on_child_start(_: *mut Worker) {}
     #[inline(always)]
-    pub(crate) unsafe fn on_idle_backoff(_: *mut Worker) -> bool {
-        false
-    }
-    #[inline(always)]
     pub(crate) unsafe fn on_park_wait(_: *mut Worker) -> bool {
         false
     }
@@ -501,22 +450,18 @@ mod imp {
         false
     }
     #[inline(always)]
-    pub(crate) unsafe fn on_force_promote(_: *mut Worker) -> bool {
-        false
+    pub(crate) unsafe fn on_force_promote(_: *mut Worker) -> Option<ForcedPromotion> {
+        None
     }
     #[inline(always)]
     pub(crate) unsafe fn on_reactor_poll(_: *mut Worker) -> bool {
         false
     }
-    #[inline(always)]
-    pub(crate) unsafe fn on_reactor_eintr(_: *mut Worker) -> bool {
-        false
-    }
 }
 
 pub(crate) use imp::{
-    on_child_start, on_force_cancel, on_force_promote, on_idle_backoff, on_park_wait,
-    on_reactor_eintr, on_reactor_poll, on_spawn_push, on_stack_get, on_steal_attempt, on_sync,
+    on_child_start, on_force_cancel, on_force_promote, on_park_wait, on_reactor_poll,
+    on_spawn_push, on_stack_get, on_steal_attempt, on_sync,
 };
 
 #[cfg(feature = "chaos")]

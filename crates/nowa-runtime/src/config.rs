@@ -14,7 +14,9 @@ pub use nowa_deque::SplitConfig;
 /// and `u16::MAX` fires on *every* visit (an exact guarantee, not a coin).
 /// The whole struct only takes effect when the runtime is built with the
 /// `chaos` cargo feature; without it the knob is accepted but inert — the
-/// same contract as [`Config::tracing`].
+/// same contract as [`Config::tracing`]. The runtime both decides and
+/// delivers every fault (`crate::chaos`); the deque and context crates
+/// only expose the plain owner-handle methods it calls.
 ///
 /// Injection is deterministic: whether site `s` fires at its `k`-th visit
 /// on worker `w` is a pure function of `(seed, w, s, k)` — no wall clock,
@@ -23,29 +25,29 @@ pub use nowa_deque::SplitConfig;
 pub struct ChaosConfig {
     /// Seed of the deterministic injection sequence.
     pub seed: u64,
-    /// Rate of forced steal failures (alternating empty / lost-race).
+    /// Rate of forced steal failures: the work-finding loop takes a forced
+    /// `Retry` or `Empty` (alternating) instead of stealing.
     pub steal_fail: u16,
     /// Rate of forced suspensions at the sync fast path.
     pub force_suspend: u16,
     /// Rate of spurious OS yields right before `pushBottom`.
     pub spurious_yield: u16,
-    /// Rate of simulated stack-`mmap` failures (absorbed by the pool's
-    /// bounded retry; never exceeds the retry budget).
+    /// Rate of simulated stack-`mmap` failures, armed on the worker's
+    /// stack cache at a stack acquisition and consumed by the pool's
+    /// bounded retry on the next cache miss (never more than one pending,
+    /// so the retry budget always absorbs it).
     pub mmap_fail: u16,
     /// Rate of panics injected into child strands. Injected panics carry a
     /// `ChaosPanic` payload and propagate like user panics — leave this at
     /// `0` unless the workload expects to observe them.
     pub child_panic: u16,
-    /// Rate of forced parks: an idle worker skips the spin/yield ladder and
-    /// descends straight to the announce-validate-park sequence. Stresses
-    /// the lost-wakeup window. Stays `0` in [`ChaosConfig::aggressive`]:
-    /// idle-loop visit counts depend on wall-clock timing, so arming this
-    /// site would break exact seed-replay of the existing determinism
-    /// gates — arm it in dedicated idle-engine tests instead.
-    pub force_park: u16,
     /// Rate of injected spurious wakeups: a park consumes its announce but
     /// skips the kernel wait, returning immediately as if the futex had
-    /// woken spuriously. Same determinism caveat as `force_park`.
+    /// woken spuriously. Stays `0` in [`ChaosConfig::aggressive`]: park
+    /// visit counts depend on wall-clock timing, so arming this site would
+    /// break exact seed-replay of the determinism gates — the idle-engine
+    /// tests arm it. (To park eagerly, set [`IdleConfig`]'s spin and yield
+    /// sweeps to 0.)
     pub spurious_wake: u16,
     /// Rate of forced cancellations: the enclosing region's scope is
     /// latched (as if its token had been cancelled) at a steal, sync, or
@@ -58,20 +60,17 @@ pub struct ChaosConfig {
     pub force_cancel: u16,
     /// Rate of forced promotion events at the spawn-push site: half the
     /// firings force an out-of-band private→public promotion batch, the
-    /// other half arm a forced promotion *failure* (the split layer's
-    /// put-back path runs as if the public deque were full). Visit counts
-    /// are one per spawn, so the site is replay-deterministic.
+    /// other half make the split deque's next promotion fail as if its
+    /// public deque were full (the put-back arm runs). Visit counts are
+    /// one per spawn, so the site is replay-deterministic.
     pub force_promote: u16,
-    /// Rate of spurious reactor wakes: the claimed poller skips its
-    /// `epoll_wait` and reports zero events, exercising the re-validate
-    /// loop around the poll. Stays `0` in [`ChaosConfig::aggressive`]:
-    /// poll visit counts depend on wall-clock idleness, same caveat as
-    /// `force_park` — the reactor edge-case tests arm it.
-    pub reactor_spurious_wake: u16,
-    /// Rate of injected `EINTR` returns from the reactor poll (the wait is
-    /// skipped and reported as interrupted). Same determinism caveat as
-    /// `reactor_spurious_wake`.
-    pub reactor_eintr: u16,
+    /// Rate of skipped reactor waits: the claimed poller does not enter
+    /// `epoll_wait`, dispatches no event and fires only the due
+    /// deadlines, exercising the re-validate loop around the poll. Stays
+    /// `0` in [`ChaosConfig::aggressive`]: poll visit counts depend on
+    /// wall-clock idleness, same caveat as `spurious_wake` — the reactor
+    /// edge-case tests arm it.
+    pub reactor_skip_wait: u16,
 }
 
 impl ChaosConfig {
@@ -84,12 +83,10 @@ impl ChaosConfig {
             spurious_yield: 0,
             mmap_fail: 0,
             child_panic: 0,
-            force_park: 0,
             spurious_wake: 0,
             force_cancel: 0,
             force_promote: 0,
-            reactor_spurious_wake: 0,
-            reactor_eintr: 0,
+            reactor_skip_wait: 0,
         }
     }
 
@@ -106,10 +103,9 @@ impl ChaosConfig {
             spurious_yield: 4096,
             mmap_fail: 2048,
             child_panic: 0,
-            // Idle sites stay 0 here: their visit counts are wall-clock
+            // The idle site stays 0 here: its visit count is wall-clock
             // dependent, which would break the exact snapshot-equality
             // determinism gates. See the field docs; armed per-test.
-            force_park: 0,
             spurious_wake: 0,
             // Cancellation reshapes the strand tree, so it too would break
             // the exact-replay gates; armed by the forced-cancellation tests.
@@ -117,11 +113,10 @@ impl ChaosConfig {
             // Safe to arm: fires once per spawn, so visit counts (and
             // hence firings) replay exactly for a given seed.
             force_promote: 4096,
-            // Reactor sites stay 0: poll visit counts are wall-clock
+            // The reactor site stays 0: poll visit counts are wall-clock
             // dependent (how often workers go idle), same reasoning as
-            // the idle sites above; armed by the reactor edge-case tests.
-            reactor_spurious_wake: 0,
-            reactor_eintr: 0,
+            // the idle site above; armed by the reactor edge-case tests.
+            reactor_skip_wait: 0,
         }
     }
 }
@@ -356,16 +351,14 @@ mod tests {
         let loud = ChaosConfig::aggressive(1);
         assert!(loud.steal_fail > 0 && loud.mmap_fail > 0);
         assert_eq!(loud.child_panic, 0, "panics stay opt-in");
-        assert_eq!(loud.force_park, 0, "idle sites stay replay-safe");
-        assert_eq!(loud.spurious_wake, 0, "idle sites stay replay-safe");
+        assert_eq!(loud.spurious_wake, 0, "the idle site stays replay-safe");
         assert_eq!(loud.force_cancel, 0, "cancellation stays replay-safe");
         assert_eq!(quiet.force_promote, 0);
         assert!(loud.force_promote > 0, "promotion chaos is replay-safe");
         assert_eq!(
-            loud.reactor_spurious_wake, 0,
-            "reactor sites stay replay-safe"
+            loud.reactor_skip_wait, 0,
+            "the reactor site stays replay-safe"
         );
-        assert_eq!(loud.reactor_eintr, 0, "reactor sites stay replay-safe");
     }
 
     #[test]

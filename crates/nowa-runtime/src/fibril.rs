@@ -96,12 +96,6 @@ impl Protocol for Fibril {
 
     #[inline]
     fn steal_from(st: &Self::Stealer) -> Steal<Rec> {
-        // The fused queue bypasses the deque-layer steal entry points, so
-        // the forced-steal injection is honoured here.
-        #[cfg(feature = "chaos")]
-        if let Some(forced) = nowa_deque::chaos::take_forced() {
-            return forced.as_steal();
-        }
         let mut q = st.lock();
         let Some(rec) = q.pop_front() else {
             return Steal::Empty;
@@ -153,6 +147,7 @@ impl Protocol for Fibril {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flavor::ForcedPromotion;
     use crate::record::SpawnRecord;
     use nowa_deque::Ptr;
 
@@ -165,7 +160,7 @@ mod tests {
 
         assert_eq!(Fibril::push(&dq, Ptr::from_ref(&rec)), Some(0));
         assert_eq!(Fibril::stealer_len(&st), 1, "public at once");
-        assert_eq!(Fibril::force_promote(&dq), 0);
+        assert_eq!(Fibril::force_promote(&dq, ForcedPromotion::Batch), 0);
         let _stolen = Fibril::steal_from(&st).success().unwrap();
         assert_eq!(frame.alpha.load(Ordering::Relaxed), 1);
 

@@ -28,6 +28,17 @@ use crate::record::{AfterChild, Frame, SpawnRecord};
 /// A continuation token as stored in the deques.
 pub type Rec = nowa_deque::Ptr<SpawnRecord>;
 
+/// The two legs of the chaos `ForcePromote` site, delivered through
+/// [`Protocol::force_promote`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ForcedPromotion {
+    /// Promote every private item, whatever the public deque holds.
+    Batch,
+    /// Make the next promotion fail before it moves anything, as if the
+    /// public deque were full, so its put-back arm runs.
+    Failure,
+}
+
 /// A complete runtime flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flavor {
@@ -172,9 +183,12 @@ pub trait Protocol: Sized + 'static {
         false
     }
 
-    /// Promotes every private item to the public deque whatever it holds
-    /// (the chaos `ForcePromote` site). Returns the number moved.
-    fn force_promote(_dq: &Self::Owner) -> u32 {
+    /// Delivers a chaos `ForcePromote` firing to the owner handle:
+    /// [`Batch`](ForcedPromotion::Batch) promotes every private item
+    /// whatever the public deque holds and returns the number moved;
+    /// [`Failure`](ForcedPromotion::Failure) makes the next promotion fail
+    /// as if the public deque were full and returns 0.
+    fn force_promote(_dq: &Self::Owner, _leg: ForcedPromotion) -> u32 {
         0
     }
 }

@@ -15,7 +15,7 @@ use nowa_deque::{
     DequeAlgo, SplitConfig, SplitDeque, SplitStealer, SplitWorker, Steal, StealerOps, WorkerOps,
 };
 
-use crate::flavor::{Protocol, Rec};
+use crate::flavor::{ForcedPromotion, Protocol, Rec};
 use crate::record::{AfterChild, Frame, I_MAX, SUSP_IDLE, SUSP_SUSPENDED};
 use crate::sync::Ordering;
 
@@ -190,8 +190,14 @@ impl<D: DequeAlgo> Protocol for Nowa<D> {
     }
 
     // lint: wait-free
-    fn force_promote(dq: &Self::Owner) -> u32 {
-        dq.force_promote() as u32
+    fn force_promote(dq: &Self::Owner, leg: ForcedPromotion) -> u32 {
+        match leg {
+            ForcedPromotion::Batch => dq.force_promote() as u32,
+            ForcedPromotion::Failure => {
+                dq.fail_next_promotion();
+                0
+            }
+        }
     }
 }
 
@@ -349,17 +355,21 @@ mod tests {
         assert_eq!(frame.alpha.load(Ordering::Relaxed), 2);
     }
 
-    /// A forced promotion publishes private work without a push, and the
-    /// owner's pop reports that it then came from the public deque.
+    /// Both legs of a forced promotion: a failure keeps the next
+    /// promotion's item private until a later push publishes it, and a
+    /// batch publishes private work without a push, so the owner's pop
+    /// then comes from the public deque.
     fn split_force_promote_publishes_private_work<P: Protocol>() {
         let frame = Frame::new();
         let (dq, st) = P::new_deque(8, SplitConfig::default());
         let rec1 = SpawnRecord::new(&frame);
         let rec2 = SpawnRecord::new(&frame);
 
-        assert!(P::push(&dq, Ptr::from_ref(&rec1)).is_some());
-        assert_eq!(P::push(&dq, Ptr::from_ref(&rec2)), Some(0));
-        assert_eq!(P::force_promote(&dq), 1);
+        assert_eq!(P::force_promote(&dq, ForcedPromotion::Failure), 0);
+        assert_eq!(P::push(&dq, Ptr::from_ref(&rec1)), Some(0));
+        assert_eq!(P::stealer_len(&st), 0, "the refused promotion kept rec 1");
+        assert_eq!(P::push(&dq, Ptr::from_ref(&rec2)), Some(1));
+        assert_eq!(P::force_promote(&dq, ForcedPromotion::Batch), 1);
         assert_eq!(P::stealer_len(&st), 2);
         assert_eq!(P::pop_or_join(&dq, &frame), AfterChild::Continue);
         assert!(!P::last_pop_was_private(&dq), "rec 2 had gone public");

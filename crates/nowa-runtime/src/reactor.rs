@@ -445,11 +445,9 @@ impl Reactor {
         let mut dispatched = 0usize;
         // SAFETY: `worker` is the calling thread's live worker (caller
         // contract).
-        if unsafe { chaos::on_reactor_eintr(worker) } {
-            // Modelled EINTR: the syscall is skipped entirely and the poll
-            // behaves as an interrupted wait (deadlines still fire below).
-        } else if unsafe { chaos::on_reactor_poll(worker) } {
-            // Modelled spurious wakeup: zero events without blocking.
+        if unsafe { chaos::on_reactor_poll(worker) } {
+            // Chaos: the wait is skipped — nothing is dispatched, and only
+            // the deadlines below fire.
         } else {
             let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
             match sys::epoll_wait(self.epfd, &mut events, Some(timeout)) {

@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nowa_context::{RawContext, StackPool, WorkerStackCache};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::cancel::{CancelCell, CancelReason};
 use crate::config::Config;
@@ -16,6 +16,7 @@ use crate::idle::IdleState;
 use crate::injector::Injector;
 use crate::snapshot::Snapshot;
 use crate::stats::StatsSnapshot;
+use crate::task;
 use crate::worker::{current_worker, worker_main, FlavoredWorker, Shared, Worker};
 
 /// The shared state the guard-page crash hook renders its post-mortem
@@ -129,11 +130,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .map(|s| (*s).to_owned())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "<non-string panic payload>".to_owned())
-}
-
-struct Completion<R> {
-    result: Mutex<Option<std::thread::Result<R>>>,
-    cv: Condvar,
 }
 
 /// Creates the deques of a runtime running protocol `P` and starts its
@@ -367,23 +363,18 @@ impl Runtime {
             current_worker().is_null(),
             "Runtime::run must not be called from inside a task; use api::join2 / api::scope"
         );
-        let completion = Arc::new(Completion {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-        });
-
+        // The root's completion slot is a `spawn_async` join handle, which
+        // this thread awaits off-runtime.
+        let (slot, handle) = task::join_pair();
         {
-            let completion = completion.clone();
             let shared = self.shared.clone();
             // Counted before the push so `shutdown`'s drain wait can never
             // observe zero while a submitted task is still in flight.
             // ordering: AcqRel — the decrement releases the task's writes
             // (the filled completion slot) to shutdown's Acquire drain load.
             self.shared.active_roots.fetch_add(1, Ordering::AcqRel);
-            let task: Box<dyn FnOnce() + Send> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(f));
-                *completion.result.lock() = Some(result);
-                completion.cv.notify_all();
+            let root: Box<dyn FnOnce() + Send> = Box::new(move || {
+                task::complete_join(&slot, catch_unwind(AssertUnwindSafe(f)));
                 // ordering: AcqRel — see the increment above.
                 shared.active_roots.fetch_sub(1, Ordering::AcqRel);
             });
@@ -391,8 +382,8 @@ impl Runtime {
             // because this function blocks until the task has completed and
             // the completion slot has been consumed — the same argument as
             // `std::thread::scope`.
-            let task: Box<dyn FnOnce() + Send + 'static> = unsafe { core::mem::transmute(task) };
-            if !self.shared.injector.push_root(task) {
+            let root: Box<dyn FnOnce() + Send + 'static> = unsafe { core::mem::transmute(root) };
+            if !self.shared.injector.push_root(root) {
                 // ordering: AcqRel — undo of the pre-push increment.
                 self.shared.active_roots.fetch_sub(1, Ordering::AcqRel);
                 panic!("runtime is shut down");
@@ -400,11 +391,7 @@ impl Runtime {
             crate::worker::wake_from_outside(&self.shared);
         }
 
-        let mut guard = completion.result.lock();
-        while guard.is_none() {
-            completion.cv.wait(&mut guard);
-        }
-        match guard.take().expect("completion filled") {
+        match task::block_on_thread(handle) {
             Ok(result) => result,
             Err(payload) => {
                 // A propagating task panic is exactly what the flight

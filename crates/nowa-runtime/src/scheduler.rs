@@ -162,10 +162,10 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
 
         // Chaos: maybe yield right before the push, widening the window in
         // which thieves observe the pre-push deque state; maybe force an
-        // out-of-band promotion batch (or arm a promotion failure).
+        // out-of-band promotion batch (or fail the next promotion).
         chaos::on_spawn_push(worker);
-        if chaos::on_force_promote(worker) {
-            crate::worker::note_promotion(worker, P::force_promote(deque));
+        if let Some(leg) = chaos::on_force_promote(worker) {
+            crate::worker::note_promotion(worker, P::force_promote(deque, leg));
         }
         let pushed = P::push(deque, nowa_deque::Ptr::from_ref(&*record));
         let offered = pushed.is_some();

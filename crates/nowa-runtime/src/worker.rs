@@ -504,8 +504,12 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
                 // livelock against a contended victim.
                 let mut attempt: u32 = 0;
                 loop {
-                    unsafe { chaos::on_steal_attempt(worker) };
-                    match P::steal_from(&stealers[victim]) {
+                    // Chaos: a forced failure stands in for the steal.
+                    let stolen = match unsafe { chaos::on_steal_attempt(worker) } {
+                        Some(forced) => forced,
+                        None => P::steal_from(&stealers[victim]),
+                    };
+                    match stolen {
                         Steal::Success(rec) => unsafe {
                             (*worker).last_victim = victim;
                             stats::bump(worker, Counter::steals, frame_id((*rec.as_ptr()).frame));
@@ -548,8 +552,7 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
         failed_sweeps = failed_sweeps.saturating_add(1);
         unsafe { stats::bump(worker, Counter::idle_sweeps, 0) };
         let idle_cfg = &shared.config.idle;
-        let force_park = unsafe { chaos::on_idle_backoff(worker) };
-        if force_park || failed_sweeps > idle_cfg.spin_sweeps + idle_cfg.yield_sweeps {
+        if failed_sweeps > idle_cfg.spin_sweeps + idle_cfg.yield_sweeps {
             unsafe { park_worker::<P>(worker, shared, stealers) };
             continue;
         }

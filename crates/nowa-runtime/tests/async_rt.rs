@@ -481,9 +481,9 @@ fn echo_round_trip(rt: &Runtime, count: usize) {
     client_thread.join().unwrap();
 }
 
-/// The reactor chaos sites armed hard over a real serving workload: 25%
-/// of polls turn spurious (no `epoll_wait`, zero events) and 25% report
-/// an injected `EINTR`. Readiness must still be delivered exactly once
+/// The reactor chaos site armed hard over a real serving workload: 7/16
+/// of polls skip `epoll_wait` (no event dispatched, only the due
+/// deadlines fire). Readiness must still be delivered exactly once
 /// per edge and timers must still fire — the workload completes with
 /// correct results on every replay of the seed. (Poll visit *counts* are
 /// wall-clock dependent, so — as with the idle sites — the gate here is
@@ -495,8 +495,8 @@ fn serving_survives_reactor_chaos() {
 
     for replay in 0..2 {
         let mut chaos = ChaosConfig::with_seed(0xEB0_11E7);
-        chaos.reactor_spurious_wake = 16384; // 25% of polls
-        chaos.reactor_eintr = 16384; // 25% of the rest
+        // 1 - 0.75^2: the two 25% sites this one site replaced, combined.
+        chaos.reactor_skip_wait = 28_672;
         let rt = Runtime::new(Config::with_workers(2).idle(eager_park()).chaos(chaos)).unwrap();
         echo_round_trip(&rt, 50);
         // Timers under the same injection: a bounded sleep still lands.

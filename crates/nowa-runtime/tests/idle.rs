@@ -204,20 +204,19 @@ fn watchdog_classifies_parked_workers_healthy() {
     assert_eq!(rt.run(|| fib(10)), 55);
 }
 
-/// The same burst-vs-parking race with the chaos idle sites armed: forced
-/// premature parks (skipping the backoff ladder) and spurious wakes. The
-/// injection schedule is a pure function of the seed, so the same seed
-/// must produce correct results on every replay.
+/// The same burst-vs-parking race with the chaos idle site armed:
+/// spurious wakes, under the eager-park ladder that sends every backoff
+/// straight to the park. The injection schedule is a pure function of the
+/// seed, so the same seed must produce correct results on every replay.
 #[cfg(feature = "chaos")]
 #[test]
-fn burst_survives_chaos_forced_parks_and_spurious_wakes() {
+fn burst_survives_chaos_spurious_wakes() {
     use nowa_runtime::ChaosConfig;
 
     for flavor in Flavor::ALL {
         for workers in [2usize, 8] {
             for replay in 0..2 {
                 let mut chaos = ChaosConfig::with_seed(0xC0FF_EE00 + workers as u64);
-                chaos.force_park = 16384; // 25% of idle backoffs park instantly
                 chaos.spurious_wake = 16384; // 25% of parks return without waiting
                 let rt = Runtime::new(
                     Config::with_workers(workers)

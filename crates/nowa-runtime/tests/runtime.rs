@@ -93,6 +93,35 @@ fn counters_are_exact_for_a_known_dag() {
     }
 }
 
+/// A forced steal failure is delivered at the one steal call site, the
+/// work-finding loop: at `steal_fail = u16::MAX` every attempt takes the
+/// forced outcome instead of stealing, so nothing is stolen and each
+/// forced outcome is counted exactly once as a failed attempt. The Fibril
+/// arm shows the fused queue never sees a forced outcome either.
+#[cfg(feature = "chaos")]
+#[test]
+fn forced_steal_failures_stand_in_for_every_steal() {
+    use nowa_runtime::chaos::ChaosSite;
+    use nowa_runtime::ChaosConfig;
+
+    for flavor in Flavor::ALL {
+        let name = flavor.name();
+        let mut chaos = ChaosConfig::with_seed(5);
+        chaos.steal_fail = u16::MAX;
+        let rt = Runtime::new(Config::with_workers(2).flavor(flavor).chaos(chaos)).unwrap();
+        assert_eq!(rt.run(|| fib(16)), fib_serial(16), "{name}");
+        // After shutdown every worker has exited: the counters are final.
+        rt.shutdown(Duration::from_secs(10)).unwrap();
+        let snap = rt.snapshot();
+        let (s, chaos) = (snap.scheduler, snap.chaos.expect("chaos configured"));
+        let forced = chaos.injected_at(ChaosSite::StealFail);
+        assert_eq!(s.steals, 0, "{name}: {s:?}");
+        assert!(forced > 0, "{name}: no steal attempt was made");
+        assert_eq!(s.steal_empty + s.steal_retry, forced, "{name}: {s:?}");
+        assert_eq!(chaos.ticks[ChaosSite::StealFail as usize], forced, "{name}");
+    }
+}
+
 /// What the one-worker `join2` probes of `benchmark/` measure. A loop of
 /// `join2`s at a task's top level pushes every continuation onto an empty
 /// public deque, so each push publishes and each pop is the public
