@@ -2,8 +2,16 @@
 //! the original; this is a compact radix-2 reimplementation).
 //!
 //! Recursive decimation-in-time Cooley–Tukey with a ping-pong scratch
-//! buffer: both half-transforms run in parallel, and the butterfly combine
-//! is recursively split as well.
+//! buffer. Each level deinterleaves its input into even and odd halves,
+//! transforms both halves, and combines them with butterflies that read
+//! one shared twiddle table, so the transform does O(n log n) work and
+//! calls no trigonometry outside [`twiddles`].
+//!
+//! Above the cutoff (`n ≤ max(grain, 2)` and `n ≤ 32`) the two halves run
+//! under `join2`, and the O(n) deinterleave and combine are split under
+//! `join2` as well, so no level copies or combines serially on the
+//! critical path. Below the cutoff the same recursion runs with plain
+//! calls: a leaf is a serial radix-2 transform.
 
 use nowa_runtime::join2;
 
@@ -47,13 +55,68 @@ impl Cpx {
 }
 
 /// Precomputed twiddle factors `w[k] = exp(-2πik/n)` for `k < n/2`.
+///
+/// Only the first octant (`k ≤ n/8`) calls `sin_cos`; the rest of the
+/// table follows by symmetry. Within the first quadrant,
+/// `w[n/4 − k] = (−w[k].im, −w[k].re)`, and past it
+/// `w[n/4 + k] = (w[k].im, −w[k].re)`.
 pub fn twiddles(n: usize) -> Vec<Cpx> {
-    (0..n / 2)
-        .map(|k| {
-            let angle = -2.0 * core::f64::consts::PI * k as f64 / n as f64;
-            Cpx::new(angle.cos(), angle.sin())
-        })
-        .collect()
+    let mut w = vec![Cpx::default(); n / 2];
+    if w.is_empty() {
+        return w;
+    }
+    let q = n / 4;
+    for (k, slot) in w.iter_mut().enumerate().take(q / 2 + 1) {
+        let angle = -2.0 * core::f64::consts::PI * k as f64 / n as f64;
+        let (sin, cos) = angle.sin_cos();
+        *slot = Cpx::new(cos, sin);
+    }
+    for k in q / 2 + 1..=q {
+        let m = w[q - k];
+        w[k] = Cpx::new(-m.im, -m.re);
+    }
+    for k in q + 1..n / 2 {
+        let m = w[k - q];
+        w[k] = Cpx::new(m.im, -m.re);
+    }
+    w
+}
+
+/// Deinterleave leaves copy at most this many elements: 64 KiB read and
+/// 64 KiB written, microseconds of copying, so one spawn (tens of
+/// nanoseconds when not stolen) costs well under 5 % of one leaf.
+const DEINTERLEAVE_GRAIN: usize = 4096;
+
+/// Runs `a` and `b`: under `join2` when `parallel`, else one after the
+/// other on the calling thread.
+fn fork(parallel: bool, a: impl FnOnce() + Send, b: impl FnOnce() + Send) {
+    if parallel {
+        join2(a, b);
+    } else {
+        a();
+        b();
+    }
+}
+
+/// Copies the even-indexed elements of `src` to `even` and the odd-indexed
+/// ones to `odd`, recursively split under `join2` down to `grain` source
+/// elements, so the O(n) copy is parallel too.
+fn deinterleave(src: &[Cpx], even: &mut [Cpx], odd: &mut [Cpx], grain: usize) {
+    if src.len() <= grain {
+        for ((pair, e), o) in src.chunks_exact(2).zip(even).zip(odd) {
+            *e = pair[0];
+            *o = pair[1];
+        }
+        return;
+    }
+    let h = even.len() / 2;
+    let (s1, s2) = src.split_at(2 * h);
+    let (e1, e2) = even.split_at_mut(h);
+    let (o1, o2) = odd.split_at_mut(h);
+    join2(
+        move || deinterleave(s1, e1, o1, grain),
+        move || deinterleave(s2, e2, o2, grain),
+    );
 }
 
 /// Butterfly combine: `out_lo[k] = e[k] + w^k o[k]`, `out_hi[k] = e[k] − w^k o[k]`,
@@ -90,8 +153,9 @@ fn combine(
     );
 }
 
-/// Serial O(n²) DFT used below the recursion cutoff (and as the test
-/// reference).
+/// The O(n²) DFT by definition, with a `cos` and a `sin` per term. It is
+/// the test reference the transform is checked against, and is not on
+/// the transform's path.
 pub fn dft_naive(input: &[Cpx]) -> Vec<Cpx> {
     let n = input.len();
     (0..n)
@@ -106,33 +170,45 @@ pub fn dft_naive(input: &[Cpx]) -> Vec<Cpx> {
         .collect()
 }
 
-fn fft_rec(buf: &mut [Cpx], scratch: &mut [Cpx], tw: &[Cpx], stride: usize, grain: usize) {
+/// Transforms `buf` in place, using `scratch` (as long) for the halves.
+/// `parallel` is cleared at the cutoff (`n ≤ max(grain, 2)` and `n ≤ 32`):
+/// from there down the same recursion runs serially.
+fn fft_rec(
+    buf: &mut [Cpx],
+    scratch: &mut [Cpx],
+    tw: &[Cpx],
+    stride: usize,
+    grain: usize,
+    parallel: bool,
+) {
     let n = buf.len();
     if n == 1 {
         return;
     }
-    if n <= grain.max(2) && n <= 32 {
-        let out = dft_naive(buf);
-        buf.copy_from_slice(&out);
+    if n == 2 {
+        // The two-point butterfly; its twiddle is 1.
+        let (a, b) = (buf[0], buf[1]);
+        buf[0] = a.add(b);
+        buf[1] = a.sub(b);
         return;
     }
+    let parallel = parallel && !(n <= grain.max(2) && n <= 32);
     let h = n / 2;
-    // Deinterleave into the scratch halves.
-    for i in 0..h {
-        scratch[i] = buf[2 * i];
-        scratch[h + i] = buf[2 * i + 1];
-    }
-    {
-        let (s_lo, s_hi) = scratch.split_at_mut(h);
-        let (b_lo, b_hi) = buf.split_at_mut(h);
-        join2(
-            move || fft_rec(s_lo, b_lo, tw, stride * 2, grain),
-            move || fft_rec(s_hi, b_hi, tw, stride * 2, grain),
-        );
-    }
-    let (even, odd) = scratch.split_at(h);
-    let (out_lo, out_hi) = buf.split_at_mut(h);
-    combine(out_lo, out_hi, even, odd, tw, stride, 0, grain.max(16));
+    // Below the cutoff each copy and each combine is one serial loop.
+    let (copy_grain, combine_grain) = if parallel {
+        (DEINTERLEAVE_GRAIN, grain.max(16))
+    } else {
+        (n, h)
+    };
+    let (s_lo, s_hi) = scratch.split_at_mut(h);
+    deinterleave(buf, s_lo, s_hi, copy_grain);
+    let (b_lo, b_hi) = buf.split_at_mut(h);
+    fork(
+        parallel,
+        || fft_rec(s_lo, b_lo, tw, stride * 2, grain, parallel),
+        || fft_rec(s_hi, b_hi, tw, stride * 2, grain, parallel),
+    );
+    combine(b_lo, b_hi, s_lo, s_hi, tw, stride, 0, combine_grain);
 }
 
 /// In-place FFT of a power-of-two-length buffer.
@@ -141,7 +217,7 @@ pub fn fft(buf: &mut [Cpx], grain: usize) {
     assert!(n.is_power_of_two(), "fft length must be a power of two");
     let tw = twiddles(n);
     let mut scratch = vec![Cpx::default(); n];
-    fft_rec(buf, &mut scratch, &tw, 1, grain);
+    fft_rec(buf, &mut scratch, &tw, 1, grain, true);
 }
 
 /// Deterministic pseudo-random signal.

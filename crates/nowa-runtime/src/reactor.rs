@@ -208,6 +208,25 @@ impl PollerSlot {
         self.slot.load(Ordering::SeqCst) != 0
     }
 
+    /// The producer's half of a wake rule: runs `publish`, which makes
+    /// work visible to a poller and says whether the poller must hear of
+    /// it, and then `kick`s when it must and a poller holds the slot.
+    /// Publishing first is the rule: a poller that claims after the
+    /// `claimed` load below reads the published work when it computes its
+    /// timeout, and one that claimed before it is kicked. Returns what
+    /// `publish` returned.
+    pub fn publish_then_kick<T>(
+        &self,
+        publish: impl FnOnce() -> (T, bool),
+        kick: impl FnOnce(),
+    ) -> T {
+        let (out, wake) = publish();
+        if wake && self.claimed() {
+            kick();
+        }
+        out
+    }
+
     /// Releases the slot (claimant only). The SeqCst store also publishes
     /// the outgoing poller's duty-state writes (dispatched readiness) to
     /// the next claimant, whose claim CAS reads the `0` this stores.
@@ -223,7 +242,7 @@ pub(crate) struct Reactor {
     epfd: i32,
     kick_fd: i32,
     /// See [`PollerSlot`].
-    poller: PollerSlot,
+    pub(crate) poller: PollerSlot,
     /// Kick coalescing: 1 while a `write(2)` to the eventfd is outstanding
     /// (not yet drained), so kick storms cost one syscall per poll cycle.
     kick_armed: AtomicU32,

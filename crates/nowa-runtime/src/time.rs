@@ -180,13 +180,13 @@ impl Deadlines {
 }
 
 /// Arms an entry due at `at`. One that becomes the earliest kicks the
-/// claimed poller, which may be napping past it.
+/// claimed poller, which may be napping past it. The poller computes its
+/// timeout under the map lock after it claims, so it either reads this
+/// entry or is kicked (loom model `deadline_insert_vs_poller_timeout`).
 fn arm(reactor: &Reactor, at: Instant, due: impl FnOnce(Key) -> Due) -> Key {
-    let (key, first) = reactor.deadlines.insert(at, due);
-    if first {
-        reactor.kick_if_claimed();
-    }
-    key
+    reactor
+        .poller
+        .publish_then_kick(|| reactor.deadlines.insert(at, due), || reactor.kick())
 }
 
 /// A region scope chained under `parent`, latched with

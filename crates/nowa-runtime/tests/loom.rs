@@ -6,7 +6,7 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p nowa-runtime --test loom --release
 //! ```
 //!
-//! Five protocols are modeled, each against the *real* implementation (the
+//! Six protocols are modeled, each against the *real* implementation (the
 //! `crate::sync` shim swaps `core::sync::atomic` for loom's atomics under
 //! `--cfg loom`, so the code under test is byte-for-byte the shipping
 //! protocol logic):
@@ -30,7 +30,10 @@
 //!    and whoever resumes must see the parker's staged context;
 //! 5. the reactor poller claim (§6h) — at most one worker may sit in
 //!    `epoll_wait`, and a release must publish the outgoing poller's
-//!    duty-state writes to the next claimant.
+//!    duty-state writes to the next claimant;
+//! 6. the deadline map's wake rule (§6h) — an insert that becomes the
+//!    earliest entry, raced by a poller computing its timeout, must be
+//!    read by that timeout or kick the poller.
 //!
 //! Each passing model is paired with a `*_canary` that re-implements the
 //! protocol core with one ordering deliberately weakened and asserts (via
@@ -902,4 +905,94 @@ fn reactor_poller_relaxed_release_canary_fails() {
         slot.store(0, Ordering::Relaxed);
         successor.join().unwrap();
     });
+}
+
+// ---------------------------------------------------------------------------
+// 6. The deadline map's wake rule (§6h)
+// ---------------------------------------------------------------------------
+
+/// The deadline map as its wake rule sees it: the map lock, and whether
+/// the map holds an entry. The lock is a spin lock over loom atomics
+/// (Acquire to enter, Release to leave) so the checker sees its edges, as
+/// it would a real mutex's; the entry flag is Relaxed, ordered by the lock.
+struct DeadlineMap {
+    lock: loom::sync::atomic::AtomicU32,
+    entry: loom::sync::atomic::AtomicBool,
+}
+
+impl DeadlineMap {
+    fn new() -> DeadlineMap {
+        DeadlineMap {
+            lock: loom::sync::atomic::AtomicU32::new(0),
+            entry: loom::sync::atomic::AtomicBool::new(false),
+        }
+    }
+
+    fn locked<T>(&self, f: impl FnOnce(&loom::sync::atomic::AtomicBool) -> T) -> T {
+        use loom::sync::atomic::Ordering;
+        while self
+            .lock
+            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            loom::thread::yield_now();
+        }
+        let out = f(&self.entry);
+        self.lock.store(0, Ordering::Release);
+        out
+    }
+}
+
+/// An insert that becomes the earliest entry races a poller that claims
+/// the real `PollerSlot`, computes its `epoll_wait` timeout under the map
+/// lock and waits. The insert goes through the runtime's own rule,
+/// `PollerSlot::publish_then_kick` (what `time.rs::arm` calls), with
+/// `kick` standing in for the eventfd write. Either the poller's timeout
+/// covers the new entry or the insert kicks it; otherwise the entry fires
+/// a whole `max_park` late.
+fn deadline_insert_races_poller(kick: fn(&loom::sync::atomic::AtomicBool)) {
+    loom::model(move || {
+        use loom::sync::atomic::{AtomicBool, Ordering};
+        let slot = Arc::new(PollerSlot::new());
+        let map = Arc::new(DeadlineMap::new());
+        let kicked = Arc::new(AtomicBool::new(false));
+
+        let poller = {
+            let slot = slot.clone();
+            let map = map.clone();
+            loom::thread::spawn(move || {
+                assert!(slot.try_claim(0), "the only poller claims");
+                // The timeout: finite only if the map holds the entry.
+                map.locked(|entry| entry.load(Ordering::Relaxed))
+            })
+        };
+        slot.publish_then_kick(
+            || {
+                // Into an empty map, so the entry is the earliest.
+                map.locked(|entry| entry.store(true, Ordering::Relaxed));
+                ((), true)
+            },
+            || kick(&kicked),
+        );
+        let timeout_covers_entry = poller.join().unwrap();
+        assert!(
+            timeout_covers_entry || kicked.load(Ordering::Relaxed),
+            "lost deadline wakeup: the poller waits past the earliest entry"
+        );
+    });
+}
+
+#[test]
+fn deadline_insert_vs_poller_timeout() {
+    deadline_insert_races_poller(|kicked| {
+        kicked.store(true, loom::sync::atomic::Ordering::Relaxed)
+    });
+}
+
+/// CANARY: the same race with the kick dropped. A poller that read the
+/// map before the insert waits past the new entry.
+#[test]
+#[should_panic(expected = "lost deadline wakeup")]
+fn deadline_insert_dropped_kick_canary_fails() {
+    deadline_insert_races_poller(|_| {});
 }

@@ -340,11 +340,28 @@ fn quicksort_task(g: &mut Gen, task: usize, len: u64) {
 // --- fft ----------------------------------------------------------------------
 
 const FFT_BASE: u64 = 32;
+const FFT_COPY_GRAIN: u64 = 4096;
 const FFT_COMBINE_GRAIN: u64 = 1024;
+/// One butterfly: twiddle multiply, add and subtract.
+const FFT_BUTTERFLY: u64 = 8;
+
+/// The deinterleave's copy of `n` elements, split under `join2` the way
+/// the kernel splits it.
+fn fft_deinterleave(g: &mut Gen, task: usize, n: u64) {
+    if n <= FFT_COPY_GRAIN || g.over_budget() {
+        g.b.work(task, n * 2);
+        return;
+    }
+    let c1 = g.b.spawn(task);
+    fft_deinterleave(g, c1, n / 2);
+    let c2 = g.b.call(task);
+    fft_deinterleave(g, c2, n / 2);
+    g.b.sync(task);
+}
 
 fn fft_combine(g: &mut Gen, task: usize, half: u64) {
     if half <= FFT_COMBINE_GRAIN || g.over_budget() {
-        g.b.work(task, half * 8); // twiddle multiply + butterfly
+        g.b.work(task, half * FFT_BUTTERFLY);
         return;
     }
     let c1 = g.b.spawn(task);
@@ -356,10 +373,12 @@ fn fft_combine(g: &mut Gen, task: usize, half: u64) {
 
 fn fft(g: &mut Gen, task: usize, n: u64) {
     if n <= FFT_BASE || g.over_budget() {
-        g.b.work(task, n * n * 4); // naive DFT leaf
+        // Serial radix-2 leaf: (n/2)·log2(n) butterflies.
+        g.b.work(task, n / 2 * n.trailing_zeros() as u64 * FFT_BUTTERFLY);
         return;
     }
-    g.b.work(task, n * 2); // deinterleave
+    let copy = g.b.call(task);
+    fft_deinterleave(g, copy, n);
     let c1 = g.b.spawn(task);
     fft(g, c1, n / 2);
     let c2 = g.b.call(task);
