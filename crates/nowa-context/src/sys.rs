@@ -1,11 +1,19 @@
 //! Minimal raw Linux syscall layer.
 //!
-//! The runtime needs exactly four kernel services: anonymous memory mappings
-//! for fiber stacks (`mmap`/`munmap`/`mprotect`), the `madvise` advice the
-//! paper's §V-B investigates, and CPU affinity for worker pinning. Rather
-//! than pulling in `libc`, the calls are issued directly with the `syscall`
-//! instruction (x86_64) / `svc 0` (aarch64); the ABI surface is tiny and
-//! stable.
+//! Every kernel service the workspace uses goes through this module:
+//!
+//! * memory: anonymous mappings (`mmap`/`munmap`/`mprotect`) for fiber
+//!   stacks and large kernel temporaries, and the `madvise` advice of the
+//!   paper's §V-B study plus `MADV_HUGEPAGE` for large temporaries;
+//! * the idle engine's futex sleep and wake;
+//! * the reactor: `epoll`, the `eventfd` it is kicked through, and raw
+//!   `read`/`write`/`close`;
+//! * the guard-page fault handler: `rt_sigaction`, `sigaltstack` and an
+//!   async-signal-safe `write`.
+//!
+//! [`rss_kib`] reads `/proc/self/status` through `std`. Rather than pulling
+//! in `libc`, the calls are issued directly with the `syscall` instruction
+//! (x86_64) / `svc 0` (aarch64); the ABI surface is tiny and stable.
 
 #![allow(clippy::missing_safety_doc)]
 
@@ -81,6 +89,11 @@ pub enum Advice {
     /// `MADV_FREE`: the kernel may lazily reclaim the pages; cheaper than
     /// `DONTNEED` but only by a small margin per the paper (§V-B).
     Free = 8,
+    /// `MADV_HUGEPAGE`: back the range with transparent huge pages where
+    /// it covers whole 2 MiB-aligned blocks, one fault per 2 MiB instead
+    /// of per 4 KiB page. Fails with `EINVAL` when the kernel has no
+    /// transparent huge pages; it is only a hint.
+    HugePage = 14,
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -12,7 +12,23 @@
 //! `join2` as well, so no level copies or combines serially on the
 //! critical path. Below the cutoff the same recursion runs with plain
 //! calls: a leaf is a serial radix-2 transform.
+//!
+//! The ping-pong scratch (n points) and the twiddle table (n/2 points),
+//! 24 MiB together at n = 2²⁰, live for one call. Each is a `Scratch`:
+//! an anonymous mapping of its own, unmapped when the call returns. From
+//! `malloc` they would stay resident after the call: once glibc's dynamic
+//! mmap threshold has risen past their size, it serves them from the
+//! calling thread's arena and keeps the freed pages there, and a run whose
+//! calls land on fresh worker threads parks one copy in each arena in
+//! rotation (EXPERIMENTS.md, "Resolved: fj-coarse's peak RSS was the FFT's
+//! temporaries parked in malloc arenas").
 
+use core::ffi::c_void;
+use core::ops::{Deref, DerefMut};
+use core::ptr::NonNull;
+use std::alloc::{handle_alloc_error, Layout};
+
+use nowa_context::sys;
 use nowa_runtime::join2;
 
 /// A complex number (f64 re/im).
@@ -62,8 +78,15 @@ impl Cpx {
 /// `w[n/4 + k] = (w[k].im, −w[k].re)`.
 pub fn twiddles(n: usize) -> Vec<Cpx> {
     let mut w = vec![Cpx::default(); n / 2];
+    fill_twiddles(&mut w, n);
+    w
+}
+
+/// Fills `w` (`n/2` long) with the table [`twiddles`] returns for `n`.
+fn fill_twiddles(w: &mut [Cpx], n: usize) {
+    assert_eq!(w.len(), n / 2, "a twiddle table holds n/2 factors");
     if w.is_empty() {
-        return w;
+        return;
     }
     let q = n / 4;
     for (k, slot) in w.iter_mut().enumerate().take(q / 2 + 1) {
@@ -79,7 +102,111 @@ pub fn twiddles(n: usize) -> Vec<Cpx> {
         let m = w[k - q];
         w[k] = Cpx::new(m.im, -m.re);
     }
-    w
+}
+
+/// A transparent huge page. A [`Scratch`] at least this long starts on a
+/// multiple of it and is advised `MADV_HUGEPAGE`. A plain 4 KiB-page
+/// mapping faults 4 096 times per 16 MiB on every call: on a 2-vCPU
+/// x86_64 host that made a 2²⁰-point transform about 5 % slower serially
+/// and 14 % slower on two workers.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// A zero-filled `[Cpx]` in an anonymous mapping of its own, unmapped on
+/// drop, so its pages go back to the OS instead of into a `malloc` arena
+/// (see the module doc).
+struct Scratch {
+    ptr: NonNull<Cpx>,
+    len: usize,
+    /// Bytes mapped at `ptr`: whole pages, 0 for an empty scratch.
+    map_len: usize,
+}
+
+impl Scratch {
+    /// Maps `len` zeroed points. A failed map ends in
+    /// [`handle_alloc_error`], as a `Vec`'s failed allocation does.
+    fn zeroed(len: usize) -> Scratch {
+        let layout = Layout::array::<Cpx>(len).expect("scratch length overflows isize");
+        if layout.size() == 0 {
+            return Scratch {
+                ptr: NonNull::dangling(),
+                len,
+                map_len: 0,
+            };
+        }
+        let map_len = layout.size().next_multiple_of(sys::PAGE_SIZE);
+        let align = if map_len >= HUGE_PAGE {
+            HUGE_PAGE
+        } else {
+            sys::PAGE_SIZE
+        };
+        // Over-map by `align` less one page so an aligned start lies
+        // inside, then unmap the slack on either side. `layout.size() ≤ isize::MAX`,
+        // so the sum cannot overflow.
+        let reserve = map_len + align - sys::PAGE_SIZE;
+        // SAFETY: a fresh anonymous mapping of a length computed here; no
+        // existing memory is affected.
+        let base = unsafe {
+            sys::mmap(
+                reserve,
+                sys::prot::READ | sys::prot::WRITE,
+                sys::map::PRIVATE | sys::map::ANONYMOUS,
+            )
+        }
+        .unwrap_or_else(|_| handle_alloc_error(layout)) as usize;
+        let start = base.next_multiple_of(align);
+        let end = start + map_len;
+        for (lo, hi) in [(base, start), (end, base + reserve)] {
+            if hi > lo {
+                // SAFETY: `lo..hi` is slack of the mapping just made, outside
+                // `start..end`; nothing points into it.
+                unsafe {
+                    let _ = sys::munmap(lo as *mut c_void, hi - lo);
+                }
+            }
+        }
+        if align == HUGE_PAGE {
+            // SAFETY: `start..end` is the mapping just made. The advice is
+            // a hint: where it fails, the scratch keeps 4 KiB pages.
+            unsafe {
+                let _ = sys::madvise(start as *mut c_void, map_len, sys::Advice::HugePage);
+            }
+        }
+        Scratch {
+            ptr: NonNull::new(start as *mut Cpx).expect("mmap returned address 0"),
+            len,
+            map_len,
+        }
+    }
+}
+
+impl Deref for Scratch {
+    type Target = [Cpx];
+
+    fn deref(&self) -> &[Cpx] {
+        // SAFETY: `ptr` is page-aligned (or dangling with `len == 0`) and
+        // owns `len` points of a zero-filled mapping; all-zero bits are the
+        // valid `Cpx` 0 + 0i.
+        unsafe { core::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl DerefMut for Scratch {
+    fn deref_mut(&mut self) -> &mut [Cpx] {
+        // SAFETY: as in `deref`; `&mut self` makes the borrow unique.
+        unsafe { core::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if self.map_len > 0 {
+            // SAFETY: the scratch owns `ptr..ptr + map_len`, and no borrow of
+            // it outlives `self`.
+            unsafe {
+                let _ = sys::munmap(self.ptr.as_ptr() as *mut c_void, self.map_len);
+            }
+        }
+    }
 }
 
 /// Deinterleave leaves copy at most this many elements: 64 KiB read and
@@ -215,8 +342,9 @@ fn fft_rec(
 pub fn fft(buf: &mut [Cpx], grain: usize) {
     let n = buf.len();
     assert!(n.is_power_of_two(), "fft length must be a power of two");
-    let tw = twiddles(n);
-    let mut scratch = vec![Cpx::default(); n];
+    let mut tw = Scratch::zeroed(n / 2);
+    fill_twiddles(&mut tw, n);
+    let mut scratch = Scratch::zeroed(n);
     fft_rec(buf, &mut scratch, &tw, 1, grain, true);
 }
 
@@ -265,6 +393,42 @@ mod tests {
         let freq_energy = spectrum_energy(&buf) / n as f64;
         let rel = (time_energy - freq_energy).abs() / time_energy;
         assert!(rel < 1e-10, "Parseval violated: {rel}");
+    }
+
+    /// Points in one huge page.
+    const HUGE_POINTS: usize = HUGE_PAGE / core::mem::size_of::<Cpx>();
+
+    #[test]
+    fn scratch_is_zeroed_and_as_long_as_asked() {
+        for len in [0, 1, 255, 256, 257, HUGE_POINTS, HUGE_POINTS + 1] {
+            let s = Scratch::zeroed(len);
+            assert_eq!(s.len(), len);
+            assert!(s.iter().all(|c| *c == Cpx::default()), "len {len}");
+        }
+    }
+
+    #[test]
+    fn scratch_spanning_a_huge_page_starts_on_one() {
+        for len in [HUGE_POINTS, 3 * HUGE_POINTS + 5] {
+            assert_eq!(Scratch::zeroed(len).as_ptr() as usize % HUGE_PAGE, 0);
+        }
+        assert_eq!(Scratch::zeroed(1).as_ptr() as usize % sys::PAGE_SIZE, 0);
+    }
+
+    #[test]
+    fn scratch_pages_are_released_on_drop() {
+        let rss = || sys::rss_kib().expect("VmRSS from /proc/self/status").0;
+        // 32 MiB with every page written. The other tests of this binary
+        // run concurrently but allocate little, so a quarter is margin.
+        let mut s = Scratch::zeroed(16 * HUGE_POINTS);
+        s.fill(Cpx::new(1.0, -1.0));
+        let resident = rss();
+        drop(s);
+        let released = resident.saturating_sub(rss());
+        assert!(
+            released >= 24 << 10,
+            "drop released {released} KiB of 32 MiB"
+        );
     }
 
     #[test]

@@ -248,7 +248,7 @@ pub(crate) struct Reactor {
     kick_armed: AtomicU32,
     /// `write(2)`s to the kick eventfd, for the tests that pin when a kick
     /// is (not) paid.
-    #[cfg(test)]
+    #[cfg(all(test, not(loom)))]
     kick_writes: AtomicUsize,
     sources: parking_lot::Mutex<SourceSlab>,
     /// Registered sources: the gate of the idle ladder's busy poll and
@@ -283,7 +283,7 @@ impl Reactor {
             kick_fd,
             poller: PollerSlot::new(),
             kick_armed: AtomicU32::new(0),
-            #[cfg(test)]
+            #[cfg(all(test, not(loom)))]
             kick_writes: AtomicUsize::new(0),
             sources: parking_lot::Mutex::new(SourceSlab::default()),
             registered: AtomicUsize::new(0),
@@ -318,7 +318,7 @@ impl Reactor {
         // visible before the kick (ready push, deadline insert) is ordered
         // before the flag a drain will clear.
         if self.kick_armed.swap(1, Ordering::Release) == 0 {
-            #[cfg(test)]
+            #[cfg(all(test, not(loom)))]
             // ordering: test-only tally, read after the workload joined.
             self.kick_writes.fetch_add(1, Ordering::Relaxed);
             let buf = 1u64.to_ne_bytes();
@@ -346,7 +346,7 @@ impl Reactor {
     }
 
     /// Eventfd kicks written since the reactor was created.
-    #[cfg(test)]
+    #[cfg(all(test, not(loom)))]
     pub(crate) fn kick_writes(&self) -> usize {
         // ordering: test-only tally, read after the workload joined.
         self.kick_writes.load(Ordering::Relaxed)
