@@ -190,19 +190,19 @@ pub struct Config {
     /// Stripes of the global stack pool (1 = the paper's single pool).
     pub pool_stripes: usize,
     /// Record scheduler traces (per-worker event rings, idle sweeps
-    /// included, + latency histograms). Takes effect only when the runtime
-    /// is built with the `trace` cargo feature; without the feature the
-    /// flag is accepted but inert, so callers don't need their own `cfg`
-    /// gymnastics.
+    /// included, + latency histograms), drained by
+    /// `Runtime::trace_report`.
     pub tracing: bool,
     /// Per-worker event-ring capacity in events (rounded up to a power of
     /// two). A ring keeps its worker's newest events, and the post-mortem
     /// of a failure (guard-page crash, task panic, watchdog stall,
     /// shutdown timeout) prints their merged tail. `Some(n)` keeps the
     /// ring with `tracing` off too — the flight recorder: scheduling
-    /// events only, no exporter thread, cheap enough to leave on in
-    /// production. `None`: `nowa_trace::DEFAULT_RING_CAPACITY` when
-    /// tracing, else no ring. Same cargo-feature contract as `tracing`.
+    /// events only, no exporter thread. It still stores three events per
+    /// un-stolen `join2`, which spawn-bound work feels (EXPERIMENTS.md,
+    /// "Resolved: the trace hook cost the default path").
+    /// `None`: `nowa_trace::DEFAULT_RING_CAPACITY` when tracing, else no
+    /// ring.
     pub trace_ring: Option<usize>,
     /// Fault injection (see [`ChaosConfig`]). Takes effect only when built
     /// with the `chaos` cargo feature; accepted but inert otherwise.
@@ -266,15 +266,14 @@ impl Config {
     }
 
     /// Enables or disables scheduler tracing (builder style). See the
-    /// field docs: requires the `trace` cargo feature to have any effect.
+    /// field docs.
     pub fn tracing(mut self, enabled: bool) -> Config {
         self.tracing = enabled;
         self
     }
 
     /// Keeps a per-worker event ring of `events` capacity, with or
-    /// without tracing (builder style). See the field docs: requires the
-    /// `trace` cargo feature to have any effect.
+    /// without tracing (builder style). See the field docs.
     pub fn trace_ring(mut self, events: usize) -> Config {
         self.trace_ring = Some(events);
         self

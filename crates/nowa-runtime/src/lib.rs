@@ -58,7 +58,6 @@ pub(crate) mod injector;
 #[cfg(all(test, not(loom)))]
 mod layout;
 pub mod nowa;
-#[cfg(feature = "trace")]
 mod obs;
 pub mod reactor;
 pub mod record;

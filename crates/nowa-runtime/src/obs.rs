@@ -1,13 +1,15 @@
 //! The trace sink: the runtime's only coupling to `nowa-trace`.
 //!
-//! Compiled only with the `trace` cargo feature. The scheduler never calls
-//! in here per event: it emits a counted event through
-//! [`crate::stats::bump`]/[`add`](crate::stats::add), and the event's row in
-//! the table says — as a [`Trace`] — how it reaches this module. With the
-//! feature on, recording is still a no-op unless the runtime has event
-//! rings ([`crate::Config`]`::tracing(true)` or `Config::trace_ring`; the
-//! buffers are simply absent otherwise). Each event is stamped once and
-//! stored once, in the calling worker's ring.
+//! The scheduler never calls in here directly: it emits a counted event
+//! through [`crate::stats::bump`]/[`add`](crate::stats::add), and the
+//! event's row in the table says — as a [`Trace`] — how it reaches this
+//! module. A runtime has event rings only when configured with
+//! [`crate::Config`]`::tracing(true)` or `Config::trace_ring`; every
+//! worker caches its own ring pointer (`Worker::ring`, `None` without
+//! rings), and both entry points here are `#[cold]` calls taken only
+//! after that pointer tested `Some`. Without rings a trace point is a
+//! load and an untaken branch: no stamp, no clock, no call. Each event
+//! is stamped once and stored once, in the calling worker's ring.
 //!
 //! Recording never blocks and never allocates: the ring is wait-free and
 //! overwrites its oldest event when full, and histograms are relaxed
@@ -68,22 +70,27 @@ pub(crate) enum Trace {
 /// whether the runtime traces (idle churn and histograms too).
 #[inline(always)]
 fn sink(w: &Worker) -> Option<(&TraceBuffer, bool)> {
-    let buffers = w.shared.trace.as_deref()?;
-    Some((&buffers[w.index], w.shared.config.tracing))
+    // SAFETY: set at construction to `shared.trace[index]`, which the
+    // `shared` Arc held by this worker keeps alive and never moves.
+    let buf = unsafe { w.ring?.as_ref() };
+    Some((buf, w.shared.config.tracing))
 }
 
 /// Routes one emitted event per its table row. `occupancy` is the
-/// spawner's deque probe, consulted by [`Trace::Spawn`] only.
+/// spawner's deque probe, consulted by [`Trace::Spawn`] only; a trait
+/// object, so the whole runtime has one copy of this body. Out of line and
+/// cold: the caller has already found the worker's ring present.
 ///
 /// # Safety
 /// `worker` must be the calling thread's live worker.
 // lint: wait-free
-#[inline(always)]
+#[cold]
+#[inline(never)]
 pub(crate) unsafe fn record(
     worker: *mut Worker,
     trace: Trace,
     arg: u64,
-    occupancy: impl FnOnce() -> u64,
+    occupancy: &dyn Fn() -> u64,
 ) {
     // SAFETY: live worker per the function contract; only header fields
     // are read, and the stamp is this worker's own.
@@ -140,10 +147,13 @@ pub(crate) unsafe fn record(
 /// steal-to-first-poll clock if this resume consumed a steal. The one
 /// trace point that is not a counted event (it would put a counter on
 /// every spawn's continuation for a measurement only tracing consumes).
+/// Out of line and cold, like [`record`]: `finish_resume` calls it only
+/// when the worker has a ring.
 ///
 /// # Safety
 /// `worker` must be the calling thread's live worker.
-#[inline]
+#[cold]
+#[inline(never)]
 pub(crate) unsafe fn resume_finished(worker: *mut Worker) {
     // SAFETY: live worker per the function contract.
     let w = unsafe { &*worker };
@@ -166,6 +176,56 @@ mod tests {
         }
         let (a, b) = api::join2(|| fib(n - 1), || fib(n - 2));
         a + b
+    }
+
+    /// Each worker caches its own ring: `None` without rings, else
+    /// `shared.trace[index]`, so no two workers share one. A steal forced
+    /// across the two workers reads the cache on both of them.
+    #[test]
+    fn each_worker_caches_its_own_ring() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// The calling worker's index and cached ring address.
+        fn cached() -> (usize, Option<usize>) {
+            let w = crate::worker::current_worker();
+            // SAFETY: called from a task: the calling thread's live worker.
+            unsafe { ((*w).index, (*w).ring.map(|r| r.as_ptr() as usize)) }
+        }
+
+        for rings in [false, true] {
+            let mut config = Config::with_workers(2);
+            if rings {
+                config = config.trace_ring(1 << 10);
+            }
+            let rt = Runtime::new(config).unwrap();
+            let stolen = AtomicBool::new(false);
+            let seen = rt.run(|| {
+                api::join2(
+                    || {
+                        // Hold the worker until a thief took the continuation.
+                        let deadline = Instant::now() + Duration::from_secs(5);
+                        while !stolen.load(Ordering::Acquire) {
+                            assert!(Instant::now() < deadline, "no steal within 5 s");
+                            std::thread::yield_now();
+                        }
+                        cached()
+                    },
+                    || {
+                        let thief = cached();
+                        stolen.store(true, Ordering::Release);
+                        thief
+                    },
+                )
+            });
+            assert_ne!(seen.0 .0, seen.1 .0, "both sides ran on one worker");
+            let trace = rt.shared().trace.as_deref();
+            assert_eq!(trace.is_some(), rings);
+            for (index, ring) in [seen.0, seen.1] {
+                let expected = trace.map(|t| &t[index] as *const _ as usize);
+                assert_eq!(ring, expected, "worker {index}");
+            }
+            rt.shutdown(Duration::from_secs(10)).unwrap();
+        }
     }
 
     /// One ring, each event stored once. Traced, the drain holds one

@@ -23,14 +23,12 @@ use crate::worker::{current_worker, worker_main, FlavoredWorker, Shared, Worker}
 /// from. A plain `fn()` hook cannot capture, so the most recent runtime
 /// with event rings registers itself here (best-effort diagnostics; last
 /// one wins).
-#[cfg(feature = "trace")]
 static CRASH_SHARED: Mutex<std::sync::Weak<Shared>> = Mutex::new(std::sync::Weak::new());
 
 /// Crash hook installed with the guard-page handler: prints the
 /// post-mortem of the dying runtime. Runs inside a signal handler — the
 /// process is already doomed, so allocation/locking here is best-effort
 /// by design.
-#[cfg(feature = "trace")]
 fn crash_postmortem() {
     let shared = CRASH_SHARED.lock().upgrade();
     if let Some(shared) = shared {
@@ -150,6 +148,10 @@ fn spawn_workers<P: Protocol>(shared: &Arc<Shared>, started: &Arc<Barrier>) -> V
                     index,
                     shared: shared.clone(),
                     stats: core::ptr::NonNull::from(&shared.stats[index]),
+                    ring: shared
+                        .trace
+                        .as_deref()
+                        .map(|rings| core::ptr::NonNull::from(&rings[index])),
                     cache: WorkerStackCache::new(shared.pool.clone(), config.stack_cache),
                     current_stack: None,
                     incoming_stack: None,
@@ -159,7 +161,6 @@ fn spawn_workers<P: Protocol>(shared: &Arc<Shared>, started: &Arc<Barrier>) -> V
                     last_victim: usize::MAX,
                     cancel_scope: &shared.cancel_root,
                     woken: Vec::new(),
-                    #[cfg(feature = "trace")]
                     stamp: Default::default(),
                 },
                 deque,
@@ -222,7 +223,6 @@ impl Runtime {
             async_waiters: Default::default(),
             reactor: crate::reactor::Reactor::new().map_err(|e| RuntimeError::Reactor(e.0))?,
             pool: pool.clone(),
-            #[cfg(feature = "trace")]
             trace: (config.tracing || config.trace_ring.is_some()).then(|| {
                 let capacity = config
                     .trace_ring
@@ -241,7 +241,6 @@ impl Runtime {
             config: config.clone(),
         });
 
-        #[cfg(feature = "trace")]
         if shared.trace.is_some() {
             *CRASH_SHARED.lock() = Arc::downgrade(&shared);
             nowa_context::signal::set_crash_hook(crash_postmortem);
@@ -330,7 +329,6 @@ impl Runtime {
     /// one consumer: failure reports only snapshot them. Safe to call
     /// between [`Runtime::run`]s; calling it *during* a run yields a
     /// consistent prefix of each worker's stream.
-    #[cfg(feature = "trace")]
     pub fn trace_report(&self) -> Option<nowa_trace::TraceReport> {
         let tracing = self.shared.config.tracing;
         let buffers = self.shared.trace.as_deref().filter(|_| tracing)?;
@@ -342,7 +340,6 @@ impl Runtime {
     /// rings ([`Config::trace_ring`] or [`Config::tracing`]). Takes
     /// nothing from `trace_report`; safe to call at any time, including
     /// while tasks are running.
-    #[cfg(feature = "trace")]
     pub fn flight_dump(&self) -> Option<String> {
         self.shared.trace.as_deref().map(nowa_trace::tail)
     }
@@ -398,7 +395,6 @@ impl Runtime {
                 // recorder exists for: print the post-mortem, final
                 // scheduler events included, before the unwind leaves the
                 // runtime.
-                #[cfg(feature = "trace")]
                 if self.shared.trace.is_some() {
                     eprint!("{}", self.shared.postmortem("nowa", "task panic"));
                 }
@@ -508,7 +504,6 @@ impl Runtime {
         } else {
             // A shutdown timeout is a post-mortem moment like a crash or
             // a task panic: explain the wedge while the rings are alive.
-            #[cfg(feature = "trace")]
             if self.shared.trace.is_some() {
                 eprint!("{}", self.shared.postmortem("nowa", "shutdown timeout"));
             }

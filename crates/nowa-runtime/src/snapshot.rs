@@ -115,15 +115,13 @@ impl Shared {
             "{who}: scheduler counters at {at}:\n{}",
             self.snapshot().render_table()
         );
-        #[cfg(feature = "trace")]
-        let out = match self.trace.as_deref() {
+        match self.trace.as_deref() {
             Some(buffers) => format!(
                 "{out}{who}: event rings at {at}:\n{}",
                 nowa_trace::ring_summary(buffers, self.config.tracing)
             ),
             None => out,
-        };
-        out
+        }
     }
 }
 
@@ -386,7 +384,6 @@ mod tests {
     /// consumer.
     #[test]
     fn postmortem_shows_what_is_configured_and_consumes_nothing() {
-        let compiled = cfg!(feature = "trace");
         for (tracing, ring) in [(false, false), (true, false), (false, true), (true, true)] {
             let mut config = crate::Config::with_workers(2).tracing(tracing);
             if ring {
@@ -401,22 +398,16 @@ mod tests {
                     "{text}"
                 );
                 assert!(text.contains("\nspawns "), "{text}");
-                let rings = compiled && (tracing || ring);
                 assert_eq!(
                     text.contains("nowa: event rings at test:\nflight recorder: last "),
-                    rings,
+                    tracing || ring,
                     "{text}"
                 );
-                assert_eq!(
-                    text.contains("steal→first-poll"),
-                    compiled && tracing,
-                    "{text}"
-                );
-                if compiled && tracing {
+                assert_eq!(text.contains("steal→first-poll"), tracing, "{text}");
+                if tracing {
                     assert!(text.contains("events buffered, 0 dropped"), "{text}");
                 }
             }
-            #[cfg(feature = "trace")]
             if tracing {
                 let report = rt.trace_report().unwrap();
                 assert_eq!(report.dropped_total, 0);

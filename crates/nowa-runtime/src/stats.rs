@@ -5,10 +5,9 @@
 //! Everything else about a counter is generated from its row: the
 //! per-worker cell in [`WorkerStats`], the public [`StatsSnapshot`] field,
 //! `aggregate`/`merge`/`progress`, the `(name, help, value)` iterator all
-//! renderers walk ([`crate::snapshot`]), and — with the `trace` cargo
-//! feature — the route into the worker's event ring
-//! (`obs.rs`). **Adding a counter is a one-row diff here** plus the
-//! `bump`/`add` call where the event happens.
+//! renderers walk ([`crate::snapshot`]), and the route into the worker's
+//! event ring (`obs.rs`). **Adding a counter is a one-row diff here**
+//! plus the `bump`/`add` call where the event happens.
 //!
 //! **Single-writer invariant.** A worker's counters are written only by
 //! the thread currently running *as* that worker: every emission goes
@@ -19,12 +18,12 @@
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
+use crate::obs::Trace;
 use crate::record::Frame;
 use crate::worker::Worker;
 
 /// Declares the table; see the module docs for what each column generates.
-/// `trace` is an expression of type `obs::Trace`, resolved only when the
-/// `trace` feature compiles `obs.rs` in.
+/// `trace` is an expression of type `obs::Trace`.
 macro_rules! event_table {
     ($( $name:ident: progress $progress:literal, trace $trace:expr, $help:literal; )*) => {
         /// A row of the event table: names the counter an emission bumps.
@@ -39,7 +38,6 @@ macro_rules! event_table {
             pub const COUNT: usize = [$( Counter::$name ),*].len();
 
             /// How this row reaches the worker's event ring.
-            #[cfg(feature = "trace")]
             #[inline(always)]
             pub(crate) const fn trace(self) -> crate::obs::Trace {
                 use crate::obs::Trace::*;
@@ -185,7 +183,8 @@ impl WorkerStats {
 }
 
 /// The single emission point: adds `n` to the calling worker's `counter`
-/// and, with the `trace` feature, routes the event per its table row.
+/// and, when the worker has an event ring, routes the event per its table
+/// row.
 ///
 /// # Safety
 /// `worker` must be the calling thread's live worker.
@@ -195,23 +194,24 @@ unsafe fn emit(
     counter: Counter,
     n: u64,
     arg: u64,
-    occupancy: impl FnOnce() -> u64,
+    occupancy: impl Fn() -> u64,
 ) {
-    // SAFETY: live worker per the function contract; `stats` only reads
-    // the header's `shared`/`index`.
+    // SAFETY: live worker per the function contract; `stats` and `ring`
+    // are the header's cached pointers.
     unsafe { (*worker).stats() }.add(counter, n);
-    // SAFETY: same contract, forwarded.
-    #[cfg(feature = "trace")]
-    unsafe {
-        crate::obs::record(worker, counter.trace(), arg, occupancy)
-    };
-    #[cfg(not(feature = "trace"))]
-    let _ = (arg, occupancy);
+    // The row's route is a constant, so a counted-only row compiles to
+    // nothing here; any other row tests the cached ring and leaves the
+    // record body out of line — the path without rings never stamps.
+    let trace = counter.trace();
+    if !matches!(trace, Trace::Off) && unsafe { (*worker).ring.is_some() } {
+        // SAFETY: same contract, forwarded.
+        unsafe { crate::obs::record(worker, trace, arg, &occupancy) };
+    }
 }
 
 /// One occurrence of the scheduler event `counter`. `arg` is its trace
 /// argument — a [`frame_id`], a victim/target index, an async cell id;
-/// unused (and compiled out) without the `trace` feature.
+/// unused unless the worker has an event ring.
 ///
 /// # Safety
 /// `worker` must be the calling thread's live worker.
@@ -247,7 +247,7 @@ pub(crate) unsafe fn add(worker: *mut Worker, counter: Counter, n: u64) {
 pub(crate) unsafe fn bump_spawn(
     worker: *mut Worker,
     frame: *const Frame,
-    occupancy: impl FnOnce() -> u64,
+    occupancy: impl Fn() -> u64,
 ) {
     // SAFETY: contract forwarded.
     unsafe { emit(worker, Counter::spawns, 1, frame_id(frame), occupancy) }

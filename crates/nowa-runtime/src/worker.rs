@@ -74,7 +74,6 @@ pub struct Shared {
     /// Per-worker event rings (with their histograms); `Some` iff the
     /// runtime was configured with `Config::tracing(true)` or a
     /// `Config::trace_ring`.
-    #[cfg(feature = "trace")]
     pub trace: Option<Box<[nowa_trace::TraceBuffer]>>,
     /// Per-worker fault-injection state; `Some` iff the runtime was
     /// configured with a `Config::chaos` knob.
@@ -99,6 +98,12 @@ pub struct Worker {
     /// counter bump is one load instead of a reload of `shared` plus a
     /// bounds check. Points into `shared`, which this worker keeps alive.
     pub(crate) stats: core::ptr::NonNull<WorkerStats>,
+    /// This worker's event ring, `shared.trace[index]`, cached the same
+    /// way; `None` when the runtime has no rings. Every trace point tests
+    /// it before its out-of-line `#[cold]` call into `obs.rs`, so a
+    /// runtime without rings pays one load and one untaken branch per
+    /// event.
+    pub(crate) ring: Option<core::ptr::NonNull<nowa_trace::TraceBuffer>>,
     /// Private stack cache over the global pool.
     pub cache: WorkerStackCache,
     /// Handle of the stack the worker is currently executing on.
@@ -126,7 +131,6 @@ pub struct Worker {
     pub(crate) woken: Vec<Waker>,
     /// The timestamp source of this worker's trace buffer
     /// (`obs::record`).
-    #[cfg(feature = "trace")]
     pub(crate) stamp: nowa_trace::Stamp,
 }
 
@@ -343,8 +347,9 @@ pub(crate) unsafe fn finish_resume(payload: *mut c_void, stack: Option<Stack>) {
         }
         // Steal-to-first-poll: if this resume consumed a steal, the stolen
         // continuation is now runnable — stop the clock.
-        #[cfg(feature = "trace")]
-        crate::obs::resume_finished(worker);
+        if (*worker).ring.is_some() {
+            crate::obs::resume_finished(worker);
+        }
     }
 }
 

@@ -8,8 +8,6 @@
 //! conservation laws `runtime.rs` asserts on [`StatsSnapshot`], but now
 //! derived independently from the event stream.
 
-#![cfg(feature = "trace")]
-
 use nowa_runtime::{api, Config, Runtime};
 use nowa_trace::{CausalProfile, EventKind};
 

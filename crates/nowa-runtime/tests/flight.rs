@@ -11,13 +11,10 @@
 //!   dumpable;
 //! * a shutdown that times out dumps the rings before reporting the
 //!   stragglers — the last thing a wedged runtime does is explain itself;
-//! * the recorder works with full tracing *off* — it is the always-on
-//!   half of the observability story.
+//! * the recorder works with full tracing *off* — scheduling events
+//!   only, no exporter.
 //!
-//! (The live-metrics surface is tested in `snapshot.rs`, which — like the
-//! surface itself — needs no cargo feature.)
-
-#![cfg(feature = "trace")]
+//! (The live-metrics surface is tested in `snapshot.rs`.)
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;

@@ -2,8 +2,7 @@
 //! table: whatever rows `StatsSnapshot::fields()` names must show up —
 //! exactly once, with the snapshot's value — in the Prometheus text, the
 //! JSON and the text table, on every flavor, after a workload that
-//! provably stole. Runs in the default build: no renderer needs the
-//! `trace` feature.
+//! provably stole.
 
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -146,8 +145,7 @@ fn every_table_row_reaches_every_renderer_on_every_flavor() {
     }
 }
 
-/// The live-metrics surface needs no cargo feature: this file is not
-/// gated, so the default build exercises the Prometheus and JSON renderers.
+/// The default build exercises the Prometheus and JSON renderers.
 #[test]
 fn metrics_surface_works_in_the_default_build() {
     let rt = Runtime::new(Config::with_workers(2)).unwrap();

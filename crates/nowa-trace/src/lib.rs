@@ -28,8 +28,10 @@
 //!   per-worker deques, rebuilds the fork/join DAG, and computes work T1,
 //!   span T∞, parallelism, steal-edge statistics and the critical path.
 //!
-//! The runtime integrates this behind its `trace` cargo feature; with the
-//! feature off nothing here is compiled into the hot path.
+//! The runtime depends on this crate in every build. A runtime without
+//! rings reaches none of it on the hot path: each trace point tests the
+//! worker's cached ring pointer and calls out of line only when a ring
+//! exists.
 
 #![warn(missing_docs)]
 

@@ -44,9 +44,8 @@ fn stack_overflow_reports_guard_page_hit() {
     );
 }
 
-/// With tracing compiled in and enabled, the crash hook additionally dumps
-/// the event rings as they stood at the moment of death.
-#[cfg(feature = "trace")]
+/// With tracing enabled, the crash hook additionally dumps the event rings
+/// as they stood at the moment of death.
 #[test]
 fn stack_overflow_dumps_trace_report() {
     let exe = std::env::current_exe().expect("own test binary path");
