@@ -1,5 +1,6 @@
-//! cfg-twinned concurrency primitives (the `obs`/`chaos` zero-cost pattern,
-//! applied to atomics).
+//! cfg-twinned concurrency primitives: atomics that resolve to the loom
+//! model checker's under `--cfg loom` (with `nowa-runtime`'s twin, the
+//! workspace's only cfg twin).
 //!
 //! Normal builds re-export `core::sync::atomic` — this module compiles to
 //! nothing. Under `RUSTFLAGS="--cfg loom"` the same names resolve to the

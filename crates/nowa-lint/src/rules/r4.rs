@@ -5,8 +5,8 @@
 //!
 //! * `unsafe fn` — a `/// # Safety` doc section (or `// SAFETY:` comment)
 //!   directly above, unless an `#[allow(clippy::missing_safety_doc)]` is
-//!   in scope (the no-op twin arms use that deliberately: their contract
-//!   is "same as the real arm");
+//!   in scope (`nowa-context`'s raw syscall wrappers use that
+//!   deliberately: each one's contract is the syscall's own);
 //! * `unsafe {}` block — an adjacent `// SAFETY:` comment, except inside
 //!   an `unsafe fn` body, where the fn-level contract governs (and is
 //!   itself checked);

@@ -12,11 +12,12 @@ pub use nowa_deque::SplitConfig;
 ///
 /// All rates are probabilities per 65536 site visits; `0` disables a site
 /// and `u16::MAX` fires on *every* visit (an exact guarantee, not a coin).
-/// The whole struct only takes effect when the runtime is built with the
-/// `chaos` cargo feature; without it the knob is accepted but inert — the
-/// same contract as [`Config::tracing`]. The runtime both decides and
-/// delivers every fault (`crate::chaos`); the deque and context crates
-/// only expose the plain owner-handle methods it calls.
+/// Fault injection is in every build: a runtime given this knob runs the
+/// `Chaotic` instance of its protocol (`crate::flavor::Chaotic`), which
+/// carries the injection sites; a runtime without it runs the plain
+/// instance, which carries none. The runtime both decides and delivers
+/// every fault (`crate::chaos`); the deque and context crates only expose
+/// the plain owner-handle methods it calls.
 ///
 /// Injection is deterministic: whether site `s` fires at its `k`-th visit
 /// on worker `w` is a pure function of `(seed, w, s, k)` — no wall clock,
@@ -204,8 +205,9 @@ pub struct Config {
     /// `None`: `nowa_trace::DEFAULT_RING_CAPACITY` when tracing, else no
     /// ring.
     pub trace_ring: Option<usize>,
-    /// Fault injection (see [`ChaosConfig`]). Takes effect only when built
-    /// with the `chaos` cargo feature; accepted but inert otherwise.
+    /// Fault injection (see [`ChaosConfig`]). `Some` runs the runtime's
+    /// fault-injecting protocol instance; `None` (the default) runs the
+    /// plain one, which holds no injection code.
     pub chaos: Option<ChaosConfig>,
     /// Stall watchdog: when `Some`, a monitor thread samples per-worker
     /// progress counters and prints a report with the runtime's
@@ -280,7 +282,7 @@ impl Config {
     }
 
     /// Sets the fault-injection configuration (builder style). See the
-    /// field docs: requires the `chaos` cargo feature to have any effect.
+    /// field docs.
     pub fn chaos(mut self, chaos: ChaosConfig) -> Config {
         self.chaos = Some(chaos);
         self

@@ -13,13 +13,18 @@
 //! [`Protocol`] is what the scheduler is generic over. It has exactly two
 //! implementations: [`Nowa<D>`](crate::nowa::Nowa), written once over any
 //! [`nowa_deque::DequeAlgo`], and [`Fibril`](crate::fibril::Fibril), which
-//! owns its fused locked deque.
+//! owns its fused locked deque. [`Chaotic<P>`] is `P` itself with the
+//! fault-injection sites compiled in (`Protocol::CHAOS`); a runtime built
+//! with a `Config::chaos` knob runs it, every other runtime runs `P`.
 //!
 //! **The erasure seam.** User code reaches the monomorphised scheduler
 //! bodies through the thread-local worker pointer, which cannot carry a
 //! type. `with_protocol!` is the one place it is recovered: one `match`
-//! on the worker's flavor tag per `spawn_execute`, `sync_execute` and
-//! `find_work` *entry* (plus one in `Runtime::new`), none inside them.
+//! on the worker's one-byte seam tag (flavor × chaos, six arms) per
+//! `spawn_execute`, `sync_execute` and `find_work` *entry* (plus one in
+//! `Runtime::new`), none inside them.
+
+use core::marker::PhantomData;
 
 use nowa_deque::{SplitConfig, Steal};
 
@@ -81,23 +86,64 @@ impl Flavor {
     }
 }
 
-/// Evaluates `$body` with `$P` bound to the [`Protocol`] of `$flavor` — the
-/// erasure seam. `Runtime::new` builds every worker as a `FlavoredWorker<P>`
-/// through it and tags the worker with the same `$flavor`, so the type
-/// recovered from a worker's tag is its own.
+/// The erasure seam's tag: which of the six monomorphised protocol
+/// instances a runtime's workers run — its [`Flavor`], plain or
+/// [`Chaotic`]. One byte, so the seam costs one load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Seam {
+    NowaCl,
+    NowaThe,
+    Fibril,
+    ChaoticNowaCl,
+    ChaoticNowaThe,
+    ChaoticFibril,
+}
+
+impl Seam {
+    /// The tag of a runtime running `flavor`, with fault injection iff
+    /// `chaos`.
+    pub(crate) const fn new(flavor: Flavor, chaos: bool) -> Seam {
+        match (flavor, chaos) {
+            (Flavor::NowaCl, false) => Seam::NowaCl,
+            (Flavor::NowaThe, false) => Seam::NowaThe,
+            (Flavor::Fibril, false) => Seam::Fibril,
+            (Flavor::NowaCl, true) => Seam::ChaoticNowaCl,
+            (Flavor::NowaThe, true) => Seam::ChaoticNowaThe,
+            (Flavor::Fibril, true) => Seam::ChaoticFibril,
+        }
+    }
+}
+
+/// Evaluates `$body` with `$P` bound to the [`Protocol`] instance of the
+/// [`Seam`] tag `$seam` — the erasure seam. `Runtime::new` builds every
+/// worker as a `FlavoredWorker<P>` through it and tags the worker with the
+/// same `$seam`, so the type recovered from a worker's tag is its own.
 macro_rules! with_protocol {
-    ($flavor:expr, $P:ident => $body:expr) => {
-        match $flavor {
-            $crate::flavor::Flavor::NowaCl => {
+    ($seam:expr, $P:ident => $body:expr) => {
+        match $seam {
+            $crate::flavor::Seam::NowaCl => {
                 type $P = $crate::nowa::Nowa<nowa_deque::Cl>;
                 $body
             }
-            $crate::flavor::Flavor::NowaThe => {
+            $crate::flavor::Seam::NowaThe => {
                 type $P = $crate::nowa::Nowa<nowa_deque::The>;
                 $body
             }
-            $crate::flavor::Flavor::Fibril => {
+            $crate::flavor::Seam::Fibril => {
                 type $P = $crate::fibril::Fibril;
+                $body
+            }
+            $crate::flavor::Seam::ChaoticNowaCl => {
+                type $P = $crate::flavor::Chaotic<$crate::nowa::Nowa<nowa_deque::Cl>>;
+                $body
+            }
+            $crate::flavor::Seam::ChaoticNowaThe => {
+                type $P = $crate::flavor::Chaotic<$crate::nowa::Nowa<nowa_deque::The>>;
+                $body
+            }
+            $crate::flavor::Seam::ChaoticFibril => {
+                type $P = $crate::flavor::Chaotic<$crate::fibril::Fibril>;
                 $body
             }
         }
@@ -191,11 +237,96 @@ pub trait Protocol: Sized + 'static {
     fn force_promote(_dq: &Self::Owner, _leg: ForcedPromotion) -> u32 {
         0
     }
+
+    /// Whether the scheduler bodies monomorphised over this protocol carry
+    /// the fault-injection sites: every site in generic code is guarded by
+    /// `if P::CHAOS`, so the instances of a protocol that leaves this
+    /// `false` contain no chaos code at all. Only [`Chaotic`] sets it.
+    const CHAOS: bool = false;
+}
+
+/// Protocol `P` with the fault-injection sites compiled in: every item is
+/// `P`'s, so a `FlavoredWorker<Chaotic<P>>` has `P`'s layout, and only
+/// [`Protocol::CHAOS`] differs. The instance a runtime built with a
+/// `Config::chaos` knob runs (see [`crate::chaos`]).
+pub struct Chaotic<P>(PhantomData<P>);
+
+impl<P: Protocol> Protocol for Chaotic<P> {
+    type Owner = P::Owner;
+    type Stealer = P::Stealer;
+
+    const CHAOS: bool = true;
+
+    #[inline(always)]
+    fn new_deque(capacity: usize, split: SplitConfig) -> (Self::Owner, Self::Stealer) {
+        P::new_deque(capacity, split)
+    }
+
+    #[inline(always)]
+    fn push(dq: &Self::Owner, rec: Rec) -> Option<u32> {
+        P::push(dq, rec)
+    }
+
+    #[inline(always)]
+    fn pop_or_join(dq: &Self::Owner, frame: &Frame) -> AfterChild {
+        P::pop_or_join(dq, frame)
+    }
+
+    #[inline(always)]
+    fn take_own(dq: &Self::Owner) -> Option<Rec> {
+        P::take_own(dq)
+    }
+
+    #[inline(always)]
+    fn steal_from(st: &Self::Stealer) -> Steal<Rec> {
+        P::steal_from(st)
+    }
+
+    #[inline(always)]
+    fn sync_precheck(frame: &Frame) -> bool {
+        P::sync_precheck(frame)
+    }
+
+    #[inline(always)]
+    fn sync_restore(frame: &Frame) -> bool {
+        P::sync_restore(frame)
+    }
+
+    #[inline(always)]
+    fn rearm(frame: &Frame) {
+        P::rearm(frame)
+    }
+
+    #[inline(always)]
+    fn occupancy(dq: &Self::Owner) -> usize {
+        P::occupancy(dq)
+    }
+
+    #[inline(always)]
+    fn stealer_len(st: &Self::Stealer) -> usize {
+        P::stealer_len(st)
+    }
+
+    #[inline(always)]
+    fn has_private_segment(dq: &Self::Owner) -> bool {
+        P::has_private_segment(dq)
+    }
+
+    #[inline(always)]
+    fn last_pop_was_private(dq: &Self::Owner) -> bool {
+        P::last_pop_was_private(dq)
+    }
+
+    #[inline(always)]
+    fn force_promote(dq: &Self::Owner, leg: ForcedPromotion) -> u32 {
+        P::force_promote(dq, leg)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{api, ChaosConfig, Config, Runtime};
 
     #[test]
     fn flavor_names_round_trip() {
@@ -206,5 +337,63 @@ mod tests {
         // The retired ablation flavors no longer parse.
         assert_eq!(Flavor::parse("nowa-abp"), None);
         assert_eq!(Flavor::parse("nowa-lockq"), None);
+    }
+
+    /// Every worker runs the `Chaotic` instance exactly when the runtime
+    /// was configured with a chaos knob, for every flavor, and the
+    /// snapshot reports fault-injection counters exactly then. A steal
+    /// forced across the two workers reads the tag on both of them.
+    #[test]
+    fn workers_run_the_chaotic_instance_exactly_when_chaos_is_set() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+
+        /// The calling worker's index and seam tag.
+        fn tag() -> (usize, Seam) {
+            let w = crate::worker::current_worker();
+            // SAFETY: called from a task: the calling thread's live worker.
+            unsafe { ((*w).index, (*w).seam) }
+        }
+
+        for flavor in Flavor::ALL {
+            for chaos in [false, true] {
+                let mut config = Config::with_workers(2).flavor(flavor);
+                if chaos {
+                    config = config.chaos(ChaosConfig::aggressive(3));
+                }
+                let rt = Runtime::new(config).unwrap();
+                let stolen = AtomicBool::new(false);
+                let seen = rt.run(|| {
+                    api::join2(
+                        || {
+                            // Hold the worker until a thief took the
+                            // continuation.
+                            let deadline = Instant::now() + Duration::from_secs(5);
+                            while !stolen.load(Ordering::Acquire) {
+                                assert!(Instant::now() < deadline, "no steal within 5 s");
+                                std::thread::yield_now();
+                            }
+                            tag()
+                        },
+                        || {
+                            let thief = tag();
+                            stolen.store(true, Ordering::Release);
+                            thief
+                        },
+                    )
+                });
+                assert_ne!(seen.0 .0, seen.1 .0, "both sides ran on one worker");
+                for (index, seam) in [seen.0, seen.1] {
+                    let chaotic = matches!(
+                        seam,
+                        Seam::ChaoticNowaCl | Seam::ChaoticNowaThe | Seam::ChaoticFibril
+                    );
+                    assert_eq!(chaotic, chaos, "{} worker {index}", flavor.name());
+                    assert_eq!(seam, Seam::new(flavor, chaos));
+                }
+                assert_eq!(rt.snapshot().chaos.is_some(), chaos);
+                rt.shutdown(Duration::from_secs(10)).unwrap();
+            }
+        }
     }
 }

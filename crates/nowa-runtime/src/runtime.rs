@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 use crate::cancel::{CancelCell, CancelReason};
 use crate::config::Config;
-use crate::flavor::{with_protocol, Flavor, Protocol};
+use crate::flavor::{with_protocol, Flavor, Protocol, Seam};
 use crate::idle::IdleState;
 use crate::injector::Injector;
 use crate::snapshot::Snapshot;
@@ -131,8 +131,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Creates the deques of a runtime running protocol `P` and starts its
-/// worker threads.
-fn spawn_workers<P: Protocol>(shared: &Arc<Shared>, started: &Arc<Barrier>) -> Vec<JoinHandle<()>> {
+/// worker threads, tagged with `seam`, the tag `P` was recovered from.
+fn spawn_workers<P: Protocol>(
+    shared: &Arc<Shared>,
+    seam: Seam,
+    started: &Arc<Barrier>,
+) -> Vec<JoinHandle<()>> {
     let config = &shared.config;
     let (owners, stealers): (Vec<_>, Vec<_>) = (0..config.workers)
         .map(|_| P::new_deque(config.deque_capacity, config.split))
@@ -144,7 +148,7 @@ fn spawn_workers<P: Protocol>(shared: &Arc<Shared>, started: &Arc<Barrier>) -> V
         .map(|(index, deque)| {
             let worker = Box::new(FlavoredWorker::<P> {
                 base: Worker {
-                    flavor: config.flavor,
+                    seam,
                     index,
                     shared: shared.clone(),
                     stats: core::ptr::NonNull::from(&shared.stats[index]),
@@ -231,7 +235,6 @@ impl Runtime {
                     .map(|_| nowa_trace::TraceBuffer::new(capacity))
                     .collect()
             }),
-            #[cfg(feature = "chaos")]
             chaos: config.chaos.map(|c| {
                 (0..config.workers)
                     .map(|i| crate::chaos::ChaosWorkerState::new(c.seed, i))
@@ -261,9 +264,11 @@ impl Runtime {
         // off, and naps on the deadline map when it has nothing to do.
         let watchdog = Some(crate::watchdog::spawn(shared.clone(), started.clone()));
 
-        // The flavor is resolved here, once: every worker is built as a
-        // `FlavoredWorker<P>` and tagged with the flavor `P` came from.
-        let threads = with_protocol!(config.flavor, P => spawn_workers::<P>(&shared, &started));
+        // The protocol instance is resolved here, once: every worker is
+        // built as a `FlavoredWorker<P>` and tagged with the seam `P` came
+        // from — a `Chaotic` one iff the runtime injects faults.
+        let seam = Seam::new(config.flavor, config.chaos.is_some());
+        let threads = with_protocol!(seam, P => spawn_workers::<P>(&shared, seam, &started));
         started.wait();
 
         Ok(Runtime {
@@ -292,10 +297,9 @@ impl Runtime {
     /// Everything the runtime can report about itself, read at one
     /// instant: per-worker and aggregate scheduler counters, stack-pool
     /// activity, idle workers, watchdog reports, registered reactor
-    /// sources, armed deadlines and (when compiled and
-    /// configured) fault-injection counters. Pull-based — each call
-    /// re-reads the relaxed counters; there is no background thread and no
-    /// hot-path cost. Render it with [`Snapshot::render_table`],
+    /// sources, armed deadlines and (when configured) fault-injection
+    /// counters. Pull-based — each call re-reads the relaxed counters;
+    /// there is no background thread and no hot-path cost. Render it with [`Snapshot::render_table`],
     /// [`render_prometheus`](Snapshot::render_prometheus) or
     /// [`render_json`](Snapshot::render_json).
     pub fn snapshot(&self) -> Snapshot {

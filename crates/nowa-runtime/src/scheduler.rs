@@ -109,7 +109,7 @@ where
         // The erasure seam: everything protocol-dependent about a spawn
         // happens on the child stack, so the seam just picks the body
         // monomorphised for this worker's own tag.
-        let body: Body = with_protocol!((*worker).flavor, P => spawn_body::<P, F>);
+        let body: Body = with_protocol!((*worker).seam, P => spawn_body::<P, F>);
 
         // Stage the child stack before capturing.
         let child_top = stage_fresh_stack(worker);
@@ -160,12 +160,16 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
         );
         let deque = &(*FlavoredWorker::<P>::of(worker)).deque;
 
-        // Chaos: maybe yield right before the push, widening the window in
-        // which thieves observe the pre-push deque state; maybe force an
+        // Chaos: maybe arm a stack-map failure for the next cache miss;
+        // maybe yield right before the push, widening the window in which
+        // thieves observe the pre-push deque state; maybe force an
         // out-of-band promotion batch (or fail the next promotion).
-        chaos::on_spawn_push(worker);
-        if let Some(leg) = chaos::on_force_promote(worker) {
-            crate::worker::note_promotion(worker, P::force_promote(deque, leg));
+        if P::CHAOS {
+            chaos::on_stack_get(worker);
+            chaos::on_spawn_push(worker);
+            if let Some(leg) = chaos::on_force_promote(worker) {
+                crate::worker::note_promotion(worker, P::force_promote(deque, leg));
+            }
         }
         let pushed = P::push(deque, nowa_deque::Ptr::from_ref(&*record));
         let offered = pushed.is_some();
@@ -189,7 +193,9 @@ unsafe extern "C" fn spawn_body<P: Protocol, F: FnOnce() + Send>(arg: *mut c_voi
         // injected chaos panic fires inside the capture scope, so it takes
         // exactly the propagation path a user panic would.
         match catch_unwind(AssertUnwindSafe(|| {
-            chaos::on_child_start(worker);
+            if P::CHAOS {
+                chaos::on_child_start(worker);
+            }
             f()
         })) {
             Ok(()) => {}
@@ -267,7 +273,25 @@ pub unsafe fn sync_execute(frame: &Frame) {
     let worker = current_worker();
     debug_assert!(!worker.is_null(), "sync_execute requires a worker thread");
     // SAFETY: `P` is recovered from the worker's own tag.
-    with_protocol!(unsafe { (*worker).flavor }, P => unsafe { sync_in::<P>(worker, frame) })
+    with_protocol!(unsafe { (*worker).seam }, P => unsafe {
+        if P::CHAOS {
+            sync_chaotic::<P>(worker, frame)
+        } else {
+            sync_in::<P>(worker, frame)
+        }
+    })
+}
+
+/// [`sync_in`] for the `Chaotic` instances, out of line: inlined, their
+/// three copies of the chaos sync would double every combinator that
+/// inlines [`sync_execute`], which the plain instances pay for in size
+/// and alignment.
+///
+/// # Safety
+/// As [`sync_in`].
+#[inline(never)]
+unsafe fn sync_chaotic<P: Protocol>(worker: *mut Worker, frame: &Frame) {
+    unsafe { sync_in::<P>(worker, frame) }
 }
 
 /// [`sync_execute`], monomorphised over the runtime's protocol.
@@ -281,13 +305,13 @@ unsafe fn sync_in<P: Protocol>(worker: *mut Worker, frame: &Frame) {
         // Chaos: a forced cancellation at the sync boundary latches the
         // enclosing region (if any) right where suspension decisions race
         // with joins.
-        if chaos::on_force_cancel(worker) {
+        if P::CHAOS && chaos::on_force_cancel(worker) {
             let shared = &(*worker).shared;
             cancel::cancel_enclosing_region(frame.scope.get(), shared, cancel::CancelReason::Token);
         }
         // Chaos: a forced suspension vetoes the fast path, driving the
         // capture/restore machinery even when all children already joined.
-        let forced_suspend = chaos::on_sync(worker);
+        let forced_suspend = P::CHAOS && chaos::on_sync(worker);
         if !forced_suspend && P::sync_precheck(frame) {
             // All children joined: proceed without suspending (Invariant
             // III makes α stable here, so the check is exact).
@@ -310,6 +334,10 @@ unsafe fn sync_in<P: Protocol>(worker: *mut Worker, frame: &Frame) {
 #[inline(never)]
 unsafe fn sync_suspend<P: Protocol>(worker: *mut Worker, frame: &Frame) {
     unsafe {
+        // Chaos: maybe arm a stack-map failure for the next cache miss.
+        if P::CHAOS {
+            chaos::on_stack_get(worker);
+        }
         // Stage a fresh stack for the work-finding loop.
         let fresh_top = stage_fresh_stack(worker);
         let mut args = SyncArgs { worker, frame };
@@ -341,7 +369,7 @@ unsafe extern "C" fn sync_body<P: Protocol>(arg: *mut c_void) -> ! {
         // Chaos: a forced cancellation at the suspend boundary drives the
         // cancel-during-suspended-sync path (children unwind, the last
         // joiner retires the suspension, the resume becomes an abort).
-        if chaos::on_force_cancel(worker) {
+        if P::CHAOS && chaos::on_force_cancel(worker) {
             let shared = &(*worker).shared;
             cancel::cancel_enclosing_region(
                 (*frame).scope.get(),

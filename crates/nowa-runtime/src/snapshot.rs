@@ -62,7 +62,6 @@ pub struct Snapshot {
     /// Fault-injection counters (site visits and injections fired),
     /// aggregated over workers; `None` unless the runtime was configured
     /// with [`Config::chaos`](crate::Config::chaos).
-    #[cfg(feature = "chaos")]
     pub chaos: Option<crate::chaos::ChaosSnapshot>,
 }
 
@@ -91,7 +90,6 @@ impl Shared {
             watchdog_reports: self.watchdog_reports.load(Ordering::Relaxed),
             reactor_sources: self.reactor.sources(),
             timers_pending: self.reactor.deadlines.len(),
-            #[cfg(feature = "chaos")]
             chaos: self
                 .chaos
                 .as_deref()
@@ -259,7 +257,6 @@ impl Snapshot {
             }
             out.push('\n');
         }
-        #[cfg(feature = "chaos")]
         if let Some(chaos) = &self.chaos {
             let _ = writeln!(out, "chaos (injected/visits) {chaos}");
         }
@@ -270,7 +267,7 @@ impl Snapshot {
     /// `nowa_build_info{flavor}`, every scheduler counter as
     /// `nowa_<name>_total`, the ratios as gauges, every counter again per
     /// worker as `nowa_worker_<name>_total{worker="i"}`, and — when
-    /// compiled and configured — `nowa_chaos_*_total{site}`.
+    /// configured — `nowa_chaos_*_total{site}`.
     pub fn render_prometheus(&self) -> String {
         let (mut out, mut family) = (String::new(), String::new());
         let build = ("build_info", "Runtime build information (always 1).", false);
@@ -295,7 +292,6 @@ impl Snapshot {
                 prom_sample(&mut out, &mut family, (&name, help, true), Some(label), v);
             }
         }
-        #[cfg(feature = "chaos")]
         if let Some(chaos) = &self.chaos {
             let injected = ("chaos_injected", "Faults injected, per site.", true);
             let visits = ("chaos_visits", "Injection-site visits, per site.", true);
@@ -326,7 +322,6 @@ impl Snapshot {
         }
         out.pop();
         out.push(']');
-        #[cfg(feature = "chaos")]
         if let Some(chaos) = &self.chaos {
             out.push_str(",\"chaos\":{");
             for (site, injected, visits) in chaos.sites() {

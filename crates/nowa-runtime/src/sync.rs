@@ -1,5 +1,6 @@
 //! cfg-twinned concurrency primitives for the runtime's modeled protocols
-//! (the `obs`/`chaos` zero-cost pattern, applied to atomics and futexes).
+//! (atomics and futexes) — with `nowa-deque`'s twin, the workspace's only
+//! cfg twin: everything else is in every build.
 //!
 //! Normal builds re-export `core::sync::atomic` and the raw futex wrappers
 //! from `nowa-context::sys` — this module compiles to nothing. Under

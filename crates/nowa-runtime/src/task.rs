@@ -51,6 +51,7 @@ use std::task::Wake;
 use nowa_context::{capture_and_run_on, RawContext, Stack};
 
 use crate::cancel::{self, CancelCell};
+use crate::chaos;
 use crate::stats::{self, Counter};
 use crate::worker::{
     current_worker, find_work, finish_resume, park_current_stack, resume_captured,
@@ -358,6 +359,9 @@ struct ParkArgs {
 /// `RUNNING` or `NOTIFIED`.
 unsafe fn park_on(worker: *mut Worker, cell: &AsyncCell) {
     unsafe {
+        // Chaos (off the generic path: a run-time lookup, inert without a
+        // `Config::chaos` knob): maybe arm a stack-map failure.
+        chaos::on_stack_get(worker);
         let fresh_top = stage_fresh_stack(worker);
         let mut args = ParkArgs { worker, cell };
 

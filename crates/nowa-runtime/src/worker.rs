@@ -35,7 +35,7 @@ use nowa_deque::Steal;
 use crate::cancel::{self, CancelCell};
 use crate::chaos;
 use crate::config::Config;
-use crate::flavor::{with_protocol, Flavor, Protocol, Rec};
+use crate::flavor::{with_protocol, Protocol, Rec, Seam};
 use crate::idle::IdleState;
 use crate::injector::{Injector, Outside};
 use crate::reactor::Reactor;
@@ -77,7 +77,6 @@ pub struct Shared {
     pub trace: Option<Box<[nowa_trace::TraceBuffer]>>,
     /// Per-worker fault-injection state; `Some` iff the runtime was
     /// configured with a `Config::chaos` knob.
-    #[cfg(feature = "chaos")]
     pub chaos: Option<Box<[chaos::ChaosWorkerState]>>,
     /// Stall reports emitted by the watchdog since startup.
     pub watchdog_reports: AtomicU64,
@@ -86,10 +85,11 @@ pub struct Shared {
 /// One worker: an OS thread plus its flavor-independent scheduling state —
 /// the header of a [`FlavoredWorker`], and all that non-generic code sees.
 pub struct Worker {
-    /// The runtime's flavor: the tag the erasure seam (`with_protocol!`)
-    /// recovers this worker's protocol type from. A copy of
-    /// `shared.config.flavor`, so the seam costs one load, not two.
-    pub flavor: Flavor,
+    /// The tag the erasure seam (`with_protocol!`) recovers this worker's
+    /// protocol type from: `shared.config.flavor`, plain or `Chaotic` as
+    /// `shared.config.chaos` asks, resolved once so the seam costs one
+    /// load.
+    pub(crate) seam: Seam,
     /// Index into `FlavoredWorker::stealers` / `Shared::stats`.
     pub index: usize,
     /// Shared runtime state.
@@ -261,7 +261,6 @@ pub(crate) unsafe fn fill_slot(slot: *mut Option<Stack>, stack: Option<Stack>) {
 #[inline(always)]
 pub(crate) unsafe fn stage_fresh_stack(worker: *mut Worker) -> *mut c_void {
     unsafe {
-        chaos::on_stack_get(worker);
         let fresh = (*worker).cache.get();
         let top = fresh.top();
         fill_slot(&mut (*worker).incoming_stack, Some(fresh));
@@ -409,7 +408,7 @@ pub unsafe fn find_work() -> ! {
     let worker = current_worker();
     debug_assert!(!worker.is_null());
     // SAFETY: `P` is recovered from the worker's own tag.
-    with_protocol!(unsafe { (*worker).flavor }, P => unsafe { find_work_in::<P>() })
+    with_protocol!(unsafe { (*worker).seam }, P => unsafe { find_work_in::<P>() })
 }
 
 /// [`find_work`], monomorphised over the runtime's protocol.
@@ -510,10 +509,12 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
                 let mut attempt: u32 = 0;
                 loop {
                     // Chaos: a forced failure stands in for the steal.
-                    let stolen = match unsafe { chaos::on_steal_attempt(worker) } {
-                        Some(forced) => forced,
-                        None => P::steal_from(&stealers[victim]),
+                    let forced = if P::CHAOS {
+                        unsafe { chaos::on_steal_attempt(worker) }
+                    } else {
+                        None
                     };
+                    let stolen = forced.unwrap_or_else(|| P::steal_from(&stealers[victim]));
                     match stolen {
                         Steal::Success(rec) => unsafe {
                             (*worker).last_victim = victim;
@@ -521,7 +522,7 @@ pub(crate) unsafe fn find_work_in<P: Protocol>() -> ! {
                             // Chaos: forced cancellation at the steal
                             // boundary — the stolen continuation resumes
                             // straight into a cancelled checkpoint.
-                            if chaos::on_force_cancel(worker) {
+                            if P::CHAOS && chaos::on_force_cancel(worker) {
                                 cancel::cancel_enclosing_region(
                                     (*(*rec.as_ptr()).frame).scope.get(),
                                     shared,
@@ -670,7 +671,7 @@ unsafe fn park_worker<P: Protocol>(worker: *mut Worker, shared: &Shared, stealer
         return;
     }
 
-    let skip_wait = unsafe { chaos::on_park_wait(worker) };
+    let skip_wait = P::CHAOS && unsafe { chaos::on_park_wait(worker) };
     unsafe { stats::bump(worker, Counter::parks, 0) };
     let t0 = std::time::Instant::now();
     let timeout_ns = shared.config.idle.max_park.as_nanos().min(u64::MAX as u128) as u64;

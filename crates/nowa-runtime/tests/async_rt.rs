@@ -430,7 +430,6 @@ fn cancel_unwinds_parked_io_future() {
 
 /// Serving workload used by the chaos replay test: one echo handler, one
 /// external client pushing `count` frames and checking each echo.
-#[cfg(feature = "chaos")]
 fn echo_round_trip(rt: &Runtime, count: usize) {
     let (server, mut client) = UnixStream::pair().unwrap();
     server.set_nonblocking(true).unwrap();
@@ -488,7 +487,6 @@ fn echo_round_trip(rt: &Runtime, count: usize) {
 /// correct results on every replay of the seed. (Poll visit *counts* are
 /// wall-clock dependent, so — as with the idle sites — the gate here is
 /// replayed correctness, not snapshot equality; see `ChaosConfig`.)
-#[cfg(feature = "chaos")]
 #[test]
 fn serving_survives_reactor_chaos() {
     use nowa_runtime::ChaosConfig;

@@ -16,9 +16,9 @@
 //! * `Runtime::shutdown(timeout)` cancels the root scope, drains, and
 //!   either joins every worker (`Ok`) or reports the stragglers in a typed
 //!   [`ShutdownError`];
-//! * under `--features chaos`, forced cancellations at the steal / sync /
-//!   suspend boundaries replay bit-identically for a fixed seed, and on
-//!   four workers every run completes or unwinds and the runtime survives.
+//! * forced cancellations at the steal / sync / suspend boundaries replay
+//!   bit-identically for a fixed seed, and on four workers every run
+//!   completes or unwinds and the runtime survives.
 
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -407,11 +407,9 @@ fn shutdown_timeout_reports_stuck_workers() {
     });
 }
 
-/// Forced cancellations (`--features chaos`) replay bit-identically: one
-/// worker makes the schedule deterministic, so outcome and injection
-/// counters must match across same-seed runs — and at least one seed must
-/// actually cancel.
-#[cfg(feature = "chaos")]
+/// Forced cancellations replay bit-identically: one worker makes the
+/// schedule deterministic, so outcome and injection counters must match
+/// across same-seed runs — and at least one seed must actually cancel.
 #[test]
 fn forced_cancellation_replays_deterministically() {
     quiet_expected_panics();
@@ -463,14 +461,13 @@ fn forced_cancellation_replays_deterministically() {
     );
 }
 
-/// Forced-cancellation soak on four workers (`--features chaos`): the
-/// `ForceCancel` site on top of the aggressive profile latches the region
-/// at steal / sync / suspend boundaries while stolen continuations race
-/// the join. Every run either returns the serial result or unwinds to the
-/// `run` caller with `Cancelled { reason: Token }`; the runtime then still
-/// runs work and shuts down cleanly, and each flavor cancels at least once
-/// over the sweep.
-#[cfg(feature = "chaos")]
+/// Forced-cancellation soak on four workers: the `ForceCancel` site on
+/// top of the aggressive profile latches the region at steal / sync /
+/// suspend boundaries while stolen continuations race the join. Every run
+/// either returns the serial result or unwinds to the `run` caller with
+/// `Cancelled { reason: Token }`; the runtime then still runs work and
+/// shuts down cleanly, and each flavor cancels at least once over the
+/// sweep.
 #[test]
 fn forced_cancellation_soak_survives_on_four_workers() {
     quiet_expected_panics();

@@ -137,7 +137,6 @@ fn stall_report_does_not_consume_trace_events() {
 /// Forced steal failures (chaos) perturb *which* steals succeed, not the
 /// conservation law: every successful steal still pairs with exactly one
 /// spawn edge in the reconstruction.
-#[cfg(feature = "chaos")]
 #[test]
 fn steal_conservation_holds_under_forced_steal_failures() {
     use nowa_runtime::ChaosConfig;

@@ -208,7 +208,6 @@ fn watchdog_classifies_parked_workers_healthy() {
 /// spurious wakes, under the eager-park ladder that sends every backoff
 /// straight to the park. The injection schedule is a pure function of the
 /// seed, so the same seed must produce correct results on every replay.
-#[cfg(feature = "chaos")]
 #[test]
 fn burst_survives_chaos_spurious_wakes() {
     use nowa_runtime::ChaosConfig;

@@ -98,7 +98,6 @@ fn counters_are_exact_for_a_known_dag() {
 /// forced outcome instead of stealing, so nothing is stolen and each
 /// forced outcome is counted exactly once as a failed attempt. The Fibril
 /// arm shows the fused queue never sees a forced outcome either.
-#[cfg(feature = "chaos")]
 #[test]
 fn forced_steal_failures_stand_in_for_every_steal() {
     use nowa_runtime::chaos::ChaosSite;

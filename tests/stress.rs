@@ -226,12 +226,11 @@ fn thief_starvation_linear_spawns_all_flavors() {
     }
 }
 
-/// Seeded fault-injection stress (`--features chaos`): the scheduler is
-/// battered with forced steal failures, forced suspensions, spurious
-/// yields and injected stack-`mmap` failures, and must still produce
-/// bit-identical results. Injection is counter-based, so a seed fully
-/// determines the fault sequence.
-#[cfg(feature = "chaos")]
+/// Seeded fault-injection stress: the scheduler is battered with forced
+/// steal failures, forced suspensions, spurious yields and injected
+/// stack-`mmap` failures, and must still produce bit-identical results.
+/// Injection is counter-based, so a seed fully determines the fault
+/// sequence.
 mod chaos {
     use nowa::kernels::{BenchId, Size};
     use nowa::runtime::chaos::{ChaosPanic, ChaosSite};
